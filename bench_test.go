@@ -19,6 +19,7 @@ import (
 	"time"
 
 	xmlvi "repro"
+	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
@@ -257,27 +258,6 @@ func BenchmarkQueryPlannerCrossover(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryPlannerConjunctive is A7: conjunctive predicates whose
-// first condition is unselective and whose second is highly selective —
-// the workload the legacy first-indexable-condition heuristic gets
-// maximally wrong. The planner picks the selective driver (and
-// intersects further selective paths), so planner_ms should beat
-// legacy_ms clearly; speedup_x reports the ratio for the first query.
-func BenchmarkQueryPlannerConjunctive(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunA7(cfg, "xmark1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && len(rows) > 0 {
-			b.ReportMetric(rows[0].LegacyMS, "legacy_ms")
-			b.ReportMetric(rows[0].PlannerMS, "planner_ms")
-			b.ReportMetric(rows[0].SpeedupX, "speedup_x")
-		}
-	}
-}
-
 // BenchmarkQuerySinglePredicate tracks raw planned-query latency on the
 // two single-predicate shapes (string equality, numeric range) so
 // BENCH_PR.json records planner overhead alongside build/update numbers.
@@ -351,7 +331,7 @@ func BenchmarkMemFootprint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ix := buildSubstringIndex(b)
 		if i == 0 {
-			ms := ix.MemStats()
+			ms := ix.Snapshot().MemStats()
 			b.ReportMetric(ms.BytesPerNode, "bytes_per_node")
 			b.ReportMetric(ms.UnpackedBytesPerNode, "unpacked_bytes_per_node")
 			b.ReportMetric(float64(ms.TotalBytes)/(1<<20), "total_MB")
@@ -367,21 +347,21 @@ func BenchmarkMemFootprint(b *testing.B) {
 // over an order of magnitude. The "speedup_x" metric on the indexed
 // sub-benchmark reports the measured ratio.
 func BenchmarkRangeDate(b *testing.B) {
-	ix := buildAuctionDateIndex(b)
+	snap := buildAuctionDateIndex(b).Snapshot()
 	lo, hi := dateBenchWindow()
-	if len(ix.RangeDate(lo, hi)) == 0 {
+	if len(snap.RangeTyped(core.TypeDate, lo, hi, true, true)) == 0 {
 		b.Fatal("no dates in the benchmark window")
 	}
 	var scanNS float64
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchHits = ix.ScanDateRange(lo, hi)
+			benchHits = core.ScanTypedRange(snap.Doc(), core.TypeDate, lo, hi)
 		}
 		scanNS = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
 	b.Run("indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchHits = ix.RangeDate(lo, hi)
+			benchHits = snap.RangeTyped(core.TypeDate, lo, hi, true, true)
 		}
 		indexedNS := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		if indexedNS > 0 && scanNS > 0 {
@@ -396,10 +376,10 @@ var benchHits []core.Posting
 // indexed date range (with chain-lifted wrappers) selects exactly the
 // nodes the scan baseline casts into the window.
 func TestRangeDateIndexedMatchesScan(t *testing.T) {
-	ix := buildAuctionDateIndex(t)
+	snap := buildAuctionDateIndex(t).Snapshot()
 	lo, hi := dateBenchWindow()
-	indexed := ix.RangeDate(lo, hi)
-	scanned := ix.ScanDateRange(lo, hi)
+	indexed := snap.RangeTyped(core.TypeDate, lo, hi, true, true)
+	scanned := core.ScanTypedRange(snap.Doc(), core.TypeDate, lo, hi)
 	if len(indexed) == 0 {
 		t.Fatal("no dates in the window")
 	}
@@ -435,7 +415,7 @@ func TestRangeDateIndexedMatchesScan(t *testing.T) {
 // ratio; CI's bench job surfaces it as the substring-vs-scan line in
 // the job summary.
 func BenchmarkSubstring(b *testing.B) {
-	ix := buildSubstringIndex(b)
+	ix := buildSubstringIndex(b).Snapshot()
 	const pattern = "bidder" // selective: a handful of hits at any bench scale
 	// Warm both paths: a single cold lookup is dominated by first-touch
 	// allocation, and CI runs at -benchtime 1x.
@@ -472,7 +452,7 @@ func BenchmarkSubstring(b *testing.B) {
 // q-gram index answers contains() and starts-with() with exactly the
 // postings the scan baseline finds, in the same document order.
 func TestSubstringIndexedMatchesScan(t *testing.T) {
-	ix := buildSubstringIndex(t)
+	ix := buildSubstringIndex(t).Snapshot()
 	check := func(what string, indexed, scanned []core.Posting) {
 		t.Helper()
 		if len(indexed) != len(scanned) {
@@ -527,11 +507,11 @@ func buildAuctionDateIndex(tb testing.TB) *core.Indexes {
 }
 
 // dateBenchWindow covers two generator years — a selective but non-empty
-// slice of the auction site's date fields.
-func dateBenchWindow() (lo, hi int64) {
+// slice of the auction site's date fields — as encoded xs:date keys.
+func dateBenchWindow() (lo, hi uint64) {
 	day := int64(24 * 3600)
-	return time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC).Unix() / day,
-		time.Date(2001, 12, 31, 0, 0, 0, 0, time.UTC).Unix() / day
+	return btree.EncodeInt64(time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC).Unix() / day),
+		btree.EncodeInt64(time.Date(2001, 12, 31, 0, 0, 0, 0, time.UTC).Unix() / day)
 }
 
 // concurrentBenchDoc builds a flat document with one constant "needle"

@@ -175,11 +175,6 @@ func writeSummary(w io.Writer, report *Report) {
 		fmt.Fprintf(w, "**Parallel index build:** Parallelism=1 %.2fms vs Parallelism=4 %.2fms → **%.2fx speedup**\n",
 			p1/1e6, p4/1e6, p1/p4)
 	}
-	if legacy, planner := metricOf(report, "BenchmarkQueryPlannerConjunctive", "legacy_ms"),
-		metricOf(report, "BenchmarkQueryPlannerConjunctive", "planner_ms"); legacy > 0 && planner > 0 {
-		fmt.Fprintf(w, "**Query planner (conjunctive):** legacy heuristic %.3fms vs cost-based planner %.3fms → **%.2fx speedup**\n",
-			legacy, planner, legacy/planner)
-	}
 	if loScan, loIdx := metricOf(report, "BenchmarkQueryPlannerCrossover", "lo_scan_ms"),
 		metricOf(report, "BenchmarkQueryPlannerCrossover", "lo_index_ms"); loScan > 0 && loIdx > 0 {
 		fmt.Fprintf(w, "**Scan/index crossover:** low selectivity scan %.3fms vs index %.3fms",

@@ -20,7 +20,7 @@ import (
 	"repro/internal/experiments"
 )
 
-var allExperiments = []string{"table1", "fig9", "fig10", "fig11", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8"}
+var allExperiments = []string{"table1", "fig9", "fig10", "fig11", "a1", "a2", "a3", "a4", "a5", "a6", "a8"}
 
 // expAliases are the per-panel selectors that map onto a whole figure.
 var expAliases = []string{"fig9a", "fig9b", "fig9c", "fig9d", "fig10a", "fig10b"}
@@ -161,13 +161,6 @@ func main() {
 		}
 		experiments.ReportA6(out, rows)
 	}
-	if selected["a7"] {
-		rows, err := experiments.RunA7(cfg, plannerDataset(cfg))
-		if err != nil {
-			fatal(err)
-		}
-		experiments.ReportA7(out, rows)
-	}
 	if selected["a8"] {
 		rows, err := experiments.RunA8(cfg, plannerDataset(cfg))
 		if err != nil {
@@ -185,7 +178,7 @@ func firstDataset(cfg experiments.Config) string {
 	return "xmark1"
 }
 
-// plannerDataset picks the dataset for the planner ablations (A6/A7),
+// plannerDataset picks the dataset for the planner ablations (A6/A8),
 // whose query workloads are XMark-shaped: the first selected xmark
 // variant, falling back to xmark1.
 func plannerDataset(cfg experiments.Config) string {

@@ -64,7 +64,7 @@ func main() {
 	var docs docFlags
 	flag.Var(&docs, "doc", "serve a document: name=snap.xvi+wal.log | name=snap.xvi | name=file.xml | name=gen:dataset:scale (repeatable); with -follow, names a leader document to follow")
 	listen := flag.String("listen", "127.0.0.1:8080", "address to serve on")
-	planner := flag.String("planner", "auto", "query planning mode: auto, legacy, scan, index")
+	planner := flag.String("planner", "auto", "query planning mode: auto, scan, index")
 	substring := flag.Bool("substring", false, "enable the q-gram substring index on served documents (contains()/starts-with() answer through the planner)")
 	retention := flag.Int("watch-retention", server.DefaultWatchRetention, "committed changes buffered per document for WATCH resume")
 	follow := flag.String("follow", "", "follow a leader server at this base URL (serve read-only replicas of its documents)")
@@ -111,7 +111,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Bound how long a client may take to send request headers and how
+	// long an idle keep-alive connection is held. No WriteTimeout: it
+	// would cut every /v1/watch SSE stream after that long.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 	fmt.Printf("xvid: listening on http://%s\n", ln.Addr())

@@ -7,7 +7,7 @@
 //	xviquery -db doc.xvi '//person[.//age = 42]'
 //	xviquery -db doc.xvi -scan -t '//item[price > 100]'
 //	xviquery -db doc.xvi -explain '//item[quantity = 7 and location = "Oslo"]'
-//	xviquery -db doc.xvi -planner legacy -t '//item[quantity = 7]'
+//	xviquery -db doc.xvi -planner index -t '//item[quantity = 7]'
 //	xviquery -db doc.xvi -substring -explain '//person[contains(name/text(), "rthu")]'
 package main
 
@@ -26,7 +26,7 @@ func main() {
 	contains := flag.Bool("contains", false, "treat the argument as a substring pattern (q-gram index)")
 	substring := flag.Bool("substring", false, "enable the q-gram substring index so contains()/starts-with() predicates answer through it")
 	explain := flag.Bool("explain", false, "print the executed plan tree (estimated vs actual cardinalities)")
-	planner := flag.String("planner", "auto", "query planning mode: auto, legacy, scan, index")
+	planner := flag.String("planner", "auto", "query planning mode: auto, scan, index")
 	timing := flag.Bool("t", false, "print evaluation time")
 	limit := flag.Int("limit", 20, "maximum results to print (0 = all)")
 	flag.Parse()

@@ -127,10 +127,10 @@
 //
 // Options.Planner (and Document.SetPlanner, for loaded snapshots)
 // selects the strategy: PlannerAuto (cost-based, the default),
-// PlannerLegacy (the pre-planner first-indexable-condition heuristic),
 // PlannerForceScan, and PlannerForceIndex — the last two are the arms
 // of the scan-vs-index selectivity crossover ablation (xvibench -exp
-// a6; the conjunctive planner-vs-legacy comparison is -exp a7).
+// a6). The planner is the only route by which a query reaches an
+// index: every read pins one Snapshot and runs plan.Run against it.
 // Unsupported path shapes (attribute steps in the middle of a path)
 // fail with ErrUnsupportedPath instead of silently returning nothing.
 //
@@ -177,14 +177,15 @@
 // candidate postings intersect as delta-encoded byte strings. All of
 // it lives behind the same MVCC snapshots — readers stay lock-free
 // and pinned versions stay bit-stable — and persisted tree sections
-// carry a format version, so older snapshots load transparently and
-// unknown future formats fail with a descriptive error. Save rewrites
+// carry a format version, so a section in any other format (an
+// unversioned pre-v2 one, or an unknown future one) fails to load with
+// a descriptive error. Save rewrites
 // the name dictionary to only the names live nodes still reference.
 //
 // Document.MemStats reports the footprint per component together with
 // the analytic unpacked equivalent of the same state; bytes per node
 // is the tracked layout metric, surfaced through GET /v1/stats (mem),
-// the xvibench a6/a7/a8 tables (B/node), and BenchmarkMemFootprint,
+// the xvibench a6/a8 tables (B/node), and BenchmarkMemFootprint,
 // whose bytes_per_node lands in CI's bench summary with regression
 // flagging against the committed baseline.
 //

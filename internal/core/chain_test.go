@@ -25,7 +25,7 @@ func kindsOf(t *testing.T, ix *Indexes, ps []Posting) map[xmltree.Kind]int {
 
 func TestChainLiftSingleWrapper(t *testing.T) {
 	ix := Build(mustParseForTest(t, `<r><price>42</price></r>`), DefaultOptions())
-	hits := ix.LookupDoubleEq(42)
+	hits := lookupDoubleEq(ix.Snapshot(), 42)
 	k := kindsOf(t, ix, hits)
 	// text + <price> + <r> + document: the whole single-child chain.
 	if k[xmltree.Text] != 1 || k[xmltree.Element] != 2 || k[xmltree.Document] != 1 {
@@ -35,7 +35,7 @@ func TestChainLiftSingleWrapper(t *testing.T) {
 
 func TestChainLiftStopsAtBranching(t *testing.T) {
 	ix := Build(mustParseForTest(t, `<r><price>42</price><other>text</other></r>`), DefaultOptions())
-	hits := ix.LookupDoubleEq(42)
+	hits := lookupDoubleEq(ix.Snapshot(), 42)
 	k := kindsOf(t, ix, hits)
 	// <r> has two contributing children; its value "42text" is not 42.
 	if k[xmltree.Element] != 1 || k[xmltree.Document] != 0 {
@@ -45,7 +45,7 @@ func TestChainLiftStopsAtBranching(t *testing.T) {
 
 func TestChainLiftDeepWrappers(t *testing.T) {
 	ix := Build(mustParseForTest(t, `<a><b><c><d>7.5</d></c></b></a>`), DefaultOptions())
-	hits := ix.LookupDoubleEq(7.5)
+	hits := lookupDoubleEq(ix.Snapshot(), 7.5)
 	if len(hits) != 5 { // text, d, c, b, a... plus document = 6? a's parent is doc
 		// text + d + c + b + a + document = 6
 		if len(hits) != 6 {
@@ -58,7 +58,7 @@ func TestCombinedElementStoredDirectly(t *testing.T) {
 	// Mixed content: the element itself carries the combined value and
 	// must be found even though no single child has it.
 	ix := Build(mustParseForTest(t, `<r><w><k>78</k>.<g>230</g></w><pad>x</pad></r>`), DefaultOptions())
-	hits := ix.LookupDoubleEq(78.230)
+	hits := lookupDoubleEq(ix.Snapshot(), 78.230)
 	foundW := false
 	for _, p := range hits {
 		if !p.IsAttr && ix.Doc().Kind(p.Node) == xmltree.Element && ix.Doc().Name(p.Node) == "w" {
@@ -69,7 +69,7 @@ func TestCombinedElementStoredDirectly(t *testing.T) {
 		t.Fatalf("combined <w> missing from %v", hits)
 	}
 	// Its children 78 and 230 are separate values.
-	if len(ix.LookupDoubleEq(78)) == 0 || len(ix.LookupDoubleEq(230)) == 0 {
+	if len(lookupDoubleEq(ix.Snapshot(), 78)) == 0 || len(lookupDoubleEq(ix.Snapshot(), 230)) == 0 {
 		t.Error("component values missing")
 	}
 }
@@ -82,7 +82,7 @@ func TestChainLiftWithWhitespacePadding(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := Build(doc, DefaultOptions())
-	hits := ix.LookupDoubleEq(42)
+	hits := lookupDoubleEq(ix.Snapshot(), 42)
 	k := kindsOf(t, ix, hits)
 	if k[xmltree.Element] != 2 { // price and r
 		t.Fatalf("padded chain = %v", k)
@@ -93,7 +93,7 @@ func TestChainLiftSkipsCommentSiblings(t *testing.T) {
 	// Comments do not contribute: <price> still has a single contributing
 	// child and must be lifted.
 	ix := Build(mustParseForTest(t, `<r><price>42<!--note--></price></r>`), DefaultOptions())
-	hits := ix.LookupDoubleEq(42)
+	hits := lookupDoubleEq(ix.Snapshot(), 42)
 	k := kindsOf(t, ix, hits)
 	if k[xmltree.Element] != 2 {
 		t.Fatalf("comment broke the chain: %v", k)
@@ -117,7 +117,7 @@ func TestChainLiftAfterStructuralUpdate(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	hits := ix.LookupDoubleEq(42)
+	hits := lookupDoubleEq(ix.Snapshot(), 42)
 	k := kindsOf(t, ix, hits)
 	// Now r is a wrapper: lifted, plus document.
 	if k[xmltree.Element] != 2 || k[xmltree.Document] != 1 {
@@ -137,14 +137,14 @@ func TestChainLiftAfterStructuralUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// r's value is now "4258" — combined and castable.
-	if hits := ix.LookupDoubleEq(4258); len(hits) == 0 {
+	if hits := lookupDoubleEq(ix.Snapshot(), 4258); len(hits) == 0 {
 		t.Error("combined value after insert missing")
 	}
 }
 
 func TestRangeOrderWithChains(t *testing.T) {
 	ix := Build(mustParseForTest(t, `<r><a>1</a><b>2</b><c>3</c></r>`), DefaultOptions())
-	hits := ix.RangeDouble(0, 10, true, true)
+	hits := rangeDouble(ix.Snapshot(), 0, 10, true, true)
 	// Values must be non-decreasing across the scan even with lifted
 	// wrappers interleaved.
 	last := -1.0
@@ -152,7 +152,7 @@ func TestRangeOrderWithChains(t *testing.T) {
 		if p.IsAttr {
 			continue
 		}
-		v, ok := ix.DoubleValue(p.Node)
+		v, ok := doubleValue(ix.Snapshot(), p.Node)
 		if !ok {
 			t.Fatalf("non-castable hit %v", p)
 		}

@@ -478,53 +478,15 @@ func (ix *Snapshot) TypedElem(id TypeID, n xmltree.NodeID) fsm.Elem {
 }
 
 // TypedFrag returns node n's fragment under typed index id; ok is false
-// when the index was not built or the node is rejected.
+// when the index was not built or the node is rejected. The registered
+// type's value extractor (fsm.DoubleValue, fsm.DateValue, …) turns the
+// fragment into a typed value.
 func (ix *Snapshot) TypedFrag(id TypeID, n xmltree.NodeID) (fsm.Frag, bool) {
-	return ix.typedFrag(id, n)
-}
-
-// typedFrag is the internal spelling of TypedFrag.
-func (ix *Snapshot) typedFrag(id TypeID, n xmltree.NodeID) (fsm.Frag, bool) {
 	ti := ix.typedFor(id)
 	if ti == nil || ti.elems[n] == fsm.Reject {
 		return fsm.Frag{}, false
 	}
 	return ti.frag(n, ix.stableOf[n]), true
-}
-
-// DoubleElem returns node n's double-machine element (fsm.Reject if the
-// node's string value cannot be part of a double).
-func (ix *Snapshot) DoubleElem(n xmltree.NodeID) fsm.Elem {
-	return ix.TypedElem(TypeDouble, n)
-}
-
-// DoubleValue returns the xs:double value of node n, if castable.
-func (ix *Snapshot) DoubleValue(n xmltree.NodeID) (float64, bool) {
-	f, ok := ix.typedFrag(TypeDouble, n)
-	if !ok {
-		return 0, false
-	}
-	return fsm.DoubleValue(f)
-}
-
-// DateTimeValue returns the epoch-millisecond value of node n, if
-// castable.
-func (ix *Snapshot) DateTimeValue(n xmltree.NodeID) (int64, bool) {
-	f, ok := ix.typedFrag(TypeDateTime, n)
-	if !ok {
-		return 0, false
-	}
-	return fsm.DateTimeValue(f)
-}
-
-// DateValue returns the epoch-day value of node n, if castable as
-// xs:date.
-func (ix *Snapshot) DateValue(n xmltree.NodeID) (int64, bool) {
-	f, ok := ix.typedFrag(TypeDate, n)
-	if !ok {
-		return 0, false
-	}
-	return fsm.DateValue(f)
 }
 
 // StableOf returns the stable id of tree node n.

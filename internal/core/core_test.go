@@ -42,11 +42,11 @@ func TestHashesMatchPaperSemantics(t *testing.T) {
 	ix := buildPerson(t)
 	d := ix.Doc()
 	name := findElem(d, "name")
-	if got, want := ix.NodeHash(name), vhash.HashString("ArthurDent"); got != want {
+	if got, want := ix.Snapshot().NodeHash(name), vhash.HashString("ArthurDent"); got != want {
 		t.Errorf("h<name> = %#x, want H(ArthurDent) = %#x", got, want)
 	}
 	person := findElem(d, "person")
-	if got, want := ix.NodeHash(person), vhash.HashString("ArthurDent1966-09-264278.230"); got != want {
+	if got, want := ix.Snapshot().NodeHash(person), vhash.HashString("ArthurDent1966-09-264278.230"); got != want {
 		t.Errorf("h<person> = %#x", got)
 	}
 }
@@ -55,23 +55,23 @@ func TestDoubleValuesOnPerson(t *testing.T) {
 	ix := buildPerson(t)
 	d := ix.Doc()
 	// <age> = mixed content "4"+"2" = 42.
-	if v, ok := ix.DoubleValue(findElem(d, "age")); !ok || v != 42 {
+	if v, ok := doubleValue(ix.Snapshot(), findElem(d, "age")); !ok || v != 42 {
 		t.Errorf("double(<age>) = %v %v, want 42", v, ok)
 	}
 	// <weight> = "78"+"."+"230" = 78.230.
-	if v, ok := ix.DoubleValue(findElem(d, "weight")); !ok || v != 78.230 {
+	if v, ok := doubleValue(ix.Snapshot(), findElem(d, "weight")); !ok || v != 78.230 {
 		t.Errorf("double(<weight>) = %v %v, want 78.23", v, ok)
 	}
 	// <kilos> = 78.
-	if v, ok := ix.DoubleValue(findElem(d, "kilos")); !ok || v != 78 {
+	if v, ok := doubleValue(ix.Snapshot(), findElem(d, "kilos")); !ok || v != 78 {
 		t.Errorf("double(<kilos>) = %v %v", v, ok)
 	}
 	// <name> is not a double.
-	if _, ok := ix.DoubleValue(findElem(d, "name")); ok {
+	if _, ok := doubleValue(ix.Snapshot(), findElem(d, "name")); ok {
 		t.Error("double(<name>) should not exist")
 	}
 	// <person> concatenates to a non-double.
-	if _, ok := ix.DoubleValue(findElem(d, "person")); ok {
+	if _, ok := doubleValue(ix.Snapshot(), findElem(d, "person")); ok {
 		t.Error("double(<person>) should not exist")
 	}
 }
@@ -82,7 +82,7 @@ func TestDateTimeValueOnPerson(t *testing.T) {
 	// <birthday>1966-09-26</birthday> is only a date (no time part) — a
 	// live but not castable dateTime fragment.
 	birthday := findElem(d, "birthday")
-	if _, ok := ix.DateTimeValue(birthday); ok {
+	if _, ok := dateTimeValue(ix.Snapshot(), birthday); ok {
 		t.Error("plain date must not cast to dateTime")
 	}
 	// Build a document with a true dateTime.
@@ -92,12 +92,12 @@ func TestDateTimeValueOnPerson(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := findElem(doc, "at")
-	if v, ok := ix2.DateTimeValue(at); !ok || v != 1781181045000 {
+	if v, ok := dateTimeValue(ix2.Snapshot(), at); !ok || v != 1781181045000 {
 		t.Errorf("dateTime(<at>) = %v %v", v, ok)
 	}
 	// The text node, <at>, <log>, and the document node all have this
 	// string value (XDM concatenation semantics), so all four are hits.
-	got := ix2.RangeDateTime(1781181045000, 1781181045000)
+	got := rangeDateTime(ix2.Snapshot(), 1781181045000, 1781181045000)
 	if len(got) != 4 {
 		t.Errorf("RangeDateTime hits = %d, want 4", len(got))
 	}
@@ -107,7 +107,7 @@ func TestLookupStringPaperQueries(t *testing.T) {
 	ix := buildPerson(t)
 	d := ix.Doc()
 	// //person[first/text()="Arthur"]: the text node under <first>.
-	hits := ix.LookupString("Arthur")
+	hits := ix.Snapshot().LookupString("Arthur")
 	foundText, foundFirst := false, false
 	for _, p := range hits {
 		if p.IsAttr {
@@ -124,7 +124,7 @@ func TestLookupStringPaperQueries(t *testing.T) {
 		t.Errorf("LookupString(Arthur) = %v", hits)
 	}
 	// fn:data(name)="ArthurDent" finds the <name> element.
-	hits = ix.LookupString("ArthurDent")
+	hits = ix.Snapshot().LookupString("ArthurDent")
 	found := false
 	for _, p := range hits {
 		if !p.IsAttr && d.Name(p.Node) == "name" {
@@ -134,7 +134,7 @@ func TestLookupStringPaperQueries(t *testing.T) {
 	if !found {
 		t.Error("LookupString(ArthurDent) missed <name>")
 	}
-	if hits := ix.LookupString("NoSuchValue"); len(hits) != 0 {
+	if hits := ix.Snapshot().LookupString("NoSuchValue"); len(hits) != 0 {
 		t.Errorf("LookupString(NoSuchValue) = %v", hits)
 	}
 }
@@ -158,7 +158,7 @@ func TestLookupDoubleEqIntroExample(t *testing.T) {
 	}
 	d := ix.Doc()
 	ages := 0
-	for _, p := range ix.LookupDoubleEq(42) {
+	for _, p := range lookupDoubleEq(ix.Snapshot(), 42) {
 		if !p.IsAttr && d.Kind(p.Node) == xmltree.Element && d.Name(p.Node) == "age" {
 			ages++
 		}
@@ -177,24 +177,24 @@ func TestRangeDouble(t *testing.T) {
 		var out []float64
 		for _, p := range ps {
 			if !p.IsAttr && d.Kind(p.Node) == xmltree.Element && d.Name(p.Node) == "p" {
-				v, _ := ix.DoubleValue(p.Node)
+				v, _ := doubleValue(ix.Snapshot(), p.Node)
 				out = append(out, v)
 			}
 		}
 		return out
 	}
-	got := values(ix.RangeDouble(15, 30, true, true))
+	got := values(rangeDouble(ix.Snapshot(), 15, 30, true, true))
 	want := []float64{20.5, 25, 30}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("range [15,30] = %v, want %v", got, want)
 	}
-	got = values(ix.RangeDouble(20.5, 30, false, false))
+	got = values(rangeDouble(ix.Snapshot(), 20.5, 30, false, false))
 	if fmt.Sprint(got) != fmt.Sprint([]float64{25}) {
 		t.Errorf("range (20.5,30) = %v", got)
 	}
 	// Index agrees with the scan baseline.
-	a := ix.RangeDouble(15, 30, true, true)
-	b := ix.ScanDoubleRange(15, 30, true, true)
+	a := rangeDouble(ix.Snapshot(), 15, 30, true, true)
+	b := scanDoubleRange(ix.Snapshot(), 15, 30)
 	if len(a) != len(b) {
 		t.Errorf("index %d hits, scan %d", len(a), len(b))
 	}
@@ -211,13 +211,13 @@ func TestUpdateTextPaperScenario(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatalf("after update: %v", err)
 	}
-	if got, want := ix.NodeHash(findElem(d, "name")), vhash.HashString("ArthurPrefect"); got != want {
+	if got, want := ix.Snapshot().NodeHash(findElem(d, "name")), vhash.HashString("ArthurPrefect"); got != want {
 		t.Errorf("h<name> after update = %#x, want %#x", got, want)
 	}
-	if hits := ix.LookupString("ArthurPrefect"); len(hits) == 0 {
+	if hits := ix.Snapshot().LookupString("ArthurPrefect"); len(hits) == 0 {
 		t.Error("updated value not findable")
 	}
-	if hits := ix.LookupString("ArthurDent"); len(hits) != 0 {
+	if hits := ix.Snapshot().LookupString("ArthurDent"); len(hits) != 0 {
 		t.Error("old value still findable")
 	}
 }
@@ -233,7 +233,7 @@ func TestUpdateFlipsDoubleValue(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := ix.DoubleValue(findElem(d, "weight")); !ok || v != 78.5 {
+	if v, ok := doubleValue(ix.Snapshot(), findElem(d, "weight")); !ok || v != 78.5 {
 		t.Errorf("weight after update = %v %v, want 78.5", v, ok)
 	}
 	// Change "." to "x": weight stops being a double at all.
@@ -250,14 +250,14 @@ func TestUpdateFlipsDoubleValue(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ix.DoubleValue(findElem(d, "weight")); ok {
+	if _, ok := doubleValue(ix.Snapshot(), findElem(d, "weight")); ok {
 		t.Error("weight should no longer cast")
 	}
 	// And back: "." restores 78.5.
 	if err := ix.UpdateText(dot, "."); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := ix.DoubleValue(findElem(d, "weight")); !ok || v != 78.5 {
+	if v, ok := doubleValue(ix.Snapshot(), findElem(d, "weight")); !ok || v != 78.5 {
 		t.Errorf("weight restored = %v %v", v, ok)
 	}
 }
@@ -267,7 +267,7 @@ func TestUpdateAttr(t *testing.T) {
 	ix := Build(doc, DefaultOptions())
 	item := xmltree.NodeID(1)
 	a := doc.FindAttr(item, "price")
-	if hits := ix.RangeDouble(12.5, 12.5, true, true); len(hits) != 1 || !hits[0].IsAttr {
+	if hits := rangeDouble(ix.Snapshot(), 12.5, 12.5, true, true); len(hits) != 1 || !hits[0].IsAttr {
 		t.Fatalf("attr not in double index: %v", hits)
 	}
 	if err := ix.UpdateAttr(a, "99"); err != nil {
@@ -276,13 +276,13 @@ func TestUpdateAttr(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if hits := ix.RangeDouble(12.5, 12.5, true, true); len(hits) != 0 {
+	if hits := rangeDouble(ix.Snapshot(), 12.5, 12.5, true, true); len(hits) != 0 {
 		t.Error("old attr value still indexed")
 	}
-	if hits := ix.RangeDouble(99, 99, true, true); len(hits) != 1 {
+	if hits := rangeDouble(ix.Snapshot(), 99, 99, true, true); len(hits) != 1 {
 		t.Error("new attr value not indexed")
 	}
-	if hits := ix.LookupString("99"); len(hits) != 1 || !hits[0].IsAttr {
+	if hits := ix.Snapshot().LookupString("99"); len(hits) != 1 || !hits[0].IsAttr {
 		t.Errorf("LookupString(99) = %v", hits)
 	}
 }
@@ -325,17 +325,17 @@ func TestDeleteSubtreeMaintainsIndexes(t *testing.T) {
 		t.Fatalf("after delete: %v", err)
 	}
 	// 42 is gone from the double index.
-	for _, p := range ix.LookupDoubleEq(42) {
+	for _, p := range lookupDoubleEq(ix.Snapshot(), 42) {
 		if !p.IsAttr && d.Kind(p.Node) == xmltree.Element {
 			t.Errorf("deleted <age> still found: %v", p)
 		}
 	}
 	// Root hash reflects the shorter value.
-	if got, want := ix.NodeHash(0), vhash.HashString("ArthurDent1966-09-2678.230"); got != want {
+	if got, want := ix.Snapshot().NodeHash(0), vhash.HashString("ArthurDent1966-09-2678.230"); got != want {
 		t.Errorf("root hash after delete = %#x, want %#x", got, want)
 	}
 	// Weight still queryable.
-	if hits := ix.LookupDoubleEq(78.230); len(hits) == 0 {
+	if hits := lookupDoubleEq(ix.Snapshot(), 78.230); len(hits) == 0 {
 		t.Error("weight lost after unrelated delete")
 	}
 }
@@ -373,17 +373,17 @@ func TestInsertChildrenMaintainsIndexes(t *testing.T) {
 		t.Fatalf("inserted node = %q", d.Name(at))
 	}
 	// The inserted mixed-content height casts to 1.85.
-	if v, ok := ix.DoubleValue(at); !ok || v != 1.85 {
+	if v, ok := doubleValue(ix.Snapshot(), at); !ok || v != 1.85 {
 		t.Errorf("double(<height>) = %v %v, want 1.85", v, ok)
 	}
-	if hits := ix.LookupDoubleEq(1.85); len(hits) == 0 {
+	if hits := lookupDoubleEq(ix.Snapshot(), 1.85); len(hits) == 0 {
 		t.Error("inserted value not in double index")
 	}
-	if hits := ix.LookupString("cm"); len(hits) != 1 || !hits[0].IsAttr {
+	if hits := ix.Snapshot().LookupString("cm"); len(hits) != 1 || !hits[0].IsAttr {
 		t.Errorf("inserted attr not indexed: %v", hits)
 	}
 	// Root hash includes the new content.
-	if got, want := ix.NodeHash(0), vhash.HashString("ArthurDent1966-09-264278.2301.85"); got != want {
+	if got, want := ix.Snapshot().NodeHash(0), vhash.HashString("ArthurDent1966-09-264278.2301.85"); got != want {
 		t.Errorf("root hash after insert = %#x, want %#x", got, want)
 	}
 }
@@ -459,7 +459,7 @@ func TestStableIDsSurviveStructuralChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	d = ix.Doc() // the delete published a new version
-	hits := ix.LookupDoubleEq(30)
+	hits := lookupDoubleEq(ix.Snapshot(), 30)
 	found := false
 	for _, p := range hits {
 		if !p.IsAttr && d.Kind(p.Node) == xmltree.Element && d.Name(p.Node) == "c" {
@@ -473,7 +473,7 @@ func TestStableIDsSurviveStructuralChurn(t *testing.T) {
 
 func TestStatsOnPerson(t *testing.T) {
 	ix := buildPerson(t)
-	s := ix.Stats()
+	s := ix.Snapshot().Stats()
 	if s.Texts != 8 {
 		t.Errorf("Texts = %d, want 8", s.Texts)
 	}
@@ -496,7 +496,7 @@ func TestPartialOptions(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if ix.RangeDouble(0, 100, true, true) != nil {
+	if rangeDouble(ix.Snapshot(), 0, 100, true, true) != nil {
 		t.Error("double lookups must be empty without the double index")
 	}
 	doc2, _ := xmlparse.ParseString(personXML)
@@ -504,10 +504,10 @@ func TestPartialOptions(t *testing.T) {
 	if err := ix2.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if ix2.LookupStringCandidates("Arthur") != nil {
+	if ix2.Snapshot().LookupStringCandidates("Arthur") != nil {
 		t.Error("string lookups must be empty without the string index")
 	}
-	if len(ix2.LookupDoubleEq(42)) == 0 {
+	if len(lookupDoubleEq(ix2.Snapshot(), 42)) == 0 {
 		t.Error("double index alone must work")
 	}
 }

@@ -432,7 +432,7 @@ func OpenDurable(snapshotPath, walPath string, syncEvery int) (*Indexes, error) 
 		}
 	}
 
-	if err := ix.VerifyLeaves(); err != nil {
+	if err := ix.Snapshot().VerifyLeaves(); err != nil {
 		return fail(fmt.Errorf("core: recovered state failed verification: %w", err))
 	}
 	ix.wmu.Lock()
@@ -512,7 +512,7 @@ func OpenAt(snapshotPath, walPath string, version uint64) (*Indexes, error) {
 		return nil, fmt.Errorf("%w: durable history ends at version %d, requested %d",
 			ErrVersionInFuture, ix.Version(), version)
 	}
-	if err := ix.VerifyLeaves(); err != nil {
+	if err := ix.Snapshot().VerifyLeaves(); err != nil {
 		return nil, fmt.Errorf("core: state at version %d failed verification: %w", version, err)
 	}
 	return ix, nil

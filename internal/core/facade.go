@@ -1,210 +1,17 @@
 package core
 
-import (
-	"repro/internal/fsm"
-	"repro/internal/xmltree"
-)
+import "repro/internal/xmltree"
 
-// Read-path facade. Every read method on *Indexes loads the currently
-// published *Snapshot with one atomic pointer read and delegates — the
-// whole call then runs lock-free against that immutable version. A
-// caller making several related reads that must observe the same
-// version should call Snapshot() once and issue them all against it;
-// the per-method wrappers below are the convenient form for one-shot
-// reads where torn sequences don't matter.
+// Reads go through a pinned version: call Snapshot() once and issue every
+// related read against it, so they all observe one published version.
+// The three methods below are whole-version operations on the current
+// snapshot, each a single atomic load.
 
 // Doc returns the indexed document of the current version.
 func (ix *Indexes) Doc() *xmltree.Doc { return ix.cur.Load().Doc() }
 
-// Options reports which indices were built.
-func (ix *Indexes) Options() Options { return ix.cur.Load().Options() }
-
-// NodeHash returns H(string-value) of node n in the current version.
-func (ix *Indexes) NodeHash(n xmltree.NodeID) uint32 { return ix.cur.Load().NodeHash(n) }
-
-// AttrHash returns H(value) of attribute a in the current version.
-func (ix *Indexes) AttrHash(a xmltree.AttrID) uint32 { return ix.cur.Load().AttrHash(a) }
-
-// TypedIDs lists the built typed indexes in build order.
-func (ix *Indexes) TypedIDs() []TypeID { return ix.cur.Load().TypedIDs() }
-
-// HasTyped reports whether typed index id was built.
-func (ix *Indexes) HasTyped(id TypeID) bool { return ix.cur.Load().HasTyped(id) }
-
-// HasString reports whether the string equality index was built.
-func (ix *Indexes) HasString() bool { return ix.cur.Load().HasString() }
-
-// HasSubstring reports whether the q-gram substring index is enabled.
-func (ix *Indexes) HasSubstring() bool { return ix.cur.Load().HasSubstring() }
-
-// Contains returns the text and attribute nodes whose value contains
-// pattern in the current version, verified, in document order.
-func (ix *Indexes) Contains(pattern string) []Posting {
-	return ix.cur.Load().Contains(pattern)
-}
-
-// StartsWith returns the text and attribute nodes whose value starts
-// with pattern in the current version.
-func (ix *Indexes) StartsWith(pattern string) []Posting {
-	return ix.cur.Load().StartsWith(pattern)
-}
-
-// ScanContains is the index-free baseline for Contains.
-func (ix *Indexes) ScanContains(pattern string) []Posting {
-	return ix.cur.Load().ScanContains(pattern)
-}
-
-// ScanStartsWith is the index-free baseline for StartsWith.
-func (ix *Indexes) ScanStartsWith(pattern string) []Posting {
-	return ix.cur.Load().ScanStartsWith(pattern)
-}
-
-// EstimateSubstr estimates the substring access path's candidate count.
-func (ix *Indexes) EstimateSubstr(pattern string) float64 {
-	return ix.cur.Load().EstimateSubstr(pattern)
-}
-
-// SubstringPlannerStats reports the substring index's planner statistics.
-func (ix *Indexes) SubstringPlannerStats() (PlannerStats, bool) {
-	return ix.cur.Load().SubstringPlannerStats()
-}
-
-// TypedElem returns node n's SCT element under typed index id.
-func (ix *Indexes) TypedElem(id TypeID, n xmltree.NodeID) fsm.Elem {
-	return ix.cur.Load().TypedElem(id, n)
-}
-
-// TypedFrag returns node n's fragment under typed index id.
-func (ix *Indexes) TypedFrag(id TypeID, n xmltree.NodeID) (fsm.Frag, bool) {
-	return ix.cur.Load().TypedFrag(id, n)
-}
-
-// DoubleElem returns node n's SCT element under the double index.
-func (ix *Indexes) DoubleElem(n xmltree.NodeID) fsm.Elem { return ix.cur.Load().DoubleElem(n) }
-
-// DoubleValue returns node n's double value, if it accepts as one.
-func (ix *Indexes) DoubleValue(n xmltree.NodeID) (float64, bool) {
-	return ix.cur.Load().DoubleValue(n)
-}
-
-// DateTimeValue returns node n's dateTime value, if it accepts as one.
-func (ix *Indexes) DateTimeValue(n xmltree.NodeID) (int64, bool) {
-	return ix.cur.Load().DateTimeValue(n)
-}
-
-// DateValue returns node n's date value, if it accepts as one.
-func (ix *Indexes) DateValue(n xmltree.NodeID) (int64, bool) {
-	return ix.cur.Load().DateValue(n)
-}
-
-// StableOf returns the stable id of the node at pre rank n.
-func (ix *Indexes) StableOf(n xmltree.NodeID) uint32 { return ix.cur.Load().StableOf(n) }
-
-// AttrStableOf returns the stable id of attribute a.
-func (ix *Indexes) AttrStableOf(a xmltree.AttrID) uint32 { return ix.cur.Load().AttrStableOf(a) }
-
-// NodeOfStable maps a stable node id back to its current pre rank.
-func (ix *Indexes) NodeOfStable(s uint32) xmltree.NodeID { return ix.cur.Load().NodeOfStable(s) }
-
-// AttrOfStable maps a stable attribute id back to its current id.
-func (ix *Indexes) AttrOfStable(s uint32) xmltree.AttrID { return ix.cur.Load().AttrOfStable(s) }
-
-// LookupStringCandidates returns the hash-index candidates for value.
-func (ix *Indexes) LookupStringCandidates(value string) []Posting {
-	return ix.cur.Load().LookupStringCandidates(value)
-}
-
-// LookupString returns the verified postings whose string value is value.
-func (ix *Indexes) LookupString(value string) []Posting {
-	return ix.cur.Load().LookupString(value)
-}
-
-// RangeTyped returns the postings in [lo, hi] under typed index id.
-func (ix *Indexes) RangeTyped(id TypeID, lo, hi uint64, incLo, incHi bool) []Posting {
-	return ix.cur.Load().RangeTyped(id, lo, hi, incLo, incHi)
-}
-
-// RangeDouble returns the postings with a double value in [lo, hi].
-func (ix *Indexes) RangeDouble(lo, hi float64, incLo, incHi bool) []Posting {
-	return ix.cur.Load().RangeDouble(lo, hi, incLo, incHi)
-}
-
-// LookupDoubleEq returns the postings whose double value equals v.
-func (ix *Indexes) LookupDoubleEq(v float64) []Posting { return ix.cur.Load().LookupDoubleEq(v) }
-
-// RangeDateTime returns the postings with a dateTime value in [lo, hi].
-func (ix *Indexes) RangeDateTime(lo, hi int64) []Posting {
-	return ix.cur.Load().RangeDateTime(lo, hi)
-}
-
-// RangeDate returns the postings with a date value in [lo, hi].
-func (ix *Indexes) RangeDate(lo, hi int64) []Posting { return ix.cur.Load().RangeDate(lo, hi) }
-
-// ScanStringEquals is the index-free baseline for LookupString.
-func (ix *Indexes) ScanStringEquals(value string) []Posting {
-	return ix.cur.Load().ScanStringEquals(value)
-}
-
-// ScanDoubleRange is the index-free baseline for RangeDouble.
-func (ix *Indexes) ScanDoubleRange(lo, hi float64, incLo, incHi bool) []Posting {
-	return ix.cur.Load().ScanDoubleRange(lo, hi, incLo, incHi)
-}
-
-// ScanDateRange is the index-free baseline for RangeDate.
-func (ix *Indexes) ScanDateRange(lo, hi int64) []Posting {
-	return ix.cur.Load().ScanDateRange(lo, hi)
-}
-
-// StringEqIter opens a streaming iterator over LookupString's result.
-func (ix *Indexes) StringEqIter(value string) *PostingIter {
-	return ix.cur.Load().StringEqIter(value)
-}
-
-// TypedRangeIter opens a streaming iterator over RangeTyped's result.
-func (ix *Indexes) TypedRangeIter(id TypeID, lo, hi uint64, incLo, incHi bool) *PostingIter {
-	return ix.cur.Load().TypedRangeIter(id, lo, hi, incLo, incHi)
-}
-
-// StringPlannerStats reports the string index's planner statistics.
-func (ix *Indexes) StringPlannerStats() (PlannerStats, bool) {
-	return ix.cur.Load().StringPlannerStats()
-}
-
-// TypedPlannerStats reports typed index id's planner statistics.
-func (ix *Indexes) TypedPlannerStats(id TypeID) (PlannerStats, bool) {
-	return ix.cur.Load().TypedPlannerStats(id)
-}
-
-// EstimateStringEq estimates the postings carrying H(value).
-func (ix *Indexes) EstimateStringEq(value string) float64 {
-	return ix.cur.Load().EstimateStringEq(value)
-}
-
-// EstimateTypedRange estimates the postings in [lo, hi] under index id.
-func (ix *Indexes) EstimateTypedRange(id TypeID, lo, hi uint64, incLo, incHi bool) float64 {
-	return ix.cur.Load().EstimateTypedRange(id, lo, hi, incLo, incHi)
-}
-
-// Stats summarises the current version's index sizes.
-func (ix *Indexes) Stats() IndexStats { return ix.cur.Load().Stats() }
-
-// MemStats measures the current version's in-memory footprint under the
-// compressed layout, including the bytes-per-node layout metric.
-func (ix *Indexes) MemStats() MemStats { return ix.cur.Load().MemStats() }
-
-// DocBytes reports the document store's in-memory footprint.
-func (ix *Indexes) DocBytes() int { return ix.cur.Load().DocBytes() }
-
 // Verify cross-checks every index invariant of the current version.
 func (ix *Indexes) Verify() error { return ix.cur.Load().Verify() }
 
-// VerifyLeaves spot-checks leaf hashes and typed leaf states.
-func (ix *Indexes) VerifyLeaves() error { return ix.cur.Load().VerifyLeaves() }
-
 // Save writes the current version to a snapshot file at path.
 func (ix *Indexes) Save(path string) error { return ix.cur.Load().Save(path) }
-
-// SavePartsTo writes only the selected sections of the current version.
-func (ix *Indexes) SavePartsTo(path string, parts SaveParts) error {
-	return ix.cur.Load().SavePartsTo(path, parts)
-}

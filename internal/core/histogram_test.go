@@ -124,20 +124,20 @@ func TestStatsPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []TypeID{TypeDouble, TypeDate} {
-		want, ok1 := ix.TypedPlannerStats(id)
-		got, ok2 := loaded.TypedPlannerStats(id)
+		want, ok1 := ix.Snapshot().TypedPlannerStats(id)
+		got, ok2 := loaded.Snapshot().TypedPlannerStats(id)
 		if ok1 != ok2 || want != got {
 			t.Errorf("type %d: loaded stats %+v (ok=%v), want %+v (ok=%v)", id, got, ok2, want, ok1)
 		}
 	}
-	ws, ok1 := ix.StringPlannerStats()
-	gs, ok2 := loaded.StringPlannerStats()
+	ws, ok1 := ix.Snapshot().StringPlannerStats()
+	gs, ok2 := loaded.Snapshot().StringPlannerStats()
 	if ok1 != ok2 || ws != gs {
 		t.Errorf("string stats %+v/%v, want %+v/%v", gs, ok2, ws, ok1)
 	}
 	// Estimates answer identically on the loaded index.
-	if a, b := ix.EstimateTypedRange(TypeDouble, 0, math.MaxUint64, true, true),
-		loaded.EstimateTypedRange(TypeDouble, 0, math.MaxUint64, true, true); a != b {
+	if a, b := ix.Snapshot().EstimateTypedRange(TypeDouble, 0, math.MaxUint64, true, true),
+		loaded.Snapshot().EstimateTypedRange(TypeDouble, 0, math.MaxUint64, true, true); a != b {
 		t.Errorf("full-range estimate %g loaded vs %g built", b, a)
 	}
 	if err := loaded.Verify(); err != nil {
@@ -168,7 +168,7 @@ func TestStatsSectionOptional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := loaded.TypedPlannerStats(TypeDouble)
+	got, ok := loaded.Snapshot().TypedPlannerStats(TypeDouble)
 	if !ok || got.Total != ti.tree.Len() {
 		t.Fatalf("rebuilt stats = %+v (ok=%v), want total %d", got, ok, ti.tree.Len())
 	}
@@ -179,8 +179,8 @@ func TestStatsSectionOptional(t *testing.T) {
 func TestStringEqIterMatchesLookup(t *testing.T) {
 	doc := mustParseForTest(t, `<r><a>x</a><b>x</b><c>y</c><d at="x"/><e>x<f/></e></r>`)
 	ix := Build(doc, Options{String: true})
-	want := ix.LookupString("x")
-	it := ix.StringEqIter("x")
+	want := ix.Snapshot().LookupString("x")
+	it := ix.Snapshot().StringEqIter("x")
 	var got []Posting
 	for {
 		p, ok := it.Next()
@@ -206,8 +206,8 @@ func TestTypedRangeIterMatchesRange(t *testing.T) {
 	doc := mustParseForTest(t, makeNumDoc(120))
 	ix := Build(doc, Options{Double: true})
 	lo, hi := btree.EncodeFloat64(10), btree.EncodeFloat64(60)
-	want := ix.RangeTyped(TypeDouble, lo, hi, true, true)
-	it := ix.TypedRangeIter(TypeDouble, lo, hi, true, true)
+	want := ix.Snapshot().RangeTyped(TypeDouble, lo, hi, true, true)
+	it := ix.Snapshot().TypedRangeIter(TypeDouble, lo, hi, true, true)
 	var got []Posting
 	for {
 		p, ok := it.Next()
@@ -226,12 +226,12 @@ func TestTypedRangeIterMatchesRange(t *testing.T) {
 		}
 	}
 	// Exclusive-bound and empty iterators behave.
-	it = ix.TypedRangeIter(TypeDouble, lo, lo, false, false)
+	it = ix.Snapshot().TypedRangeIter(TypeDouble, lo, lo, false, false)
 	if _, ok := it.Next(); ok {
 		t.Fatal("empty exclusive range yielded a posting")
 	}
 	it.Close()
-	it = ix.TypedRangeIter(TypeDateTime, 0, math.MaxUint64, true, true) // not built
+	it = ix.Snapshot().TypedRangeIter(TypeDateTime, 0, math.MaxUint64, true, true) // not built
 	if _, ok := it.Next(); ok {
 		t.Fatal("unbuilt index yielded a posting")
 	}

@@ -52,16 +52,16 @@ func TestTreeSectionRoundTripV2(t *testing.T) {
 	}
 }
 
-// TestLegacyTreeSectionLoads hand-encodes the pre-versioning format —
-// entry count first, absolute vals — and proves readTree still accepts
-// it, so snapshots written by earlier builds keep loading.
-func TestLegacyTreeSectionLoads(t *testing.T) {
-	want := buildDupHeavyTree(500)
+// TestVersionlessTreeSectionRejected hand-encodes the pre-versioning
+// format — entry count first, absolute vals — and proves readTree
+// refuses it with an error that says why, instead of misreading it.
+func TestVersionlessTreeSectionRejected(t *testing.T) {
+	tree := buildDupHeavyTree(500)
 	var buf bytes.Buffer
 	se := newSliceEncoder(&buf)
-	se.uv(uint64(want.Len()))
+	se.uv(uint64(tree.Len()))
 	var prevKey uint64
-	want.Scan(func(key uint64, val uint32) bool {
+	tree.Scan(func(key uint64, val uint32) bool {
 		se.uv(key - prevKey)
 		prevKey = key
 		se.uv(uint64(val))
@@ -70,18 +70,12 @@ func TestLegacyTreeSectionLoads(t *testing.T) {
 	if err := se.flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readTree(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	_, err := readTree(bytes.NewReader(buf.Bytes()))
+	if err == nil {
+		t.Fatal("readTree accepted a tree section without a format version")
 	}
-	w, g := dumpTree(want), dumpTree(got)
-	if len(w) != len(g) {
-		t.Fatalf("legacy load: %d entries, want %d", len(g), len(w))
-	}
-	for i := range w {
-		if w[i] != g[i] {
-			t.Fatalf("legacy load: entry %d = %+v, want %+v", i, g[i], w[i])
-		}
+	if !strings.Contains(err.Error(), "no format version") || !strings.Contains(err.Error(), "500") {
+		t.Fatalf("error does not explain the rejected section: %v", err)
 	}
 }
 
@@ -297,7 +291,7 @@ func assertOracleEquivalent(t *testing.T, s *Snapshot, rng *rand.Rand) {
 	}
 	for _, r := range [][2]float64{{0, 100}, {42, 43}, {-10, 1e9}} {
 		assertSamePostings(t, fmt.Sprintf("RangeDouble(%v)", r),
-			s.RangeDouble(r[0], r[1], true, true), s.ScanDoubleRange(r[0], r[1], true, true))
+			rangeDouble(s, r[0], r[1], true, true), scanDoubleRange(s, r[0], r[1]))
 	}
 	if s.HasSubstring() {
 		for _, pat := range []string{"42.", "word", "ttom", "zzz-none", "common"} {

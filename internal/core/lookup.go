@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/btree"
 	"repro/internal/vhash"
 	"repro/internal/xmltree"
 )
@@ -55,14 +54,11 @@ func (ix *Snapshot) postingStringValue(p Posting) string {
 
 // RangeTyped returns the postings of nodes whose typed value under index
 // id has an encoded key k with lo ≤ k ≤ hi (bounds exclusive when
-// incLo/incHi are false), in ascending value order — the generic range
-// lookup every per-type entry point delegates to. Keys compare in value
-// order because every TypeSpec.Encode is order-preserving.
+// incLo/incHi are false), in ascending value order — the one range
+// lookup every typed index answers. Keys compare in value order because
+// every TypeSpec.Encode is order-preserving, so callers pass bounds
+// through the type's encoding (btree.EncodeFloat64, btree.EncodeInt64).
 func (ix *Snapshot) RangeTyped(id TypeID, lo, hi uint64, incLo, incHi bool) []Posting {
-	return ix.rangeTyped(id, lo, hi, incLo, incHi)
-}
-
-func (ix *Snapshot) rangeTyped(id TypeID, lo, hi uint64, incLo, incHi bool) []Posting {
 	ti := ix.typedFor(id)
 	if ti == nil {
 		return nil
@@ -87,21 +83,6 @@ func (ix *Snapshot) rangeTyped(id TypeID, lo, hi uint64, incLo, incHi bool) []Po
 		return true
 	})
 	return out
-}
-
-// RangeDouble returns the postings of nodes whose xs:double value v
-// satisfies lo ≤ v ≤ hi (with exclusive bounds when incLo/incHi are
-// false), in ascending value order. A NaN bound denotes an empty range
-// (XPath comparisons with NaN are always false), never a key-space scan.
-func (ix *Snapshot) RangeDouble(lo, hi float64, incLo, incHi bool) []Posting {
-	return ix.rangeDouble(lo, hi, incLo, incHi)
-}
-
-func (ix *Snapshot) rangeDouble(lo, hi float64, incLo, incHi bool) []Posting {
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		return nil
-	}
-	return ix.rangeTyped(TypeDouble, btree.EncodeFloat64(lo), btree.EncodeFloat64(hi), incLo, incHi)
 }
 
 // appendWithChain emits a typed-index hit plus its single-child ancestor
@@ -136,26 +117,6 @@ func countContributing(doc *xmltree.Doc, n xmltree.NodeID) int {
 		}
 	}
 	return cnt
-}
-
-// LookupDoubleEq returns the postings of nodes whose double value equals v
-// exactly — the generic-index answer to the paper's introduction example
-// //person[.//age = 42], where "42", "42.0", " +4.2E1", and the
-// mixed-content <age><decades>4</decades>2<years/></age> all match.
-func (ix *Snapshot) LookupDoubleEq(v float64) []Posting {
-	return ix.rangeDouble(v, v, true, true)
-}
-
-// RangeDateTime returns the postings of nodes whose dateTime value in
-// epoch milliseconds m satisfies lo ≤ m ≤ hi, ascending.
-func (ix *Snapshot) RangeDateTime(lo, hi int64) []Posting {
-	return ix.rangeTyped(TypeDateTime, btree.EncodeInt64(lo), btree.EncodeInt64(hi), true, true)
-}
-
-// RangeDate returns the postings of nodes whose xs:date value in days
-// since the epoch d satisfies lo ≤ d ≤ hi, ascending.
-func (ix *Snapshot) RangeDate(lo, hi int64) []Posting {
-	return ix.rangeTyped(TypeDate, btree.EncodeInt64(lo), btree.EncodeInt64(hi), true, true)
 }
 
 // ScanStringEquals is the index-less baseline: walk every indexed node and
@@ -208,42 +169,4 @@ func ScanTypedRange(doc *xmltree.Doc, id TypeID, lo, hi uint64) []Posting {
 		}
 	}
 	return out
-}
-
-// ScanDoubleRange is the index-less baseline for double range predicates:
-// it materialises and casts every node's string value.
-func (ix *Snapshot) ScanDoubleRange(lo, hi float64, incLo, incHi bool) []Posting {
-	doc := ix.doc
-	var out []Posting
-	within := func(v float64) bool {
-		if v < lo || (v == lo && !incLo) {
-			return false
-		}
-		if v > hi || (v == hi && !incHi) {
-			return false
-		}
-		return true
-	}
-	m := doubleMachineForScan()
-	for i := 0; i < doc.NumNodes(); i++ {
-		n := xmltree.NodeID(i)
-		if !indexedNodeKind(doc.Kind(n)) {
-			continue
-		}
-		if v, ok := castDouble(m, doc.StringValue(n)); ok && within(v) {
-			out = append(out, NodePosting(n))
-		}
-	}
-	for a := 0; a < doc.NumAttrs(); a++ {
-		if v, ok := castDouble(m, doc.AttrValue(xmltree.AttrID(a))); ok && within(v) {
-			out = append(out, AttrPosting(xmltree.AttrID(a)))
-		}
-	}
-	return out
-}
-
-// ScanDateRange is the index-less baseline for xs:date range predicates
-// over epoch days.
-func (ix *Snapshot) ScanDateRange(lo, hi int64) []Posting {
-	return ScanTypedRange(ix.doc, TypeDate, btree.EncodeInt64(lo), btree.EncodeInt64(hi))
 }

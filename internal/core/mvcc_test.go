@@ -187,7 +187,7 @@ func TestPinnedSnapshotIsByteStable(t *testing.T) {
 		t.Fatalf("pinned snapshot fails Verify after storm: %v", err)
 	}
 	// And the live version moved on.
-	if len(ix.LookupString("hello")) != 0 {
+	if len(ix.Snapshot().LookupString("hello")) != 0 {
 		t.Fatal("live version still finds deleted text")
 	}
 }

@@ -296,13 +296,13 @@ func TestConcurrentLookupsDuringUpdates(t *testing.T) {
 				}
 				switch i % 4 {
 				case 0:
-					ix.LookupString(fmt.Sprintf("item %d", i%400))
+					ix.Snapshot().LookupString(fmt.Sprintf("item %d", i%400))
 				case 1:
-					ix.RangeDouble(0, 1000, true, true)
+					rangeDouble(ix.Snapshot(), 0, 1000, true, true)
 				case 2:
-					ix.LookupDoubleEq(float64(i%400) + 0.5)
+					lookupDoubleEq(ix.Snapshot(), float64(i%400)+0.5)
 				case 3:
-					ix.Stats()
+					ix.Snapshot().Stats()
 				}
 			}
 		}(r)

@@ -553,12 +553,10 @@ func (ix *Snapshot) completeDerived() {
 }
 
 // Tree sections are versioned independently of the snapshot envelope.
-// The legacy encoding (PR 1 through PR 9) had no version: it opened
-// directly with the entry count. Version 2 opens with treeSectionSentinel
-// — a count no real tree can have, so a reader can tell the two formats
-// apart from the first varint — followed by the format version.
+// A section opens with treeSectionSentinel — a count no real tree can
+// have — followed by the format version; a section that opens any other
+// way predates versioning and is rejected.
 //
-//	legacy:  uv(count), then per entry uv(keyDelta), uv(val)
 //	v2:      uv(sentinel), uv(2), uv(count), then per entry
 //	         uv(keyDelta); keyDelta == 0 ? uv(valDelta) : uv(val)
 //
@@ -599,25 +597,14 @@ func readTree(r io.Reader) (*btree.Tree, error) {
 		return nil, sd.err
 	}
 	if first != treeSectionSentinel {
-		// Legacy format: first is the entry count, vals are absolute.
-		n := int(first)
-		entries := make([]btree.Entry, 0, n)
-		var key uint64
-		for i := 0; i < n && sd.err == nil; i++ {
-			key += sd.uv()
-			entries = append(entries, btree.Entry{Key: key, Val: uint32(sd.uv())})
-		}
-		if sd.err != nil {
-			return nil, sd.err
-		}
-		return btree.NewFromSorted(entries), nil
+		return nil, fmt.Errorf("core: tree section has no format version (first varint %d, want sentinel %#x): a pre-v2 snapshot this build no longer reads; rebuild it from the XML", first, treeSectionSentinel)
 	}
 	version := sd.uv()
 	if sd.err != nil {
 		return nil, sd.err
 	}
 	if version != treeSectionVersion {
-		return nil, fmt.Errorf("core: unsupported tree section format version %d (this build reads legacy and version %d)", version, treeSectionVersion)
+		return nil, fmt.Errorf("core: unsupported tree section format version %d (this build reads version %d)", version, treeSectionVersion)
 	}
 	n := int(sd.uv())
 	entries := make([]btree.Entry, 0, n)

@@ -22,10 +22,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("loaded index fails verification: %v", err)
 	}
 	// Queries behave identically.
-	if len(got.LookupString("Arthur")) != len(ix.LookupString("Arthur")) {
+	if len(got.Snapshot().LookupString("Arthur")) != len(ix.Snapshot().LookupString("Arthur")) {
 		t.Error("string lookup differs after reload")
 	}
-	if len(got.LookupDoubleEq(78.230)) != len(ix.LookupDoubleEq(78.230)) {
+	if len(lookupDoubleEq(got.Snapshot(), 78.230)) != len(lookupDoubleEq(ix.Snapshot(), 78.230)) {
 		t.Error("double lookup differs after reload")
 	}
 	d := got.Doc()
@@ -88,7 +88,7 @@ func TestSaveLoadPartialOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := got.Options()
+	opts := got.Snapshot().Options()
 	if !opts.String || opts.Double || opts.DateTime || opts.Date || len(opts.Types) != 0 {
 		t.Errorf("options = %+v", opts)
 	}

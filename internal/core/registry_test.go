@@ -27,11 +27,11 @@ func TestDateIndexViaRegistration(t *testing.T) {
 	}
 	d := ix.Doc()
 	birthday := findElem(d, "birthday")
-	if days, ok := ix.DateValue(birthday); !ok || days != epochDays(1966, time.September, 26) {
+	if days, ok := dateValue(ix.Snapshot(), birthday); !ok || days != epochDays(1966, time.September, 26) {
 		t.Fatalf("DateValue(<birthday>) = %d %v, want %d", days, ok, epochDays(1966, time.September, 26))
 	}
 
-	hits := ix.RangeDate(epochDays(1966, time.January, 1), epochDays(1966, time.December, 31))
+	hits := rangeDate(ix.Snapshot(), epochDays(1966, time.January, 1), epochDays(1966, time.December, 31))
 	if len(hits) == 0 {
 		t.Fatal("RangeDate found nothing in 1966")
 	}
@@ -46,7 +46,7 @@ func TestDateIndexViaRegistration(t *testing.T) {
 	if !foundWrapper {
 		t.Errorf("wrapper <birthday> not chain-lifted: %+v", hits)
 	}
-	if got := ix.RangeDate(epochDays(1980, time.January, 1), epochDays(1990, time.January, 1)); len(got) != 0 {
+	if got := rangeDate(ix.Snapshot(), epochDays(1980, time.January, 1), epochDays(1990, time.January, 1)); len(got) != 0 {
 		t.Errorf("empty decade returned %d hits", len(got))
 	}
 
@@ -57,7 +57,7 @@ func TestDateIndexViaRegistration(t *testing.T) {
 	if err := ix2.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	all := ix2.RangeDate(math.MinInt64, math.MaxInt64)
+	all := rangeDate(ix2.Snapshot(), math.MinInt64, math.MaxInt64)
 	cnt := 0
 	for _, h := range all {
 		if !h.IsAttr && doc2.Kind(h.Node) == xmltree.Text {
@@ -80,10 +80,10 @@ func TestDateIndexFollowsUpdates(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatalf("after date update: %v", err)
 	}
-	if hits := ix.RangeDate(epochDays(1966, time.January, 1), epochDays(1966, time.December, 31)); len(hits) != 0 {
+	if hits := rangeDate(ix.Snapshot(), epochDays(1966, time.January, 1), epochDays(1966, time.December, 31)); len(hits) != 0 {
 		t.Errorf("old date still indexed: %+v", hits)
 	}
-	if hits := ix.RangeDate(epochDays(2001, time.March, 15), epochDays(2001, time.March, 15)); len(hits) == 0 {
+	if hits := rangeDate(ix.Snapshot(), epochDays(2001, time.March, 15), epochDays(2001, time.March, 15)); len(hits) == 0 {
 		t.Error("new date not indexed")
 	}
 	// Degrade to a non-date: the posting must disappear.
@@ -93,7 +93,7 @@ func TestDateIndexFollowsUpdates(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if hits := ix.RangeDate(math.MinInt64, math.MaxInt64); len(hits) != 0 {
+	if hits := rangeDate(ix.Snapshot(), math.MinInt64, math.MaxInt64); len(hits) != 0 {
 		t.Errorf("rejected value still indexed: %+v", hits)
 	}
 }
@@ -101,17 +101,17 @@ func TestDateIndexFollowsUpdates(t *testing.T) {
 func TestRangeTypedGeneric(t *testing.T) {
 	ix := buildPerson(t)
 	// RangeTyped over the double index must agree with RangeDouble.
-	want := ix.RangeDouble(40, 80, true, true)
-	got := ix.RangeTyped(TypeDouble, btree.EncodeFloat64(40), btree.EncodeFloat64(80), true, true)
+	want := rangeDouble(ix.Snapshot(), 40, 80, true, true)
+	got := ix.Snapshot().RangeTyped(TypeDouble, btree.EncodeFloat64(40), btree.EncodeFloat64(80), true, true)
 	if len(want) != len(got) {
 		t.Errorf("RangeTyped %d hits, RangeDouble %d", len(got), len(want))
 	}
 	// Unknown or unbuilt type IDs answer empty, never panic.
-	if hits := ix.RangeTyped(TypeID(9999), 0, math.MaxUint64, true, true); hits != nil {
+	if hits := ix.Snapshot().RangeTyped(TypeID(9999), 0, math.MaxUint64, true, true); hits != nil {
 		t.Errorf("unknown type returned %d hits", len(hits))
 	}
 	noDouble := Build(ix.Doc(), Options{String: true})
-	if hits := noDouble.RangeTyped(TypeDouble, 0, math.MaxUint64, true, true); hits != nil {
+	if hits := noDouble.Snapshot().RangeTyped(TypeDouble, 0, math.MaxUint64, true, true); hits != nil {
 		t.Errorf("unbuilt type returned %d hits", len(hits))
 	}
 }
@@ -158,12 +158,12 @@ func TestCustomTypeEndToEnd(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if ids := ix.TypedIDs(); len(ids) != 1 || ids[0] != customTypeID {
+	if ids := ix.Snapshot().TypedIDs(); len(ids) != 1 || ids[0] != customTypeID {
 		t.Fatalf("TypedIDs = %v", ids)
 	}
 	lo := btree.EncodeInt64(epochDays(1966, time.January, 1))
 	hi := btree.EncodeInt64(epochDays(1966, time.December, 31))
-	hits := ix.RangeTyped(customTypeID, lo, hi, true, true)
+	hits := ix.Snapshot().RangeTyped(customTypeID, lo, hi, true, true)
 	if len(hits) == 0 {
 		t.Fatal("custom typed index found nothing")
 	}
@@ -180,30 +180,13 @@ func TestCustomTypeEndToEnd(t *testing.T) {
 	if err := got.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	reHits := got.RangeTyped(customTypeID, lo, hi, true, true)
+	reHits := got.Snapshot().RangeTyped(customTypeID, lo, hi, true, true)
 	if len(reHits) != len(hits) {
 		t.Errorf("custom type survived load with %d hits, want %d", len(reHits), len(hits))
 	}
-	opts := got.Options()
+	opts := got.Snapshot().Options()
 	if len(opts.Types) != 1 || opts.Types[0] != customTypeID {
 		t.Errorf("loaded options = %+v", opts)
-	}
-}
-
-func TestRangeDoubleNaNBounds(t *testing.T) {
-	ix := buildPerson(t)
-	nan := math.NaN()
-	// Before the guard, EncodeFloat64(NaN) produced an above-+Inf key that
-	// turned one-sided "ranges" into garbage scans. XPath semantics:
-	// comparisons against NaN select nothing.
-	for _, c := range [][2]float64{{nan, 100}, {0, nan}, {nan, nan}} {
-		if hits := ix.RangeDouble(c[0], c[1], true, true); len(hits) != 0 {
-			t.Errorf("RangeDouble(%v, %v) = %d hits, want 0", c[0], c[1], len(hits))
-		}
-	}
-	// A plain range still works after the guard.
-	if hits := ix.RangeDouble(41, 43, true, true); len(hits) == 0 {
-		t.Error("RangeDouble(41, 43) found nothing")
 	}
 }
 

@@ -45,7 +45,7 @@ func TestSavePartsSelectsSections(t *testing.T) {
 	}
 	for _, c := range cases {
 		path := filepath.Join(dir, c.name+".part")
-		if err := ix.SavePartsTo(path, c.parts); err != nil {
+		if err := ix.Snapshot().SavePartsTo(path, c.parts); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		r, err := storage.OpenReader(path)
@@ -75,7 +75,7 @@ func TestSavePartsSizesOrdering(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, p SaveParts) int64 {
 		path := filepath.Join(dir, name)
-		if err := ix.SavePartsTo(path, p); err != nil {
+		if err := ix.Snapshot().SavePartsTo(path, p); err != nil {
 			t.Fatal(err)
 		}
 		r, err := storage.OpenReader(path)

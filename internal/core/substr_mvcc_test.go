@@ -182,10 +182,10 @@ func TestSubstrPinnedSnapshotAnswersItsOwnVersion(t *testing.T) {
 	if got := pinned.Contains("replacement"); len(got) != 0 {
 		t.Fatalf("pinned version sees future content: %v", got)
 	}
-	if len(ix.Contains("original payload")) != 0 {
+	if len(ix.Snapshot().Contains("original payload")) != 0 {
 		t.Fatal("live version still finds overwritten content")
 	}
-	if len(ix.Contains("replacement 24")) == 0 {
+	if len(ix.Snapshot().Contains("replacement 24")) == 0 {
 		t.Fatal("live version missing current content")
 	}
 	if err := pinned.Verify(); err != nil {
@@ -293,7 +293,7 @@ func TestSubstrOracleAcrossShapeCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !loaded.HasSubstring() {
+			if !loaded.Snapshot().HasSubstring() {
 				t.Fatal("substring index lost in Save/Load")
 			}
 			before, after := ix.Snapshot(), loaded.Snapshot()
@@ -356,12 +356,12 @@ func TestSubstrDurableRecoveryAndOpenAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !re.HasSubstring() {
+	if !re.Snapshot().HasSubstring() {
 		t.Fatal("substring index lost in recovery")
 	}
 	last := gens[len(gens)-1]
 	for _, p := range patterns {
-		if got := re.Contains(p); !substrPostingsEqual(got, last.hits[p]) {
+		if got := re.Snapshot().Contains(p); !substrPostingsEqual(got, last.hits[p]) {
 			t.Errorf("recovered Contains(%q) = %d hits, want %d", p, len(got), len(last.hits[p]))
 		}
 	}
@@ -376,11 +376,11 @@ func TestSubstrDurableRecoveryAndOpenAt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenAt(%d): %v", g.version, err)
 		}
-		if !at.HasSubstring() {
+		if !at.Snapshot().HasSubstring() {
 			t.Fatalf("OpenAt(%d): substring index missing", g.version)
 		}
 		for _, p := range patterns {
-			if got := at.Contains(p); !substrPostingsEqual(got, g.hits[p]) {
+			if got := at.Snapshot().Contains(p); !substrPostingsEqual(got, g.hits[p]) {
 				t.Errorf("OpenAt(%d): Contains(%q) = %d hits, want %d", g.version, p, len(got), len(g.hits[p]))
 			}
 		}
@@ -399,15 +399,15 @@ func TestEnableSubstringIdempotentAndVersionStable(t *testing.T) {
 	if got := ix.Version(); got != v0 {
 		t.Fatalf("EnableSubstring moved the version %d -> %d", v0, got)
 	}
-	if !ix.HasSubstring() {
+	if !ix.Snapshot().HasSubstring() {
 		t.Fatal("index not enabled")
 	}
-	hits := ix.Contains("some text")
+	hits := ix.Snapshot().Contains("some text")
 	ix.EnableSubstring()
 	if got := ix.Version(); got != v0 {
 		t.Fatalf("re-enable moved the version %d -> %d", v0, got)
 	}
-	if got := ix.Contains("some text"); !substrPostingsEqual(got, hits) {
+	if got := ix.Snapshot().Contains("some text"); !substrPostingsEqual(got, hits) {
 		t.Fatal("re-enable changed answers")
 	}
 }

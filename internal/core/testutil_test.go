@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/btree"
+	"repro/internal/fsm"
 	"repro/internal/xmlparse"
 	"repro/internal/xmltree"
 )
@@ -82,4 +84,47 @@ func shapeCorpus() []shapeCase {
 		{"empty-document", "<r/>"},
 		{"mixed-content-spine", mixed.String()},
 	}
+}
+
+// Per-type conveniences over the generic typed-index API (RangeTyped,
+// TypedFrag, ScanTypedRange), so assertions read in value terms.
+
+func rangeDouble(s *Snapshot, lo, hi float64, incLo, incHi bool) []Posting {
+	return s.RangeTyped(TypeDouble, btree.EncodeFloat64(lo), btree.EncodeFloat64(hi), incLo, incHi)
+}
+
+func lookupDoubleEq(s *Snapshot, v float64) []Posting { return rangeDouble(s, v, v, true, true) }
+
+func rangeDateTime(s *Snapshot, lo, hi int64) []Posting {
+	return s.RangeTyped(TypeDateTime, btree.EncodeInt64(lo), btree.EncodeInt64(hi), true, true)
+}
+
+func rangeDate(s *Snapshot, lo, hi int64) []Posting {
+	return s.RangeTyped(TypeDate, btree.EncodeInt64(lo), btree.EncodeInt64(hi), true, true)
+}
+
+// scanDoubleRange is the index-free oracle for rangeDouble over [lo, hi].
+func scanDoubleRange(s *Snapshot, lo, hi float64) []Posting {
+	return ScanTypedRange(s.Doc(), TypeDouble, btree.EncodeFloat64(lo), btree.EncodeFloat64(hi))
+}
+
+func typedValue[T any](s *Snapshot, id TypeID, n xmltree.NodeID, value func(fsm.Frag) (T, bool)) (T, bool) {
+	f, ok := s.TypedFrag(id, n)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return value(f)
+}
+
+func doubleValue(s *Snapshot, n xmltree.NodeID) (float64, bool) {
+	return typedValue(s, TypeDouble, n, fsm.DoubleValue)
+}
+
+func dateTimeValue(s *Snapshot, n xmltree.NodeID) (int64, bool) {
+	return typedValue(s, TypeDateTime, n, fsm.DateTimeValue)
+}
+
+func dateValue(s *Snapshot, n xmltree.NodeID) (int64, bool) {
+	return typedValue(s, TypeDate, n, fsm.DateValue)
 }

@@ -8,18 +8,6 @@ import (
 	"repro/internal/xmltree"
 )
 
-// doubleMachineForScan and castDouble give the scan baselines the same
-// cast semantics as the index (FSM acceptance + fragment value).
-func doubleMachineForScan() *fsm.Machine { return fsm.Double() }
-
-func castDouble(m *fsm.Machine, s string) (float64, bool) {
-	f, ok := m.ParseFragString(s)
-	if !ok {
-		return 0, false
-	}
-	return fsm.DoubleValue(f)
-}
-
 // VerifyLeaves checks the stored per-leaf state against ground truth:
 // every value-carrying leaf's (and attribute's) hash must equal H of its
 // character data, and its state under each typed index must match a

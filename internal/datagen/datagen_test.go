@@ -23,7 +23,7 @@ func statsOf(t *testing.T, name string, scale float64) (total, texts, dblTexts, 
 		t.Fatalf("%s does not parse: %v", name, err)
 	}
 	ix := core.Build(doc, core.Options{Double: true})
-	s := ix.Stats()
+	s := ix.Snapshot().Stats()
 	// Table 1 counts elements + texts as "Total Nodes" and castable text
 	// nodes as "Double Values" (see DESIGN.md).
 	return s.Elements + s.Texts, s.Texts, s.DoubleCastableTexts, s.DoubleNonLeaf
@@ -180,12 +180,17 @@ func TestDblpNonLeafDoubles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := core.Build(doc, core.Options{Double: true})
+	snap := core.Build(doc, core.Options{Double: true}).Snapshot()
 	found := 0
 	for i := 0; i < doc.NumNodes(); i++ {
 		n := xmltree.NodeID(i)
 		if doc.Kind(n) == xmltree.Element && doc.Name(n) == "year" && doc.NumChildren(n) > 1 {
-			if v, ok := ix.DoubleValue(n); !ok || v < 1900 || v > 2100 {
+			f, ok := snap.TypedFrag(core.TypeDouble, n)
+			var v float64
+			if ok {
+				v, ok = fsm.DoubleValue(f)
+			}
+			if !ok || v < 1900 || v > 2100 {
 				t.Errorf("mixed-content year = %v %v", v, ok)
 			}
 			found++

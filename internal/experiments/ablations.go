@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fsm"
+	"repro/internal/plan"
 	"repro/internal/txn"
 	"repro/internal/vhash"
 	"repro/internal/xmlparse"
@@ -154,7 +155,8 @@ var sinkElem fsm.Elem
 
 // --- A3: index-accelerated query vs scan ---
 
-// A3Row compares xpath evaluation with and without the value indices.
+// A3Row compares xpath evaluation with and without the value indices:
+// the scan evaluator against the planner's forced index drive.
 type A3Row struct {
 	Dataset   string
 	Query     string
@@ -187,7 +189,10 @@ func RunA3(cfg Config, dataset string) ([]A3Row, error) {
 			hits = len(res)
 
 			start = time.Now()
-			res2 := xpath.EvaluateIndexed(ix.Snapshot(), parsed)
+			res2, _, err := plan.Run(ix.Snapshot(), parsed, plan.ForceIndex)
+			if err != nil {
+				return nil, err
+			}
 			idxNS += time.Since(start).Nanoseconds()
 			if len(res2) != hits {
 				return nil, fmt.Errorf("query %q: indexed %d hits, scan %d", q, len(res2), hits)

@@ -146,7 +146,7 @@ func RunTable1(cfg Config) ([]Table1Row, error) {
 			return nil, err
 		}
 		ix := core.Build(p.doc, cfg.buildOpts(core.Options{Double: true, Date: true}))
-		s := ix.Stats()
+		s := ix.Snapshot().Stats()
 		total := s.Elements + s.Texts
 		// Match the double column's arithmetic: castable TEXT nodes over
 		// elements+texts, so the two typed columns are comparable.
@@ -226,21 +226,21 @@ func RunFig9(cfg Config) ([]Fig9Row, error) {
 			// SaveParts carrier needs an index handle, so use an empty
 			// index set over the document.
 			docOnly := core.Build(doc, cfg.buildOpts(core.Options{}))
-			if err := docOnly.SavePartsTo(stage, core.SaveParts{Doc: true}); err != nil {
+			if err := docOnly.Snapshot().SavePartsTo(stage, core.SaveParts{Doc: true}); err != nil {
 				return nil, err
 			}
 			shredNS += time.Since(start).Nanoseconds()
 
 			start = time.Now()
 			sIx := core.Build(doc, cfg.buildOpts(core.Options{String: true}))
-			if err := sIx.SavePartsTo(stage, core.SaveParts{String: true}); err != nil {
+			if err := sIx.Snapshot().SavePartsTo(stage, core.SaveParts{String: true}); err != nil {
 				return nil, err
 			}
 			strNS += time.Since(start).Nanoseconds()
 
 			start = time.Now()
 			dIx := core.Build(doc, cfg.buildOpts(core.Options{Double: true}))
-			if err := dIx.SavePartsTo(stage, core.SaveParts{Double: true}); err != nil {
+			if err := dIx.Snapshot().SavePartsTo(stage, core.SaveParts{Double: true}); err != nil {
 				return nil, err
 			}
 			dblNS += time.Since(start).Nanoseconds()

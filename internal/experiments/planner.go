@@ -45,7 +45,7 @@ func RunA6(cfg Config, dataset string, fracs []float64) ([]A6Row, error) {
 		return nil, err
 	}
 	ix := core.Build(p.doc, cfg.buildOpts(core.DefaultOptions()))
-	bpn := ix.MemStats().BytesPerNode
+	bpn := ix.Snapshot().MemStats().BytesPerNode
 	var rows []A6Row
 	for _, frac := range fracs {
 		threshold := 5000 * (1 - frac)
@@ -98,95 +98,6 @@ func RunA6(cfg Config, dataset string, fracs []float64) ([]A6Row, error) {
 		row.ScanMS = float64(scanNS/n) / 1e6
 		row.IndexMS = float64(idxNS/n) / 1e6
 		row.AutoMS = float64(autoNS/n) / 1e6
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// --- A7: conjunctive predicates — planner vs first-condition heuristic ---
-
-// A7Row compares the cost-based planner against the legacy heuristic on
-// a conjunctive workload whose FIRST predicate is unselective and whose
-// second is highly selective — the shape the legacy "grab the first
-// indexable condition" rule gets maximally wrong.
-type A7Row struct {
-	Dataset      string
-	Query        string
-	Hits         int
-	LegacyMS     float64 // first indexable condition drives
-	PlannerMS    float64 // cost-based driver choice + intersection
-	SpeedupX     float64
-	UsedIndex    bool    // planner drove an index
-	Intersected  bool    // planner intersected a second access path
-	BytesPerNode float64 // packed-layout footprint of the queried snapshot
-}
-
-// A7Queries returns the conjunctive workload for a dataset: predicate
-// order deliberately lists the unselective condition first.
-func A7Queries(dataset string) []string {
-	switch dataset {
-	case "xmark1", "xmark2", "xmark4", "xmark8":
-		return []string{
-			// income > 10 matches ~every person; the birthday window is ~2
-			// months out of 12 years (~1.4%).
-			`//person[profile/income > 10 and profile/birthday < xs:date("1998-03-01")]`,
-			// Both sides selective: intersection territory.
-			`//item[location = "Amsterdam" and quantity > 5]`,
-		}
-	default:
-		return nil
-	}
-}
-
-// RunA7 measures one dataset's conjunctive workload.
-func RunA7(cfg Config, dataset string) ([]A7Row, error) {
-	p, err := cfg.prepare(dataset)
-	if err != nil {
-		return nil, err
-	}
-	ix := core.Build(p.doc, cfg.buildOpts(core.DefaultOptions()))
-	bpn := ix.MemStats().BytesPerNode
-	var rows []A7Row
-	for _, q := range A7Queries(dataset) {
-		parsed, err := xpath.Parse(q)
-		if err != nil {
-			return nil, fmt.Errorf("query %q: %v", q, err)
-		}
-		row := A7Row{Dataset: dataset, Query: q, BytesPerNode: bpn}
-		// Warm-up (untimed), as in RunA6.
-		for _, m := range []plan.Mode{plan.Legacy, plan.Auto} {
-			if _, _, err := plan.Run(ix.Snapshot(), parsed, m); err != nil {
-				return nil, err
-			}
-		}
-		var legacyNS, plannerNS int64
-		for r := 0; r < cfg.repeat(); r++ {
-			start := time.Now()
-			res, _, err := plan.Run(ix.Snapshot(), parsed, plan.Legacy)
-			if err != nil {
-				return nil, err
-			}
-			legacyNS += time.Since(start).Nanoseconds()
-			row.Hits = len(res)
-
-			start = time.Now()
-			res2, pl, err := plan.Run(ix.Snapshot(), parsed, plan.Auto)
-			if err != nil {
-				return nil, err
-			}
-			plannerNS += time.Since(start).Nanoseconds()
-			if len(res2) != row.Hits {
-				return nil, fmt.Errorf("query %q: planner %d hits, legacy %d", q, len(res2), row.Hits)
-			}
-			row.UsedIndex = pl.UsesIndex()
-			row.Intersected = pl.Intersects()
-		}
-		n := int64(cfg.repeat())
-		row.LegacyMS = float64(legacyNS/n) / 1e6
-		row.PlannerMS = float64(plannerNS/n) / 1e6
-		if row.PlannerMS > 0 {
-			row.SpeedupX = row.LegacyMS / row.PlannerMS
-		}
 		rows = append(rows, row)
 	}
 	return rows, nil

@@ -213,31 +213,6 @@ func ReportA6(w io.Writer, rows []A6Row) {
 		[]string{"dataset", "selectivity", "hits", "scan ms", "index ms", "auto ms", "auto chose", "B/node"}, t)
 }
 
-// ReportA7 renders the conjunctive planner-vs-legacy comparison.
-func ReportA7(w io.Writer, rows []A7Row) {
-	var t [][]string
-	for _, r := range rows {
-		strategy := "scan"
-		if r.UsedIndex {
-			strategy = "index"
-		}
-		if r.Intersected {
-			strategy = "intersect"
-		}
-		t = append(t, []string{
-			r.Query,
-			fmt.Sprint(r.Hits),
-			fmt.Sprintf("%.2f", r.LegacyMS),
-			fmt.Sprintf("%.2f", r.PlannerMS),
-			fmt.Sprintf("%.1fx", r.SpeedupX),
-			strategy,
-			fmt.Sprintf("%.1f", r.BytesPerNode),
-		})
-	}
-	table(w, "A7 — conjunctive predicates: first-condition heuristic vs cost-based planner",
-		[]string{"query", "hits", "legacy ms", "planner ms", "speedup", "planner strategy", "B/node"}, t)
-}
-
 // ReportA5 renders the transaction ablation.
 func ReportA5(w io.Writer, r A5Row) {
 	table(w, "A5 — concurrent updates: commutative commit vs ancestor locking",

@@ -55,7 +55,7 @@ func RunA8(cfg Config, dataset string) ([]A8Row, error) {
 	}
 	ix := core.Build(p.doc, cfg.buildOpts(core.DefaultOptions()))
 	ix.EnableSubstring()
-	bpn := ix.MemStats().BytesPerNode
+	bpn := ix.Snapshot().MemStats().BytesPerNode
 	var rows []A8Row
 	for _, q := range A8Queries(dataset) {
 		parsed, err := xpath.Parse(q)

@@ -31,12 +31,7 @@ func Prepare(ix *core.Snapshot, path *xpath.Path, mode Mode) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Expr: path.String(), Mode: mode, ix: ix, path: path}
-	switch mode {
-	case Legacy:
-		p.Root = newNode("legacy", "first indexable condition drives", -1)
-		p.EstCost = -1
-		return p, nil
-	case ForceScan:
+	if mode == ForceScan {
 		p.enumerate() // for the side effect: fallback notes on text predicates
 		p.planScan()
 		return p, nil
@@ -110,9 +105,9 @@ func (p *Plan) enumerate() []*accessPath {
 }
 
 // accessPathFor maps one condition to an index access path, or nil when
-// no built index can answer it. The key-range construction mirrors the
-// evaluator's candidate retrieval exactly (same casts, same open/closed
-// bound handling), so a planned query selects the same candidates.
+// no built index can answer it. The key ranges use the scan evaluator's
+// casts (xs:double, xs:date), so every candidate the scan would accept
+// lies inside the range; verification re-checks the condition itself.
 func (p *Plan) accessPathFor(c xpath.Cond) *accessPath {
 	ix := p.ix
 	switch {

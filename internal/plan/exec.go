@@ -48,11 +48,9 @@ func (m *ctxMask) get(id int32) uint8 {
 // produces byte-identical results for every strategy — the equivalence
 // property tests pin this.
 func (p *Plan) Execute() []core.Posting {
-	ex := xpath.NewExec(p.ix)
+	ex := xpath.NewExec(p.ix.Doc())
 	var out []core.Posting
 	switch {
-	case p.Mode == Legacy:
-		out = ex.LegacyIndexed(p.path)
 	case p.driver == nil:
 		out = ex.Scan(p.path)
 	case p.attrStep:

@@ -1,6 +1,6 @@
 // Package plan implements the cost-based query planner: an explicit
-// three-stage pipeline (logical plan → physical plan → executor)
-// replacing the evaluator's first-indexable-condition heuristic.
+// three-stage pipeline (logical plan → physical plan → executor), the
+// only route by which a query reaches the value indexes.
 //
 // The logical side of a query is its parsed path (package xpath). The
 // planner enumerates one access path per indexable condition of the
@@ -35,10 +35,6 @@ const (
 	// index driver vs index intersection, decided per query from the
 	// statistics layer.
 	Auto Mode = iota
-	// Legacy is the pre-planner heuristic — the first indexable
-	// condition drives, every other predicate is verified by
-	// navigation. Kept for A/B comparison.
-	Legacy
 	// ForceScan always evaluates by document scan.
 	ForceScan
 	// ForceIndex always drives the cheapest index access path, even
@@ -52,8 +48,6 @@ func (m Mode) String() string {
 	switch m {
 	case Auto:
 		return "auto"
-	case Legacy:
-		return "legacy"
 	case ForceScan:
 		return "scan"
 	case ForceIndex:
@@ -67,14 +61,12 @@ func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "auto":
 		return Auto, nil
-	case "legacy", "off":
-		return Legacy, nil
 	case "scan":
 		return ForceScan, nil
 	case "index":
 		return ForceIndex, nil
 	}
-	return Auto, fmt.Errorf("plan: unknown planner mode %q (want auto, legacy, scan, or index)", s)
+	return Auto, fmt.Errorf("plan: unknown planner mode %q (want auto, scan, or index)", s)
 }
 
 // Node is one operator of a physical plan tree, annotated with the
@@ -82,13 +74,13 @@ func ParseMode(s string) (Mode, error) {
 // that flowed through the operator.
 type Node struct {
 	// Op names the operator: "result", "verify", "intersect",
-	// "hash-eq", "range", "scan", "legacy".
+	// "hash-eq", "range", "substr", "scan".
 	Op string
 	// Detail describes the operator's parameters (the condition text,
 	// the key range, the index used).
 	Detail string
 	// EstRows is the planner's cardinality estimate; negative when the
-	// operator has no meaningful estimate (scan, legacy).
+	// operator has no meaningful estimate (scan).
 	EstRows float64
 	// ActRows is filled in by the executor; -1 until the plan ran.
 	ActRows int
@@ -160,7 +152,7 @@ type Plan struct {
 	ix   *core.Snapshot
 	path *xpath.Path
 
-	// Physical choice: nil driver means scan (or legacy) execution.
+	// Physical choice: nil driver means scan execution.
 	driver   *accessPath
 	extras   []*accessPath
 	attrStep bool
@@ -182,7 +174,7 @@ func (p *Plan) String() string {
 }
 
 // UsesIndex reports whether the plan drives an index access path (as
-// opposed to a document scan or the legacy heuristic).
+// opposed to a document scan).
 func (p *Plan) UsesIndex() bool { return p.driver != nil }
 
 // Intersects reports whether the plan streams additional access paths

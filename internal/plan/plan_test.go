@@ -15,7 +15,7 @@ import (
 
 // allModes are every planning strategy; each must be result-equivalent
 // to the scan oracle.
-var allModes = []Mode{Auto, Legacy, ForceScan, ForceIndex}
+var allModes = []Mode{Auto, ForceScan, ForceIndex}
 
 // corpusDoc is one indexed document of the shared shape corpus.
 type corpusDoc struct {
@@ -217,7 +217,9 @@ func TestUnsupportedPathError(t *testing.T) {
 
 // TestPlannerChoosesSelectiveDriver pins the heart of the cost model:
 // with an unselective first predicate and a selective second one, the
-// planner must not drive the first (the legacy mistake).
+// planner must drive the selective one — on a synthetic document and on
+// the XMark conjunction (income > 10 matches nearly every person, the
+// birthday window a few percent).
 func TestPlannerChoosesSelectiveDriver(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("<r>")
@@ -226,26 +228,37 @@ func TestPlannerChoosesSelectiveDriver(t *testing.T) {
 		fmt.Fprintf(&b, "<p><income>%d</income><age>%d</age></p>", 1000+i%7, i)
 	}
 	b.WriteString("</r>")
-	doc, err := xmlparse.ParseString(b.String())
+	xmark, err := datagen.Generate("xmark1", 0.15, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := core.Build(doc, core.DefaultOptions()).Snapshot()
-	path := xpath.MustParse(`//p[income > 0 and age = 1234]`)
-	pl, err := Prepare(ix, path, Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.driver == nil {
-		t.Fatalf("planner chose scan:\n%s", pl)
-	}
-	if got := condOperand(pl.driver.cond); got != "age" {
-		t.Fatalf("driver operand = %s, want age\n%s", got, pl)
-	}
-	got := pl.Execute()
-	oracle := xpath.Evaluate(doc, path)
-	if !postingsEqual(got, oracle) {
-		t.Fatalf("driver-choice plan wrong: %d hits, oracle %d", len(got), len(oracle))
+	for _, c := range []struct {
+		xml, query, driver string
+	}{
+		{b.String(), `//p[income > 0 and age = 1234]`, "age"},
+		{string(xmark), `//person[profile/income > 10 and profile/birthday < xs:date("1998-03-01")]`, "profile/birthday"},
+	} {
+		doc, err := xmlparse.ParseString(c.xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := core.Build(doc, core.DefaultOptions()).Snapshot()
+		path := xpath.MustParse(c.query)
+		pl, err := Prepare(ix, path, Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.driver == nil {
+			t.Fatalf("%s: planner chose scan:\n%s", c.query, pl)
+		}
+		if got := condOperand(pl.driver.cond); got != c.driver {
+			t.Fatalf("%s: driver operand = %s, want %s\n%s", c.query, got, c.driver, pl)
+		}
+		got := pl.Execute()
+		oracle := xpath.Evaluate(doc, path)
+		if !postingsEqual(got, oracle) {
+			t.Fatalf("%s: driver-choice plan wrong: %d hits, oracle %d", c.query, len(got), len(oracle))
+		}
 	}
 }
 

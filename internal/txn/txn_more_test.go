@@ -33,7 +33,7 @@ func TestLockingManagerStatsAndAbort(t *testing.T) {
 	if c, a := m.Stats(); c != 0 || a != 1 {
 		t.Errorf("stats after abort = %d/%d", c, a)
 	}
-	if len(ix.LookupString("staged")) != 0 {
+	if len(ix.Snapshot().LookupString("staged")) != 0 {
 		t.Error("aborted locking txn leaked a write")
 	}
 	// Chain locks must be released by the abort.
@@ -149,7 +149,7 @@ func TestTxnWriteSameNodeTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The text node and its whole ancestor chain carry the new value.
-	if len(ix.LookupString("second")) == 0 || len(ix.LookupString("first")) != 0 {
+	if len(ix.Snapshot().LookupString("second")) == 0 || len(ix.Snapshot().LookupString("first")) != 0 {
 		t.Error("last write did not win")
 	}
 }

@@ -61,7 +61,7 @@ func TestCommitBasic(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.LookupString("updated")) == 0 {
+	if len(ix.Snapshot().LookupString("updated")) == 0 {
 		t.Error("committed value not indexed")
 	}
 	if c, a := m.Stats(); c != 1 || a != 0 {
@@ -81,7 +81,7 @@ func TestAbortDiscards(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.LookupString("ghost")) != 0 {
+	if len(ix.Snapshot().LookupString("ghost")) != 0 {
 		t.Error("aborted value visible")
 	}
 	if err := tx.SetText(texts[0], "late"); err != ErrClosed {
@@ -197,7 +197,7 @@ func TestConcurrentCommutativeCommits(t *testing.T) {
 	}
 	// Root hash equals a hash of the actual final string value.
 	want := vhash.HashString(ix.Doc().StringValue(0))
-	if got := ix.NodeHash(0); got != want {
+	if got := ix.Snapshot().NodeHash(0); got != want {
 		t.Errorf("root hash %#x, want %#x", got, want)
 	}
 }

@@ -4,38 +4,30 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/xmlparse"
 	"repro/internal/xmltree"
 )
 
 // Additional dialect-corner tests: shapes that stress the parser and the
-// indexed/scan equivalence beyond the randomized suite.
+// scan evaluator beyond the paper examples. internal/plan's
+// TestPlannedEquivalenceDialect holds the planned (index-driven)
+// execution of every query here to the same answers.
 
-func evalBoth(t *testing.T, xml, query string) ([]core.Posting, *xmltree.Doc) {
+func evalScan(t *testing.T, xml, query string) ([]core.Posting, *xmltree.Doc) {
 	t.Helper()
-	doc, err := xmlparse.ParseString(xml)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := core.Build(doc, core.DefaultOptions()).Snapshot()
+	doc := mustDoc(t, xml)
 	q, err := Parse(query)
 	if err != nil {
 		t.Fatalf("parse %q: %v", query, err)
 	}
-	scan := Evaluate(doc, q)
-	indexed := EvaluateIndexed(ix, q)
-	if !postingsEqual(scan, indexed) {
-		t.Fatalf("%q: scan %v != indexed %v", query, names(doc, scan), names(doc, indexed))
-	}
-	return scan, doc
+	return Evaluate(doc, q), doc
 }
 
 func TestWildcardSteps(t *testing.T) {
-	hits, doc := evalBoth(t, `<r><a><x>1</x></a><b><x>2</x></b></r>`, `//*[x = 2]`)
+	hits, doc := evalScan(t, `<r><a><x>1</x></a><b><x>2</x></b></r>`, `//*[x = 2]`)
 	if len(hits) != 1 || doc.Name(hits[0].Node) != "b" {
 		t.Errorf("wildcard = %v", names(doc, hits))
 	}
-	hits, _ = evalBoth(t, `<r><a><x>1</x></a><b><x>2</x></b></r>`, `/r/*/x`)
+	hits, _ = evalScan(t, `<r><a><x>1</x></a><b><x>2</x></b></r>`, `/r/*/x`)
 	if len(hits) != 2 {
 		t.Errorf("/r/*/x = %d hits", len(hits))
 	}
@@ -43,16 +35,16 @@ func TestWildcardSteps(t *testing.T) {
 
 func TestDescendantWithinPredicate(t *testing.T) {
 	xml := `<lib><shelf><box><book>42</book></box></shelf><shelf><book>7</book></shelf></lib>`
-	hits, doc := evalBoth(t, xml, `//shelf[.//book = 42]`)
+	hits, doc := evalScan(t, xml, `//shelf[.//book = 42]`)
 	if len(hits) != 1 {
 		t.Errorf("deep predicate = %v", names(doc, hits))
 	}
 	// Child-only rel must NOT see the boxed book.
-	hits, _ = evalBoth(t, xml, `//shelf[book = 42]`)
+	hits, _ = evalScan(t, xml, `//shelf[book = 42]`)
 	if len(hits) != 0 {
 		t.Errorf("child rel leaked into descendants: %v", len(hits))
 	}
-	hits, _ = evalBoth(t, xml, `//shelf[book = 7]`)
+	hits, _ = evalScan(t, xml, `//shelf[book = 7]`)
 	if len(hits) != 1 {
 		t.Errorf("child rel missed direct child: %d", len(hits))
 	}
@@ -60,11 +52,11 @@ func TestDescendantWithinPredicate(t *testing.T) {
 
 func TestMultiStepRelPaths(t *testing.T) {
 	xml := `<s><person><name><first>Ann</first></name></person><person><name><first>Bob</first></name></person></s>`
-	hits, doc := evalBoth(t, xml, `//person[name/first = "Bob"]`)
+	hits, doc := evalScan(t, xml, `//person[name/first = "Bob"]`)
 	if len(hits) != 1 {
 		t.Errorf("multi-step rel = %v", names(doc, hits))
 	}
-	hits, _ = evalBoth(t, xml, `//person[name/first/text() = "Ann"]`)
+	hits, _ = evalScan(t, xml, `//person[name/first/text() = "Ann"]`)
 	if len(hits) != 1 {
 		t.Errorf("text() rel = %d", len(hits))
 	}
@@ -72,12 +64,12 @@ func TestMultiStepRelPaths(t *testing.T) {
 
 func TestConjunctionSemantics(t *testing.T) {
 	xml := `<r><i><p>5</p><q>alpha</q></i><i><p>5</p><q>beta</q></i><i><p>6</p><q>alpha</q></i></r>`
-	hits, _ := evalBoth(t, xml, `//i[p = 5 and q = "alpha"]`)
+	hits, _ := evalScan(t, xml, `//i[p = 5 and q = "alpha"]`)
 	if len(hits) != 1 {
 		t.Errorf("conjunction = %d hits", len(hits))
 	}
 	// Two separate predicates behave like a conjunction too.
-	hits, _ = evalBoth(t, xml, `//i[p = 5][q = "alpha"]`)
+	hits, _ = evalScan(t, xml, `//i[p = 5][q = "alpha"]`)
 	if len(hits) != 1 {
 		t.Errorf("stacked predicates = %d hits", len(hits))
 	}
@@ -87,12 +79,12 @@ func TestExistentialComparison(t *testing.T) {
 	// XPath general comparison: the predicate holds if ANY selected node
 	// matches — here person has two <age> children.
 	xml := `<r><person><age>10</age><age>42</age></person></r>`
-	hits, _ := evalBoth(t, xml, `//person[age = 42]`)
+	hits, _ := evalScan(t, xml, `//person[age = 42]`)
 	if len(hits) != 1 {
 		t.Errorf("existential = %d", len(hits))
 	}
 	// != is also existential: some age differs from 10.
-	hits, _ = evalBoth(t, xml, `//person[age != 10]`)
+	hits, _ = evalScan(t, xml, `//person[age != 10]`)
 	if len(hits) != 1 {
 		t.Errorf("existential != = %d", len(hits))
 	}
@@ -100,7 +92,7 @@ func TestExistentialComparison(t *testing.T) {
 
 func TestNumericLexicalVariants(t *testing.T) {
 	xml := `<r><v>42</v><v>42.0</v><v> +4.2E1</v><v>0042</v><v>42x</v></r>`
-	hits, _ := evalBoth(t, xml, `//v[. = 42]`)
+	hits, _ := evalScan(t, xml, `//v[. = 42]`)
 	if len(hits) != 4 {
 		t.Errorf("lexical variants = %d hits, want 4", len(hits))
 	}
@@ -108,7 +100,7 @@ func TestNumericLexicalVariants(t *testing.T) {
 
 func TestStringRelationalLexicographic(t *testing.T) {
 	xml := `<r><w>apple</w><w>banana</w><w>cherry</w></r>`
-	hits, _ := evalBoth(t, xml, `//w[. > "avocado"]`)
+	hits, _ := evalScan(t, xml, `//w[. > "avocado"]`)
 	if len(hits) != 2 {
 		t.Errorf("lexicographic > = %d", len(hits))
 	}
@@ -117,30 +109,30 @@ func TestStringRelationalLexicographic(t *testing.T) {
 func TestRootedPaths(t *testing.T) {
 	xml := `<a><b><a><c>x</c></a></b></a>`
 	// Absolute /a selects only the root element.
-	hits, doc := evalBoth(t, xml, `/a[.//c = "x"]`)
+	hits, doc := evalScan(t, xml, `/a[.//c = "x"]`)
 	if len(hits) != 1 || hits[0].Node != doc.FirstChild(doc.Root()) {
 		t.Errorf("/a = %v", hits)
 	}
 	// //a selects both.
-	hits, _ = evalBoth(t, xml, `//a[.//c = "x"]`)
+	hits, _ = evalScan(t, xml, `//a[.//c = "x"]`)
 	if len(hits) != 2 {
 		t.Errorf("//a = %d", len(hits))
 	}
 }
 
 func TestFnDataOnDot(t *testing.T) {
-	hits, _ := evalBoth(t, `<r><k>42</k></r>`, `//k[fn:data(.) = 42]`)
+	hits, _ := evalScan(t, `<r><k>42</k></r>`, `//k[fn:data(.) = 42]`)
 	if len(hits) != 1 {
 		t.Errorf("fn:data(.) = %d", len(hits))
 	}
 }
 
 func TestAttrWildcard(t *testing.T) {
-	hits, _ := evalBoth(t, `<r><i a="1" b="2"/><i c="3"/></r>`, `//i/@*`)
+	hits, _ := evalScan(t, `<r><i a="1" b="2"/><i c="3"/></r>`, `//i/@*`)
 	if len(hits) != 3 {
 		t.Errorf("@* = %d", len(hits))
 	}
-	hits, _ = evalBoth(t, `<r><i a="7"/><i b="7"/></r>`, `//i[@* = 7]`)
+	hits, _ = evalScan(t, `<r><i a="7"/><i b="7"/></r>`, `//i[@* = 7]`)
 	if len(hits) != 2 {
 		t.Errorf("[@* = 7] = %d", len(hits))
 	}
@@ -151,7 +143,7 @@ func TestEmptyResultShapes(t *testing.T) {
 		`//missing`, `/wrongroot/x`, `//r[. = "nothing"]`,
 		`//r/@absent`, `//r[missing = 1]`,
 	} {
-		hits, _ := evalBoth(t, `<r><a>1</a></r>`, q)
+		hits, _ := evalScan(t, `<r><a>1</a></r>`, q)
 		if len(hits) != 0 {
 			t.Errorf("%q = %d hits, want 0", q, len(hits))
 		}

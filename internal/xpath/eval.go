@@ -1,7 +1,6 @@
 package xpath
 
 import (
-	"math"
 	"sort"
 	"strings"
 
@@ -17,30 +16,17 @@ func Evaluate(doc *xmltree.Doc, path *Path) []core.Posting {
 	return ev.run(path)
 }
 
-// EvaluateIndexed runs the path using the value indices: an indexable
-// condition of the final step supplies candidates from the hash or double
-// B+tree, candidates are mapped bottom-up to context nodes, and structure
-// plus remaining predicates are verified. Shapes with no indexable
-// condition fall back to Evaluate.
-func EvaluateIndexed(ix *core.Snapshot, path *Path) []core.Posting {
-	ev := &evaluator{doc: ix.Doc(), ix: ix}
-	if res, ok := ev.runIndexed(path); ok {
-		return res
-	}
-	return ev.run(path)
-}
-
 type evaluator struct {
 	doc *xmltree.Doc
-	ix  *core.Snapshot
 
 	// stepSeen and relSeen are reusable epoch-stamped visit sets
 	// replacing the per-step map[NodeID]bool and dedupe allocations on
 	// the evaluation hot path. stepSeen serves the top-level step loops
-	// (run, runIndexed — never active at the same time); relSeen serves
-	// the step loop inside relNodes, which runs nested within a
-	// stepSeen scope but never within itself (relative-path steps carry
-	// no predicates), so the two sets never clobber each other.
+	// (run, and the planner's driver loop through Exec.BeginVisit — never
+	// active at the same time); relSeen serves the step loop inside
+	// relNodes, which runs nested within a stepSeen scope but never
+	// within itself (relative-path steps carry no predicates), so the two
+	// sets never clobber each other.
 	stepSeen visitSet
 	relSeen  visitSet
 }
@@ -467,87 +453,7 @@ func sortPostings(doc *xmltree.Doc, ps []core.Posting) []core.Posting {
 	return out
 }
 
-// --- indexed evaluation ---
-
-// runIndexed attempts index-driven bottom-up evaluation; ok=false means
-// the shape is not indexable and the caller should fall back to scanning.
-func (ev *evaluator) runIndexed(path *Path) ([]core.Posting, bool) {
-	if len(path.Steps) == 0 || ev.ix == nil {
-		return nil, false
-	}
-	last := path.Steps[len(path.Steps)-1]
-	if last.Kind == TestAttr {
-		return ev.runIndexedAttrStep(path, last)
-	}
-	ci, cond := pickIndexableCond(last.Preds)
-	if ci < 0 || !ev.condIndexAvailable(cond) {
-		return nil, false
-	}
-	cands := ev.candidates(cond)
-	doc := ev.doc
-	// Sparse scope: a selective index drive must not pay O(document)
-	// for its dedup set.
-	ev.stepSeen.beginSparse()
-	var out []core.Posting
-	for _, cand := range cands {
-		for _, ctx := range ev.contextsFor(cand, cond) {
-			// Mark up front: verification is deterministic, so a context
-			// that failed once need not be re-verified when another
-			// candidate maps to it.
-			if !ev.stepSeen.add(ctx) {
-				continue
-			}
-			if !ev.testMatch(ctx, last) {
-				continue
-			}
-			if !ev.matchesAt(ctx, path.Steps[:len(path.Steps)-1], path.Steps[len(path.Steps)-1].Axis) {
-				continue
-			}
-			// Re-verify all predicates (the index pre-filters only one
-			// condition, and hash candidates may be false positives).
-			if !ev.predsHold(ctx, last.Preds) {
-				continue
-			}
-			out = append(out, core.NodePosting(ctx))
-		}
-	}
-	return sortPostings(doc, out), true
-}
-
-// runIndexedAttrStep handles final attribute steps with a dot condition:
-// //item/@id[. = "x"].
-func (ev *evaluator) runIndexedAttrStep(path *Path, last Step) ([]core.Posting, bool) {
-	ci, cond := pickIndexableCond(last.Preds)
-	if ci < 0 || !cond.Dot || !ev.condIndexAvailable(cond) {
-		return nil, false
-	}
-	doc := ev.doc
-	prefix := path.Steps[:len(path.Steps)-1]
-	var out []core.Posting
-	for _, cand := range ev.candidates(cond) {
-		if !cand.IsAttr {
-			continue
-		}
-		if last.Name != "*" && doc.AttrName(cand.Attr) != last.Name {
-			continue
-		}
-		// A child-axis attribute step selects attributes OF the nodes the
-		// prefix selects; a descendant step selects attributes of their
-		// proper descendants.
-		owner := doc.AttrOwner(cand.Attr)
-		var ok bool
-		if last.Axis == Child {
-			ok = ev.absMatches(owner, prefix)
-		} else {
-			ok = ev.matchesAt(owner, prefix, Descendant)
-		}
-		if !ok || !ev.attrPredsHold(cand.Attr, last.Preds) {
-			continue
-		}
-		out = append(out, cand)
-	}
-	return sortPostings(doc, out), true
-}
+// --- bottom-up verification (the planner's index strategies) ---
 
 // absMatches reports whether node n is selected by the absolute path
 // steps (test, predicates, and ancestor-chain structure all verified).
@@ -558,83 +464,6 @@ func (ev *evaluator) absMatches(n xmltree.NodeID, steps []Step) bool {
 	last := steps[len(steps)-1]
 	return ev.testMatch(n, last) && ev.predsHold(n, last.Preds) &&
 		ev.matchesAt(n, steps[:len(steps)-1], last.Axis)
-}
-
-// pickIndexableCond returns the first condition usable with an index:
-// numeric and xs:date comparisons go to the typed range indexes, string
-// equality to the hash index. Text-predicate conditions (contains /
-// starts-with) are skipped — the legacy driver has no substring access
-// path, so another condition must drive or the caller falls back to
-// scanning; predsHold re-verifies every condition either way.
-func pickIndexableCond(preds []Pred) (int, Cond) {
-	idx := 0
-	for _, p := range preds {
-		for _, c := range p.Conds {
-			if c.Fn == FnNone && (c.Lit.IsNum || c.Lit.IsDate || c.Op == OpEq) {
-				return idx, c
-			}
-			idx++
-		}
-	}
-	return -1, Cond{}
-}
-
-// condIndexAvailable reports whether the index a condition needs was
-// built; without it the caller falls back to scan evaluation instead of
-// silently answering from an empty candidate set.
-func (ev *evaluator) condIndexAvailable(c Cond) bool {
-	switch {
-	case c.Lit.IsDate:
-		return ev.ix.HasTyped(core.TypeDate)
-	case c.Lit.IsNum:
-		return ev.ix.HasTyped(core.TypeDouble)
-	default:
-		return ev.ix.HasString()
-	}
-}
-
-// candidates queries the value indices for nodes satisfying the
-// comparison, regardless of structure.
-func (ev *evaluator) candidates(c Cond) []core.Posting {
-	if c.Lit.IsDate {
-		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		switch c.Op {
-		case OpEq:
-			lo, hi = c.Lit.Days, c.Lit.Days
-		case OpLt:
-			hi = c.Lit.Days - 1 // integral day domain: exclusive = previous day
-		case OpLe:
-			hi = c.Lit.Days
-		case OpGt:
-			lo = c.Lit.Days + 1
-		case OpGe:
-			lo = c.Lit.Days
-		case OpNe:
-			// Not index-friendly; all castable dates are candidates.
-		}
-		return ev.ix.RangeDate(lo, hi)
-	}
-	if c.Lit.IsNum {
-		lo, hi := math.Inf(-1), math.Inf(1)
-		incLo, incHi := true, true
-		switch c.Op {
-		case OpEq:
-			lo, hi = c.Lit.Num, c.Lit.Num
-		case OpLt:
-			hi, incHi = c.Lit.Num, false
-		case OpLe:
-			hi = c.Lit.Num
-		case OpGt:
-			lo, incLo = c.Lit.Num, false
-		case OpGe:
-			lo = c.Lit.Num
-		case OpNe:
-			// Not index-friendly; scan everything castable.
-			return ev.ix.RangeDouble(lo, hi, true, true)
-		}
-		return ev.ix.RangeDouble(lo, hi, incLo, incHi)
-	}
-	return ev.ix.LookupString(c.Lit.Str)
 }
 
 // contextsFor maps a value-matching candidate back to the nodes the

@@ -46,9 +46,10 @@ type Exec struct {
 	ev evaluator
 }
 
-// NewExec returns executor machinery over an indexed document.
-func NewExec(ix *core.Snapshot) *Exec {
-	return &Exec{ev: evaluator{doc: ix.Doc(), ix: ix}}
+// NewExec returns executor machinery over a document version (the
+// planner passes the document of the snapshot it pinned).
+func NewExec(doc *xmltree.Doc) *Exec {
+	return &Exec{ev: evaluator{doc: doc}}
 }
 
 // Doc returns the underlying document.
@@ -57,16 +58,6 @@ func (e *Exec) Doc() *xmltree.Doc { return e.ev.doc }
 // Scan evaluates the path by structural navigation — the planner's
 // fallback access path and the correctness oracle.
 func (e *Exec) Scan(p *Path) []core.Posting { return e.ev.run(p) }
-
-// LegacyIndexed evaluates with the pre-planner heuristic (first
-// indexable condition drives, scan fallback otherwise) — kept as the
-// planner's "off" mode and for A/B benchmarks.
-func (e *Exec) LegacyIndexed(p *Path) []core.Posting {
-	if res, ok := e.ev.runIndexed(p); ok {
-		return res
-	}
-	return e.ev.run(p)
-}
 
 // ContextsFor maps a value-index candidate back to the context nodes the
 // condition's relative path starts from (empty when the candidate's

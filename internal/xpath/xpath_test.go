@@ -1,8 +1,6 @@
 package xpath
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -12,13 +10,13 @@ import (
 
 const personXML = `<person><name><first>Arthur</first><family>Dent</family></name><birthday>1966-09-26</birthday><age><decades>4</decades>2<years/></age><weight><kilos>78</kilos>.<grams>230</grams></weight></person>`
 
-func mustIndex(t testing.TB, xml string) *core.Snapshot {
+func mustDoc(t testing.TB, xml string) *xmltree.Doc {
 	t.Helper()
 	doc, err := xmlparse.ParseString(xml)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.Build(doc, core.DefaultOptions()).Snapshot()
+	return doc
 }
 
 func names(doc *xmltree.Doc, ps []core.Posting) []string {
@@ -73,43 +71,28 @@ func TestParseShapes(t *testing.T) {
 	}
 }
 
+// The index-driven plans for every query below are held to this scan
+// evaluator by internal/plan's TestPlannedEquivalence* suites.
+
 func TestPaperQueryFirstArthur(t *testing.T) {
-	ix := mustIndex(t, personXML)
-	doc := ix.Doc()
-	for _, mode := range []string{"scan", "indexed"} {
-		q := MustParse(`//person[first/text()="Arthur"]`)
-		var got []core.Posting
-		if mode == "scan" {
-			got = Evaluate(doc, q)
-		} else {
-			got = EvaluateIndexed(ix, q)
-		}
-		// first is not a direct child of person — no match.
-		if len(got) != 0 {
-			t.Errorf("%s: //person[first/text()=Arthur] = %v, want empty", mode, names(doc, got))
-		}
-		q = MustParse(`//person[name/first/text()="Arthur"]`)
-		if mode == "scan" {
-			got = Evaluate(doc, q)
-		} else {
-			got = EvaluateIndexed(ix, q)
-		}
-		if len(got) != 1 || doc.Name(got[0].Node) != "person" {
-			t.Errorf("%s: person query = %v", mode, names(doc, got))
-		}
+	doc := mustDoc(t, personXML)
+	got := Evaluate(doc, MustParse(`//person[first/text()="Arthur"]`))
+	// first is not a direct child of person — no match.
+	if len(got) != 0 {
+		t.Errorf("//person[first/text()=Arthur] = %v, want empty", names(doc, got))
+	}
+	got = Evaluate(doc, MustParse(`//person[name/first/text()="Arthur"]`))
+	if len(got) != 1 || doc.Name(got[0].Node) != "person" {
+		t.Errorf("person query = %v", names(doc, got))
 	}
 }
 
 func TestPaperQueryFnData(t *testing.T) {
-	ix := mustIndex(t, personXML)
-	doc := ix.Doc()
-	q := MustParse(`//*[fn:data(name)="ArthurDent"]`)
-	scan := Evaluate(doc, q)
-	indexed := EvaluateIndexed(ix, q)
+	doc := mustDoc(t, personXML)
+	scan := Evaluate(doc, MustParse(`//*[fn:data(name)="ArthurDent"]`))
 	if len(scan) != 1 || doc.Name(scan[0].Node) != "person" {
 		t.Errorf("scan = %v", names(doc, scan))
 	}
-	assertSame(t, doc, scan, indexed)
 }
 
 func TestPaperQueryAge42(t *testing.T) {
@@ -121,15 +104,11 @@ func TestPaperQueryAge42(t *testing.T) {
 	  <person><age>41</age></person>
 	  <person><info><age>42</age></info></person>
 	</people>`
-	ix := mustIndex(t, xml)
-	doc := ix.Doc()
-	q := MustParse(`//person[.//age = 42]`)
-	scan := Evaluate(doc, q)
-	indexed := EvaluateIndexed(ix, q)
+	doc := mustDoc(t, xml)
+	scan := Evaluate(doc, MustParse(`//person[.//age = 42]`))
 	if len(scan) != 5 {
 		t.Errorf("scan found %d persons, want 5: %v", len(scan), names(doc, scan))
 	}
-	assertSame(t, doc, scan, indexed)
 }
 
 func TestRangeQueries(t *testing.T) {
@@ -139,8 +118,7 @@ func TestRangeQueries(t *testing.T) {
 	  <item><price>25</price></item>
 	  <item><price>not a price</price></item>
 	</items>`
-	ix := mustIndex(t, xml)
-	doc := ix.Doc()
+	doc := mustDoc(t, xml)
 	cases := []struct {
 		q    string
 		want int
@@ -154,13 +132,9 @@ func TestRangeQueries(t *testing.T) {
 		{`//item[price != 5]`, 2}, // non-castable "not a price" never matches numerics
 	}
 	for _, c := range cases {
-		q := MustParse(c.q)
-		scan := Evaluate(doc, q)
-		indexed := EvaluateIndexed(ix, q)
-		if len(scan) != c.want {
+		if scan := Evaluate(doc, MustParse(c.q)); len(scan) != c.want {
 			t.Errorf("scan %s = %d hits, want %d", c.q, len(scan), c.want)
 		}
-		assertSame(t, doc, scan, indexed)
 	}
 }
 
@@ -172,8 +146,7 @@ func TestDateQueries(t *testing.T) {
 	  <person><birthday>yesterday</birthday></person>
 	  <person><birthday>1999-13-01</birthday></person>
 	</people>`
-	ix := mustIndex(t, xml)
-	doc := ix.Doc()
+	doc := mustDoc(t, xml)
 	cases := []struct {
 		q    string
 		want int
@@ -187,47 +160,10 @@ func TestDateQueries(t *testing.T) {
 		{`//person[birthday = xs:date("2020-02-02")]`, 0},
 	}
 	for _, c := range cases {
-		q := MustParse(c.q)
-		scan := Evaluate(doc, q)
-		indexed := EvaluateIndexed(ix, q)
-		if len(scan) != c.want {
+		if scan := Evaluate(doc, MustParse(c.q)); len(scan) != c.want {
 			t.Errorf("scan %s = %d hits, want %d", c.q, len(scan), c.want)
 		}
-		assertSame(t, doc, scan, indexed)
 	}
-}
-
-// TestMissingIndexFallsBackToScan pins the fix a verification probe
-// surfaced: evaluating an indexable predicate against an index set that
-// never built the needed index must fall back to scanning, not answer
-// from an empty candidate set.
-func TestMissingIndexFallsBackToScan(t *testing.T) {
-	xml := `<people>
-	  <person><birthday>1966-09-26</birthday><age>42</age></person>
-	  <person><birthday>1985-12-31</birthday><age>17</age></person>
-	</people>`
-	doc, err := xmlparse.ParseString(xml)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stringOnly := core.Build(doc, core.Options{String: true}).Snapshot()
-	cases := []string{
-		`//person[birthday < xs:date("1970-01-01")]`,
-		`//person[age > 40]`,
-	}
-	for _, c := range cases {
-		q := MustParse(c)
-		scan := Evaluate(doc, q)
-		indexed := EvaluateIndexed(stringOnly, q)
-		if len(scan) != 1 {
-			t.Fatalf("scan %s = %d hits, want 1", c, len(scan))
-		}
-		assertSame(t, doc, scan, indexed)
-	}
-	// And string equality without the string index.
-	typedOnly := core.Build(doc, core.Options{Double: true, Date: true}).Snapshot()
-	q := MustParse(`//person[birthday = "1966-09-26"]`)
-	assertSame(t, doc, Evaluate(doc, q), EvaluateIndexed(typedOnly, q))
 }
 
 func TestDateLiteralParsing(t *testing.T) {
@@ -262,42 +198,33 @@ func TestAttributePredicatesAndSteps(t *testing.T) {
 	  <item id="i1" price="9.99"><name>foo</name></item>
 	  <item id="i2" price="19.99"><name>bar</name></item>
 	</catalog>`
-	ix := mustIndex(t, xml)
-	doc := ix.Doc()
+	doc := mustDoc(t, xml)
 	q := MustParse(`//item[@id="i2"]`)
 	scan := Evaluate(doc, q)
 	if len(scan) != 1 || doc.Name(scan[0].Node) != "item" {
 		t.Fatalf("scan = %v", names(doc, scan))
 	}
-	assertSame(t, doc, scan, EvaluateIndexed(ix, q))
-
 	q = MustParse(`//item[@price < 10]`)
 	scan = Evaluate(doc, q)
 	if len(scan) != 1 {
 		t.Fatalf("@price<10 = %v", names(doc, scan))
 	}
-	assertSame(t, doc, scan, EvaluateIndexed(ix, q))
-
 	// Attribute selection step.
 	q = MustParse(`//item/@id`)
 	scan = Evaluate(doc, q)
 	if len(scan) != 2 || !scan[0].IsAttr {
 		t.Fatalf("//item/@id = %v", names(doc, scan))
 	}
-	assertSame(t, doc, scan, EvaluateIndexed(ix, q))
-
 	// Attribute step with dot predicate — indexable shape.
 	q = MustParse(`//item/@id[. = "i1"]`)
 	scan = Evaluate(doc, q)
 	if len(scan) != 1 || doc.AttrValue(scan[0].Attr) != "i1" {
 		t.Fatalf("attr dot pred = %v", names(doc, scan))
 	}
-	assertSame(t, doc, scan, EvaluateIndexed(ix, q))
 }
 
 func TestTextSteps(t *testing.T) {
-	ix := mustIndex(t, personXML)
-	doc := ix.Doc()
+	doc := mustDoc(t, personXML)
 	q := MustParse(`//first/text()`)
 	got := Evaluate(doc, q)
 	if len(got) != 1 || doc.Value(got[0].Node) != "Arthur" {
@@ -320,178 +247,21 @@ func TestTextSteps(t *testing.T) {
 }
 
 func TestDotPredicate(t *testing.T) {
-	ix := mustIndex(t, personXML)
-	doc := ix.Doc()
+	doc := mustDoc(t, personXML)
 	q := MustParse(`//kilos[. = 78]`)
 	scan := Evaluate(doc, q)
 	if len(scan) != 1 {
 		t.Errorf("//kilos[.=78] = %v", names(doc, scan))
 	}
-	assertSame(t, doc, scan, EvaluateIndexed(ix, q))
-
 	// Mixed content: weight = 78.230 via ".": the paper's flagship case.
 	q = MustParse(`//weight[. = 78.230]`)
 	scan = Evaluate(doc, q)
 	if len(scan) != 1 {
 		t.Errorf("//weight[.=78.230] = %v", names(doc, scan))
 	}
-	assertSame(t, doc, scan, EvaluateIndexed(ix, q))
-
 	q = MustParse(`//family[. = "Dent"]`)
 	scan = Evaluate(doc, q)
 	if len(scan) != 1 {
 		t.Errorf("//family[.=Dent] = %v", names(doc, scan))
 	}
-	assertSame(t, doc, scan, EvaluateIndexed(ix, q))
-}
-
-// TestIndexedMatchesScanRandomized is the load-bearing equivalence test:
-// on random documents and random queries, indexed evaluation must return
-// exactly what scanning returns.
-func TestIndexedMatchesScanRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	tags := []string{"a", "b", "c", "item", "price"}
-	for trial := 0; trial < 40; trial++ {
-		doc := randomDoc(rng, tags)
-		ix := core.Build(doc, core.DefaultOptions()).Snapshot()
-		for qi := 0; qi < 25; qi++ {
-			q := randomQuery(rng, tags)
-			parsed, err := Parse(q)
-			if err != nil {
-				t.Fatalf("generated query %q does not parse: %v", q, err)
-			}
-			scan := Evaluate(doc, parsed)
-			indexed := EvaluateIndexed(ix, parsed)
-			if !postingsEqual(scan, indexed) {
-				t.Fatalf("trial %d query %q:\nscan    = %v\nindexed = %v",
-					trial, q, names(doc, scan), names(doc, indexed))
-			}
-		}
-	}
-}
-
-func randomDoc(rng *rand.Rand, tags []string) *xmltree.Doc {
-	b := xmltree.NewBuilder()
-	b.StartElement("root")
-	var gen func(depth, budget int) int
-	gen = func(depth, budget int) int {
-		for budget > 0 {
-			switch r := rng.Intn(10); {
-			case r < 4 && depth < 4:
-				b.StartElement(tags[rng.Intn(len(tags))])
-				if rng.Intn(3) == 0 {
-					b.Attribute([]string{"id", "v"}[rng.Intn(2)], randomVal(rng))
-				}
-				budget = gen(depth+1, budget-1)
-				b.EndElement()
-			default:
-				b.Text(randomVal(rng))
-				budget--
-				if rng.Intn(2) == 0 {
-					return budget
-				}
-			}
-		}
-		return budget
-	}
-	gen(1, 60)
-	b.EndElement()
-	d, err := b.Finish()
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-func randomVal(rng *rand.Rand) string {
-	switch rng.Intn(5) {
-	case 0:
-		return fmt.Sprint(rng.Intn(20))
-	case 1:
-		return fmt.Sprintf("%.1f", rng.Float64()*20)
-	case 2:
-		return []string{"foo", "bar", "baz"}[rng.Intn(3)]
-	case 3:
-		return "."
-	default:
-		return fmt.Sprint(rng.Intn(5))
-	}
-}
-
-func randomQuery(rng *rand.Rand, tags []string) string {
-	tag := func() string { return tags[rng.Intn(len(tags))] }
-	axis := func() string {
-		if rng.Intn(2) == 0 {
-			return "/"
-		}
-		return "//"
-	}
-	lit := func() string {
-		if rng.Intn(2) == 0 {
-			return fmt.Sprint(rng.Intn(20))
-		}
-		return `"` + []string{"foo", "bar", "baz", "7"}[rng.Intn(4)] + `"`
-	}
-	op := []string{"=", "!=", "<", "<=", ">", ">="}[rng.Intn(6)]
-	operand := []string{".", tag(), ".//" + tag(), tag() + "/" + tag(), "@id", "fn:data(" + tag() + ")"}[rng.Intn(6)]
-	pred := "[" + operand + " " + op + " " + lit() + "]"
-	if rng.Intn(4) == 0 {
-		pred = "[" + operand + " " + op + " " + lit() + " and . " + op + " " + lit() + "]"
-	}
-	q := axis() + tag() + pred
-	if rng.Intn(3) == 0 {
-		q = axis() + tag() + q[0:0] + axis()[:1] + "" // no-op variety guard
-		q = axis() + tag() + "/" + tag() + pred
-	}
-	return q
-}
-
-func postingsEqual(a, b []core.Posting) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func assertSame(t *testing.T, doc *xmltree.Doc, scan, indexed []core.Posting) {
-	t.Helper()
-	if !postingsEqual(scan, indexed) {
-		t.Errorf("indexed diverges from scan:\nscan    = %v\nindexed = %v",
-			names(doc, scan), names(doc, indexed))
-	}
-}
-
-func BenchmarkScanVsIndexed(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	bld := xmltree.NewBuilder()
-	bld.StartElement("items")
-	for i := 0; i < 5000; i++ {
-		bld.StartElement("item")
-		bld.StartElement("price")
-		bld.Text(fmt.Sprintf("%d.%02d", rng.Intn(100), rng.Intn(100)))
-		bld.EndElement()
-		bld.StartElement("name")
-		bld.Text(fmt.Sprintf("product-%d", i))
-		bld.EndElement()
-		bld.EndElement()
-	}
-	bld.EndElement()
-	doc, _ := bld.Finish()
-	ix := core.Build(doc, core.DefaultOptions()).Snapshot()
-	q := MustParse(`//item[price = 42.42]`)
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Evaluate(doc, q)
-		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			EvaluateIndexed(ix, q)
-		}
-	})
 }

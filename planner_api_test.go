@@ -87,7 +87,7 @@ func TestExplainAPI(t *testing.T) {
 	if plan2.UsesIndex() {
 		t.Errorf("forced scan used an index:\n%s", plan2)
 	}
-	for _, mode := range []xmlvi.PlannerMode{xmlvi.PlannerLegacy, xmlvi.PlannerForceIndex, xmlvi.PlannerAuto} {
+	for _, mode := range []xmlvi.PlannerMode{xmlvi.PlannerForceIndex, xmlvi.PlannerAuto} {
 		doc.SetPlanner(mode)
 		r, err := doc.Query(expr)
 		if err != nil {
@@ -101,15 +101,19 @@ func TestExplainAPI(t *testing.T) {
 
 // TestPlannerOptionThreadsThrough pins Options.Planner.
 func TestPlannerOptionThreadsThrough(t *testing.T) {
-	doc, err := xmlvi.ParseWithOptions([]byte(plannerDoc), xmlvi.Options{Planner: xmlvi.PlannerLegacy})
+	doc, err := xmlvi.ParseWithOptions([]byte(plannerDoc), xmlvi.Options{Planner: xmlvi.PlannerForceScan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Planner() != xmlvi.PlannerLegacy {
-		t.Fatalf("planner = %v, want legacy", doc.Planner())
+	if doc.Planner() != xmlvi.PlannerForceScan {
+		t.Fatalf("planner = %v, want scan", doc.Planner())
 	}
-	if _, err := xmlvi.ParsePlannerMode("nope"); err == nil {
-		t.Fatal("ParsePlannerMode accepted garbage")
+	// Unknown spellings, the retired "legacy"/"off" included, are errors
+	// rather than a silent fallback to some other mode.
+	for _, bad := range []string{"nope", "legacy", "off"} {
+		if _, err := xmlvi.ParsePlannerMode(bad); err == nil {
+			t.Fatalf("ParsePlannerMode accepted %q", bad)
+		}
 	}
 	m, err := xmlvi.ParsePlannerMode("index")
 	if err != nil || m != xmlvi.PlannerForceIndex {

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/core"
+	"repro/internal/fsm"
 	"repro/internal/plan"
 	"repro/internal/txn"
 	"repro/internal/xmlparse"
@@ -51,11 +54,10 @@ type Options struct {
 	// half-applied either way.
 	WALSyncEvery int
 	// Planner selects the query planning mode Query uses. The zero
-	// value, PlannerAuto, is the cost-based planner; PlannerLegacy is
-	// the pre-planner first-indexable-condition heuristic;
-	// PlannerForceScan and PlannerForceIndex pin one strategy (the two
-	// arms of the scan-vs-index crossover ablation). See Explain for
-	// inspecting the chosen plan.
+	// value, PlannerAuto, is the cost-based planner; PlannerForceScan
+	// and PlannerForceIndex pin one strategy (the two arms of the
+	// scan-vs-index crossover ablation). See Explain for inspecting the
+	// chosen plan.
 	Planner PlannerMode
 }
 
@@ -65,17 +67,14 @@ type PlannerMode = plan.Mode
 const (
 	// PlannerAuto is the cost-based planner (the default).
 	PlannerAuto = plan.Auto
-	// PlannerLegacy is the pre-planner heuristic: the first indexable
-	// condition drives, everything else is verified by navigation.
-	PlannerLegacy = plan.Legacy
 	// PlannerForceScan always evaluates by document scan.
 	PlannerForceScan = plan.ForceScan
 	// PlannerForceIndex always drives the cheapest index access path.
 	PlannerForceIndex = plan.ForceIndex
 )
 
-// ParsePlannerMode resolves "auto", "legacy" (or "off"), "scan", or
-// "index" — the command-line spellings of Options.Planner.
+// ParsePlannerMode resolves "auto", "scan", or "index" — the
+// command-line spellings of Options.Planner.
 func ParsePlannerMode(s string) (PlannerMode, error) { return plan.ParseMode(s) }
 
 func (o Options) indexOptions() core.Options {
@@ -88,14 +87,16 @@ func (o Options) indexOptions() core.Options {
 }
 
 // Document is an indexed XML document: the shredded tree plus the value
-// indices, updated together. A Document is not safe for concurrent
-// mutation; use Begin/Txn for concurrent updates. The index-backed
-// lookups (LookupString, LookupDouble, the Range methods) may run
-// concurrently with each other and with text/attribute updates — the
-// index layer orders them internally — but navigation, Query's scan
-// fallback, and structural updates (Delete/InsertXML) require
-// coordinating through the transaction layer or external
-// synchronization; see the package documentation's concurrency section.
+// indices, published together as immutable versions. Every read method
+// pins the current version once and answers entirely from it, so one
+// call never mixes two versions and never blocks, or is blocked by, a
+// commit. Two calls may observe different versions when a commit lands
+// between them; Pin a version to issue several reads against one.
+// Results carry their version, but a bare Node or Attr id is a position
+// in one version and a structural update (Delete/InsertXML) renumbers
+// it. Writes are serialised internally, each publishing one new
+// version; Begin/Txn groups writes atomically. SetPlanner must not race
+// with queries. See the package documentation's concurrency section.
 type Document struct {
 	ix  *core.Indexes
 	mgr *txn.Manager
@@ -348,35 +349,43 @@ func (d *Document) LookupString(value string) []Result {
 
 // LookupDouble returns every node whose typed double value equals v —
 // "42", "42.0", " +4.2E1", and mixed content all match.
-func (d *Document) LookupDouble(v float64) []Result {
-	snap := d.ix.Snapshot()
-	return d.results(snap.LookupDoubleEq(v), snap)
-}
+func (d *Document) LookupDouble(v float64) []Result { return d.rangeDouble(v, v, true) }
 
 // RangeDouble returns nodes with double values in [lo, hi] (inclusive),
 // in ascending value order.
-func (d *Document) RangeDouble(lo, hi float64) []Result {
-	snap := d.ix.Snapshot()
-	return d.results(snap.RangeDouble(lo, hi, true, true), snap)
-}
+func (d *Document) RangeDouble(lo, hi float64) []Result { return d.rangeDouble(lo, hi, true) }
 
 // RangeDoubleExclusive returns nodes with lo < value < hi.
 func (d *Document) RangeDoubleExclusive(lo, hi float64) []Result {
-	snap := d.ix.Snapshot()
-	return d.results(snap.RangeDouble(lo, hi, false, false), snap)
+	return d.rangeDouble(lo, hi, false)
 }
 
 // RangeDateTime returns nodes whose xs:dateTime value lies in [from, to].
 func (d *Document) RangeDateTime(from, to time.Time) []Result {
-	snap := d.ix.Snapshot()
-	return d.results(snap.RangeDateTime(from.UnixMilli(), to.UnixMilli()), snap)
+	return d.rangeTyped(core.TypeDateTime, btree.EncodeInt64(from.UnixMilli()), btree.EncodeInt64(to.UnixMilli()), true)
 }
 
 // RangeDate returns nodes whose xs:date value lies in [from, to]. Only
 // the calendar date (UTC) of the bounds is considered.
 func (d *Document) RangeDate(from, to time.Time) []Result {
+	return d.rangeTyped(core.TypeDate, btree.EncodeInt64(epochDays(from)), btree.EncodeInt64(epochDays(to)), true)
+}
+
+// rangeDouble is the xs:double range lookup. A NaN bound denotes an
+// empty range (XPath comparisons with NaN are always false), never a
+// key-space scan.
+func (d *Document) rangeDouble(lo, hi float64, inclusive bool) []Result {
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		return []Result{}
+	}
+	return d.rangeTyped(core.TypeDouble, btree.EncodeFloat64(lo), btree.EncodeFloat64(hi), inclusive)
+}
+
+// rangeTyped answers one typed range lookup over encoded key bounds
+// against one pinned version.
+func (d *Document) rangeTyped(id core.TypeID, lo, hi uint64, inclusive bool) []Result {
 	snap := d.ix.Snapshot()
-	return d.results(snap.RangeDate(epochDays(from), epochDays(to)), snap)
+	return d.results(snap.RangeTyped(id, lo, hi, inclusive, inclusive), snap)
 }
 
 // epochDays converts a time to whole days since the Unix epoch in UTC,
@@ -438,11 +447,13 @@ func (d *Document) StringValue(n Node) string { return d.ix.Doc().StringValue(n)
 
 // DoubleValue returns a node's xs:double value, if its string value is
 // castable.
-func (d *Document) DoubleValue(n Node) (float64, bool) { return d.ix.DoubleValue(n) }
+func (d *Document) DoubleValue(n Node) (float64, bool) {
+	return typedValue(d, core.TypeDouble, n, fsm.DoubleValue)
+}
 
 // DateTimeValue returns a node's xs:dateTime value, if castable.
 func (d *Document) DateTimeValue(n Node) (time.Time, bool) {
-	ms, ok := d.ix.DateTimeValue(n)
+	ms, ok := typedValue(d, core.TypeDateTime, n, fsm.DateTimeValue)
 	if !ok {
 		return time.Time{}, false
 	}
@@ -451,16 +462,27 @@ func (d *Document) DateTimeValue(n Node) (time.Time, bool) {
 
 // DateValue returns a node's xs:date value (midnight UTC), if castable.
 func (d *Document) DateValue(n Node) (time.Time, bool) {
-	days, ok := d.ix.DateValue(n)
+	days, ok := typedValue(d, core.TypeDate, n, fsm.DateValue)
 	if !ok {
 		return time.Time{}, false
 	}
 	return time.Unix(days*24*3600, 0).UTC(), true
 }
 
+// typedValue reads node n's stored fragment under typed index id and
+// extracts the type's value from it.
+func typedValue[T any](d *Document, id core.TypeID, n Node, value func(fsm.Frag) (T, bool)) (T, bool) {
+	f, ok := d.ix.Snapshot().TypedFrag(id, n)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return value(f)
+}
+
 // Hash returns the stored 32-bit value hash of a node — H of its string
 // value, maintained incrementally across updates.
-func (d *Document) Hash(n Node) uint32 { return d.ix.NodeHash(n) }
+func (d *Document) Hash(n Node) uint32 { return d.ix.Snapshot().NodeHash(n) }
 
 // Children returns a node's children in document order.
 func (d *Document) Children(n Node) []Node { return d.ix.Doc().Children(n) }
@@ -475,13 +497,13 @@ func (d *Document) Name(n Node) string { return d.ix.Doc().Name(n) }
 func (d *Document) NumNodes() int { return d.ix.Doc().NumNodes() }
 
 // Stats exposes index statistics (population counts, size estimates).
-func (d *Document) Stats() core.IndexStats { return d.ix.Stats() }
+func (d *Document) Stats() core.IndexStats { return d.ix.Snapshot().Stats() }
 
 // MemStats measures the current version's in-memory footprint — the
 // packed B+tree leaves, interned text heap, and side tables — including
 // the bytes-per-node layout metric and its uncompressed-layout
 // equivalent.
-func (d *Document) MemStats() core.MemStats { return d.ix.MemStats() }
+func (d *Document) MemStats() core.MemStats { return d.ix.Snapshot().MemStats() }
 
 // Durable reports whether a write-ahead log is currently attached.
 func (d *Document) Durable() bool { return d.ix.HasWAL() }
@@ -608,7 +630,7 @@ func (d *Document) EnableSubstringIndex() { d.ix.EnableSubstring() }
 // HasSubstringIndex reports whether the q-gram substring index is
 // present in the current version — enabled here, or inherited from a
 // snapshot that was saved with it.
-func (d *Document) HasSubstringIndex() bool { return d.ix.HasSubstring() }
+func (d *Document) HasSubstringIndex() bool { return d.ix.Snapshot().HasSubstring() }
 
 // Contains returns every text and attribute node whose value contains
 // pattern. With the substring index enabled (and the pattern at least

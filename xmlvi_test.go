@@ -1,6 +1,7 @@
 package xmlvi_test
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -274,5 +275,29 @@ func TestStats(t *testing.T) {
 	}
 	if s.DoubleNonLeaf != 2 {
 		t.Errorf("non-leaf doubles = %d", s.DoubleNonLeaf)
+	}
+}
+
+// TestRangeDoubleNaNBounds pins the NaN guard of the double range
+// lookups: XPath comparisons against NaN select nothing, whereas
+// EncodeFloat64(NaN) is a key outside [-Inf, +Inf] that would turn a
+// one-sided range into a scan of half the key space.
+func TestRangeDoubleNaNBounds(t *testing.T) {
+	d := mustParse(t, personXML)
+	nan := math.NaN()
+	for _, c := range [][2]float64{{nan, 100}, {0, nan}, {nan, nan}} {
+		if hits := d.RangeDouble(c[0], c[1]); len(hits) != 0 {
+			t.Errorf("RangeDouble(%v, %v) = %d hits, want 0", c[0], c[1], len(hits))
+		}
+		if hits := d.RangeDoubleExclusive(c[0], c[1]); len(hits) != 0 {
+			t.Errorf("RangeDoubleExclusive(%v, %v) = %d hits, want 0", c[0], c[1], len(hits))
+		}
+	}
+	if hits := d.LookupDouble(nan); len(hits) != 0 {
+		t.Errorf("LookupDouble(NaN) = %d hits, want 0", len(hits))
+	}
+	// A plain range still works beside the guard.
+	if hits := d.RangeDouble(41, 43); len(hits) == 0 {
+		t.Error("RangeDouble(41, 43) found nothing")
 	}
 }
