@@ -4,17 +4,10 @@
 // digest for the CI job summary, including the serial-vs-parallel build
 // comparison when both BenchmarkBuild sub-benchmarks are present.
 //
-// With -compare, the summary additionally diffs the run against a
-// committed baseline artifact (a previous PR's BENCH_*.json) and posts a
-// regression table over the tracked metrics — ns/op, allocs/op (from
-// -benchmem), and bytes_per_node (the packed-layout footprint) —
-// flagging any that regressed by more than 20%.
-//
 // Usage:
 //
 //	go test -bench . -benchtime 1x | benchjson > BENCH_PR.json
 //	benchjson -summary < bench.txt >> "$GITHUB_STEP_SUMMARY"
-//	benchjson -summary -compare BENCH_PR7.json < bench.txt >> "$GITHUB_STEP_SUMMARY"
 package main
 
 import (
@@ -50,12 +43,7 @@ type Report struct {
 
 func main() {
 	summary := flag.Bool("summary", false, "emit a Markdown summary instead of JSON")
-	compare := flag.String("compare", "", "baseline BENCH_*.json to diff the run against (requires -summary)")
 	flag.Parse()
-	if *compare != "" && !*summary {
-		fmt.Fprintln(os.Stderr, "benchjson: -compare requires -summary")
-		os.Exit(2)
-	}
 
 	report, err := parse(os.Stdin)
 	if err != nil {
@@ -68,14 +56,6 @@ func main() {
 	}
 	if *summary {
 		writeSummary(os.Stdout, report)
-		if *compare != "" {
-			baseline, err := loadReport(*compare)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				os.Exit(1)
-			}
-			writeComparison(os.Stdout, report, baseline, *compare)
-		}
 		return
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -221,90 +201,6 @@ func writeSummary(w io.Writer, report *Report) {
 			metricOf(report, "BenchmarkReplicaTraffic", "read_p99_ms"),
 			metricOf(report, "BenchmarkReplicaTraffic", "watch_events"),
 			metricOf(report, "BenchmarkReplicaTraffic", "errors"))
-	}
-}
-
-// loadReport reads a previously archived BENCH_*.json artifact.
-func loadReport(path string) (*Report, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// regressionThreshold is the slowdown/growth ratio a tracked metric may
-// drift before the comparison flags it. Benchmarks in CI runners are
-// noisy; 20% separates drift from damage.
-const regressionThreshold = 1.20
-
-// trackedMetrics are the regression-gated metrics, in display order:
-// latency, allocation count (from -benchmem), and the packed-layout
-// footprint. B/op tracks allocs/op closely enough that gating both
-// would only double the noise. More-is-worse holds for all three.
-var trackedMetrics = []string{"ns/op", "allocs/op", "bytes_per_node"}
-
-// writeComparison appends a delta table of the run against a baseline
-// artifact, flagging every tracked metric that regressed beyond the
-// threshold. Benchmarks present on only one side are listed but not
-// flagged (new or retired, not regressed).
-func writeComparison(w io.Writer, cur, base *Report, baseName string) {
-	baseBy := make(map[string]Benchmark, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseBy[b.Name] = b
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "### vs baseline %s\n", baseName)
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| benchmark | metric | baseline | current | delta |")
-	fmt.Fprintln(w, "|---|---|---:|---:|---:|")
-	flagged := 0
-	seen := make(map[string]bool, len(cur.Benchmarks))
-	for _, b := range cur.Benchmarks {
-		seen[b.Name] = true
-		prevBench, known := baseBy[b.Name]
-		if !known {
-			fmt.Fprintf(w, "| %s | ns/op | — | %.0f | new |\n", b.Name, b.Metrics["ns/op"])
-			continue
-		}
-		for _, metric := range trackedMetrics {
-			curV := b.Metrics[metric]
-			if curV <= 0 {
-				continue
-			}
-			prev := prevBench.Metrics[metric]
-			if prev <= 0 {
-				// The metric is newly reported (e.g. allocs/op before
-				// -benchmem, bytes_per_node before the packed layout):
-				// it seeds the trajectory, nothing to diff yet.
-				fmt.Fprintf(w, "| %s | %s | — | %.1f | new |\n", b.Name, metric, curV)
-				continue
-			}
-			delta := (curV - prev) / prev * 100
-			mark := ""
-			if curV > prev*regressionThreshold {
-				mark = " ⚠️ regression"
-				flagged++
-			}
-			fmt.Fprintf(w, "| %s | %s | %.1f | %.1f | %+.1f%%%s |\n", b.Name, metric, prev, curV, delta, mark)
-		}
-	}
-	for _, b := range base.Benchmarks {
-		if !seen[b.Name] {
-			fmt.Fprintf(w, "| %s | ns/op | %.0f | — | retired |\n", b.Name, b.Metrics["ns/op"])
-		}
-	}
-	fmt.Fprintln(w)
-	if flagged > 0 {
-		fmt.Fprintf(w, "**⚠️ %d metric(s) regressed by more than %.0f%% against the baseline.**\n",
-			flagged, (regressionThreshold-1)*100)
-	} else {
-		fmt.Fprintf(w, "No tracked metric regressed by more than %.0f%% against the baseline.\n",
-			(regressionThreshold-1)*100)
 	}
 }
 

@@ -15,26 +15,35 @@
 //
 // # Index inventory
 //
-// Two kinds of index are maintained together:
+// Every index is one family of a single abstraction: a state per node
+// and attribute, set from a leaf's value and folded from children to
+// parents, plus the keys each node contributes to a B+tree. Three kinds
+// of family are maintained together, in this order:
 //
-//   - a string equi-index built on a 32-bit hash H with an associative
+//   - the string equi-index: a 32-bit hash H with an associative
 //     combination function C (H(a·b) = C(H(a), H(b))), so ancestor hashes
-//     are maintained on update without re-reading any text;
+//     are maintained on update without re-reading any text; keyed by
+//     hash;
 //   - one typed range index per entry of the type registry
 //     (internal/core.RegisterType). Each registered type contributes a
 //     finite state machine accepting fragments of its lexical space —
 //     combined across adjacent fragments through a state combination
-//     table (SCT) — and an order-preserving key encoding for its value
-//     B+tree. The built-in registrations are xs:double, xs:dateTime, and
-//     xs:date.
+//     table (SCT), a monoid whose Reject absorbs — and an
+//     order-preserving key encoding for its value B+tree. The built-in
+//     registrations are xs:double, xs:dateTime, and xs:date;
+//   - the q-gram substring index, once enabled (see Substring search):
+//     it folds nothing, and its keys are the grams of each text and
+//     attribute value.
 //
-// The paper's Section 4 claims the FSM/monoid machinery generalises to
-// any ordered XML type; the registry is that claim made operational. The
-// build pass, incremental update algorithm, range lookup, snapshot
-// persistence, verification, and statistics all iterate the registry —
-// none of them name a concrete type. The xs:date index is the living
-// proof: it is wired in by a single RegisterType call with no new control
-// flow anywhere.
+// The build pass, the incremental update algorithm (capture a node's
+// keys, recompute its state and its ancestors', repair every tree with
+// one sorted key diff), copy-on-write drafts, verification, statistics,
+// memory accounting and snapshot persistence are each one loop over the
+// families — none of them name a concrete index or type. The paper's
+// Section 4 claims the FSM/monoid machinery generalises to any ordered
+// XML type; the registry is that claim made operational, and the xs:date
+// index is the living proof: it is wired in by a single RegisterType call
+// with no new control flow anywhere.
 //
 // # Adding a new typed index
 //
@@ -242,16 +251,15 @@
 //     stored fields — exactly how the Figure 8 update algorithm refolds
 //     interior nodes — preserving SCT early-reject semantics bit for
 //     bit;
-//   - each enabled index's B+tree bulk-loads on its own goroutine (the
-//     trees are independent after collection), with the entry sort
-//     itself fanned out.
+//   - each index family's B+tree bulk-loads from the computed state on
+//     its own goroutine, with the entry sort itself fanned out.
 //
 // Every Parallelism setting produces identical indexes, down to snapshot
-// bytes; internal/core's equivalence property tests pin this per
-// registered type, on the generated XMark corpus and on pathological
-// shapes (one giant subtree, all-attribute documents, the empty
-// document). Because the paths shard per registered TypeSpec, any type
-// added through the registry is parallelised with no further work.
+// bytes; internal/core's equivalence property tests pin this per index
+// family, on the generated XMark corpus and on pathological shapes (one
+// giant subtree, all-attribute documents, the empty document). Because
+// the passes run per family, any type added through the registry is
+// parallelised with no further work.
 //
 // # Concurrency
 //

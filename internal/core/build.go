@@ -1,9 +1,6 @@
 package core
 
 import (
-	"repro/internal/btree"
-	"repro/internal/fsm"
-	"repro/internal/vhash"
 	"repro/internal/xmltree"
 )
 
@@ -11,13 +8,12 @@ import (
 // depth-first pass — the paper's Figure 7 algorithm. Text nodes are hashed
 // with H and fed to the FSMs; every intermediate node's field is the fold
 // of its contributing children through the combination function C and the
-// SCT, so no node's string value is ever materialised. Every enabled
-// typed index runs through the same loop: the registry supplies the
-// machine and encoder, nothing else is type-specific.
+// SCT, so no node's string value is ever materialised. Every family runs
+// through the same loop; the trees then bulk-load from the stored state.
 func Build(doc *xmltree.Doc, opts Options) *Indexes {
 	n := doc.NumNodes()
 	na := doc.NumAttrs()
-	ix := &Snapshot{
+	s := &Snapshot{
 		doc:          doc,
 		opts:         opts,
 		stableOf:     make([]uint32, n),
@@ -26,294 +22,96 @@ func Build(doc *xmltree.Doc, opts Options) *Indexes {
 		attrOf:       make([]int32, na),
 	}
 	for i := 0; i < n; i++ {
-		ix.stableOf[i] = uint32(i)
-		ix.preOf[i] = int32(i)
+		s.stableOf[i] = uint32(i)
+		s.preOf[i] = int32(i)
 	}
 	for i := 0; i < na; i++ {
-		ix.attrStableOf[i] = uint32(i)
-		ix.attrOf[i] = int32(i)
+		s.attrStableOf[i] = uint32(i)
+		s.attrOf[i] = int32(i)
 	}
+	s.fams = newFamilies(opts, n, na)
+	workers := opts.workers()
+	if workers > 1 {
+		s.buildParallel(workers)
+	} else {
+		folds := s.folders(false)
+		s.buildPass(0, xmltree.NodeID(n-1), folds)
+		s.buildAttrs(0, xmltree.AttrID(na-1), folds)
+	}
+	// The trees load from the computed state, and the planner statistics
+	// (distinct counts, equi-depth histograms) derive from the loaded
+	// trees — one extra scan per tree, well under the cost of the load.
+	s.loadTrees(s.fams, workers)
+	return wrapSnapshot(s)
+}
+
+// newFamilies creates the empty families opts selects, in snapshot order.
+func newFamilies(opts Options, n, na int) []family {
+	var fams []family
 	if opts.String {
-		ix.hash = make([]uint32, n)
-		ix.attrHash = make([]uint32, na)
+		fams = append(fams, newHashFamily(n, na))
 	}
 	// typeIDs() intersects with the registry, so every ID resolves.
 	for _, id := range opts.typeIDs() {
 		spec, _ := LookupType(id)
-		ix.typed = append(ix.typed, newTypedIndex(spec, n, na))
+		fams = append(fams, newTypedFamily(spec, n, na))
 	}
-
-	ix.eachTyped(func(ti *typedIndex) { ti.collect = true })
-	if workers := opts.workers(); workers > 1 {
-		ix.buildParallel(workers)
-	} else {
-		ix.buildPass(0, xmltree.NodeID(n-1), nil)
-		ix.buildAttrs(0, xmltree.AttrID(na-1), nil)
-		ix.buildTrees(1)
-	}
-	ix.eachTyped(func(ti *typedIndex) { ti.collect = false; ti.scratch = nil })
-	// Derive the planner statistics (distinct counts, equi-depth
-	// histograms) from the freshly loaded trees — one extra scan per
-	// tree, well under the cost of the bulk load that produced it.
-	ix.rebuildStats()
-	return wrapSnapshot(ix)
+	return fams
 }
 
-// foldFrag combines an accumulated fragment with a child fragment,
-// propagating rejection (the SCT's early-reject).
-func foldFrag(m *fsm.Machine, acc, child fsm.Frag) fsm.Frag {
-	if acc.Elem == fsm.Reject || child.Elem == fsm.Reject {
-		return fsm.Frag{Elem: fsm.Reject}
-	}
-	out, ok := m.Combine(acc, child)
-	if !ok {
-		return fsm.Frag{Elem: fsm.Reject}
-	}
-	return out
-}
-
-// buildFrame accumulates one open element's (or the document's) fields
-// during the depth-first pass: the running hash and the running fragment
-// of each enabled machine (frags is parallel to Indexes.typed).
-type buildFrame struct {
-	node  xmltree.NodeID
-	end   xmltree.NodeID // last pre rank inside the subtree
-	hash  uint32
-	frags []fsm.Frag
-}
-
-// identityFrags returns one identity fragment per enabled typed index.
-func (ix *Snapshot) identityFrags() []fsm.Frag {
-	if len(ix.typed) == 0 {
-		return nil
-	}
-	frags := make([]fsm.Frag, len(ix.typed))
-	for t := range frags {
-		frags[t] = fsm.Frag{Elem: fsm.Identity}
-	}
-	return frags
-}
-
-// buildPass computes the per-node fields for the pre-order range
+// buildPass computes the per-node state for the pre-order range
 // [from, to], which must cover complete subtrees rooted at nodes whose
 // parents lie outside the range (it is used for the whole document at
 // Build time, for one shard of it during parallel builds, and for
-// freshly inserted subtrees during structural updates). Fields of the
-// range's root nodes are NOT folded into parents outside the range;
-// callers recompute those ancestors.
-//
-// A nil sink writes typed-index results straight into the shared side
-// tables; concurrent shard workers pass their own sink so the map and
-// slice appends stay private until the merge (see parallel.go).
-func (ix *Snapshot) buildPass(from, to xmltree.NodeID, sink *buildSink) {
-	doc := ix.doc
-	var stack []buildFrame
-
-	// Popped frames donate their frag slices back so the pass allocates
-	// O(depth) slices, not O(elements).
-	var fragsPool [][]fsm.Frag
-	takeFrags := func() []fsm.Frag {
-		if n := len(fragsPool); n > 0 {
-			frags := fragsPool[n-1]
-			fragsPool = fragsPool[:n-1]
-			for t := range frags {
-				frags[t] = fsm.Frag{Elem: fsm.Identity}
-			}
-			return frags
-		}
-		return ix.identityFrags()
-	}
-
-	finalize := func(f *buildFrame) {
-		stable := ix.stableOf[f.node]
-		posting := packPosting(stable, false)
-		if ix.hash != nil {
-			ix.hash[f.node] = f.hash
-		}
-		// Elements join the value trees only with COMBINED (mixed-content)
-		// values; single-text wrappers are chain-lifted at query time.
-		combined := isCombinedValue(doc, f.node)
-		for t, ti := range ix.typed {
-			sink.setFrag(ti, t, f.node, stable, f.frags[t])
-			if combined {
-				sink.entry(ti, t, f.frags[t], posting)
-			}
-		}
-		// Fold the completed element into its parent's accumulator (the
-		// paper's C(father.field, cur.field) / SCT probe steps).
-		if len(stack) > 0 {
-			p := &stack[len(stack)-1]
-			if ix.hash != nil {
-				p.hash = vhash.Combine(p.hash, f.hash)
-			}
-			for t, ti := range ix.typed {
-				p.frags[t] = foldFrag(ti.spec.Machine, p.frags[t], f.frags[t])
-			}
-		}
-		if f.frags != nil {
-			fragsPool = append(fragsPool, f.frags)
-		}
-	}
-
-	leafFrags := make([]fsm.Frag, len(ix.typed))
+// freshly inserted subtrees during structural updates). The range's root
+// nodes are NOT folded into parents outside the range; callers refold
+// those ancestors.
+func (s *Snapshot) buildPass(from, to xmltree.NodeID, folds []folder) {
+	doc := s.doc
+	type frame struct{ node, end xmltree.NodeID }
+	var stack []frame
 	for i := from; i <= to; i++ {
-		switch doc.Kind(i) {
+		switch k := doc.Kind(i); k {
 		case xmltree.Element, xmltree.Document:
-			stack = append(stack, buildFrame{
-				node:  i,
-				end:   i + xmltree.NodeID(doc.Size(i)),
-				frags: takeFrags(),
-			})
-		case xmltree.Text:
+			stack = append(stack, frame{i, i + xmltree.NodeID(doc.Size(i))})
+			for _, f := range folds {
+				f.open()
+			}
+		default:
+			// Comments and PIs carry their own value but contribute
+			// nothing to ancestors (XDM).
 			val := doc.ValueBytes(i)
-			stable := ix.stableOf[i]
-			var h uint32
-			if ix.hash != nil {
-				h = vhash.Hash(val)
-				ix.hash[i] = h
-			}
-			for t, ti := range ix.typed {
-				f, _ := ti.spec.Machine.ParseFrag(val) // rejected → zero Frag (Reject)
-				leafFrags[t] = f
-				sink.setFrag(ti, t, i, stable, f)
-				sink.entry(ti, t, f, packPosting(stable, false))
-			}
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				if ix.hash != nil {
-					p.hash = vhash.Combine(p.hash, h)
-				}
-				for t, ti := range ix.typed {
-					p.frags[t] = foldFrag(ti.spec.Machine, p.frags[t], leafFrags[t])
-				}
-			}
-		case xmltree.Comment, xmltree.PI:
-			// Own value, no contribution to ancestors (XDM), and no
-			// posting in the value trees.
-			stable := ix.stableOf[i]
-			if ix.hash != nil {
-				ix.hash[i] = vhash.Hash(doc.ValueBytes(i))
-			}
-			for t, ti := range ix.typed {
-				f, _ := ti.spec.Machine.ParseFrag(doc.ValueBytes(i))
-				sink.setFrag(ti, t, i, stable, f)
+			for _, f := range folds {
+				f.leaf(NodePosting(i), val, k == xmltree.Text)
 			}
 		}
 		// Close every frame whose subtree ends here.
 		for len(stack) > 0 && stack[len(stack)-1].end == i {
-			f := stack[len(stack)-1]
+			n := stack[len(stack)-1].node
 			stack = stack[:len(stack)-1]
-			finalize(&f)
+			for _, f := range folds {
+				f.close(n)
+			}
 		}
 	}
 }
 
-// buildAttrs computes attribute fields for the id range [from, to].
+// buildAttrs computes attribute state for the id range [from, to].
 // Attribute values never contribute to ancestors, which also makes this
 // pass trivially shardable: parallel builds carve [0, NumAttrs) into
-// chunks and give each worker its own sink.
-func (ix *Snapshot) buildAttrs(from, to xmltree.AttrID, sink *buildSink) {
-	doc := ix.doc
+// chunks and give each worker its own folders.
+func (s *Snapshot) buildAttrs(from, to xmltree.AttrID, folds []folder) {
 	for a := from; a <= to; a++ {
-		val := doc.AttrValueBytes(a)
-		stable := ix.attrStableOf[a]
-		if ix.attrHash != nil {
-			ix.attrHash[a] = vhash.Hash(val)
-		}
-		for t, ti := range ix.typed {
-			f, _ := ti.spec.Machine.ParseFrag(val)
-			sink.setAttrFrag(ti, t, a, stable, f)
-			sink.entry(ti, t, f, packPosting(stable, true))
+		val := s.doc.AttrValueBytes(a)
+		for _, f := range folds {
+			f.leaf(AttrPosting(a), val, false)
 		}
 	}
 }
 
 // indexedNodeKind reports whether tree nodes of kind k receive postings in
-// the B+trees. Comments and PIs keep per-node fields but are not query
+// the hash tree. Comments and PIs keep per-node fields but are not query
 // targets.
 func indexedNodeKind(k xmltree.Kind) bool {
 	return k == xmltree.Element || k == xmltree.Text || k == xmltree.Document
-}
-
-// buildTrees bulk-loads the B+trees from the computed fields. The trees
-// are independent after collection, so with workers > 1 the string tree
-// and every typed tree sort and load concurrently (each sort itself fans
-// out through btree.SortEntriesParallel). The loads run through the same
-// worker budget as the collection passes, with the per-tree sort fan-out
-// divided by the number of concurrently loading trees, so total
-// CPU-bound goroutines stay within Options.Parallelism. The loaded trees
-// are identical for any worker count: entries are sorted by
-// (key, posting) before bulk loading, which erases collection order.
-func (ix *Snapshot) buildTrees(workers int) {
-	doc := ix.doc
-	n := doc.NumNodes()
-	na := doc.NumAttrs()
-
-	var loads []func(sortWorkers int)
-	spawn := func(f func(sortWorkers int)) {
-		if workers <= 1 {
-			f(1)
-			return
-		}
-		loads = append(loads, f)
-	}
-
-	if ix.hash != nil {
-		spawn(func(sortWorkers int) {
-			entries := make([]btree.Entry, 0, n+na)
-			for i := 0; i < n; i++ {
-				if indexedNodeKind(doc.Kind(xmltree.NodeID(i))) {
-					entries = append(entries, btree.Entry{
-						Key: uint64(ix.hash[i]),
-						Val: packPosting(ix.stableOf[i], false),
-					})
-				}
-			}
-			for a := 0; a < na; a++ {
-				entries = append(entries, btree.Entry{
-					Key: uint64(ix.attrHash[a]),
-					Val: packPosting(ix.attrStableOf[a], true),
-				})
-			}
-			btree.SortEntriesParallel(entries, sortWorkers)
-			ix.strTree = btree.NewFromSorted(entries)
-		})
-	}
-
-	ix.eachTyped(func(ti *typedIndex) {
-		spawn(func(sortWorkers int) {
-			entries := ti.scratch
-			if !ti.collect {
-				// Rebuilt outside the initial pass (not currently exercised,
-				// but kept for safety): scan the fields.
-				entries = entries[:0]
-				for i := 0; i < n; i++ {
-					nd := xmltree.NodeID(i)
-					if key, ok := ti.treeKey(doc, nd, ix.stableOf[i]); ok {
-						entries = append(entries, btree.Entry{Key: key, Val: packPosting(ix.stableOf[i], false)})
-					}
-				}
-				for a := 0; a < na; a++ {
-					if key, ok := ti.attrKey(xmltree.AttrID(a), ix.attrStableOf[a]); ok {
-						entries = append(entries, btree.Entry{Key: key, Val: packPosting(ix.attrStableOf[a], true)})
-					}
-				}
-			}
-			btree.SortEntriesParallel(entries, sortWorkers)
-			ti.tree = btree.NewFromSorted(entries)
-		})
-	})
-
-	concurrent := len(loads)
-	if concurrent > workers {
-		concurrent = workers
-	}
-	sortWorkers := 1
-	if concurrent > 0 {
-		sortWorkers = workers / concurrent
-		if sortWorkers < 1 {
-			sortWorkers = 1
-		}
-	}
-	parallelFor(workers, len(loads), func(i int) { loads[i](sortWorkers) })
 }

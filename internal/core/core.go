@@ -1,24 +1,31 @@
 // Package core implements the paper's primary contribution: generic,
 // updatable XML value indices over an entire document.
 //
-// Two kinds of index are maintained, all created in one depth-first pass
-// (Figure 7 of the paper) and updated incrementally (Figure 8):
+// Every index is one family (family.go): a state per node and attribute,
+// set from a leaf's value and folded from children to parents, plus the
+// keys each posting contributes to a B+tree. A snapshot holds three kinds
+// of family, in this order:
 //
-//   - the string equi-index: the 32-bit hash H of every node's string
-//     value (document, element, text, attribute), with a B+tree from hash
-//     to node postings; ancestor hashes are maintained with the
-//     associative combination function C, never by re-reading text;
-//   - one typed range index per enabled entry of the type registry (see
-//     registry.go): per-node FSM state (monoid element) with fragment
-//     descriptors for live nodes, combined through the SCT, and a B+tree
-//     from order-encoded values to postings of castable nodes. The
-//     built-in registrations are xs:double, xs:dateTime, and xs:date;
-//     further ordered types plug in through RegisterType with no new
-//     control flow anywhere in this package.
+//   - the string equi-index (hash.go): the 32-bit hash H of every node's
+//     string value, folded with the associative combination function C,
+//     keyed by hash;
+//   - one typed range index per enabled entry of the type registry
+//     (typed.go, registry.go): per-node FSM state (monoid element) with
+//     fragment descriptors, folded through the SCT, keyed by the
+//     order-encoded value of castable nodes. The built-in registrations
+//     are xs:double, xs:dateTime, and xs:date; further ordered types plug
+//     in through RegisterType with no new control flow in this package;
+//   - the q-gram substring index once enabled (substr.go): leaf-only, keyed
+//     by the grams of each text and attribute value.
 //
-// Rejected nodes store no state (absence = reject), as in the paper.
-// Comments and processing instructions carry their own values but do not
-// contribute to ancestors, per the XQuery data model.
+// Build is one depth-first pass over all families (Figure 7 of the
+// paper); every commit captures a posting's keys in every family,
+// recomputes its state and its ancestors' (Figure 8), and repairs every
+// tree with one sorted key diff. Verify, stats, memory accounting and
+// persistence are the same loop. Rejected nodes store no state (absence =
+// reject), as in the paper. Comments and processing instructions carry
+// their own values but do not contribute to ancestors, per the XQuery
+// data model.
 package core
 
 import (
@@ -26,7 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/btree"
 	"repro/internal/fsm"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
@@ -109,135 +115,6 @@ func packPosting(stable uint32, isAttr bool) uint32 {
 
 func unpackPosting(p uint32) (stable uint32, isAttr bool) { return p >> 1, p&1 == 1 }
 
-// typedIndex is the per-type half of the range-index pair: the side table
-// of states and fragments (the paper's [node id, state] index) and the
-// value B+tree (the paper's clustered [value, node id] index). Which type
-// it maintains is entirely determined by its TypeSpec.
-type typedIndex struct {
-	spec TypeSpec
-
-	elems     []fsm.Elem // per tree node (pre order); Reject = not stored
-	attrElems []fsm.Elem // per attribute
-
-	// items holds the digit runs/punctuation of live nodes (elem != Reject
-	// and non-empty content). Keyed by STABLE ids so structural updates
-	// that shift pre ranks do not invalidate the maps.
-	items     map[uint32][]fsm.Item
-	attrItems map[uint32][]fsm.Item
-
-	tree *btree.Tree // (encoded value, packed posting)
-
-	// stats is the planner's equi-depth histogram plus distinct-key
-	// count over tree (see histogram.go).
-	stats *keyStats
-
-	// collect/scratch gather value-tree entries during the initial build
-	// pass, avoiding a second document scan.
-	collect bool
-	scratch []btree.Entry
-}
-
-// setFragFresh is setFrag for the initial build, when the items maps
-// cannot yet contain the key (skips the miss-delete of the common case).
-func (ti *typedIndex) setFragFresh(n xmltree.NodeID, stable uint32, f fsm.Frag) {
-	ti.elems[n] = f.Elem
-	if f.Elem != fsm.Reject && len(f.Items) > 0 {
-		ti.items[stable] = f.Items
-	}
-}
-
-func (ti *typedIndex) setAttrFragFresh(a xmltree.AttrID, stable uint32, f fsm.Frag) {
-	ti.attrElems[a] = f.Elem
-	if f.Elem != fsm.Reject && len(f.Items) > 0 {
-		ti.attrItems[stable] = f.Items
-	}
-}
-
-// entryFor applies the value-tree admission filter — collecting, not
-// rejected, castable, encodable — and returns the entry a fragment
-// contributes. It is the single membership rule shared by the serial
-// collect path and the buffered parallel sinks. Callers apply the
-// tree-membership rule (texts, attributes, combined elements) before
-// calling.
-func (ti *typedIndex) entryFor(f fsm.Frag, posting uint32) (btree.Entry, bool) {
-	if !ti.collect || f.Elem == fsm.Reject || !ti.spec.Machine.Castable(f.Elem) {
-		return btree.Entry{}, false
-	}
-	key, ok := ti.spec.Encode(f)
-	return btree.Entry{Key: key, Val: posting}, ok
-}
-
-// collectEntry appends a value-tree entry for a freshly computed fragment
-// when the build pass is collecting and the fragment is castable.
-func (ti *typedIndex) collectEntry(f fsm.Frag, posting uint32) {
-	if e, ok := ti.entryFor(f, posting); ok {
-		ti.scratch = append(ti.scratch, e)
-	}
-}
-
-// treeKey returns the value-tree key of node n, which exists only for the
-// postings the tree stores: castable text nodes and castable COMBINED
-// elements (mixed content). Single-text wrapper elements share their
-// text's value and are chain-lifted at query time instead of being stored
-// — this is what keeps the typed index at a few percent of the database,
-// as in the paper.
-func (ti *typedIndex) treeKey(doc *xmltree.Doc, n xmltree.NodeID, stable uint32) (uint64, bool) {
-	e := ti.elems[n]
-	if e == fsm.Reject || !ti.spec.Machine.Castable(e) {
-		return 0, false
-	}
-	switch doc.Kind(n) {
-	case xmltree.Element, xmltree.Document:
-		if !isCombinedValue(doc, n) {
-			return 0, false
-		}
-	case xmltree.Comment, xmltree.PI:
-		return 0, false
-	}
-	return ti.spec.Encode(ti.frag(n, stable))
-}
-
-func (ti *typedIndex) frag(n xmltree.NodeID, stable uint32) fsm.Frag {
-	return fsm.Frag{Elem: ti.elems[n], Items: ti.items[stable]}
-}
-
-func (ti *typedIndex) attrFrag(a xmltree.AttrID, stable uint32) fsm.Frag {
-	return fsm.Frag{Elem: ti.attrElems[a], Items: ti.attrItems[stable]}
-}
-
-func (ti *typedIndex) setFrag(n xmltree.NodeID, stable uint32, f fsm.Frag) {
-	ti.elems[n] = f.Elem
-	if f.Elem != fsm.Reject && len(f.Items) > 0 {
-		ti.items[stable] = f.Items
-	} else {
-		delete(ti.items, stable)
-	}
-}
-
-func (ti *typedIndex) setAttrFrag(a xmltree.AttrID, stable uint32, f fsm.Frag) {
-	ti.attrElems[a] = f.Elem
-	if f.Elem != fsm.Reject && len(f.Items) > 0 {
-		ti.attrItems[stable] = f.Items
-	} else {
-		delete(ti.attrItems, stable)
-	}
-}
-
-// key returns the B+tree key of node n's current fragment, if castable.
-func (ti *typedIndex) key(n xmltree.NodeID, stable uint32) (uint64, bool) {
-	if ti.elems[n] == fsm.Reject || !ti.spec.Machine.Castable(ti.elems[n]) {
-		return 0, false
-	}
-	return ti.spec.Encode(ti.frag(n, stable))
-}
-
-func (ti *typedIndex) attrKey(a xmltree.AttrID, stable uint32) (uint64, bool) {
-	if ti.attrElems[a] == fsm.Reject || !ti.spec.Machine.Castable(ti.attrElems[a]) {
-		return 0, false
-	}
-	return ti.spec.Encode(ti.attrFrag(a, stable))
-}
-
 // Snapshot is one immutable published version of the value indices over
 // one version of the document. Readers obtain a Snapshot from
 // Indexes.Snapshot (or implicitly through the Indexes read wrappers) and
@@ -265,35 +142,18 @@ type Snapshot struct {
 	attrStableOf []uint32
 	attrOf       []int32
 
-	// String index: hash per tree node and per attribute, plus the B+tree.
-	hash     []uint32
-	attrHash []uint32
-	strTree  *btree.Tree
+	// fams holds the index families in snapshot order (see family.go):
+	// the string hash family when Options.String, one typed family per
+	// enabled registry entry in registry order, then the substring gram
+	// family once enabled. All per-index control flow in this package is
+	// iteration over this slice.
+	fams []family
 
-	// strStats is the planner statistics over the string tree's hash
-	// keys (see histogram.go); the typed equivalents live on each
-	// typedIndex. Statistics version with the snapshot, so a plan never
-	// mixes estimates from one version with postings from another.
-	strStats *keyStats
-
-	// Substring index (see substr.go): the q-gram B+tree over text-node
-	// and attribute values plus its planner statistics. Nil until
-	// EnableSubstring; once set, every commit path maintains both
-	// copy-on-write like the other indices.
-	subTree  *btree.Tree
-	subStats *keyStats
-
-	// typed holds one index per enabled registry entry, in registry
-	// order. All per-type control flow in this package is iteration over
-	// this slice.
-	typed []*typedIndex
-
-	// Scratch buffers reused by the sequential update paths. They are
-	// only ever touched by the single serialized writer preparing the
-	// next version (never by readers), so sharing them across clones is
-	// safe.
-	scratchFrags []fsm.Frag
-	scratchKeys  []keyState
+	// Key buffers reused by the commit paths. They are only ever touched
+	// by the single serialized writer preparing the next version (never
+	// by readers), so sharing them across drafts is safe.
+	scratchOld [][]uint64
+	scratchNew []uint64
 }
 
 // Indexes bundles a document with its value indices. All updates to the
@@ -433,18 +293,50 @@ func (ix *Snapshot) Doc() *xmltree.Doc { return ix.doc }
 // Options reports which indices were built.
 func (ix *Snapshot) Options() Options { return ix.opts }
 
-// NodeHash returns the stored hash of node n's string value.
-func (ix *Snapshot) NodeHash(n xmltree.NodeID) uint32 { return ix.hash[n] }
+// NodeHash returns the stored hash of node n's string value (0 when the
+// string index was not built).
+func (ix *Snapshot) NodeHash(n xmltree.NodeID) uint32 {
+	if h := ix.hashes(); h != nil {
+		return h.col[0][n]
+	}
+	return 0
+}
 
-// AttrHash returns the stored hash of attribute a's value.
-func (ix *Snapshot) AttrHash(a xmltree.AttrID) uint32 { return ix.attrHash[a] }
+// hashes returns the string hash family, nil when it was not built.
+func (ix *Snapshot) hashes() *hashFamily {
+	if len(ix.fams) == 0 {
+		return nil
+	}
+	h, _ := ix.fams[0].(*hashFamily)
+	return h
+}
 
-// typedFor returns the typed index maintaining type id, or nil when it
+// grams returns the substring gram family, nil until enabled.
+func (ix *Snapshot) grams() *gramFamily {
+	if len(ix.fams) == 0 {
+		return nil
+	}
+	g, _ := ix.fams[len(ix.fams)-1].(*gramFamily)
+	return g
+}
+
+// typedFams returns the typed families, in registry order.
+func (ix *Snapshot) typedFams() []*typedFamily {
+	var out []*typedFamily
+	for _, f := range ix.fams {
+		if t, ok := f.(*typedFamily); ok {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// typedFor returns the typed family maintaining type id, or nil when it
 // was not enabled at build time.
-func (ix *Snapshot) typedFor(id TypeID) *typedIndex {
-	for _, ti := range ix.typed {
-		if ti.spec.ID == id {
-			return ti
+func (ix *Snapshot) typedFor(id TypeID) *typedFamily {
+	for _, f := range ix.fams {
+		if t, ok := f.(*typedFamily); ok && t.spec.ID == id {
+			return t
 		}
 	}
 	return nil
@@ -453,9 +345,9 @@ func (ix *Snapshot) typedFor(id TypeID) *typedIndex {
 // TypedIDs lists the typed indexes built for this document, in registry
 // order.
 func (ix *Snapshot) TypedIDs() []TypeID {
-	out := make([]TypeID, len(ix.typed))
-	for i, ti := range ix.typed {
-		out[i] = ti.spec.ID
+	var out []TypeID
+	for _, t := range ix.typedFams() {
+		out = append(out, t.spec.ID)
 	}
 	return out
 }
@@ -464,36 +356,20 @@ func (ix *Snapshot) TypedIDs() []TypeID {
 func (ix *Snapshot) HasTyped(id TypeID) bool { return ix.typedFor(id) != nil }
 
 // HasString reports whether the string equi-index was built.
-func (ix *Snapshot) HasString() bool { return ix.strTree != nil }
-
-// TypedElem returns node n's monoid element under typed index id
-// (fsm.Reject if the node's string value cannot be part of the type's
-// lexical space, or if the index was not built).
-func (ix *Snapshot) TypedElem(id TypeID, n xmltree.NodeID) fsm.Elem {
-	ti := ix.typedFor(id)
-	if ti == nil {
-		return fsm.Reject
-	}
-	return ti.elems[n]
-}
+func (ix *Snapshot) HasString() bool { return ix.hashes() != nil }
 
 // TypedFrag returns node n's fragment under typed index id; ok is false
 // when the index was not built or the node is rejected. The registered
 // type's value extractor (fsm.DoubleValue, fsm.DateValue, …) turns the
 // fragment into a typed value.
 func (ix *Snapshot) TypedFrag(id TypeID, n xmltree.NodeID) (fsm.Frag, bool) {
-	ti := ix.typedFor(id)
-	if ti == nil || ti.elems[n] == fsm.Reject {
+	t := ix.typedFor(id)
+	if t == nil {
 		return fsm.Frag{}, false
 	}
-	return ti.frag(n, ix.stableOf[n]), true
+	f := t.frag(ix, NodePosting(n))
+	return f, f.Elem != fsm.Reject
 }
-
-// StableOf returns the stable id of tree node n.
-func (ix *Snapshot) StableOf(n xmltree.NodeID) uint32 { return ix.stableOf[n] }
-
-// AttrStableOf returns the stable id of attribute a.
-func (ix *Snapshot) AttrStableOf(a xmltree.AttrID) uint32 { return ix.attrStableOf[a] }
 
 // NodeOfStable resolves a stable id to the current pre rank, or
 // xmltree.InvalidNode if the node was deleted.
@@ -526,21 +402,4 @@ func (ix *Snapshot) resolve(packed uint32) (Posting, bool) {
 		return Posting{}, false
 	}
 	return NodePosting(n), true
-}
-
-func newTypedIndex(spec TypeSpec, nNodes, nAttrs int) *typedIndex {
-	return &typedIndex{
-		spec:      spec,
-		elems:     make([]fsm.Elem, nNodes), // zero value is fsm.Reject
-		attrElems: make([]fsm.Elem, nAttrs),
-		items:     make(map[uint32][]fsm.Item),
-		attrItems: make(map[uint32][]fsm.Item),
-	}
-}
-
-// eachTyped calls f for each enabled typed index, in registry order.
-func (ix *Snapshot) eachTyped(f func(*typedIndex)) {
-	for _, ti := range ix.typed {
-		f(ti)
-	}
 }

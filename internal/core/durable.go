@@ -300,7 +300,7 @@ func (s *Snapshot) replayRecord(rec storage.Record) (*Snapshot, error) {
 		if err := s.validateTexts(updates); err != nil {
 			return nil, fmt.Errorf("core: replaying text batch: %w", err)
 		}
-		draft := s.cloneForText()
+		draft := s.draft(writesNodes)
 		if err := draft.applyTexts(updates); err != nil {
 			return nil, err
 		}
@@ -313,7 +313,7 @@ func (s *Snapshot) replayRecord(rec storage.Record) (*Snapshot, error) {
 		if err := s.validateAttr(a); err != nil {
 			return nil, fmt.Errorf("core: replaying attr update: %w", err)
 		}
-		draft := s.cloneForAttr()
+		draft := s.draft(writesAttrs)
 		draft.applyAttr(a, value)
 		return draft, nil
 	case storage.RecDelete:
@@ -324,7 +324,7 @@ func (s *Snapshot) replayRecord(rec storage.Record) (*Snapshot, error) {
 		if err := s.validateDelete(n); err != nil {
 			return nil, fmt.Errorf("core: replaying delete: %w", err)
 		}
-		draft := s.cloneForStructure()
+		draft := s.draft(writesStructure)
 		if err := draft.applyDelete(n); err != nil {
 			return nil, err
 		}
@@ -337,7 +337,7 @@ func (s *Snapshot) replayRecord(rec storage.Record) (*Snapshot, error) {
 		if err := s.validateInsert(parent, pos, frag); err != nil {
 			return nil, fmt.Errorf("core: replaying insert: %w", err)
 		}
-		draft := s.cloneForStructure()
+		draft := s.draft(writesStructure)
 		if _, err := draft.applyInsert(parent, pos, frag); err != nil {
 			return nil, err
 		}

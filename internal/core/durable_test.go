@@ -93,6 +93,7 @@ func TestRecoveryEquivalenceRandomInterleavings(t *testing.T) {
 				syncEvery int
 			}{{1, 1}, {2, 7}} {
 				ix, snap, wal := durablePair(t, tc.xml, run.syncEvery)
+				var err error
 				oracle := Build(mustParseForTest(t, tc.xml), DefaultOptions())
 				rng := rand.New(rand.NewSource(run.seed))
 

@@ -167,65 +167,6 @@ func (ks *keyStats) estimateRange(lo, hi uint64) float64 {
 	return est
 }
 
-// --- wiring into the index ---
-
-// rebuildStats derives fresh statistics for every built tree; called at
-// the end of Build and after loading a snapshot without a stats section.
-func (ix *Snapshot) rebuildStats() {
-	if ix.strTree != nil {
-		ix.strStats = buildKeyStats(ix.strTree)
-	}
-	if ix.subTree != nil {
-		ix.subStats = buildKeyStats(ix.subTree)
-	}
-	ix.eachTyped(func(ti *typedIndex) { ti.stats = buildKeyStats(ti.tree) })
-}
-
-// maintainStats refreshes any histogram whose churn crossed the rebuild
-// threshold. Called at the end of every mutating entry point, under the
-// write lock; a rebuild is O(tree) after O(tree/4) churn, so the
-// amortised cost per updated posting is O(1).
-func (ix *Snapshot) maintainStats() {
-	if ix.strStats != nil && ix.strStats.stale() {
-		ix.strStats = buildKeyStats(ix.strTree)
-	}
-	if ix.subStats != nil && ix.subStats.stale() {
-		ix.subStats = buildKeyStats(ix.subTree)
-	}
-	for _, ti := range ix.typed {
-		if ti.stats != nil && ti.stats.stale() {
-			ti.stats = buildKeyStats(ti.tree)
-		}
-	}
-}
-
-// strTreeInsert / strTreeDelete / treeInsert / treeDelete funnel every
-// B+tree mutation past the statistics layer, keeping bucket counts
-// exact between histogram rebuilds.
-func (ix *Snapshot) strTreeInsert(h uint32, posting uint32) {
-	if ix.strTree.Insert(uint64(h), posting) && ix.strStats != nil {
-		ix.strStats.noteInsert(uint64(h))
-	}
-}
-
-func (ix *Snapshot) strTreeDelete(h uint32, posting uint32) {
-	if ix.strTree.Delete(uint64(h), posting) && ix.strStats != nil {
-		ix.strStats.noteDelete(uint64(h))
-	}
-}
-
-func (ti *typedIndex) treeInsert(key uint64, posting uint32) {
-	if ti.tree.Insert(key, posting) && ti.stats != nil {
-		ti.stats.noteInsert(key)
-	}
-}
-
-func (ti *typedIndex) treeDelete(key uint64, posting uint32) {
-	if ti.tree.Delete(key, posting) && ti.stats != nil {
-		ti.stats.noteDelete(key)
-	}
-}
-
 // --- planner-facing estimates ---
 
 // PlannerStats is the statistics layer's summary of one index, as
@@ -239,20 +180,26 @@ type PlannerStats struct {
 // StringPlannerStats reports the string equi-index statistics; ok is
 // false when the index was not built.
 func (ix *Snapshot) StringPlannerStats() (PlannerStats, bool) {
-	if ix.strStats == nil {
-		return PlannerStats{}, false
+	if h := ix.hashes(); h != nil {
+		return h.stats.summary()
 	}
-	return PlannerStats{Total: ix.strStats.total, Distinct: ix.strStats.distinct, Buckets: len(ix.strStats.counts)}, true
+	return PlannerStats{}, false
 }
 
 // TypedPlannerStats reports typed index id's statistics; ok is false
 // when the index was not built.
 func (ix *Snapshot) TypedPlannerStats(id TypeID) (PlannerStats, bool) {
-	ti := ix.typedFor(id)
-	if ti == nil || ti.stats == nil {
+	if t := ix.typedFor(id); t != nil {
+		return t.stats.summary()
+	}
+	return PlannerStats{}, false
+}
+
+func (ks *keyStats) summary() (PlannerStats, bool) {
+	if ks == nil {
 		return PlannerStats{}, false
 	}
-	return PlannerStats{Total: ti.stats.total, Distinct: ti.stats.distinct, Buckets: len(ti.stats.counts)}, true
+	return PlannerStats{Total: ks.total, Distinct: ks.distinct, Buckets: len(ks.counts)}, true
 }
 
 // EstimateStringEq estimates how many postings carry H(value) — the
@@ -260,18 +207,19 @@ func (ix *Snapshot) TypedPlannerStats(id TypeID) (PlannerStats, bool) {
 // estimate is the average hash-cluster size capped by the covering
 // bucket, so it answers in O(log buckets) regardless of tree size.
 func (ix *Snapshot) EstimateStringEq(value string) float64 {
-	if ix.strStats == nil {
+	h := ix.hashes()
+	if h == nil || h.stats == nil {
 		return 0
 	}
-	return ix.strStats.estimateEq(uint64(vhash.HashString(value)))
+	return h.stats.estimateEq(uint64(vhash.HashString(value)))
 }
 
 // EstimateTypedRange estimates how many postings fall in [lo, hi] under
 // typed index id (bounds exclusive when incLo/incHi are false) — the
 // cardinality the planner assigns a B+tree range access path.
 func (ix *Snapshot) EstimateTypedRange(id TypeID, lo, hi uint64, incLo, incHi bool) float64 {
-	ti := ix.typedFor(id)
-	if ti == nil || ti.stats == nil {
+	t := ix.typedFor(id)
+	if t == nil || t.stats == nil {
 		return 0
 	}
 	if !incLo {
@@ -287,7 +235,7 @@ func (ix *Snapshot) EstimateTypedRange(id TypeID, lo, hi uint64, incLo, incHi bo
 		hi--
 	}
 	if lo == hi {
-		return ti.stats.estimateEq(lo)
+		return t.stats.estimateEq(lo)
 	}
-	return ti.stats.estimateRange(lo, hi)
+	return t.stats.estimateRange(lo, hi)
 }

@@ -44,10 +44,10 @@ type PostingIter struct {
 // per node, wrappers included, so no chain lifting applies).
 func (ix *Snapshot) StringEqIter(value string) *PostingIter {
 	it := &PostingIter{ix: ix, verify: value, doVerify: true}
-	if ix.strTree != nil {
-		h := uint64(vhash.HashString(value))
-		it.cur = ix.strTree.CursorAt(h)
-		it.hi = h
+	if h := ix.hashes(); h != nil {
+		key := uint64(vhash.HashString(value))
+		it.cur = h.tree.CursorAt(key)
+		it.hi = key
 	}
 	return it
 }
@@ -58,8 +58,8 @@ func (ix *Snapshot) StringEqIter(value string) *PostingIter {
 // wrapper-element chain interleaved.
 func (ix *Snapshot) TypedRangeIter(id TypeID, lo, hi uint64, incLo, incHi bool) *PostingIter {
 	it := &PostingIter{ix: ix, chainLift: true}
-	ti := ix.typedFor(id)
-	if ti == nil {
+	t := ix.typedFor(id)
+	if t == nil {
 		return it
 	}
 	if !incLo {
@@ -77,7 +77,7 @@ func (ix *Snapshot) TypedRangeIter(id TypeID, lo, hi uint64, incLo, incHi bool) 
 	if lo > hi {
 		return it
 	}
-	it.cur = ti.tree.CursorAt(lo)
+	it.cur = t.tree.CursorAt(lo)
 	it.hi = hi
 	return it
 }

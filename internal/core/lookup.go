@@ -15,12 +15,12 @@ func (ix *Snapshot) LookupStringCandidates(value string) []Posting {
 }
 
 func (ix *Snapshot) lookupStringCandidates(value string) []Posting {
-	if ix.strTree == nil {
+	h := ix.hashes()
+	if h == nil {
 		return nil
 	}
-	h := vhash.HashString(value)
 	var out []Posting
-	ix.strTree.ScanEq(uint64(h), func(packed uint32) bool {
+	h.tree.ScanEq(uint64(vhash.HashString(value)), func(packed uint32) bool {
 		if p, ok := ix.resolve(packed); ok {
 			out = append(out, p)
 		}
@@ -59,8 +59,8 @@ func (ix *Snapshot) postingStringValue(p Posting) string {
 // every TypeSpec.Encode is order-preserving, so callers pass bounds
 // through the type's encoding (btree.EncodeFloat64, btree.EncodeInt64).
 func (ix *Snapshot) RangeTyped(id TypeID, lo, hi uint64, incLo, incHi bool) []Posting {
-	ti := ix.typedFor(id)
-	if ti == nil {
+	t := ix.typedFor(id)
+	if t == nil {
 		return nil
 	}
 	if !incLo {
@@ -76,7 +76,7 @@ func (ix *Snapshot) RangeTyped(id TypeID, lo, hi uint64, incLo, incHi bool) []Po
 		hi--
 	}
 	var out []Posting
-	ti.tree.ScanRange(lo, hi, func(_ uint64, packed uint32) bool {
+	t.tree.ScanRange(lo, hi, func(_ uint64, packed uint32) bool {
 		if p, ok := ix.resolve(packed); ok {
 			out = ix.appendWithChain(out, p)
 		}
@@ -88,7 +88,7 @@ func (ix *Snapshot) RangeTyped(id TypeID, lo, hi uint64, incLo, incHi bool) []Po
 // appendWithChain emits a typed-index hit plus its single-child ancestor
 // chain: wrapper elements share their only contributing child's value and
 // are not stored in the value trees, so they are materialised here (the
-// inverse of the storage rule in typedIndex.treeKey).
+// inverse of the storage rule in typedFamily.keys).
 func (ix *Snapshot) appendWithChain(out []Posting, p Posting) []Posting {
 	out = append(out, p)
 	if p.IsAttr {

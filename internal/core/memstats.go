@@ -1,11 +1,5 @@
 package core
 
-import (
-	"unsafe"
-
-	"repro/internal/fsm"
-)
-
 // MemStats reports the in-memory footprint of one snapshot version —
 // the reader-hot state the compressed layout work (packed B+tree
 // leaves, interned heap values) exists to shrink. All byte counts are
@@ -27,8 +21,9 @@ type MemStats struct {
 	TypedTreeBytes int `json:"typed_tree_bytes"`
 	// SubstrTreeBytes is the q-gram substring B+tree, 0 when disabled.
 	SubstrTreeBytes int `json:"substr_tree_bytes,omitempty"`
-	// SideBytes covers the per-version side tables: stable-id maps,
-	// hash columns, and the typed indexes' state columns and item maps.
+	// SideBytes covers the per-version side tables: stable-id maps and
+	// every family's state (hash columns, typed state columns and item
+	// maps).
 	SideBytes int `json:"side_bytes"`
 	// TotalBytes is the sum of the components above.
 	TotalBytes int `json:"total_bytes"`
@@ -58,34 +53,11 @@ func (ix *Snapshot) MemStats() MemStats {
 	ms.DocBytes = ix.doc.MemBytes()
 	ms.UnpackedDocBytes = ms.DocBytes - ix.doc.HeapBytes() + ix.doc.LiveHeapBytes()
 
-	if ix.strTree != nil {
-		ms.StringTreeBytes = ix.strTree.MemBytes()
-		ms.UnpackedTreeBytes += ix.strTree.UnpackedBytes()
+	ms.SideBytes = cap(ix.stableOf)*4 + cap(ix.preOf)*4 +
+		cap(ix.attrStableOf)*4 + cap(ix.attrOf)*4
+	for _, f := range ix.fams {
+		f.addMem(&ms)
 	}
-	for _, ti := range ix.typed {
-		ms.TypedTreeBytes += ti.tree.MemBytes()
-		ms.UnpackedTreeBytes += ti.tree.UnpackedBytes()
-	}
-	if ix.subTree != nil {
-		ms.SubstrTreeBytes = ix.subTree.MemBytes()
-		ms.UnpackedTreeBytes += ix.subTree.UnpackedBytes()
-	}
-
-	side := cap(ix.stableOf)*4 + cap(ix.preOf)*4 +
-		cap(ix.attrStableOf)*4 + cap(ix.attrOf)*4 +
-		cap(ix.hash)*4 + cap(ix.attrHash)*4
-	const itemBytes = int(unsafe.Sizeof(fsm.Item{}))
-	const mapEntryBytes = 48 // rough per-entry map overhead (key+header+buckets)
-	for _, ti := range ix.typed {
-		side += cap(ti.elems) + cap(ti.attrElems) // fsm.Elem is one byte
-		for _, items := range ti.items {
-			side += mapEntryBytes + cap(items)*itemBytes
-		}
-		for _, items := range ti.attrItems {
-			side += mapEntryBytes + cap(items)*itemBytes
-		}
-	}
-	ms.SideBytes = side
 
 	ms.TotalBytes = ms.DocBytes + ms.StringTreeBytes + ms.TypedTreeBytes +
 		ms.SubstrTreeBytes + ms.SideBytes

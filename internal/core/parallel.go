@@ -9,19 +9,18 @@ package core
 //     subtrees ("shards") hanging off a small set of ancestors (the
 //     "spine": the document node plus every element too large to hand to
 //     one worker whole).
-//  2. A worker pool runs the Figure 7 pass over each shard with a
-//     private buildSink, so per-node hashes and FSM fragments land in
-//     the shared columns (disjoint ranges, no contention) while the
-//     map- and tree-bound results stay worker-local.
-//  3. The sinks merge into the shared side tables (one goroutine per
-//     typed index — the maps are per type, so this too is contention
-//     free).
+//  2. A worker pool runs the Figure 7 pass over each shard with private
+//     folders, so per-node hashes and FSM elements land in the shared
+//     columns (disjoint ranges, no contention) while the map-bound items
+//     stay worker-local.
+//  3. The folders flush into the shared side tables (one goroutine per
+//     family — the maps are per family, so this too is contention free).
 //  4. The spine folds serially, children-first, exactly the way the
 //     Figure 8 update algorithm refolds interiors: from the children's
 //     stored fields, never from text. SCT early-reject semantics are
 //     preserved bit for bit because the spine fold applies the same
 //     foldFrag over the same child sequence the serial pass would.
-//  5. The B+trees bulk-load in parallel (see buildTrees): sorting by
+//  5. The B+trees bulk-load in parallel (see loadTrees): sorting by
 //     (key, posting) erases collection order, so the loaded trees — and
 //     therefore snapshot bytes — are identical to a serial build's.
 //
@@ -33,8 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/btree"
-	"repro/internal/fsm"
 	"repro/internal/xmltree"
 )
 
@@ -54,72 +51,6 @@ func (o Options) workers() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// stableItems carries one node's fragment items, keyed by stable id,
-// from a worker-local buffer into the typed index's map at merge time.
-type stableItems struct {
-	stable uint32
-	items  []fsm.Item
-}
-
-// typedSink buffers one worker's results for one typed index: the items
-// destined for the (shared) items/attrItems maps and the value-tree
-// entries destined for ti.scratch.
-type typedSink struct {
-	items     []stableItems
-	attrItems []stableItems
-	entries   []btree.Entry
-}
-
-// buildSink is the destination of one build pass's typed-index side
-// effects. A nil *buildSink writes directly into the shared structures —
-// the serial build and the structural-update paths, which run under the
-// write lock. A non-nil sink buffers everything except the per-node
-// element columns (those writes are disjoint across shards and need no
-// buffering).
-type buildSink struct {
-	typed []typedSink
-}
-
-func newBuildSink(nTypes int) *buildSink {
-	return &buildSink{typed: make([]typedSink, nTypes)}
-}
-
-// setFrag records node n's fragment for typed index t (ti == ix.typed[t]).
-func (s *buildSink) setFrag(ti *typedIndex, t int, n xmltree.NodeID, stable uint32, f fsm.Frag) {
-	if s == nil {
-		ti.setFragFresh(n, stable, f)
-		return
-	}
-	ti.elems[n] = f.Elem
-	if f.Elem != fsm.Reject && len(f.Items) > 0 {
-		s.typed[t].items = append(s.typed[t].items, stableItems{stable: stable, items: f.Items})
-	}
-}
-
-// setAttrFrag records attribute a's fragment for typed index t.
-func (s *buildSink) setAttrFrag(ti *typedIndex, t int, a xmltree.AttrID, stable uint32, f fsm.Frag) {
-	if s == nil {
-		ti.setAttrFragFresh(a, stable, f)
-		return
-	}
-	ti.attrElems[a] = f.Elem
-	if f.Elem != fsm.Reject && len(f.Items) > 0 {
-		s.typed[t].attrItems = append(s.typed[t].attrItems, stableItems{stable: stable, items: f.Items})
-	}
-}
-
-// entry records a value-tree entry for a castable fragment, mirroring
-// typedIndex.collectEntry for the buffered case.
-func (s *buildSink) entry(ti *typedIndex, t int, f fsm.Frag, posting uint32) {
-	if s == nil {
-		ti.collectEntry(f, posting)
-		return
-	}
-	if e, ok := ti.entryFor(f, posting); ok {
-		s.typed[t].entries = append(s.typed[t].entries, e)
-	}
 }
 
 // planShards picks the spine/frontier split: spine nodes (returned in
@@ -237,75 +168,48 @@ func parallelFor(workers, jobs int, f func(i int)) {
 }
 
 // buildParallel is the concurrent Figure 7: shard passes, merge, spine
-// fold, parallel bulk loads. Results are bit-for-bit identical to the
-// serial build (parallel_test.go pins this property per registered
+// fold, parallel bulk loads (by Build). Results are bit-for-bit identical
+// to the serial build (parallel_test.go pins this property per registered
 // type, down to snapshot bytes).
-func (ix *Snapshot) buildParallel(workers int) {
-	doc := ix.doc
+func (s *Snapshot) buildParallel(workers int) {
+	doc := s.doc
 	spine, shards := planShards(doc, workers)
 
-	// The node and attribute passes touch disjoint state (elems/hash vs
-	// attrElems/attrHash), so both job lists feed one pool — a straggler
-	// shard never leaves workers idle while attribute chunks wait.
+	// The node and attribute passes touch disjoint state, so both job
+	// lists feed one pool — a straggler shard never leaves workers idle
+	// while attribute chunks wait.
 	chunks := attrChunks(doc.NumAttrs(), workers)
-	sinks := make([]*buildSink, len(shards))
-	attrSinks := make([]*buildSink, len(chunks))
-	parallelFor(workers, len(shards)+len(chunks), func(i int) {
-		sink := newBuildSink(len(ix.typed))
+	passes := make([][]folder, len(shards)+len(chunks))
+	parallelFor(workers, len(passes), func(i int) {
+		folds := s.folders(true)
 		if i < len(shards) {
 			for _, root := range shards[i] {
-				ix.buildPass(root, root+xmltree.NodeID(doc.Size(root)), sink)
+				s.buildPass(root, root+xmltree.NodeID(doc.Size(root)), folds)
 			}
-			sinks[i] = sink
 		} else {
 			c := chunks[i-len(shards)]
-			ix.buildAttrs(c.lo, c.hi-1, sink)
-			attrSinks[i-len(shards)] = sink
+			s.buildAttrs(c.lo, c.hi-1, folds)
 		}
+		passes[i] = folds
 	})
 
-	// Merge the worker-local buffers into the shared side tables. The
-	// maps are per typed index, so the merge parallelises across types.
-	parallelFor(workers, len(ix.typed), func(t int) {
-		ti := ix.typed[t]
-		for _, sink := range sinks {
-			for _, si := range sink.typed[t].items {
-				ti.items[si.stable] = si.items
+	// Merge what the passes held back. Each family's shared tables are
+	// its own, so the merge parallelises across families.
+	if len(passes) > 0 {
+		parallelFor(workers, len(passes[0]), func(f int) {
+			for _, folds := range passes {
+				folds[f].flush()
 			}
-			ti.scratch = append(ti.scratch, sink.typed[t].entries...)
-		}
-		for _, sink := range attrSinks {
-			for _, si := range sink.typed[t].attrItems {
-				ti.attrItems[si.stable] = si.items
-			}
-			ti.scratch = append(ti.scratch, sink.typed[t].entries...)
-		}
-	})
+		})
+	}
 
-	ix.buildSpine(spine)
-	ix.buildTrees(workers)
-}
-
-// buildSpine folds the spine nodes from their children's stored fields,
-// children before parents (reverse pre order). Each node goes through
-// recomputeInterior — the Figure 8 refold that is THE fold definition
-// (hash by C over contributing children, each typed fragment by the SCT
-// fold) — so the parallel build cannot diverge from the serial pass or
-// from post-update refolds. What Build adds on top of an update's refold
-// is entry collection: a value-tree entry for COMBINED (mixed-content)
-// values.
-func (ix *Snapshot) buildSpine(spine []xmltree.NodeID) {
-	doc := ix.doc
+	// Fold the spine from its children's stored state, children before
+	// parents (reverse pre order), through the Figure 8 refold — THE fold
+	// definition — so the parallel build cannot diverge from the serial
+	// pass or from post-update refolds.
 	for i := len(spine) - 1; i >= 0; i-- {
-		n := spine[i]
-		ix.recomputeInterior(n)
-		if !isCombinedValue(doc, n) {
-			continue
-		}
-		stable := ix.stableOf[n]
-		posting := packPosting(stable, false)
-		for _, ti := range ix.typed {
-			ti.collectEntry(ti.frag(n, stable), posting)
+		for _, f := range s.fams {
+			f.refold(s, spine[i])
 		}
 	}
 }

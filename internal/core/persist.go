@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/btree"
-	"repro/internal/fsm"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -105,9 +105,10 @@ func (ix *Snapshot) save(w *storage.Writer, withWALGen bool, walGen uint64) erro
 	} else {
 		se.uv(0)
 	}
-	se.uv(uint64(len(ix.typed)))
-	for _, ti := range ix.typed {
-		se.uv(uint64(ti.spec.ID))
+	typed := ix.typedFams()
+	se.uv(uint64(len(typed)))
+	for _, t := range typed {
+		se.uv(uint64(t.spec.ID))
 	}
 	if err := se.flush(); err != nil {
 		return err
@@ -134,43 +135,8 @@ func (ix *Snapshot) save(w *storage.Writer, withWALGen bool, walGen uint64) erro
 		return err
 	}
 
-	if ix.opts.String {
-		sec, err = w.Section(SectionHash)
-		if err != nil {
-			return err
-		}
-		// Only value-carrying leaves persist their hash (4 bytes each,
-		// fixed-width, in document order); element and document hashes
-		// refold from children with C on load — they are derived data.
-		if err := writeU32Fixed(sec, ix.leafHashes()); err != nil {
-			return err
-		}
-		if err := writeU32Fixed(sec, ix.attrHash); err != nil {
-			return err
-		}
-		sec, err = w.Section(SectionStrTree)
-		if err != nil {
-			return err
-		}
-		if err := writeTree(sec, ix.strTree); err != nil {
-			return err
-		}
-	}
-	for _, ti := range ix.typed {
-		sec, err = w.Section(TypedSectionName(ti.spec.ID))
-		if err != nil {
-			return err
-		}
-		if err := ix.writeTyped(sec, ti); err != nil {
-			return err
-		}
-	}
-	if ix.subTree != nil {
-		sec, err = w.Section(SectionSubstr)
-		if err != nil {
-			return err
-		}
-		if err := writeTree(sec, ix.subTree); err != nil {
+	for _, f := range ix.fams {
+		if err := f.save(w, ix); err != nil {
 			return err
 		}
 	}
@@ -279,52 +245,16 @@ func load(r *storage.Reader) (*Indexes, error) {
 	}
 
 	if hasString {
-		sec, err = r.Section(SectionHash)
-		if err != nil {
-			return nil, err
-		}
-		leafHashes, err := readU32Fixed(sec, countLeaves(doc))
-		if err != nil {
-			return nil, err
-		}
-		ix.hash = make([]uint32, n)
-		li := 0
-		for i := 0; i < n; i++ {
-			switch doc.Kind(xmltree.NodeID(i)) {
-			case xmltree.Text, xmltree.Comment, xmltree.PI:
-				ix.hash[i] = leafHashes[li]
-				li++
-			}
-		}
-		if ix.attrHash, err = readU32Fixed(sec, na); err != nil {
-			return nil, err
-		}
-		sec, err = r.Section(SectionStrTree)
-		if err != nil {
-			return nil, err
-		}
-		ix.strTree, err = readTree(sec)
-		if err != nil {
-			return nil, err
-		}
+		ix.fams = append(ix.fams, newHashFamily(n, na))
 	}
-	for i, id := range typeIDs {
-		sec, err = r.Section(TypedSectionName(id))
-		if err != nil {
-			return nil, err
-		}
-		ti := newTypedIndex(specs[i], n, na)
-		if err := ix.readTyped(sec, ti, n, na); err != nil {
-			return nil, fmt.Errorf("core: typed index %q: %w", specs[i].Name, err)
-		}
-		ix.typed = append(ix.typed, ti)
+	for _, spec := range specs {
+		ix.fams = append(ix.fams, newTypedFamily(spec, n, na))
 	}
 	if r.SectionLen(SectionSubstr) >= 0 {
-		sec, err = r.Section(SectionSubstr)
-		if err != nil {
-			return nil, err
-		}
-		if ix.subTree, err = readTree(sec); err != nil {
+		ix.fams = append(ix.fams, &gramFamily{})
+	}
+	for _, f := range ix.fams {
+		if err := f.load(r, ix); err != nil {
 			return nil, err
 		}
 	}
@@ -360,26 +290,26 @@ func load(r *storage.Reader) (*Indexes, error) {
 
 // writeStats persists the planner statistics: one keyStats per built
 // tree, in the order the meta section declares them (string first, then
-// the typed manifest).
+// the typed manifest). Substring statistics are derived data, rebuilt on
+// load.
 func (ix *Snapshot) writeStats(w *storage.Writer) error {
-	sec, err := w.Section(SectionStats)
-	if err != nil {
-		return err
-	}
-	se := newSliceEncoder(sec)
-	se.uv(statsSectionVersion)
-	if ix.strStats != nil {
-		se.uv(1)
-		writeKeyStats(se, ix.strStats)
-	} else {
-		se.uv(0)
-	}
-	se.uv(uint64(len(ix.typed)))
-	for _, ti := range ix.typed {
-		se.uv(uint64(ti.spec.ID))
-		writeKeyStats(se, ti.stats)
-	}
-	return se.flush()
+	return writeSection(w, SectionStats, func(sec io.Writer) error {
+		se := newSliceEncoder(sec)
+		se.uv(statsSectionVersion)
+		if h := ix.hashes(); h != nil {
+			se.uv(1)
+			writeKeyStats(se, h.stats)
+		} else {
+			se.uv(0)
+		}
+		typed := ix.typedFams()
+		se.uv(uint64(len(typed)))
+		for _, t := range typed {
+			se.uv(uint64(t.spec.ID))
+			writeKeyStats(se, t.stats)
+		}
+		return se.flush()
+	})
 }
 
 func writeKeyStats(se *sliceEncoder, ks *keyStats) {
@@ -400,64 +330,63 @@ func writeKeyStats(se *sliceEncoder, ks *keyStats) {
 }
 
 // loadStats restores the planner statistics from the snapshot, falling
-// back to a rebuild from the trees whenever the section is absent (an
-// older snapshot), has an unknown version, or fails sanity checks —
-// statistics are derived data, so a fallback is always safe.
+// back to a rebuild from the trees whenever the section is absent, has an
+// unknown version, or fails sanity checks — statistics are derived data,
+// so a fallback is always safe.
 func (ix *Snapshot) loadStats(r *storage.Reader) {
+	persisted := ix.readStats(r)
+	for _, f := range ix.fams {
+		pt := f.postings()
+		if ks, ok := persisted[f]; ok {
+			pt.stats = ks
+		} else {
+			pt.rebuildStats()
+		}
+	}
+}
+
+// readStats returns the persisted statistics of the hash and typed
+// families, or nil unless all of them are present and match their trees.
+func (ix *Snapshot) readStats(r *storage.Reader) map[family]*keyStats {
 	if r.SectionLen(SectionStats) < 0 {
-		ix.rebuildStats()
-		return
+		return nil
 	}
 	sec, err := r.Section(SectionStats)
 	if err != nil {
-		ix.rebuildStats()
-		return
+		return nil
 	}
 	sd := newSliceDecoder(sec)
 	if v := sd.uv(); sd.err != nil || v != statsSectionVersion {
-		ix.rebuildStats()
-		return
+		return nil
 	}
-	var strStats *keyStats
+	out := make(map[family]*keyStats)
 	if sd.uv() == 1 {
-		strStats = readKeyStats(sd)
-	}
-	nTyped := int(sd.uv())
-	if sd.err != nil || nTyped != len(ix.typed) {
-		ix.rebuildStats()
-		return
-	}
-	typedStats := make([]*keyStats, nTyped)
-	for i := 0; i < nTyped; i++ {
-		id := TypeID(sd.uv())
 		ks := readKeyStats(sd)
-		if sd.err != nil || id != ix.typed[i].spec.ID {
-			ix.rebuildStats()
-			return
+		if h := ix.hashes(); h != nil {
+			out[h] = ks
 		}
-		typedStats[i] = ks
+	}
+	typed := ix.typedFams()
+	if n := int(sd.uv()); sd.err != nil || n != len(typed) {
+		return nil
+	}
+	for _, t := range typed {
+		id := TypeID(sd.uv())
+		out[t] = readKeyStats(sd)
+		if sd.err != nil || id != t.spec.ID {
+			return nil
+		}
 	}
 	// Sanity: every histogram's population must match its tree.
-	if ix.strTree != nil && (strStats == nil || strStats.sum() != ix.strTree.Len()) {
-		ix.rebuildStats()
-		return
+	if h := ix.hashes(); h != nil && out[h] == nil {
+		return nil
 	}
-	for i, ti := range ix.typed {
-		if typedStats[i].sum() != ti.tree.Len() {
-			ix.rebuildStats()
-			return
+	for f, ks := range out {
+		if ks.sum() != f.postings().tree.Len() {
+			return nil
 		}
 	}
-	ix.strStats = strStats
-	for i, ti := range ix.typed {
-		ti.stats = typedStats[i]
-	}
-	// Substring statistics are never persisted (derived data); rebuild
-	// from the loaded gram tree. The fallback paths above already covered
-	// this through rebuildStats.
-	if ix.subTree != nil {
-		ix.subStats = buildKeyStats(ix.subTree)
-	}
+	return out
 }
 
 func readKeyStats(sd *sliceDecoder) *keyStats {
@@ -495,59 +424,17 @@ func (ks *keyStats) sum() int {
 	return s
 }
 
-// leafHashes extracts the persisted hash column: value-carrying leaves in
-// document order.
-func (ix *Snapshot) leafHashes() []uint32 {
-	doc := ix.doc
-	out := make([]uint32, 0, doc.NumNodes())
-	for i := 0; i < doc.NumNodes(); i++ {
-		switch doc.Kind(xmltree.NodeID(i)) {
-		case xmltree.Text, xmltree.Comment, xmltree.PI:
-			out = append(out, ix.hash[i])
-		}
-	}
-	return out
-}
-
-func countLeaves(doc *xmltree.Doc) int {
-	cnt := 0
-	for i := 0; i < doc.NumNodes(); i++ {
-		switch doc.Kind(xmltree.NodeID(i)) {
-		case xmltree.Text, xmltree.Comment, xmltree.PI:
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// completeDerived reconstructs the derived index fields after a load:
-// states of trivially-recomputable leaves (whitespace-only or rejected
-// texts were not persisted — a fast FSM run restores them), then interior
-// hashes and states by folding children with C and the SCT, bottom-up, in
-// O(document) without materialising any string value.
+// completeDerived reconstructs the interior state after a load by
+// folding children bottom-up in every family, in O(document) without
+// materialising any string value.
 func (ix *Snapshot) completeDerived() {
 	doc := ix.doc
-	n := doc.NumNodes()
-	for i := 0; i < n; i++ {
-		nd := xmltree.NodeID(i)
-		switch doc.Kind(nd) {
-		case xmltree.Text, xmltree.Comment, xmltree.PI:
-			stable := ix.stableOf[i]
-			for _, ti := range ix.typed {
-				if ti.elems[i] != fsm.Reject {
-					continue
-				}
-				if f, ok := ti.spec.Machine.ParseFrag(doc.ValueBytes(nd)); ok {
-					ti.setFragFresh(nd, stable, f)
-				}
+	for i := doc.NumNodes() - 1; i >= 0; i-- {
+		n := xmltree.NodeID(i)
+		if k := doc.Kind(n); k == xmltree.Element || k == xmltree.Document {
+			for _, f := range ix.fams {
+				f.refold(ix, n)
 			}
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		nd := xmltree.NodeID(i)
-		switch doc.Kind(nd) {
-		case xmltree.Element, xmltree.Document:
-			ix.recomputeInterior(nd)
 		}
 	}
 }
@@ -624,157 +511,6 @@ func readTree(r io.Reader) (*btree.Tree, error) {
 		return nil, sd.err
 	}
 	return btree.NewFromSorted(entries), nil
-}
-
-// writeTyped persists one typed index: the paper's [value, state, node]
-// inventory, preceded by a (format version, type ID) header so a reader
-// can reject payloads it does not understand. Stored sparsely — absence
-// means reject ("the absence of a state signifies the reject state") —
-// and only for nodes whose state is not trivially derivable: leaves with
-// digit/punctuation content and attributes. Whitespace-only leaves and
-// interior elements are derived data, refolded on load via FSM runs and
-// SCT folds.
-func (ix *Snapshot) writeTyped(w io.Writer, ti *typedIndex) error {
-	doc := ix.doc
-	se := newSliceEncoder(w)
-	se.uv(typedSectionVersion)
-	se.uv(uint64(ti.spec.ID))
-	writeEntry := func(posDelta int, e fsm.Elem, items []fsm.Item) {
-		se.uv(uint64(posDelta))
-		se.uv(uint64(e))
-		se.uv(uint64(len(items)))
-		for _, it := range items {
-			se.uv(uint64(it.Punct))
-			se.uv(encodeRunVal(it.Val))
-			se.uv(uint64(it.Len))
-		}
-	}
-	// Count then emit stored leaves.
-	stored := 0
-	for i := 0; i < doc.NumNodes(); i++ {
-		if leafStateStored(doc, xmltree.NodeID(i), ti, ix.stableOf[i]) {
-			stored++
-		}
-	}
-	se.uv(uint64(doc.NumNodes()))
-	se.uv(uint64(stored))
-	prev := 0
-	for i := 0; i < doc.NumNodes(); i++ {
-		if !leafStateStored(doc, xmltree.NodeID(i), ti, ix.stableOf[i]) {
-			continue
-		}
-		writeEntry(i-prev, ti.elems[i], ti.items[ix.stableOf[i]])
-		prev = i
-	}
-	storedAttrs := 0
-	for a := 0; a < doc.NumAttrs(); a++ {
-		if ti.attrElems[a] != fsm.Reject && len(ti.attrItems[ix.attrStableOf[a]]) > 0 {
-			storedAttrs++
-		}
-	}
-	se.uv(uint64(doc.NumAttrs()))
-	se.uv(uint64(storedAttrs))
-	prev = 0
-	for a := 0; a < doc.NumAttrs(); a++ {
-		if ti.attrElems[a] == fsm.Reject || len(ti.attrItems[ix.attrStableOf[a]]) == 0 {
-			continue
-		}
-		writeEntry(a-prev, ti.attrElems[a], ti.attrItems[ix.attrStableOf[a]])
-		prev = a
-	}
-	if err := se.flush(); err != nil {
-		return err
-	}
-	return writeTree(w, ti.tree)
-}
-
-// leafStateStored decides which node states hit the disk: value-carrying
-// leaves whose fragment has digit or punctuation content.
-func leafStateStored(doc *xmltree.Doc, n xmltree.NodeID, ti *typedIndex, stable uint32) bool {
-	switch doc.Kind(n) {
-	case xmltree.Text, xmltree.Comment, xmltree.PI:
-		return ti.elems[n] != fsm.Reject && len(ti.items[stable]) > 0
-	default:
-		return false
-	}
-}
-
-// encodeRunVal compresses a digit-run value: runs are integral by
-// construction, so small ones pack as 2v; values beyond exact-integer
-// float range fall back to tagged IEEE bits (2bits+1).
-func encodeRunVal(v float64) uint64 {
-	if v >= 0 && v < 1<<53 && v == math.Trunc(v) {
-		return uint64(v) << 1
-	}
-	return math.Float64bits(v)<<1 | 1
-}
-
-func decodeRunVal(u uint64) float64 {
-	if u&1 == 0 {
-		return float64(u >> 1)
-	}
-	return math.Float64frombits(u >> 1)
-}
-
-func (ix *Snapshot) readTyped(r io.Reader, ti *typedIndex, n, na int) error {
-	sd := newSliceDecoder(r)
-	if v := sd.uv(); sd.err == nil && v != typedSectionVersion {
-		return fmt.Errorf("unsupported typed section format version %d (this build reads version %d)", v, typedSectionVersion)
-	}
-	if id := TypeID(sd.uv()); sd.err == nil && id != ti.spec.ID {
-		return fmt.Errorf("typed section holds type ID %d, want %d", id, ti.spec.ID)
-	}
-	if sd.err != nil {
-		return sd.err
-	}
-	readEntries := func(want int, assign func(pos int, e fsm.Elem, items []fsm.Item) error) error {
-		if got := int(sd.uv()); got != want {
-			return fmt.Errorf("core: typed index has %d positions, want %d", got, want)
-		}
-		stored := int(sd.uv())
-		pos := 0
-		for i := 0; i < stored && sd.err == nil; i++ {
-			pos += int(sd.uv())
-			e := fsm.Elem(sd.uv())
-			k := int(sd.uv())
-			if k < 0 || k > 1<<20 {
-				return fmt.Errorf("core: implausible item count %d", k)
-			}
-			items := make([]fsm.Item, k)
-			for j := 0; j < k; j++ {
-				items[j] = fsm.Item{
-					Punct: byte(sd.uv()),
-					Val:   decodeRunVal(sd.uv()),
-					Len:   int32(sd.uv()),
-				}
-			}
-			if pos >= want {
-				return fmt.Errorf("core: state position %d out of range", pos)
-			}
-			if err := assign(pos, e, items); err != nil {
-				return err
-			}
-		}
-		return sd.err
-	}
-	err := readEntries(n, func(pos int, e fsm.Elem, items []fsm.Item) error {
-		ti.elems[pos] = e
-		ti.items[ix.stableOf[pos]] = items
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	err = readEntries(na, func(pos int, e fsm.Elem, items []fsm.Item) error {
-		ti.attrElems[pos] = e
-		ti.attrItems[ix.attrStableOf[pos]] = items
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	ti.tree, err = readTree(r)
-	return err
 }
 
 // --- fixed-width column codec ---
@@ -868,39 +604,43 @@ func (ix *Snapshot) SavePartsTo(path string, parts SaveParts) error {
 			return fail(err)
 		}
 	}
-	if parts.String && ix.hash != nil {
-		sec, err := w.Section(SectionHash)
-		if err != nil {
-			return fail(err)
-		}
-		if err := writeU32Fixed(sec, ix.leafHashes()); err != nil {
-			return fail(err)
-		}
-		if err := writeU32Fixed(sec, ix.attrHash); err != nil {
-			return fail(err)
-		}
-		sec, err = w.Section(SectionStrTree)
-		if err != nil {
-			return fail(err)
-		}
-		if err := writeTree(sec, ix.strTree); err != nil {
-			return fail(err)
-		}
-	}
-	for _, id := range parts.typeIDs() {
-		ti := ix.typedFor(id)
-		if ti == nil {
+	ids := parts.typeIDs()
+	for _, f := range ix.fams {
+		switch f := f.(type) {
+		case *hashFamily:
+			if !parts.String {
+				continue
+			}
+		case *typedFamily:
+			if !slices.Contains(ids, f.spec.ID) {
+				continue
+			}
+		default:
 			continue
 		}
-		sec, err := w.Section(TypedSectionName(id))
-		if err != nil {
-			return fail(err)
-		}
-		if err := ix.writeTyped(sec, ti); err != nil {
+		if err := f.save(w, ix); err != nil {
 			return fail(err)
 		}
 	}
 	return w.Close()
+}
+
+// writeSection streams one named section through write.
+func writeSection(w *storage.Writer, name string, write func(io.Writer) error) error {
+	sec, err := w.Section(name)
+	if err != nil {
+		return err
+	}
+	return write(sec)
+}
+
+// readSection opens one named section for read.
+func readSection(r *storage.Reader, name string, read func(io.Reader) error) error {
+	sec, err := r.Section(name)
+	if err != nil {
+		return err
+	}
+	return read(sec)
 }
 
 // --- varint slice codecs over io.Writer/Reader ---

@@ -1,142 +1,43 @@
 package core
 
-import "repro/internal/fsm"
+import "slices"
 
 // Copy-on-write drafts. A committing writer never mutates the published
 // Snapshot: it clones exactly the state its operation writes — sharing
 // the rest — applies the change to the private draft, and publishes the
-// draft with one atomic store (see update.go). The three clone flavours
-// below mirror the three write shapes:
+// draft with one atomic store (see update.go). What a commit writes is
+// its writeShape:
 //
-//   - text updates write the doc's value column, node hashes, and the
-//     node side of every typed index;
-//   - attribute updates write the doc's attrValue column, attribute
-//     hashes, and the attribute side of every typed index;
+//   - text updates write the doc's value column and the node side of
+//     every family;
+//   - attribute updates write the doc's attrValue column and the
+//     attribute side of every family;
 //   - structural updates (delete/insert) splice every column and remint
 //     stable ids, so they copy everything.
 //
-// B+trees are cloned in O(1) — Insert/Delete on the draft path-copy the
-// touched nodes and leave the published tree's node graph intact.
-
-// cloneShared copies the fields every draft needs regardless of shape:
-// the version bump and its own tree handles and statistics (both the
-// string tree and stats are mutated by all write shapes, because every
-// posting change funnels through strTreeInsert/Delete + maintainStats).
-func (s *Snapshot) cloneShared() Snapshot {
+// Every family's B+tree and statistics are cloned for every shape — in
+// O(1) for the tree: Insert/Delete on the draft path-copy the touched
+// nodes and leave the published tree's node graph intact.
+func (s *Snapshot) draft(w writeShape) *Snapshot {
 	d := *s
 	d.version = s.version + 1
-	if s.strTree != nil {
-		d.strTree = s.strTree.Clone()
+	switch w {
+	case writesNodes:
+		d.doc = s.doc.CloneForText()
+	case writesAttrs:
+		d.doc = s.doc.CloneForAttr()
+	default:
+		d.doc = s.doc.CloneForStructure()
+		d.stableOf = slices.Clone(s.stableOf)
+		d.preOf = slices.Clone(s.preOf)
+		d.attrStableOf = slices.Clone(s.attrStableOf)
+		d.attrOf = slices.Clone(s.attrOf)
 	}
-	d.strStats = s.strStats.clone()
-	// The substring index stores postings for text nodes and attributes,
-	// so all three write shapes can touch it.
-	if s.subTree != nil {
-		d.subTree = s.subTree.Clone()
-	}
-	d.subStats = s.subStats.clone()
-	return d
-}
-
-// cloneForText returns a draft for a text-node value batch.
-func (s *Snapshot) cloneForText() *Snapshot {
-	d := s.cloneShared()
-	d.doc = s.doc.CloneForText()
-	d.hash = cloneU32(s.hash)
-	d.typed = make([]*typedIndex, len(s.typed))
-	for i, ti := range s.typed {
-		d.typed[i] = ti.cloneNodeSide()
+	d.fams = make([]family, len(s.fams))
+	for i, f := range s.fams {
+		d.fams[i] = f.draft(w)
 	}
 	return &d
-}
-
-// cloneForAttr returns a draft for an attribute value update.
-func (s *Snapshot) cloneForAttr() *Snapshot {
-	d := s.cloneShared()
-	d.doc = s.doc.CloneForAttr()
-	d.attrHash = cloneU32(s.attrHash)
-	d.typed = make([]*typedIndex, len(s.typed))
-	for i, ti := range s.typed {
-		d.typed[i] = ti.cloneAttrSide()
-	}
-	return &d
-}
-
-// cloneForStructure returns a draft for a subtree delete or insert.
-func (s *Snapshot) cloneForStructure() *Snapshot {
-	d := s.cloneShared()
-	d.doc = s.doc.CloneForStructure()
-	d.stableOf = cloneU32(s.stableOf)
-	d.preOf = cloneI32(s.preOf)
-	d.attrStableOf = cloneU32(s.attrStableOf)
-	d.attrOf = cloneI32(s.attrOf)
-	d.hash = cloneU32(s.hash)
-	d.attrHash = cloneU32(s.attrHash)
-	d.typed = make([]*typedIndex, len(s.typed))
-	for i, ti := range s.typed {
-		c := ti.cloneNodeSide()
-		c.attrElems = append([]fsm.Elem(nil), ti.attrElems...)
-		c.attrItems = cloneItems(ti.attrItems)
-		d.typed[i] = c
-	}
-	return &d
-}
-
-// cloneNodeSide copies the node-side state of a typed index (elems,
-// items, tree, stats) and shares the attribute side.
-func (ti *typedIndex) cloneNodeSide() *typedIndex {
-	c := *ti
-	c.elems = append([]fsm.Elem(nil), ti.elems...)
-	c.items = cloneItems(ti.items)
-	if ti.tree != nil {
-		c.tree = ti.tree.Clone()
-	}
-	c.stats = ti.stats.clone()
-	return &c
-}
-
-// cloneAttrSide copies the attribute-side state and shares the node side.
-func (ti *typedIndex) cloneAttrSide() *typedIndex {
-	c := *ti
-	c.attrElems = append([]fsm.Elem(nil), ti.attrElems...)
-	c.attrItems = cloneItems(ti.attrItems)
-	if ti.tree != nil {
-		c.tree = ti.tree.Clone()
-	}
-	c.stats = ti.stats.clone()
-	return &c
-}
-
-// cloneU32 / cloneI32 copy a column while preserving nil-ness: a nil
-// hash column means "string index not built" (and empty columns stay
-// addressable after splices), so clones must not collapse empty
-// non-nil slices to nil the way append([]T(nil), s...) does.
-func cloneU32(s []uint32) []uint32 {
-	if s == nil {
-		return nil
-	}
-	c := make([]uint32, len(s))
-	copy(c, s)
-	return c
-}
-
-func cloneI32(s []int32) []int32 {
-	if s == nil {
-		return nil
-	}
-	c := make([]int32, len(s))
-	copy(c, s)
-	return c
-}
-
-// cloneItems copies an items map; the fragment slices are shared because
-// setFrag/setAttrFrag always replace whole slices, never splice them.
-func cloneItems(m map[uint32][]fsm.Item) map[uint32][]fsm.Item {
-	c := make(map[uint32][]fsm.Item, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
 }
 
 // clone copies a keyStats so draft-side maintenance (noteInsert,

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/fsm"
-	"repro/internal/xmltree"
-)
+import "repro/internal/xmltree"
 
 // TypedStats summarises one typed index's contents and estimated
 // persisted size.
@@ -83,83 +80,10 @@ func (ix *Snapshot) Stats() IndexStats {
 			s.Elements++
 		}
 	}
-	if ix.strTree != nil {
-		s.StringEntries = ix.strTree.Len()
-		s.StringBytes = s.StringEntries * 8
-	}
-	if ix.subTree != nil {
-		s.SubstringEntries = ix.subTree.Len()
-		s.SubstringBytes = s.SubstringEntries * 8
-	}
-	for _, ti := range ix.typed {
-		ts := ix.typedStats(ti)
-		s.Typed = append(s.Typed, ts)
-		switch ti.spec.ID {
-		case TypeDouble:
-			s.DoubleLive, s.DoubleTexts, s.DoubleCastableTexts = ts.Live, ts.LiveTexts, ts.CastableTexts
-			s.DoubleCastable, s.DoubleNonLeaf, s.DoubleBytes = ts.Castable, ts.NonLeaf, ts.Bytes
-		case TypeDateTime:
-			s.DateTimeLive, s.DateTimeTexts = ts.Live, ts.LiveTexts
-			s.DateTimeCastable, s.DateTimeBytes = ts.Castable, ts.Bytes
-		case TypeDate:
-			s.DateLive, s.DateTexts = ts.Live, ts.LiveTexts
-			s.DateCastable, s.DateBytes = ts.Castable, ts.Bytes
-		}
+	for _, f := range ix.fams {
+		f.addStats(ix, &s)
 	}
 	return s
-}
-
-func (ix *Snapshot) typedStats(ti *typedIndex) TypedStats {
-	doc := ix.doc
-	ts := TypedStats{ID: ti.spec.ID, Name: ti.spec.Name}
-	for i := 0; i < doc.NumNodes(); i++ {
-		nd := xmltree.NodeID(i)
-		e := ti.elems[i]
-		if e == fsm.Reject {
-			continue
-		}
-		if e == fsm.Identity && doc.Kind(nd) != xmltree.Text {
-			// Empty elements carry no information; the paper would not
-			// store them either.
-			continue
-		}
-		ts.Live++
-		// 1 byte state (paper) + node id reference (4) per stored state.
-		ts.Bytes += 5
-		if doc.Kind(nd) == xmltree.Text {
-			ts.LiveTexts++
-		}
-		if ti.spec.Machine.Castable(e) {
-			if _, ok := ti.treeKey(doc, nd, ix.stableOf[i]); ok {
-				ts.Castable++
-				ts.Bytes += 12 // value (8) + posting (4) in the B+tree
-				switch doc.Kind(nd) {
-				case xmltree.Element, xmltree.Document:
-					ts.NonLeaf++ // combined values only reach the tree
-				case xmltree.Text:
-					ts.CastableTexts++
-				}
-			}
-		}
-		// Items persist as compact varints; estimate 2 bytes per item.
-		ts.Bytes += 2 * len(ti.items[ix.stableOf[i]])
-	}
-	for a := 0; a < doc.NumAttrs(); a++ {
-		e := ti.attrElems[a]
-		if e == fsm.Reject || e == fsm.Identity {
-			continue
-		}
-		ts.Live++
-		ts.Bytes += 5
-		if ti.spec.Machine.Castable(e) {
-			if _, ok := ti.attrKey(xmltree.AttrID(a), ix.attrStableOf[a]); ok {
-				ts.Castable++
-				ts.Bytes += 12
-			}
-		}
-		ts.Bytes += 2 * len(ti.attrItems[ix.attrStableOf[a]])
-	}
-	return ts
 }
 
 // isCombinedValue reports whether an element's value is assembled across
@@ -167,18 +91,8 @@ func (ix *Snapshot) typedStats(ti *typedIndex) TypedStats {
 // typed value (its <weight><kilos>78</kilos>.<grams>230</grams></weight>
 // example). Wrappers with a single contributing child (a text, or one
 // element) share that child's value exactly and are chain-lifted at query
-// time instead of being stored (see typedIndex.treeKey and
+// time instead of being stored (see typedFamily.keys and
 // Indexes.appendWithChain — the two rules must stay complementary).
 func isCombinedValue(doc *xmltree.Doc, n xmltree.NodeID) bool {
 	return countContributing(doc, n) > 1
-}
-
-// DocBytes estimates the persisted size of the document itself (node
-// columns + live heap + attribute table), the denominator of the storage
-// panels in Figure 9.
-func (ix *Snapshot) DocBytes() int {
-	doc := ix.doc
-	// kind 1 + size 4 + level 4 + parent 4 + name 4 + value ref 8 per node,
-	// name 4 + value ref 8 per attribute, plus the live text heap.
-	return doc.NumNodes()*25 + doc.NumAttrs()*12 + doc.LiveHeapBytes()
 }

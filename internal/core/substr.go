@@ -13,20 +13,20 @@ package core
 //     lists and verify every candidate against the document, so gram
 //     collisions cost time, never correctness.
 //
-// The index is part of the Snapshot: enabling it installs a gram B+tree
-// on the current version, and every commit path (text batches, attribute
-// updates, structural deletes/inserts — and therefore WAL replay and
-// shipped-record application too) maintains it copy-on-write alongside
-// the hash and typed trees. Readers pin one version for candidate
-// retrieval and verification, exactly like the other indices.
+// The index is the Snapshot's last family: enabling it appends a gram
+// family to the current version, and from then on every commit path
+// maintains it through the same family loop as the hash and typed
+// indexes. Readers pin one version for candidate retrieval and
+// verification, exactly like the other indices.
 
 import (
-	"fmt"
+	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
-	"repro/internal/btree"
+	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -47,24 +47,19 @@ func substrGramHash(b []byte) uint32 {
 	return h
 }
 
-// substrGrams returns the sorted, deduplicated gram-hash set of a value;
-// nil for values shorter than SubstrQ bytes.
-func substrGrams(b []byte) []uint32 {
+// appendGrams appends the ascending, deduplicated gram-hash set of a
+// value to buf; nothing for values shorter than SubstrQ bytes.
+func appendGrams(buf []uint64, b []byte) []uint64 {
 	if len(b) < SubstrQ {
-		return nil
+		return buf
 	}
-	out := make([]uint32, 0, len(b)-SubstrQ+1)
+	start := len(buf)
 	for i := 0; i+SubstrQ <= len(b); i++ {
-		out = append(out, substrGramHash(b[i:i+SubstrQ]))
+		buf = append(buf, uint64(substrGramHash(b[i:i+SubstrQ])))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	uniq := out[:1]
-	for _, g := range out[1:] {
-		if g != uniq[len(uniq)-1] {
-			uniq = append(uniq, g)
-		}
-	}
-	return uniq
+	grams := buf[start:]
+	slices.Sort(grams)
+	return buf[:start+len(slices.Compact(grams))]
 }
 
 // EnableSubstring builds the q-gram substring index over the current
@@ -78,43 +73,68 @@ func (ix *Indexes) EnableSubstring() {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
 	s := ix.cur.Load()
-	if s.subTree != nil {
+	if s.grams() != nil {
 		return
 	}
 	d := *s
-	d.buildSubstr()
+	g := &gramFamily{}
+	d.fams = append(slices.Clip(s.fams), g)
+	d.loadTrees([]family{g}, 1)
 	ix.publish(&d)
 }
 
-// buildSubstr bulk-loads the gram tree from the document: one entry per
-// (gram, posting) over text-node values and attribute values.
-func (ix *Snapshot) buildSubstr() {
-	doc := ix.doc
-	var entries []btree.Entry
-	for i := 0; i < doc.NumNodes(); i++ {
-		n := xmltree.NodeID(i)
-		if doc.Kind(n) != xmltree.Text {
-			continue
-		}
-		posting := packPosting(ix.stableOf[i], false)
-		for _, g := range substrGrams(doc.ValueBytes(n)) {
-			entries = append(entries, btree.Entry{Key: uint64(g), Val: posting})
-		}
+// gramFamily is the substring index as an index family: one entry per
+// (gram, posting) over text-node and attribute values. Its keys come
+// straight from the document, so it keeps no state and folds nothing.
+type gramFamily struct{ postingTree }
+
+func (g *gramFamily) label() string          { return "substring" }
+func (g *gramFamily) postings() *postingTree { return &g.postingTree }
+
+// keys: text nodes and attributes only — element string values
+// concatenate descendant text, so only leaf operands are index targets.
+func (g *gramFamily) keys(s *Snapshot, p Posting, buf []uint64) []uint64 {
+	if !p.IsAttr && s.doc.Kind(p.Node) != xmltree.Text {
+		return buf
 	}
-	for a := 0; a < doc.NumAttrs(); a++ {
-		posting := packPosting(ix.attrStableOf[a], true)
-		for _, g := range substrGrams(doc.AttrValueBytes(xmltree.AttrID(a))) {
-			entries = append(entries, btree.Entry{Key: uint64(g), Val: posting})
-		}
-	}
-	btree.SortEntries(entries)
-	ix.subTree = btree.NewFromSorted(entries)
-	ix.subStats = buildKeyStats(ix.subTree)
+	return appendGrams(buf, s.valueBytes(p))
+}
+
+func (g *gramFamily) leaf(*Snapshot, Posting, []byte)        {}
+func (g *gramFamily) refold(*Snapshot, xmltree.NodeID)       {}
+func (g *gramFamily) check(*Snapshot, Posting, []byte) error { return nil }
+func (g *gramFamily) folder(*Snapshot, bool) folder          { return nil }
+func (g *gramFamily) splice(*Snapshot, int, int, int, int)   {}
+func (g *gramFamily) addStats(_ *Snapshot, st *IndexStats) {
+	st.SubstringEntries = g.tree.Len()
+	st.SubstringBytes = st.SubstringEntries * 8
+}
+
+func (g *gramFamily) draft(writeShape) family {
+	return &gramFamily{g.postingTree.clone()}
+}
+
+func (g *gramFamily) addMem(ms *MemStats) {
+	ms.SubstrTreeBytes = g.tree.MemBytes()
+	ms.UnpackedTreeBytes += g.tree.UnpackedBytes()
+}
+
+// save persists the gram tree; its statistics are derived data, rebuilt
+// on load.
+func (g *gramFamily) save(w *storage.Writer, _ *Snapshot) error {
+	return writeSection(w, SectionSubstr, func(sec io.Writer) error { return writeTree(sec, g.tree) })
+}
+
+func (g *gramFamily) load(r *storage.Reader, _ *Snapshot) error {
+	return readSection(r, SectionSubstr, func(sec io.Reader) (err error) {
+		g.tree, err = readTree(sec)
+		return err
+	})
 }
 
 // HasSubstring reports whether the substring index is enabled on this
 // version.
-func (ix *Snapshot) HasSubstring() bool { return ix.subTree != nil }
+func (ix *Snapshot) HasSubstring() bool { return ix.grams() != nil }
 
 // Contains returns the text and attribute nodes of this version whose
 // value contains pattern, verified against the document, in document
@@ -123,7 +143,7 @@ func (ix *Snapshot) HasSubstring() bool { return ix.subTree != nil }
 // shorter than SubstrQ bytes, and snapshots without the index, fall back
 // to a scan.
 func (ix *Snapshot) Contains(pattern string) []Posting {
-	if ix.subTree == nil || len(pattern) < SubstrQ {
+	if ix.grams() == nil || len(pattern) < SubstrQ {
 		return ix.ScanContains(pattern)
 	}
 	return ix.substrLookup(pattern, false)
@@ -133,7 +153,7 @@ func (ix *Snapshot) Contains(pattern string) []Posting {
 // pattern. A prefix match implies a substring match, so the gram
 // intersection yields a candidate superset and verification tightens it.
 func (ix *Snapshot) StartsWith(pattern string) []Posting {
-	if ix.subTree == nil || len(pattern) < SubstrQ {
+	if ix.grams() == nil || len(pattern) < SubstrQ {
 		return ix.ScanStartsWith(pattern)
 	}
 	return ix.substrLookup(pattern, true)
@@ -169,13 +189,14 @@ func (ix *Snapshot) substrLookup(pattern string, prefix bool) []Posting {
 // delta-varint encoded straight off the tree scan and intersected by
 // streaming decoders (see postings.go); only the survivors are widened
 // to uint32. Callers must have checked len(pattern) >= SubstrQ and
-// subTree != nil.
+// the index is enabled.
 func (ix *Snapshot) substrCandidates(pattern string) []uint32 {
-	grams := substrGrams([]byte(pattern))
+	grams := appendGrams(nil, []byte(pattern))
+	tree := ix.grams().tree
 	lists := make([]packedPostings, 0, len(grams))
 	for _, g := range grams {
 		var list packedPostings
-		ix.subTree.ScanEq(uint64(g), func(v uint32) bool {
+		tree.ScanEq(g, func(v uint32) bool {
 			list.push(v)
 			return true
 		})
@@ -250,7 +271,7 @@ func (ix *Snapshot) scanSubstr(pattern string, prefix bool) []Posting {
 // and drained through the iterator's pending queue.
 func (ix *Snapshot) SubstrIter(pattern string, prefix bool) *PostingIter {
 	var hits []Posting
-	if ix.subTree != nil && len(pattern) >= SubstrQ {
+	if ix.grams() != nil && len(pattern) >= SubstrQ {
 		hits = ix.substrLookup(pattern, prefix)
 	} else if prefix {
 		hits = ix.ScanStartsWith(pattern)
@@ -269,12 +290,13 @@ func (ix *Snapshot) SubstrIter(pattern string, prefix bool) *PostingIter {
 // grams (the intersection can only shrink the rarest list). Zero when
 // the pattern is too short or the index is absent.
 func (ix *Snapshot) EstimateSubstr(pattern string) float64 {
-	if ix.subStats == nil || len(pattern) < SubstrQ {
+	g := ix.grams()
+	if g == nil || g.stats == nil || len(pattern) < SubstrQ {
 		return 0
 	}
 	est := math.MaxFloat64
-	for _, g := range substrGrams([]byte(pattern)) {
-		if e := ix.subStats.estimateEq(uint64(g)); e < est {
+	for _, gram := range appendGrams(nil, []byte(pattern)) {
+		if e := g.stats.estimateEq(gram); e < est {
 			est = e
 		}
 	}
@@ -282,173 +304,4 @@ func (ix *Snapshot) EstimateSubstr(pattern string) float64 {
 		return 0
 	}
 	return est
-}
-
-// SubstringPlannerStats reports the substring index statistics; ok is
-// false when the index is not enabled.
-func (ix *Snapshot) SubstringPlannerStats() (PlannerStats, bool) {
-	if ix.subStats == nil {
-		return PlannerStats{}, false
-	}
-	return PlannerStats{Total: ix.subStats.total, Distinct: ix.subStats.distinct, Buckets: len(ix.subStats.counts)}, true
-}
-
-// --- copy-on-write maintenance (called from the apply paths) ---
-
-// subTreeInsert / subTreeDelete funnel gram-tree mutations past the
-// statistics layer, like strTreeInsert/strTreeDelete.
-func (ix *Snapshot) subTreeInsert(g uint32, posting uint32) {
-	if ix.subTree.Insert(uint64(g), posting) && ix.subStats != nil {
-		ix.subStats.noteInsert(uint64(g))
-	}
-}
-
-func (ix *Snapshot) subTreeDelete(g uint32, posting uint32) {
-	if ix.subTree.Delete(uint64(g), posting) && ix.subStats != nil {
-		ix.subStats.noteDelete(uint64(g))
-	}
-}
-
-// substrNodeGrams captures the gram set of node n's current value, for
-// diffing after a text mutation. Nil when the index is disabled or n is
-// not a text node (the only tree-node kind the gram tree stores).
-func (ix *Snapshot) substrNodeGrams(n xmltree.NodeID) []uint32 {
-	if ix.subTree == nil || ix.doc.Kind(n) != xmltree.Text {
-		return nil
-	}
-	return substrGrams(ix.doc.ValueBytes(n))
-}
-
-// substrAttrGrams captures the gram set of attribute a's current value.
-func (ix *Snapshot) substrAttrGrams(a xmltree.AttrID) []uint32 {
-	if ix.subTree == nil {
-		return nil
-	}
-	return substrGrams(ix.doc.AttrValueBytes(a))
-}
-
-// substrReindexNode diffs node n's grams against the set captured before
-// the mutation and repairs the gram tree.
-func (ix *Snapshot) substrReindexNode(n xmltree.NodeID, oldGrams []uint32) {
-	if ix.subTree == nil || ix.doc.Kind(n) != xmltree.Text {
-		return
-	}
-	posting := packPosting(ix.stableOf[n], false)
-	ix.substrDiff(posting, oldGrams, substrGrams(ix.doc.ValueBytes(n)))
-}
-
-// substrReindexAttr is substrReindexNode for attribute values.
-func (ix *Snapshot) substrReindexAttr(a xmltree.AttrID, oldGrams []uint32) {
-	if ix.subTree == nil {
-		return
-	}
-	posting := packPosting(ix.attrStableOf[a], true)
-	ix.substrDiff(posting, oldGrams, substrGrams(ix.doc.AttrValueBytes(a)))
-}
-
-// substrDiff merges two sorted gram sets, deleting grams only the old
-// value had and inserting grams only the new value has.
-func (ix *Snapshot) substrDiff(posting uint32, old, new []uint32) {
-	i, j := 0, 0
-	for i < len(old) || j < len(new) {
-		switch {
-		case j >= len(new) || (i < len(old) && old[i] < new[j]):
-			ix.subTreeDelete(old[i], posting)
-			i++
-		case i >= len(old) || new[j] < old[i]:
-			ix.subTreeInsert(new[j], posting)
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-}
-
-// substrRemoveNode / substrRemoveAttr drop a doomed posting's grams
-// (structural deletes; called before the document splices).
-func (ix *Snapshot) substrRemoveNode(n xmltree.NodeID, stable uint32) {
-	if ix.subTree == nil || ix.doc.Kind(n) != xmltree.Text {
-		return
-	}
-	posting := packPosting(stable, false)
-	for _, g := range substrGrams(ix.doc.ValueBytes(n)) {
-		ix.subTreeDelete(g, posting)
-	}
-}
-
-func (ix *Snapshot) substrRemoveAttr(a xmltree.AttrID, stable uint32) {
-	if ix.subTree == nil {
-		return
-	}
-	posting := packPosting(stable, true)
-	for _, g := range substrGrams(ix.doc.AttrValueBytes(a)) {
-		ix.subTreeDelete(g, posting)
-	}
-}
-
-// substrAddNode / substrAddAttr index a freshly inserted posting's grams
-// (structural inserts; called after the scoped build pass).
-func (ix *Snapshot) substrAddNode(n xmltree.NodeID, stable uint32) {
-	if ix.subTree == nil || ix.doc.Kind(n) != xmltree.Text {
-		return
-	}
-	posting := packPosting(stable, false)
-	for _, g := range substrGrams(ix.doc.ValueBytes(n)) {
-		ix.subTreeInsert(g, posting)
-	}
-}
-
-func (ix *Snapshot) substrAddAttr(a xmltree.AttrID, stable uint32) {
-	if ix.subTree == nil {
-		return
-	}
-	posting := packPosting(stable, true)
-	for _, g := range substrGrams(ix.doc.AttrValueBytes(a)) {
-		ix.subTreeInsert(g, posting)
-	}
-}
-
-// verifySubstr cross-checks the gram tree against ground truth recomputed
-// from the document: exactly the expected (gram, posting) entries, and a
-// histogram population matching the tree. Part of Verify.
-func (ix *Snapshot) verifySubstr() error {
-	if ix.subTree == nil {
-		return nil
-	}
-	doc := ix.doc
-	want := 0
-	check := func(val []byte, posting uint32, what string, id int) error {
-		gs := substrGrams(val)
-		want += len(gs)
-		for _, g := range gs {
-			if !ix.subTree.Contains(uint64(g), posting) {
-				return fmt.Errorf("core: substring tree missing gram of %s %d", what, id)
-			}
-		}
-		return nil
-	}
-	for i := 0; i < doc.NumNodes(); i++ {
-		n := xmltree.NodeID(i)
-		if doc.Kind(n) != xmltree.Text {
-			continue
-		}
-		if err := check(doc.ValueBytes(n), packPosting(ix.stableOf[i], false), "node", i); err != nil {
-			return err
-		}
-	}
-	for a := 0; a < doc.NumAttrs(); a++ {
-		if err := check(doc.AttrValueBytes(xmltree.AttrID(a)), packPosting(ix.attrStableOf[a], true), "attr", a); err != nil {
-			return err
-		}
-	}
-	if ix.subTree.Len() != want {
-		return fmt.Errorf("core: substring tree has %d entries, want %d", ix.subTree.Len(), want)
-	}
-	if ix.subStats != nil {
-		if got := ix.subStats.sum(); got != ix.subTree.Len() {
-			return fmt.Errorf("core: substring histogram population %d, tree has %d", got, ix.subTree.Len())
-		}
-	}
-	return nil
 }

@@ -1,0 +1,427 @@
+package core
+
+import (
+	"fmt"
+	"io"
+	"maps"
+	"math"
+	"slices"
+	"unsafe"
+
+	"repro/internal/fsm"
+	"repro/internal/storage"
+	"repro/internal/xmltree"
+)
+
+// typedFamily is one typed range index: the side table of FSM states and
+// fragments (the paper's [node id, state] index), folded through the SCT,
+// and the value B+tree (the paper's clustered [value, node id] index)
+// from order-encoded values to postings of castable nodes. Which type it
+// maintains is entirely determined by its TypeSpec.
+type typedFamily struct {
+	spec  TypeSpec
+	sides [2]typedSide // tree nodes by pre rank, attributes by id
+	postingTree
+}
+
+// typedSide is one side's state. Rejected positions store no fragment
+// (absence = reject, as in the paper).
+type typedSide struct {
+	elems []fsm.Elem // Reject = not stored
+	// items holds the digit runs and punctuation of live fragments (not
+	// Reject, non-empty). Keyed by STABLE id so structural updates that
+	// shift positions do not invalidate the map.
+	items map[uint32][]fsm.Item
+}
+
+func newTypedFamily(spec TypeSpec, n, na int) *typedFamily {
+	return &typedFamily{spec: spec, sides: [2]typedSide{
+		{elems: make([]fsm.Elem, n), items: make(map[uint32][]fsm.Item)}, // zero elem is fsm.Reject
+		{elems: make([]fsm.Elem, na), items: make(map[uint32][]fsm.Item)},
+	}}
+}
+
+func (t *typedFamily) label() string          { return t.spec.Name }
+func (t *typedFamily) postings() *postingTree { return &t.postingTree }
+
+func (t *typedFamily) frag(s *Snapshot, p Posting) fsm.Frag {
+	sd := &t.sides[p.side()]
+	e := sd.elems[p.pos()]
+	if e == fsm.Reject {
+		return fsm.Frag{}
+	}
+	return fsm.Frag{Elem: e, Items: sd.items[s.stable(p)]}
+}
+
+// set stores p's fragment. fresh skips deleting the stale items of a
+// position whose stable id cannot have any yet (build passes).
+func (t *typedFamily) set(s *Snapshot, p Posting, f fsm.Frag, fresh bool) {
+	sd := &t.sides[p.side()]
+	sd.elems[p.pos()] = f.Elem
+	if f.Elem != fsm.Reject && len(f.Items) > 0 {
+		sd.items[s.stable(p)] = f.Items
+	} else if !fresh {
+		delete(sd.items, s.stable(p))
+	}
+}
+
+// keys: the value tree holds castable text nodes, castable attributes and
+// castable COMBINED elements (mixed content). Single-text wrapper
+// elements share their text's value and are chain-lifted at query time
+// (Snapshot.appendWithChain) instead of being stored — this is what keeps
+// the typed index at a few percent of the database, as in the paper.
+func (t *typedFamily) keys(s *Snapshot, p Posting, buf []uint64) []uint64 {
+	e := t.sides[p.side()].elems[p.pos()]
+	if e == fsm.Reject || !t.spec.Machine.Castable(e) {
+		return buf
+	}
+	if !p.IsAttr {
+		switch s.doc.Kind(p.Node) {
+		case xmltree.Element, xmltree.Document:
+			if !isCombinedValue(s.doc, p.Node) {
+				return buf
+			}
+		case xmltree.Comment, xmltree.PI:
+			return buf
+		}
+	}
+	if key, ok := t.spec.Encode(t.frag(s, p)); ok {
+		buf = append(buf, key)
+	}
+	return buf
+}
+
+func (t *typedFamily) leaf(s *Snapshot, p Posting, val []byte) {
+	f, _ := t.spec.Machine.ParseFrag(val) // rejected → zero Frag (Reject)
+	t.set(s, p, f, false)
+}
+
+// refold stops consulting children once the fold is Reject, which
+// absorbs everything after it.
+func (t *typedFamily) refold(s *Snapshot, n xmltree.NodeID) {
+	doc := s.doc
+	acc := fsm.Frag{Elem: fsm.Identity}
+	for c := doc.FirstChild(n); c != xmltree.InvalidNode && acc.Elem != fsm.Reject; c = doc.NextSibling(c) {
+		if xmltree.ContributesToParent(doc.Kind(c)) {
+			acc = foldFrag(t.spec.Machine, acc, t.frag(s, NodePosting(c)))
+		}
+	}
+	t.set(s, NodePosting(n), acc, false)
+}
+
+// foldFrag combines an accumulated fragment with a child fragment,
+// propagating rejection (the SCT's early-reject).
+func foldFrag(m *fsm.Machine, acc, child fsm.Frag) fsm.Frag {
+	if acc.Elem == fsm.Reject || child.Elem == fsm.Reject {
+		return fsm.Frag{Elem: fsm.Reject}
+	}
+	out, ok := m.Combine(acc, child)
+	if !ok {
+		return fsm.Frag{Elem: fsm.Reject}
+	}
+	return out
+}
+
+// check compares elements and, when castable, the reconstructed lexical
+// forms: item-level equality can differ harmlessly in >17-digit
+// approximation territory.
+func (t *typedFamily) check(s *Snapshot, p Posting, val []byte) error {
+	want, ok := t.spec.Machine.ParseFrag(val)
+	got := t.frag(s, p)
+	if !ok {
+		if got.Elem != fsm.Reject {
+			return fmt.Errorf("elem %d, want Reject (value %.40q)", got.Elem, val)
+		}
+		return nil
+	}
+	if got.Elem != want.Elem {
+		return fmt.Errorf("elem %d, want %d (value %.40q)", got.Elem, want.Elem, val)
+	}
+	if got.Lexical() != want.Lexical() {
+		return fmt.Errorf("lexical %q, want %q", got.Lexical(), want.Lexical())
+	}
+	return nil
+}
+
+func (t *typedFamily) folder(s *Snapshot, held bool) folder {
+	return &typedFolder{t: t, s: s, held: held}
+}
+
+// typedFolder writes elements straight into the columns (concurrent
+// passes cover disjoint positions) and, when held, keeps the items back
+// for flush: the maps are shared.
+type typedFolder struct {
+	t     *typedFamily
+	s     *Snapshot
+	stack []fsm.Frag
+	held  bool
+	items [2][]stableItems
+}
+
+// stableItems carries one position's items, keyed by stable id, from a
+// held folder into its family's map.
+type stableItems struct {
+	stable uint32
+	items  []fsm.Item
+}
+
+func (f *typedFolder) store(p Posting, fr fsm.Frag) {
+	if !f.held {
+		f.t.set(f.s, p, fr, true)
+		return
+	}
+	f.t.sides[p.side()].elems[p.pos()] = fr.Elem
+	if fr.Elem != fsm.Reject && len(fr.Items) > 0 {
+		f.items[p.side()] = append(f.items[p.side()], stableItems{f.s.stable(p), fr.Items})
+	}
+}
+
+func (f *typedFolder) open() { f.stack = append(f.stack, fsm.Frag{Elem: fsm.Identity}) }
+
+func (f *typedFolder) leaf(p Posting, val []byte, contributes bool) {
+	fr, _ := f.t.spec.Machine.ParseFrag(val)
+	f.store(p, fr)
+	if contributes {
+		f.fold(fr)
+	}
+}
+
+func (f *typedFolder) close(n xmltree.NodeID) {
+	fr := f.stack[len(f.stack)-1]
+	f.stack = f.stack[:len(f.stack)-1]
+	f.store(NodePosting(n), fr)
+	f.fold(fr)
+}
+
+func (f *typedFolder) fold(fr fsm.Frag) {
+	if n := len(f.stack); n > 0 {
+		f.stack[n-1] = foldFrag(f.t.spec.Machine, f.stack[n-1], fr)
+	}
+}
+
+func (f *typedFolder) flush() {
+	for side, held := range f.items {
+		for _, si := range held {
+			f.t.sides[side].items[si.stable] = si.items
+		}
+	}
+}
+
+// draft copies the written sides' elements and item maps; the fragment
+// slices stay shared because set always replaces whole slices.
+func (t *typedFamily) draft(w writeShape) family {
+	c := *t
+	for side, sd := range t.sides {
+		if w.writes(side) {
+			c.sides[side] = typedSide{elems: slices.Clone(sd.elems), items: maps.Clone(sd.items)}
+		}
+	}
+	c.postingTree = t.postingTree.clone()
+	return &c
+}
+
+func (t *typedFamily) splice(s *Snapshot, side, at, del, ins int) {
+	sd := &t.sides[side]
+	for _, st := range s.stables(side)[at : at+del] {
+		delete(sd.items, st)
+	}
+	sd.elems = splice(sd.elems, at, del, ins)
+}
+
+// addStats fills the type's TypedStats entry and, for the built-in
+// types, Table 1's flattened columns.
+func (t *typedFamily) addStats(s *Snapshot, st *IndexStats) {
+	doc := s.doc
+	ts := TypedStats{ID: t.spec.ID, Name: t.spec.Name}
+	var buf []uint64
+	s.eachPosting(func(p Posting) {
+		sd := &t.sides[p.side()]
+		e := sd.elems[p.pos()]
+		if e == fsm.Reject {
+			return
+		}
+		text := !p.IsAttr && doc.Kind(p.Node) == xmltree.Text
+		if e == fsm.Identity && !text {
+			// Empty elements and attributes carry no information; the
+			// paper would not store them either.
+			return
+		}
+		ts.Live++
+		// 1 byte state (paper) + node id reference (4) per stored state.
+		ts.Bytes += 5
+		if text {
+			ts.LiveTexts++
+		}
+		if buf = t.keys(s, p, buf[:0]); len(buf) > 0 {
+			ts.Castable++
+			ts.Bytes += 12 // value (8) + posting (4) in the B+tree
+			switch {
+			case text:
+				ts.CastableTexts++
+			case !p.IsAttr:
+				ts.NonLeaf++ // combined values only reach the tree
+			}
+		}
+		// Items persist as compact varints; estimate 2 bytes per item.
+		ts.Bytes += 2 * len(sd.items[s.stable(p)])
+	})
+	st.Typed = append(st.Typed, ts)
+	switch t.spec.ID {
+	case TypeDouble:
+		st.DoubleLive, st.DoubleTexts, st.DoubleCastableTexts = ts.Live, ts.LiveTexts, ts.CastableTexts
+		st.DoubleCastable, st.DoubleNonLeaf, st.DoubleBytes = ts.Castable, ts.NonLeaf, ts.Bytes
+	case TypeDateTime:
+		st.DateTimeLive, st.DateTimeTexts = ts.Live, ts.LiveTexts
+		st.DateTimeCastable, st.DateTimeBytes = ts.Castable, ts.Bytes
+	case TypeDate:
+		st.DateLive, st.DateTexts = ts.Live, ts.LiveTexts
+		st.DateCastable, st.DateBytes = ts.Castable, ts.Bytes
+	}
+}
+
+func (t *typedFamily) addMem(ms *MemStats) {
+	ms.TypedTreeBytes += t.tree.MemBytes()
+	ms.UnpackedTreeBytes += t.tree.UnpackedBytes()
+	const itemBytes = int(unsafe.Sizeof(fsm.Item{}))
+	const mapEntryBytes = 48 // rough per-entry map overhead (key+header+buckets)
+	for _, sd := range t.sides {
+		ms.SideBytes += cap(sd.elems) // fsm.Elem is one byte
+		for _, items := range sd.items {
+			ms.SideBytes += mapEntryBytes + cap(items)*itemBytes
+		}
+	}
+}
+
+// save persists the paper's [value, state, node] inventory in one
+// section, preceded by a (format version, type ID) header so a reader can
+// reject payloads it does not understand. States are stored sparsely —
+// absence means reject ("the absence of a state signifies the reject
+// state") — and only where not trivially derivable: leaves and attributes
+// with digit/punctuation content. Whitespace-only leaves and interior
+// elements are derived data, recomputed on load by FSM runs and SCT
+// folds.
+func (t *typedFamily) save(w *storage.Writer, s *Snapshot) error {
+	return writeSection(w, TypedSectionName(t.spec.ID), func(sec io.Writer) error {
+		doc := s.doc
+		se := newSliceEncoder(sec)
+		se.uv(typedSectionVersion)
+		se.uv(uint64(t.spec.ID))
+		for side, sd := range t.sides {
+			stables := s.stables(side)
+			stored := func(i int) bool {
+				if side == 0 && !isLeafKind(doc.Kind(xmltree.NodeID(i))) {
+					return false
+				}
+				return sd.elems[i] != fsm.Reject && len(sd.items[stables[i]]) > 0
+			}
+			count := 0
+			for i := range sd.elems {
+				if stored(i) {
+					count++
+				}
+			}
+			se.uv(uint64(len(sd.elems)))
+			se.uv(uint64(count))
+			prev := 0
+			for i := range sd.elems {
+				if !stored(i) {
+					continue
+				}
+				items := sd.items[stables[i]]
+				se.uv(uint64(i - prev))
+				se.uv(uint64(sd.elems[i]))
+				se.uv(uint64(len(items)))
+				for _, it := range items {
+					se.uv(uint64(it.Punct))
+					se.uv(encodeRunVal(it.Val))
+					se.uv(uint64(it.Len))
+				}
+				prev = i
+			}
+		}
+		if err := se.flush(); err != nil {
+			return err
+		}
+		return writeTree(sec, t.tree)
+	})
+}
+
+// encodeRunVal compresses a digit-run value: runs are integral by
+// construction, so small ones pack as 2v; values beyond exact-integer
+// float range fall back to tagged IEEE bits (2bits+1).
+func encodeRunVal(v float64) uint64 {
+	if v >= 0 && v < 1<<53 && v == math.Trunc(v) {
+		return uint64(v) << 1
+	}
+	return math.Float64bits(v)<<1 | 1
+}
+
+func decodeRunVal(u uint64) float64 {
+	if u&1 == 0 {
+		return float64(u >> 1)
+	}
+	return math.Float64frombits(u >> 1)
+}
+
+// load reads the section back and recomputes the leaf states save left
+// out (whitespace-only or rejected texts) with a fast FSM run; interior
+// states refold afterwards (see completeDerived).
+func (t *typedFamily) load(r *storage.Reader, s *Snapshot) error {
+	err := readSection(r, TypedSectionName(t.spec.ID), func(sec io.Reader) error {
+		sd := newSliceDecoder(sec)
+		if v := sd.uv(); sd.err == nil && v != typedSectionVersion {
+			return fmt.Errorf("unsupported typed section format version %d (this build reads version %d)", v, typedSectionVersion)
+		}
+		if id := TypeID(sd.uv()); sd.err == nil && id != t.spec.ID {
+			return fmt.Errorf("typed section holds type ID %d, want %d", id, t.spec.ID)
+		}
+		for side := range t.sides {
+			if err := t.readSide(sd, s, side); err != nil {
+				return err
+			}
+		}
+		var err error
+		t.tree, err = readTree(sec)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("core: typed index %q: %w", t.spec.Name, err)
+	}
+	doc := s.doc
+	for i := 0; i < doc.NumNodes(); i++ {
+		n := xmltree.NodeID(i)
+		if isLeafKind(doc.Kind(n)) && t.sides[0].elems[i] == fsm.Reject {
+			if f, ok := t.spec.Machine.ParseFrag(doc.ValueBytes(n)); ok {
+				t.set(s, NodePosting(n), f, true)
+			}
+		}
+	}
+	return nil
+}
+
+func (t *typedFamily) readSide(sd *sliceDecoder, s *Snapshot, side int) error {
+	elems, items, stables := t.sides[side].elems, t.sides[side].items, s.stables(side)
+	if got := int(sd.uv()); sd.err == nil && got != len(elems) {
+		return fmt.Errorf("core: typed index has %d positions, want %d", got, len(elems))
+	}
+	stored := int(sd.uv())
+	pos := 0
+	for i := 0; i < stored && sd.err == nil; i++ {
+		pos += int(sd.uv())
+		e := fsm.Elem(sd.uv())
+		k := int(sd.uv())
+		if k < 0 || k > 1<<20 {
+			return fmt.Errorf("core: implausible item count %d", k)
+		}
+		its := make([]fsm.Item, k)
+		for j := range its {
+			its[j] = fsm.Item{Punct: byte(sd.uv()), Val: decodeRunVal(sd.uv()), Len: int32(sd.uv())}
+		}
+		if pos >= len(elems) {
+			return fmt.Errorf("core: state position %d out of range", pos)
+		}
+		elems[pos] = e
+		items[stables[pos]] = its
+	}
+	return sd.err
+}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/fsm"
 	"repro/internal/storage"
-	"repro/internal/vhash"
 	"repro/internal/xmltree"
 )
 
@@ -15,128 +13,6 @@ import (
 type TextUpdate struct {
 	Node  xmltree.NodeID
 	Value string
-}
-
-// keyState is one typed index's B+tree key snapshot for a node.
-type keyState struct {
-	key uint64
-	ok  bool
-}
-
-// oldKeys snapshots a node's index keys before a mutation, so the B+trees
-// can be diffed afterwards. typed is parallel to Indexes.typed.
-type oldKeys struct {
-	hash  uint32
-	typed []keyState
-}
-
-// captureNodeInto snapshots node n's keys, appending typed-key states to
-// buf (which must be empty).
-func (ix *Snapshot) captureNodeInto(buf []keyState, n xmltree.NodeID) oldKeys {
-	var o oldKeys
-	if ix.hash != nil {
-		o.hash = ix.hash[n]
-	}
-	if len(ix.typed) > 0 {
-		for _, ti := range ix.typed {
-			key, ok := ti.treeKey(ix.doc, n, ix.stableOf[n])
-			buf = append(buf, keyState{key: key, ok: ok})
-		}
-		o.typed = buf
-	}
-	return o
-}
-
-func (ix *Snapshot) captureNode(n xmltree.NodeID) oldKeys {
-	return ix.captureNodeInto(make([]keyState, 0, len(ix.typed)), n)
-}
-
-// captureNodeScratch is captureNode over the shared scratch buffer, for
-// the capture→recompute→reindex sequences that consume the snapshot
-// before the next capture. Callers that retain snapshots (the structural
-// updates' ancestor maps) must use captureNode.
-func (ix *Snapshot) captureNodeScratch(n xmltree.NodeID) oldKeys {
-	o := ix.captureNodeInto(ix.scratchKeys[:0], n)
-	if o.typed != nil {
-		ix.scratchKeys = o.typed
-	}
-	return o
-}
-
-// reindexNode diffs a node's keys against the snapshot and repairs the
-// B+trees. Non-indexed kinds (comments, PIs) keep fields but no postings.
-func (ix *Snapshot) reindexNode(n xmltree.NodeID, old oldKeys) {
-	if !indexedNodeKind(ix.doc.Kind(n)) {
-		return
-	}
-	posting := packPosting(ix.stableOf[n], false)
-	if ix.strTree != nil && ix.hash[n] != old.hash {
-		ix.strTreeDelete(old.hash, posting)
-		ix.strTreeInsert(ix.hash[n], posting)
-	}
-	for t, ti := range ix.typed {
-		key, ok := ti.treeKey(ix.doc, n, ix.stableOf[n])
-		diffTyped(ti, posting, old.typed[t].key, old.typed[t].ok, key, ok)
-	}
-}
-
-func diffTyped(ti *typedIndex, posting uint32, oldKey uint64, oldOK bool, newKey uint64, newOK bool) {
-	if oldOK == newOK && oldKey == newKey {
-		return
-	}
-	if oldOK {
-		ti.treeDelete(oldKey, posting)
-	}
-	if newOK {
-		ti.treeInsert(newKey, posting)
-	}
-}
-
-// recomputeLeaf refreshes the fields of a value-carrying node from its
-// (new) character data.
-func (ix *Snapshot) recomputeLeaf(n xmltree.NodeID) {
-	val := ix.doc.ValueBytes(n)
-	stable := ix.stableOf[n]
-	if ix.hash != nil {
-		ix.hash[n] = vhash.Hash(val)
-	}
-	for _, ti := range ix.typed {
-		f, _ := ti.spec.Machine.ParseFrag(val)
-		ti.setFrag(n, stable, f)
-	}
-}
-
-// recomputeInterior refolds an element's (or the document's) fields from
-// its immediate children's stored fields — the heart of the Figure 8
-// update algorithm: no text is read, only child hashes and states are
-// combined.
-func (ix *Snapshot) recomputeInterior(n xmltree.NodeID) {
-	doc := ix.doc
-	var h uint32
-	frags := ix.scratchFrags[:0]
-	for range ix.typed {
-		frags = append(frags, fsm.Frag{Elem: fsm.Identity})
-	}
-	ix.scratchFrags = frags
-	for c := doc.FirstChild(n); c != xmltree.InvalidNode; c = doc.NextSibling(c) {
-		if !xmltree.ContributesToParent(doc.Kind(c)) {
-			continue
-		}
-		if ix.hash != nil {
-			h = vhash.Combine(h, ix.hash[c])
-		}
-		cs := ix.stableOf[c]
-		for t, ti := range ix.typed {
-			frags[t] = foldFrag(ti.spec.Machine, frags[t], ti.frag(c, cs))
-		}
-	}
-	stable := ix.stableOf[n]
-	if ix.hash != nil {
-		ix.hash[n] = h
-	}
-	for t, ti := range ix.typed {
-		ti.setFrag(n, stable, frags[t])
-	}
 }
 
 // UpdateText changes the value of a single text node and maintains all
@@ -179,7 +55,7 @@ func (ix *Indexes) UpdateTexts(updates []TextUpdate) error {
 			return err
 		}
 	}
-	draft := s.cloneForText()
+	draft := s.draft(writesNodes)
 	if err := draft.applyTexts(updates); err != nil {
 		return err
 	}
@@ -210,14 +86,11 @@ func (ix *Snapshot) applyTexts(updates []TextUpdate) error {
 	doc := ix.doc
 	affected := make(map[xmltree.NodeID]struct{})
 	for _, u := range updates {
-		old := ix.captureNodeScratch(u.Node)
-		oldGrams := ix.substrNodeGrams(u.Node)
+		old := ix.captureKeys(NodePosting(u.Node))
 		if err := doc.SetText(u.Node, u.Value); err != nil {
 			return err
 		}
-		ix.recomputeLeaf(u.Node)
-		ix.reindexNode(u.Node, old)
-		ix.substrReindexNode(u.Node, oldGrams)
+		ix.refreshLeaf(NodePosting(u.Node), old)
 		if xmltree.ContributesToParent(doc.Kind(u.Node)) {
 			for p := doc.Parent(u.Node); p != xmltree.InvalidNode; p = doc.Parent(p) {
 				if _, seen := affected[p]; seen {
@@ -227,45 +100,17 @@ func (ix *Snapshot) applyTexts(updates []TextUpdate) error {
 			}
 		}
 	}
-	ix.refoldAncestors(affected)
-	ix.maintainStats()
-	ix.maybeCompactHeap()
-	return nil
-}
-
-// refoldAncestors recomputes a set of interior nodes deepest-first
-// (descending pre order guarantees children precede parents).
-func (ix *Snapshot) refoldAncestors(affected map[xmltree.NodeID]struct{}) {
-	if len(affected) == 0 {
-		return
-	}
+	// Refold deepest first: descending pre order puts children before
+	// parents.
 	order := make([]xmltree.NodeID, 0, len(affected))
 	for n := range affected {
 		order = append(order, n)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] > order[j] })
-	for _, n := range order {
-		old := ix.captureNodeScratch(n)
-		ix.recomputeInterior(n)
-		ix.reindexNode(n, old)
-	}
-}
-
-// refoldAncestorsWithOld is refoldAncestors for structural updates, where
-// the pre-mutation keys were captured by the caller.
-func (ix *Snapshot) refoldAncestorsWithOld(olds map[xmltree.NodeID]oldKeys) {
-	if len(olds) == 0 {
-		return
-	}
-	order := make([]xmltree.NodeID, 0, len(olds))
-	for n := range olds {
-		order = append(order, n)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] > order[j] })
-	for _, n := range order {
-		ix.recomputeInterior(n)
-		ix.reindexNode(n, olds[n])
-	}
+	ix.refoldAncestors(order, nil)
+	ix.maintainStats()
+	ix.maybeCompactHeap()
+	return nil
 }
 
 // UpdateAttr changes an attribute value. Attribute values do not
@@ -286,7 +131,7 @@ func (ix *Indexes) UpdateAttr(a xmltree.AttrID, value string) error {
 			return err
 		}
 	}
-	draft := s.cloneForAttr()
+	draft := s.draft(writesAttrs)
 	draft.applyAttr(a, value)
 	ix.publish(draft)
 	ix.notifyCommit(draft.version, storage.RecAttrUpdate, 1, payload)
@@ -301,37 +146,10 @@ func (ix *Snapshot) validateAttr(a xmltree.AttrID) error {
 }
 
 func (ix *Snapshot) applyAttr(a xmltree.AttrID, value string) {
-	doc := ix.doc
-	stable := ix.attrStableOf[a]
-	posting := packPosting(stable, true)
-	oldHash := uint32(0)
-	if ix.attrHash != nil {
-		oldHash = ix.attrHash[a]
-	}
-	oldTyped := ix.scratchKeys[:0]
-	for _, ti := range ix.typed {
-		key, ok := ti.attrKey(a, stable)
-		oldTyped = append(oldTyped, keyState{key: key, ok: ok})
-	}
-	ix.scratchKeys = oldTyped
-	oldGrams := ix.substrAttrGrams(a)
-
-	doc.SetAttrValue(a, value)
-	val := doc.AttrValueBytes(a)
-	if ix.attrHash != nil {
-		ix.attrHash[a] = vhash.Hash(val)
-		if ix.attrHash[a] != oldHash {
-			ix.strTreeDelete(oldHash, posting)
-			ix.strTreeInsert(ix.attrHash[a], posting)
-		}
-	}
-	for t, ti := range ix.typed {
-		f, _ := ti.spec.Machine.ParseFrag(val)
-		ti.setAttrFrag(a, stable, f)
-		key, ok := ti.attrKey(a, stable)
-		diffTyped(ti, posting, oldTyped[t].key, oldTyped[t].ok, key, ok)
-	}
-	ix.substrReindexAttr(a, oldGrams)
+	p := AttrPosting(a)
+	old := ix.captureKeys(p)
+	ix.doc.SetAttrValue(a, value)
+	ix.refreshLeaf(p, old)
 	ix.maintainStats()
 	ix.maybeCompactHeap()
 }
@@ -355,7 +173,7 @@ func (ix *Indexes) DeleteSubtree(n xmltree.NodeID) error {
 			return err
 		}
 	}
-	draft := s.cloneForStructure()
+	draft := s.draft(writesStructure)
 	if err := draft.applyDelete(n); err != nil {
 		return err
 	}
@@ -377,84 +195,25 @@ func (ix *Snapshot) validateDelete(n xmltree.NodeID) error {
 func (ix *Snapshot) applyDelete(n xmltree.NodeID) error {
 	doc := ix.doc
 	end := n + xmltree.NodeID(doc.Size(n))
-	parent := doc.Parent(n)
-
-	// Snapshot ancestor keys BEFORE the structure changes: tree
-	// membership of an element depends on its child structure (combined
-	// vs wrapper), so the pre-image must be captured now.
-	oldAnc := make(map[xmltree.NodeID]oldKeys)
-	for p := parent; p != xmltree.InvalidNode; p = doc.Parent(p) {
-		oldAnc[p] = ix.captureNode(p)
-	}
-
-	// Remove postings and side-table entries of every node in the range.
-	for i := n; i <= end; i++ {
-		stable := ix.stableOf[i]
-		if indexedNodeKind(doc.Kind(i)) {
-			posting := packPosting(stable, false)
-			if ix.strTree != nil {
-				ix.strTreeDelete(ix.hash[i], posting)
-			}
-			ix.eachTyped(func(ti *typedIndex) {
-				if key, ok := ti.treeKey(doc, i, stable); ok {
-					ti.treeDelete(key, posting)
-				}
-			})
-		}
-		ix.substrRemoveNode(i, stable)
-		ix.eachTyped(func(ti *typedIndex) { delete(ti.items, stable) })
-		ix.preOf[stable] = -1
-	}
 	alo, _ := doc.AttrRange(n)
 	_, ahi := doc.AttrRange(end)
-	for a := alo; a < ahi; a++ {
-		stable := ix.attrStableOf[a]
-		posting := packPosting(stable, true)
-		if ix.strTree != nil {
-			ix.strTreeDelete(ix.attrHash[a], posting)
-		}
-		ix.substrRemoveAttr(a, stable)
-		ix.eachTyped(func(ti *typedIndex) {
-			if key, ok := ti.attrKey(a, stable); ok {
-				ti.treeDelete(key, posting)
-			}
-			delete(ti.attrItems, stable)
-		})
-		ix.attrOf[stable] = -1
-	}
+	chain, olds := ix.captureChain(doc.Parent(n))
 
+	// Remove the postings of every node and attribute in the range.
+	for i := n; i <= end; i++ {
+		ix.post(NodePosting(i), false)
+	}
+	for a := alo; a < ahi; a++ {
+		ix.post(AttrPosting(a), false)
+	}
 	if err := doc.DeleteSubtree(n); err != nil {
 		return err
 	}
-
-	// Splice the per-node columns in step with the document.
-	cnt := int(end-n) + 1
-	ix.stableOf = append(ix.stableOf[:n], ix.stableOf[int(n)+cnt:]...)
-	if ix.hash != nil {
-		ix.hash = append(ix.hash[:n], ix.hash[int(n)+cnt:]...)
-	}
-	ix.eachTyped(func(ti *typedIndex) {
-		ti.elems = append(ti.elems[:n], ti.elems[int(n)+cnt:]...)
-	})
-	for i := int(n); i < len(ix.stableOf); i++ {
-		ix.preOf[ix.stableOf[i]] = int32(i)
-	}
-	acnt := int(ahi - alo)
-	if acnt > 0 {
-		ix.attrStableOf = append(ix.attrStableOf[:alo], ix.attrStableOf[int(alo)+acnt:]...)
-		if ix.attrHash != nil {
-			ix.attrHash = append(ix.attrHash[:alo], ix.attrHash[int(alo)+acnt:]...)
-		}
-		ix.eachTyped(func(ti *typedIndex) {
-			ti.attrElems = append(ti.attrElems[:alo], ti.attrElems[int(alo)+acnt:]...)
-		})
-		for a := int(alo); a < len(ix.attrStableOf); a++ {
-			ix.attrOf[ix.attrStableOf[a]] = int32(a)
-		}
-	}
+	ix.spliceSide(0, int(n), int(end-n)+1, 0)
+	ix.spliceSide(1, int(alo), int(ahi-alo), 0)
 
 	// Refold the ancestor chain against the pre-captured keys.
-	ix.refoldAncestorsWithOld(oldAnc)
+	ix.refoldAncestors(chain, olds)
 	ix.maintainStats()
 	ix.maybeCompactHeap()
 	return nil
@@ -486,7 +245,7 @@ func (ix *Indexes) InsertChildren(parent xmltree.NodeID, pos int, frag *xmltree.
 			return xmltree.InvalidNode, err
 		}
 	}
-	draft := s.cloneForStructure()
+	draft := s.draft(writesStructure)
 	at, err := draft.applyInsert(parent, pos, frag)
 	if err != nil {
 		return xmltree.InvalidNode, err
@@ -528,109 +287,31 @@ func (ix *Snapshot) applyInsert(parent xmltree.NodeID, pos int, frag *xmltree.Do
 	doc := ix.doc
 	// Pre-capture ancestor keys: insertion can turn a wrapper element
 	// into a combined one, changing its tree membership.
-	oldAnc := make(map[xmltree.NodeID]oldKeys)
-	for p := parent; p != xmltree.InvalidNode; p = doc.Parent(p) {
-		oldAnc[p] = ix.captureNode(p)
-	}
+	chain, olds := ix.captureChain(parent)
 	at, err := doc.InsertChildren(parent, pos, frag)
 	if err != nil {
 		return xmltree.InvalidNode, err
 	}
-	cnt := frag.NumNodes() - 1
-	last := at + xmltree.NodeID(cnt) - 1
+	last := at + xmltree.NodeID(frag.NumNodes()-1) - 1
 	alo, _ := doc.AttrRange(at)
 	_, ahi := doc.AttrRange(last)
-	acnt := int(ahi - alo)
+	ix.spliceSide(0, int(at), 0, int(last-at)+1)
+	ix.spliceSide(1, int(alo), 0, int(ahi-alo))
 
-	// Splice per-node columns and mint stable ids for the new nodes.
-	newStables := make([]uint32, cnt)
-	for k := 0; k < cnt; k++ {
-		s := uint32(len(ix.preOf))
-		newStables[k] = s
-		ix.preOf = append(ix.preOf, int32(int(at)+k))
-	}
-	ix.stableOf = spliceU32(ix.stableOf, int(at), newStables)
-	if ix.hash != nil {
-		ix.hash = spliceU32(ix.hash, int(at), make([]uint32, cnt))
-	}
-	ix.eachTyped(func(ti *typedIndex) {
-		ti.elems = spliceElems(ti.elems, int(at), make([]fsm.Elem, cnt))
-	})
-	for i := int(at) + cnt; i < len(ix.stableOf); i++ {
-		ix.preOf[ix.stableOf[i]] = int32(i)
-	}
-
-	if acnt > 0 {
-		newAttrStables := make([]uint32, acnt)
-		for k := 0; k < acnt; k++ {
-			s := uint32(len(ix.attrOf))
-			newAttrStables[k] = s
-			ix.attrOf = append(ix.attrOf, int32(int(alo)+k))
-		}
-		ix.attrStableOf = spliceU32(ix.attrStableOf, int(alo), newAttrStables)
-		if ix.attrHash != nil {
-			ix.attrHash = spliceU32(ix.attrHash, int(alo), make([]uint32, acnt))
-		}
-		ix.eachTyped(func(ti *typedIndex) {
-			ti.attrElems = spliceElems(ti.attrElems, int(alo), make([]fsm.Elem, acnt))
-		})
-		for a := int(alo) + acnt; a < len(ix.attrStableOf); a++ {
-			ix.attrOf[ix.attrStableOf[a]] = int32(a)
-		}
-	}
-
-	// Compute fields for the inserted range and add postings.
-	ix.buildPass(at, last, nil)
-	if acnt > 0 {
-		ix.buildAttrs(alo, ahi-1, nil)
-	}
+	// Compute state for the inserted range and add its postings.
+	folds := ix.folders(false)
+	ix.buildPass(at, last, folds)
+	ix.buildAttrs(alo, ahi-1, folds)
 	for i := at; i <= last; i++ {
-		if !indexedNodeKind(doc.Kind(i)) {
-			continue
-		}
-		stable := ix.stableOf[i]
-		posting := packPosting(stable, false)
-		if ix.strTree != nil {
-			ix.strTreeInsert(ix.hash[i], posting)
-		}
-		ix.eachTyped(func(ti *typedIndex) {
-			if key, ok := ti.treeKey(doc, i, stable); ok {
-				ti.treeInsert(key, posting)
-			}
-		})
-		ix.substrAddNode(i, stable)
+		ix.post(NodePosting(i), true)
 	}
 	for a := alo; a < ahi; a++ {
-		stable := ix.attrStableOf[a]
-		posting := packPosting(stable, true)
-		if ix.strTree != nil {
-			ix.strTreeInsert(ix.attrHash[a], posting)
-		}
-		ix.eachTyped(func(ti *typedIndex) {
-			if key, ok := ti.attrKey(a, stable); ok {
-				ti.treeInsert(key, posting)
-			}
-		})
-		ix.substrAddAttr(a, stable)
+		ix.post(AttrPosting(a), true)
 	}
 
 	// Refold the chain from the insertion parent upwards against the
 	// pre-captured keys.
-	ix.refoldAncestorsWithOld(oldAnc)
+	ix.refoldAncestors(chain, olds)
 	ix.maintainStats()
 	return at, nil
-}
-
-func spliceU32(s []uint32, at int, ins []uint32) []uint32 {
-	out := make([]uint32, 0, len(s)+len(ins))
-	out = append(out, s[:at]...)
-	out = append(out, ins...)
-	return append(out, s[at:]...)
-}
-
-func spliceElems(s []fsm.Elem, at int, ins []fsm.Elem) []fsm.Elem {
-	out := make([]fsm.Elem, 0, len(s)+len(ins))
-	out = append(out, s[:at]...)
-	out = append(out, ins...)
-	return append(out, s[at:]...)
 }

@@ -1,0 +1,54 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/fsm"
+)
+
+// TestVerifyReportsCorruptFamily corrupts one thing per family in a
+// private draft and requires Verify — and, for leaf state, VerifyLeaves —
+// to fail naming that family, while the published version stays valid.
+func TestVerifyReportsCorruptFamily(t *testing.T) {
+	ix := Build(mustParseForTest(t, `<r><p a="12">4.5</p><q>2001-02-03</q>some note</r>`), DefaultOptions())
+	ix.EnableSubstring()
+	base := ix.Snapshot()
+	leaf := textNodesOf(base.Doc())[0] // "4.5"
+	cases := []struct {
+		name, family string
+		leafState    bool
+		corrupt      func(d *Snapshot)
+	}{
+		{"leaf hash", "string", true, func(d *Snapshot) { d.hashes().col[0][leaf]++ }},
+		{"typed leaf elem", "double", true, func(d *Snapshot) {
+			d.typedFor(TypeDouble).sides[0].elems[leaf] = fsm.Identity
+		}},
+		{"gram posting", "substring", false, func(d *Snapshot) {
+			g := d.grams()
+			e, _ := g.tree.Min()
+			g.tree.Delete(e.Key, e.Val)
+		}},
+		{"histogram count", "date", false, func(d *Snapshot) { d.typedFor(TypeDate).stats.counts[0]++ }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := base.draft(writesStructure)
+			tc.corrupt(d)
+			want := tc.family + " index"
+			if err := d.Verify(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Verify = %v, want an error naming %q", err, want)
+			}
+			err := d.VerifyLeaves()
+			if tc.leafState && (err == nil || !strings.Contains(err.Error(), want)) {
+				t.Fatalf("VerifyLeaves = %v, want an error naming %q", err, want)
+			}
+			if !tc.leafState && err != nil {
+				t.Fatalf("VerifyLeaves = %v on intact leaf state", err)
+			}
+		})
+	}
+	if err := base.Verify(); err != nil {
+		t.Fatalf("published version damaged by a draft: %v", err)
+	}
+}

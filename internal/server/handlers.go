@@ -256,27 +256,29 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The precondition check and the commit must see no interleaved
-	// patch; queries never take this lock.
-	ds.writeMu.Lock()
-	defer ds.writeMu.Unlock()
-
-	if req.IfVersion != nil && ds.doc.Version() != uint64(*req.IfVersion) {
-		writeConflict(w, fmt.Sprintf("if_version %d does not match", *req.IfVersion), ds.doc.Version())
-		return
-	}
-
-	var err error
-	if allTexts {
-		err = s.applyTexts(w, ds, req.Ops)
-	} else {
-		err = s.applyOne(w, ds, req.Ops[0])
-	}
+	// patch; queries never take this lock. The success response is
+	// encoded after it is released.
+	version, err := func() (uint64, error) {
+		ds.writeMu.Lock()
+		defer ds.writeMu.Unlock()
+		if req.IfVersion != nil && ds.doc.Version() != uint64(*req.IfVersion) {
+			writeConflict(w, fmt.Sprintf("if_version %d does not match", *req.IfVersion), ds.doc.Version())
+			return 0, errHandled
+		}
+		var err error
+		if allTexts {
+			err = s.applyTexts(w, ds, req.Ops)
+		} else {
+			err = s.applyOne(w, ds, req.Ops[0])
+		}
+		return ds.doc.Version(), err
+	}()
 	if err != nil {
-		return // the apply helpers already answered
+		return // already answered
 	}
 	writeJSON(w, http.StatusOK, PatchResponse{
 		Doc:     ds.name,
-		Version: Token(ds.doc.Version()),
+		Version: Token(version),
 		Ops:     len(req.Ops),
 	})
 }
