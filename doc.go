@@ -265,13 +265,16 @@
 //
 // The index layer is multi-versioned: the document, every index column,
 // and every B+tree live in an immutable Snapshot, and a commit never
-// mutates the published version. Instead each write — text batch,
-// attribute update, Delete, InsertXML, WAL replay — builds a draft by
-// copy-on-write cloning of exactly the state it changes, applies the
-// operation to the draft, and publishes it with one atomic pointer
-// swap. Version numbers increase by one per commit; a failed commit
-// publishes nothing (the draft is discarded whole, so batches are
-// atomic: a reader sees all of a batch or none of it).
+// mutates the published version. Every write — text batch, attribute
+// update, Delete, InsertXML, and every replayed, shipped or time-travel
+// record — is one write-ahead-log record committed by one function
+// inside the index layer: validate against the current version, append
+// the record to the log, build a draft by copy-on-write cloning of
+// exactly the state it changes, apply the paper's Figure 8 update to the
+// draft, and publish it with one atomic pointer swap. Version numbers
+// increase by one per commit; a failed commit publishes nothing (the
+// draft is discarded whole, so batches are atomic: a reader sees all of
+// a batch or none of it).
 //
 // Readers therefore never block and never lock. Every read entry point
 // (LookupString, LookupDouble, the Range methods, Query, tree
@@ -285,7 +288,7 @@
 // Writers are serialized by a single internal commit mutex; for
 // multi-statement isolation and commutativity checking, coordinate
 // writes through the transaction layer (Begin/Txn, whose commit section
-// funnels every write through the same commit path). The type registry
+// commits each transaction as one text-batch record). The type registry
 // follows the same pattern — RegisterType copies and atomically swaps
 // an immutable table — so lookups during registration are lock-free
 // too.
@@ -305,19 +308,22 @@
 //
 // Replication (internal/replica, xvid -follow) is the same protocol run
 // in reverse: a follower subscribes to the leader's WATCH stream with
-// shipped payloads and feeds each record to ApplyChange, which replays
-// it through the identical copy-on-write commit path a local write
-// takes — draft, apply, append to the follower's own log, one atomic
+// shipped payloads and feeds each record to ApplyChange, which decodes
+// it and hands it to the very commit function the leader's write ran —
+// validate, append to the follower's own log, draft, apply, one atomic
 // publish — but only at the exactly matching version boundary (record
 // N+1 on top of version N; anything else is a rejected gap, never a
-// partial apply). Because version numbers, record encodings, and the
-// apply algorithm are all shared, the follower's published version N is
-// byte-identical to the leader's version N, its readers get the same
-// lock-free pinned-snapshot guarantees, and a leader version token
-// passed as a min_version bound on a follower read yields
-// read-your-writes across the pair. The same machinery opens history:
-// OpenAt(snapshot, wal, n) replays a durable pair's log tail to any
-// retained version and hands back that state as a detached document.
+// partial apply). A record whose fields name no node, or overflow their
+// id type, is rejected before anything changes. Because version
+// numbers, record bytes, and the commit function are all shared, the
+// follower's published version N is byte-identical to the leader's
+// version N, its readers get the same lock-free pinned-snapshot
+// guarantees, and a leader version token passed as a min_version bound
+// on a follower read yields read-your-writes across the pair. Crash
+// recovery and history use the same entry: OpenDurable replays its own
+// log's tail through it, and OpenAt(snapshot, wal, n) replays a durable
+// pair's log tail to any retained version and hands back that state as
+// a detached document.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduction of the paper's evaluation.

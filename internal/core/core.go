@@ -29,7 +29,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -169,17 +168,19 @@ type Snapshot struct {
 // lock-free, never block writers, are never blocked by writers, and
 // always observe one fully published version (no torn reads).
 //
-// The mutating methods (UpdateText, UpdateTexts, UpdateAttr,
-// DeleteSubtree, InsertChildren) serialize among themselves on an
-// internal writer mutex, clone the columns they change off the current
-// snapshot (B+trees share structure via path copying), apply the change
-// to the private draft, and publish it with one atomic store. Retired
-// versions are reclaimed by the garbage collector once the last reader
-// drops its snapshot reference — Go's reachability acts as the epoch.
+// Every write is one commit of one change — its log record — through
+// one function (commit, update.go): the mutating methods (UpdateText,
+// UpdateTexts, UpdateAttr, DeleteSubtree, InsertChildren) build the
+// change, and ApplyShippedRecord decodes it for recovery, followers and
+// OpenAt. A commit serializes on an internal writer mutex, clones the
+// columns the change writes off the current snapshot (B+trees share
+// structure via path copying), applies it to the private draft, and
+// publishes it with one atomic store. Retired versions are reclaimed by
+// the garbage collector once the last reader drops its snapshot
+// reference — Go's reachability acts as the epoch.
 //
 // For multi-statement write transactions with conflict detection, use
-// the txn layer, whose commit section funnels every write through
-// UpdateTexts.
+// the txn layer: each transaction commits as one text-batch change.
 type Indexes struct {
 	cur atomic.Pointer[Snapshot]
 
@@ -189,8 +190,8 @@ type Indexes struct {
 
 	opts Options
 
-	// Durability (see durable.go). wal, when attached, receives one
-	// logical record per mutation before the mutation is applied; walGen
+	// Durability (see durable.go). wal, when attached, receives each
+	// commit's record before the commit is applied; walGen
 	// pairs the log with the snapshot generation it extends, and
 	// snapshotPath is where Checkpoint rewrites the snapshot. All are
 	// writer-side state guarded by wmu (walGen additionally atomic for
@@ -237,23 +238,26 @@ func (ix *Indexes) notifyCommit(version uint64, kind storage.RecordKind, ops int
 	}
 }
 
-// RecordOps reports the number of logical operations a WAL record
-// payload carries: the batch size for text batches, 1 for every other
-// mutation kind.
-func RecordOps(kind storage.RecordKind, payload []byte) int {
-	if kind == storage.RecTextBatch {
-		if n, k := binary.Uvarint(payload); k > 0 {
-			return int(n)
-		}
-	}
-	return 1
-}
-
 // RecoveredTail returns the write-ahead log records OpenDurable replayed
 // while recovering this index set, in replay order: record i produced
 // version base+1+i, where base is the loaded snapshot's version. Nil for
 // index sets that were not recovered, or whose log had no tail.
 func (ix *Indexes) RecoveredTail() []storage.Record { return ix.recoveredTail }
+
+// RecoveredCommits hands fn the commits of RecoveredTail in replay
+// order, as the commit hook observed them live: record i published
+// version base+1+i, where base is the current version minus the tail's
+// length — so call it before committing anything further.
+func (ix *Indexes) RecoveredCommits(fn CommitHook) {
+	base := ix.Version() - uint64(len(ix.recoveredTail))
+	for i, rec := range ix.recoveredTail {
+		ch, err := decode(rec)
+		if err != nil {
+			continue // unreachable: the record decoded once during replay
+		}
+		fn(base+1+uint64(i), rec.Kind, ch.ops(), rec.Payload)
+	}
+}
 
 // wrapSnapshot publishes s as version 1 of a fresh Indexes handle.
 func wrapSnapshot(s *Snapshot) *Indexes {

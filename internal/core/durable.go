@@ -3,14 +3,19 @@ package core
 // Durability: a write-ahead log under the snapshot machinery, so updates
 // survive crashes without paying a full snapshot rewrite per batch.
 //
-// Every mutating entry point (UpdateText(s), UpdateAttr, DeleteSubtree,
-// InsertChildren — and therefore every transaction commit, which funnels
-// through UpdateTexts) appends one logical record to the attached WAL
-// after validating its arguments and before touching any in-memory
-// state. Records reference nodes by their pre-order NodeID/AttrID at the
-// time of the operation: replay applies records in their original order
-// against the snapshot state, so the ids resolve to the same nodes they
-// named originally, even across structural updates that shift pre ranks.
+// A commit is its log record. Every write is one change (update.go): a
+// record kind plus its fields, with one encode and one decode below.
+// Indexes.commit validates the change against the current snapshot,
+// appends its record to the attached WAL, and only then touches the
+// copy-on-write draft it publishes. Live mutators build the change
+// directly; OpenDurable's recovery, OpenAt's time travel and a follower's
+// shipped stream all decode it from a record and hand it to the same
+// commit through ApplyShippedRecord, so every replica and every crash
+// point replays exactly what the original writer ran. Records reference
+// nodes by their pre-order NodeID/AttrID at the time of the operation:
+// replay applies records in their original order against the snapshot
+// state, so the ids resolve to the same nodes they named originally, even
+// across structural updates that shift pre ranks.
 //
 // Snapshot/log pairing uses checkpoint generations. Checkpoint writes a
 // snapshot stamped with generation g+1 (atomically, via rename), resets
@@ -35,6 +40,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -66,285 +72,111 @@ var ErrVersionInFuture = errors.New("core: requested version is newer than the d
 // applying out of order.
 var ErrVersionGap = errors.New("core: shipped record does not extend the current version")
 
-// --- record payload codecs ---
+// --- the log record codec ---
 
-// recDecoder is a cursor over a record payload. All fields are uvarints
-// or length-prefixed byte strings.
-type recDecoder struct {
-	p   []byte
-	off int
-	err error
-}
-
-func (d *recDecoder) uv() uint64 {
-	if d.err != nil {
-		return 0
+// encode returns ch's record payload, written with the snapshot's varint
+// codec into a buffer sized to fit: uvarint ids, length-prefixed values,
+// and for inserts the fragment's binary serialisation, raw, at the end.
+func (ch *change) encode() ([]byte, error) {
+	size := 3*binary.MaxVarintLen64 + len(ch.value)
+	for _, u := range ch.texts {
+		size += 2*binary.MaxVarintLen64 + len(u.Value)
 	}
-	v, n := binary.Uvarint(d.p[d.off:])
-	if n <= 0 {
-		d.err = errors.New("core: truncated WAL record field")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *recDecoder) bytes() []byte {
-	n := int(d.uv())
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.p) {
-		d.err = errors.New("core: truncated WAL record bytes")
-		return nil
-	}
-	out := d.p[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *recDecoder) rest() []byte {
-	out := d.p[d.off:]
-	d.off = len(d.p)
-	return out
-}
-
-// recEncoder builds a record payload in a right-sized buffer — records
-// are usually tiny (a handful of varints plus the new values), so the
-// snapshot codec's 64 KiB streaming buffer would dominate the cost of a
-// durable update.
-type recEncoder struct{ b []byte }
-
-func (e *recEncoder) uv(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *recEncoder) str(s string) { e.uv(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *recEncoder) raw(p []byte) { e.b = append(e.b, p...) }
-
-func encodeTextBatch(updates []TextUpdate) []byte {
-	size := 10
-	for _, u := range updates {
-		size += len(u.Value) + 2*binary.MaxVarintLen64
-	}
-	e := recEncoder{b: make([]byte, 0, size)}
-	e.uv(uint64(len(updates)))
-	for _, u := range updates {
-		e.uv(uint64(u.Node))
-		e.str(u.Value)
-	}
-	return e.b
-}
-
-func decodeTextBatch(p []byte) ([]TextUpdate, error) {
-	d := &recDecoder{p: p}
-	n := int(d.uv())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n < 0 || n > len(p)/2 { // each update is >= 2 bytes encoded
-		return nil, fmt.Errorf("core: implausible text batch size %d", n)
-	}
-	updates := make([]TextUpdate, 0, n)
-	for i := 0; i < n; i++ {
-		node := xmltree.NodeID(d.uv())
-		val := d.bytes()
-		if d.err != nil {
-			return nil, d.err
+	e := &sliceEncoder{buf: make([]byte, 0, size)}
+	switch ch.kind {
+	case storage.RecCheckpoint:
+		e.uv(ch.gen)
+	case storage.RecTextBatch:
+		e.uv(uint64(len(ch.texts)))
+		for _, u := range ch.texts {
+			e.uv(uint64(u.Node))
+			e.str(u.Value)
 		}
-		updates = append(updates, TextUpdate{Node: node, Value: string(val)})
+	case storage.RecAttrUpdate:
+		e.uv(uint64(ch.attr))
+		e.str(ch.value)
+	case storage.RecDelete:
+		e.uv(uint64(ch.node))
+	case storage.RecInsert:
+		e.uv(uint64(ch.parent))
+		e.uv(uint64(ch.pos))
+		if _, err := ch.frag.WriteTo(e); err != nil {
+			return nil, err
+		}
 	}
-	return updates, d.err
+	return e.buf, e.err
 }
 
-func encodeAttrUpdate(a xmltree.AttrID, value string) []byte {
-	e := recEncoder{b: make([]byte, 0, len(value)+2*binary.MaxVarintLen64)}
-	e.uv(uint64(a))
-	e.str(value)
-	return e.b
-}
-
-func decodeAttrUpdate(p []byte) (xmltree.AttrID, string, error) {
-	d := &recDecoder{p: p}
-	a := xmltree.AttrID(d.uv())
-	val := d.bytes()
-	return a, string(val), d.err
-}
-
-func encodeDelete(n xmltree.NodeID) []byte {
-	e := recEncoder{b: make([]byte, 0, binary.MaxVarintLen64)}
-	e.uv(uint64(n))
-	return e.b
-}
-
-func decodeDelete(p []byte) (xmltree.NodeID, error) {
-	d := &recDecoder{p: p}
-	n := xmltree.NodeID(d.uv())
-	return n, d.err
-}
-
-func encodeInsert(parent xmltree.NodeID, pos int, frag *xmltree.Doc) ([]byte, error) {
-	e := recEncoder{}
-	e.uv(uint64(parent))
-	e.uv(uint64(pos))
-	var b bytes.Buffer
-	if _, err := frag.WriteTo(&b); err != nil {
-		return nil, err
-	}
-	e.raw(b.Bytes())
-	return e.b, nil
-}
-
-func decodeInsert(p []byte) (xmltree.NodeID, int, *xmltree.Doc, error) {
-	d := &recDecoder{p: p}
-	parent := xmltree.NodeID(d.uv())
-	pos := int(d.uv())
-	if d.err != nil {
-		return 0, 0, nil, d.err
-	}
-	frag, err := xmltree.ReadDoc(bytes.NewReader(d.rest()))
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return parent, pos, frag, nil
-}
-
-func encodeCheckpoint(gen uint64) []byte {
-	e := recEncoder{b: make([]byte, 0, binary.MaxVarintLen64)}
-	e.uv(gen)
-	return e.b
-}
-
-func decodeCheckpoint(p []byte) (uint64, error) {
-	d := &recDecoder{p: p}
-	gen := d.uv()
-	return gen, d.err
-}
-
-// --- logging hooks (called by the mutators in update.go, under wmu) ---
-
-// logRecord appends one record to the attached WAL, if any. Called after
-// argument validation and before any in-memory mutation, so the log
-// contains exactly the operations that were applied, in order.
-func (ix *Indexes) logRecord(kind storage.RecordKind, payload []byte) error {
-	if ix.wal == nil {
-		return nil
-	}
-	return ix.wal.Append(kind, payload)
-}
-
-// --- replay ---
-
-// ApplyLogRecord decodes and applies one WAL record through the
-// non-logging update paths. It is the replay half of recovery; applying
-// a record that was logged by a hook on the same state is exactly the
-// original mutation. Each replayed record runs through the same
-// clone-apply-publish cycle as a live mutation, so partially decoded or
-// failing records leave the published state untouched. Checkpoint
-// markers are no-ops here (recovery interprets them before replay).
-func (ix *Indexes) ApplyLogRecord(rec storage.Record) error {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	draft, err := ix.cur.Load().replayRecord(rec)
-	if err != nil {
-		return err
-	}
-	if draft != nil {
-		ix.publish(draft)
-		ix.notifyCommit(draft.version, rec.Kind, RecordOps(rec.Kind, rec.Payload), rec.Payload)
-	}
-	return nil
-}
-
-// ApplyShippedRecord applies one log-shipped commit record at an exact
-// version boundary: the record must publish version next, which must be
-// the current version + 1 (checked under the writer mutex, so concurrent
-// appliers cannot interleave between check and publish). Unlike
-// ApplyLogRecord — whose records are already in the local log — a
-// shipped record arrives from elsewhere (a leader's WATCH stream or WAL
-// file), so it is appended to the attached write-ahead log, if any,
-// before the draft is published: a follower's own snapshot/log pair then
-// recovers to exactly the prefix of the leader's history it durably
-// applied, and its commit hook re-publishes the stream for downstream
-// subscribers.
-func (ix *Indexes) ApplyShippedRecord(next uint64, rec storage.Record) error {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	cur := ix.cur.Load()
-	if next != cur.version+1 {
-		return fmt.Errorf("%w: at version %d, shipped record publishes %d", ErrVersionGap, cur.version, next)
-	}
-	draft, err := cur.replayRecord(rec)
-	if err != nil {
-		return err
-	}
-	if draft == nil {
-		return fmt.Errorf("core: shipped record kind %v is not a commit", rec.Kind)
-	}
-	if err := ix.logRecord(rec.Kind, rec.Payload); err != nil {
-		return err
-	}
-	ix.publish(draft)
-	ix.notifyCommit(draft.version, rec.Kind, RecordOps(rec.Kind, rec.Payload), rec.Payload)
-	return nil
-}
-
-// replayRecord validates and applies one record against a draft cloned
-// from s, returning the draft (nil for marker records).
-func (s *Snapshot) replayRecord(rec storage.Record) (*Snapshot, error) {
+// decode parses one record into its change. Records arrive from disk and
+// from the network, so every field must fit its type: a value that would
+// wrap into another node, attribute or position is an error.
+func decode(rec storage.Record) (*change, error) {
+	r := bytes.NewReader(rec.Payload)
+	d := newSliceDecoder(r)
+	ch := &change{kind: rec.Kind, record: rec.Payload}
 	switch rec.Kind {
 	case storage.RecCheckpoint:
-		return nil, nil
+		ch.gen = d.uv()
 	case storage.RecTextBatch:
-		updates, err := decodeTextBatch(rec.Payload)
-		if err != nil {
-			return nil, err
+		n := d.upTo(uint64(len(rec.Payload) / 2)) // each update is >= 2 bytes encoded
+		if d.err == nil {
+			ch.texts = make([]TextUpdate, 0, n)
 		}
-		if err := s.validateTexts(updates); err != nil {
-			return nil, fmt.Errorf("core: replaying text batch: %w", err)
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			node := xmltree.NodeID(d.upTo(math.MaxInt32))
+			ch.texts = append(ch.texts, TextUpdate{Node: node, Value: d.str()})
 		}
-		draft := s.draft(writesNodes)
-		if err := draft.applyTexts(updates); err != nil {
-			return nil, err
-		}
-		return draft, nil
 	case storage.RecAttrUpdate:
-		a, value, err := decodeAttrUpdate(rec.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.validateAttr(a); err != nil {
-			return nil, fmt.Errorf("core: replaying attr update: %w", err)
-		}
-		draft := s.draft(writesAttrs)
-		draft.applyAttr(a, value)
-		return draft, nil
+		ch.attr = xmltree.AttrID(d.upTo(math.MaxInt32))
+		ch.value = d.str()
 	case storage.RecDelete:
-		n, err := decodeDelete(rec.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.validateDelete(n); err != nil {
-			return nil, fmt.Errorf("core: replaying delete: %w", err)
-		}
-		draft := s.draft(writesStructure)
-		if err := draft.applyDelete(n); err != nil {
-			return nil, err
-		}
-		return draft, nil
+		ch.node = xmltree.NodeID(d.upTo(math.MaxInt32))
 	case storage.RecInsert:
-		parent, pos, frag, err := decodeInsert(rec.Payload)
-		if err != nil {
-			return nil, err
+		ch.parent = xmltree.NodeID(d.upTo(math.MaxInt32))
+		ch.pos = int(d.upTo(math.MaxInt))
+		if d.err == nil {
+			ch.frag, d.err = xmltree.ReadDoc(r)
 		}
-		if err := s.validateInsert(parent, pos, frag); err != nil {
-			return nil, fmt.Errorf("core: replaying insert: %w", err)
-		}
-		draft := s.draft(writesStructure)
-		if _, err := draft.applyInsert(parent, pos, frag); err != nil {
-			return nil, err
-		}
-		return draft, nil
 	default:
 		return nil, fmt.Errorf("core: unknown WAL record kind %v", rec.Kind)
 	}
+	if d.err != nil {
+		return nil, fmt.Errorf("core: decoding %v record: %w", rec.Kind, d.err)
+	}
+	return ch, nil
+}
+
+// appendMarker appends the checkpoint marker of generation gen to w.
+func appendMarker(w *storage.WAL, gen uint64) error {
+	payload, err := (&change{kind: storage.RecCheckpoint, gen: gen}).encode()
+	if err != nil {
+		return err
+	}
+	return w.Append(storage.RecCheckpoint, payload)
+}
+
+// ApplyShippedRecord decodes one log record and commits it at an exact
+// version boundary: the record must publish version next, which must be
+// the current version + 1 (checked under the writer mutex, so concurrent
+// appliers cannot interleave between check and publish). It is how a
+// record that already exists becomes a commit — OpenDurable replaying
+// its own log's tail, OpenAt replaying a log up to a cut, and a follower
+// applying a leader's WATCH stream or WAL file — and the decoded change
+// runs through the same commit as the live write that produced it. With
+// a WAL attached (a durable follower) the record is appended before the
+// draft is published, so the follower's own snapshot/log pair recovers
+// to exactly the prefix of the leader's history it durably applied; the
+// commit hook re-publishes the stream for downstream subscribers.
+// Checkpoint markers are not commits and are rejected.
+func (ix *Indexes) ApplyShippedRecord(next uint64, rec storage.Record) error {
+	ch, err := decode(rec)
+	if err != nil {
+		return err
+	}
+	if _, err := ix.commit(ch, next); err != nil {
+		return fmt.Errorf("core: applying %v record: %w", rec.Kind, err)
+	}
+	return nil
 }
 
 // --- durable lifecycle ---
@@ -410,12 +242,13 @@ func OpenDurable(snapshotPath, walPath string, syncEvery int) (*Indexes, error) 
 		if err := w.Reset(); err != nil {
 			return fail(err)
 		}
-		if err := w.Append(storage.RecCheckpoint, encodeCheckpoint(ix.walGen.Load())); err != nil {
+		if err := appendMarker(w, ix.walGen.Load()); err != nil {
 			return fail(err)
 		}
 	default:
+		// No log is attached yet, so replay appends nothing.
 		for _, rec := range tail {
-			if err := ix.ApplyLogRecord(rec); err != nil {
+			if err := ix.ApplyShippedRecord(ix.Version()+1, rec); err != nil {
 				return fail(err)
 			}
 		}
@@ -426,7 +259,7 @@ func OpenDurable(snapshotPath, walPath string, syncEvery int) (*Indexes, error) 
 		if len(records) == 0 {
 			// Brand-new (or fully torn-away) log: stamp it so future
 			// recoveries can check the pairing.
-			if err := w.Append(storage.RecCheckpoint, encodeCheckpoint(ix.walGen.Load())); err != nil {
+			if err := appendMarker(w, ix.walGen.Load()); err != nil {
 				return fail(err)
 			}
 		}
@@ -448,11 +281,11 @@ func OpenDurable(snapshotPath, walPath string, syncEvery int) (*Indexes, error) 
 func splitAtCheckpoint(records []storage.Record) (uint64, []storage.Record, error) {
 	for i := len(records) - 1; i >= 0; i-- {
 		if records[i].Kind == storage.RecCheckpoint {
-			gen, err := decodeCheckpoint(records[i].Payload)
+			marker, err := decode(records[i])
 			if err != nil {
 				return 0, nil, fmt.Errorf("core: reading checkpoint marker: %w", err)
 			}
-			return gen, records[i+1:], nil
+			return marker.gen, records[i+1:], nil
 		}
 	}
 	return 0, records, nil
@@ -504,7 +337,7 @@ func OpenAt(snapshotPath, walPath string, version uint64) (*Indexes, error) {
 		if ix.Version() >= version {
 			break
 		}
-		if err := ix.ApplyLogRecord(rec); err != nil {
+		if err := ix.ApplyShippedRecord(ix.Version()+1, rec); err != nil {
 			return nil, err
 		}
 	}
@@ -568,7 +401,7 @@ func (ix *Indexes) checkpointLocked(path string) error {
 	if err := ix.wal.Reset(); err != nil {
 		return fmt.Errorf("core: checkpoint snapshot written but log reset failed (log poisoned, further updates will fail): %w", err)
 	}
-	if err := ix.wal.Append(storage.RecCheckpoint, encodeCheckpoint(ix.walGen.Load())); err != nil {
+	if err := appendMarker(ix.wal, ix.walGen.Load()); err != nil {
 		return fmt.Errorf("core: checkpoint snapshot written but marker append failed (log poisoned, further updates will fail): %w", err)
 	}
 	return nil

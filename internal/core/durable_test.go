@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -358,10 +359,57 @@ func TestEmptyBatchNotLogged(t *testing.T) {
 	ix.CloseWAL()
 }
 
-func TestApplyLogRecordUnknownKind(t *testing.T) {
+func TestApplyShippedRecordUnknownKind(t *testing.T) {
 	ix := Build(mustParseForTest(t, `<r><a>1</a></r>`), DefaultOptions())
-	if err := ix.ApplyLogRecord(storage.Record{Kind: 99}); err == nil {
+	if err := ix.ApplyShippedRecord(2, storage.Record{Kind: 99}); err == nil {
 		t.Fatal("unknown record kind applied without error")
+	}
+	marker := storage.Record{Kind: storage.RecCheckpoint, Payload: []byte{1}}
+	if err := ix.ApplyShippedRecord(2, marker); err == nil {
+		t.Fatal("checkpoint marker applied as a commit")
+	}
+	if ix.Version() != 1 {
+		t.Fatalf("rejected records moved the version to %d", ix.Version())
+	}
+}
+
+// TestRecordDecodeBounds: a record field that overflows its id or
+// position type is rejected, not truncated into a different node.
+func TestRecordDecodeBounds(t *testing.T) {
+	ix := Build(mustParseForTest(t, `<r a="x"><a>1</a><b>2</b></r>`), DefaultOptions())
+	before := savedBytes(t, ix)
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	var frag bytes.Buffer
+	if _, err := mustParseForTest(t, `<x/>`).WriteTo(&frag); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		rec  storage.Record
+	}{
+		{"text node past int32", storage.Record{Kind: storage.RecTextBatch, Payload: append(uv(1, 1<<32|3, 1), 'v')}},
+		{"text batch count", storage.Record{Kind: storage.RecTextBatch, Payload: uv(1 << 40)}},
+		{"attr past int32", storage.Record{Kind: storage.RecAttrUpdate, Payload: append(uv(1<<32, 1), 'v')}},
+		{"string length", storage.Record{Kind: storage.RecAttrUpdate, Payload: uv(0, 1<<40)}},
+		{"delete past int32", storage.Record{Kind: storage.RecDelete, Payload: uv(1<<32 | 2)}},
+		{"insert parent past int32", storage.Record{Kind: storage.RecInsert, Payload: append(uv(1<<32|1, 0), frag.Bytes()...)}},
+		{"insert pos past int", storage.Record{Kind: storage.RecInsert, Payload: append(uv(1, 1<<63), frag.Bytes()...)}},
+	} {
+		if err := ix.ApplyShippedRecord(2, tc.rec); err == nil {
+			t.Errorf("%s: record applied without error", tc.name)
+		}
+	}
+	if ix.Version() != 1 {
+		t.Fatalf("rejected records moved the version to %d", ix.Version())
+	}
+	if !bytes.Equal(savedBytes(t, ix), before) {
+		t.Fatal("rejected records changed the snapshot")
 	}
 }
 

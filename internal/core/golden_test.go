@@ -2,12 +2,14 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -25,12 +27,29 @@ var goldenDigests = map[string]string{
 	"mixed-content-spine": "a600d76b108a236166c2f37796f4929a2b3d2b1faf9f1eda49eeb314452c130e",
 }
 
+// goldenRecordDigests pins the SHA-256 of the log record stream
+// goldenCommits emits through the commit hook (see recordStreamDigest).
+// The record bytes are the write-ahead log's contract with logs already
+// on disk and with followers replaying a leader's shipped stream.
+var goldenRecordDigests = map[string]string{
+	"xmark1":              "0dc318d3911fd38b06f280d73e6cc902f5ba92d94b557f9d6fc3c42ee66ba50e",
+	"giant-subtree":       "08bdec241c41de1cf26f9ba5ece89c50ab406240770fc1e767dac70ae33e03a4",
+	"deep-chain":          "fc99ca83f0659b073d6aa2cac42ed159020f218fc71bae9ded9dbc0daf24bd13",
+	"all-attributes":      "aed3979c210d21aca59aefdf0682136da124ef34669ec42017131f1d2bddcb44",
+	"empty-document":      "66902771d7e905356a1f4fe82189790ce3167853d6d235f95c83fca3abcc7166",
+	"mixed-content-spine": "2a6b99d3d3a796ce92903c2e3da4b8704bf76bb871439ed1b0f67b51c62306af",
+}
+
 // goldenCommits builds xml with every index (substring included), runs
-// one fixed commit of each shape, and returns the saved snapshot bytes.
-func goldenCommits(t *testing.T, xml string) []byte {
+// one fixed commit of each shape, and returns the saved snapshot bytes
+// together with the records the commit hook observed, in commit order.
+func goldenCommits(t *testing.T, xml string) ([]byte, []storage.Record) {
 	t.Helper()
-	ix := Build(mustParseForTest(t, xml), DefaultOptions())
-	ix.EnableSubstring()
+	ix := goldenBase(t, xml)
+	var recs []storage.Record
+	ix.SetCommitHook(func(_ uint64, kind storage.RecordKind, _ int, payload []byte) {
+		recs = append(recs, storage.Record{Kind: kind, Payload: payload})
+	})
 	doc := ix.Doc()
 	texts := textNodesOf(doc)
 	if len(texts) > 0 {
@@ -68,6 +87,20 @@ func goldenCommits(t *testing.T, xml string) []byte {
 	if err := ix.Verify(); err != nil {
 		t.Fatal(err)
 	}
+	return savedBytes(t, ix), recs
+}
+
+// goldenBase builds xml with every index, substring included.
+func goldenBase(t *testing.T, xml string) *Indexes {
+	t.Helper()
+	ix := Build(mustParseForTest(t, xml), DefaultOptions())
+	ix.EnableSubstring()
+	return ix
+}
+
+// savedBytes returns the snapshot bytes of ix's current version.
+func savedBytes(t *testing.T, ix *Indexes) []byte {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "golden.xvi")
 	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
@@ -79,19 +112,59 @@ func goldenCommits(t *testing.T, xml string) []byte {
 	return b
 }
 
-// TestSnapshotGoldenDigest pins snapshot bytes across refactors of the
-// index families.
-func TestSnapshotGoldenDigest(t *testing.T) {
+// recordStreamDigest hashes a record stream as, per record, its kind
+// byte, the uvarint payload length and the payload.
+func recordStreamDigest(recs []storage.Record) string {
+	h := sha256.New()
+	for _, r := range recs {
+		h.Write(binary.AppendUvarint([]byte{byte(r.Kind)}, uint64(len(r.Payload))))
+		h.Write(r.Payload)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func goldenCases(t *testing.T) []shapeCase {
+	t.Helper()
 	xmark, err := datagen.Generate("xmark1", 0.02, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := append([]shapeCase{{"xmark1", string(xmark)}}, shapeCorpus()...)
-	for _, tc := range cases {
+	return append([]shapeCase{{"xmark1", string(xmark)}}, shapeCorpus()...)
+}
+
+// TestSnapshotGoldenDigest pins snapshot bytes across refactors of the
+// index families.
+func TestSnapshotGoldenDigest(t *testing.T) {
+	for _, tc := range goldenCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			sum := sha256.Sum256(goldenCommits(t, tc.xml))
+			snap, _ := goldenCommits(t, tc.xml)
+			sum := sha256.Sum256(snap)
 			if got, want := hex.EncodeToString(sum[:]), goldenDigests[tc.name]; got != want {
 				t.Errorf("snapshot digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// TestRecordGoldenDigest pins the record bytes the live commits emit
+// and proves live equals replay: the captured stream, applied record by
+// record onto a fresh build, reproduces the pinned snapshot bytes.
+func TestRecordGoldenDigest(t *testing.T) {
+	for _, tc := range goldenCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, recs := goldenCommits(t, tc.xml)
+			if got, want := recordStreamDigest(recs), goldenRecordDigests[tc.name]; got != want {
+				t.Errorf("record stream digest %s, want %s", got, want)
+			}
+			ix := goldenBase(t, tc.xml)
+			for _, rec := range recs {
+				if err := ix.ApplyShippedRecord(ix.Version()+1, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sum := sha256.Sum256(savedBytes(t, ix))
+			if got, want := hex.EncodeToString(sum[:]), goldenDigests[tc.name]; got != want {
+				t.Errorf("replayed snapshot digest %s, want %s", got, want)
 			}
 		})
 	}

@@ -643,12 +643,15 @@ func readSection(r *storage.Reader, name string, read func(io.Reader) error) err
 	return read(sec)
 }
 
-// --- varint slice codecs over io.Writer/Reader ---
+// --- varint codecs over io.Writer/Reader (snapshot sections and log
+// records) ---
 
+// sliceEncoder streams varints to w through a 64 KiB buffer. With a nil
+// w it only appends to buf, which then holds the encoding: log records
+// (durable.go) are built that way in a buffer sized to fit.
 type sliceEncoder struct {
 	w   io.Writer
 	buf []byte
-	tmp [binary.MaxVarintLen64]byte
 	err error
 }
 
@@ -660,9 +663,33 @@ func (se *sliceEncoder) uv(v uint64) {
 	if se.err != nil {
 		return
 	}
-	n := binary.PutUvarint(se.tmp[:], v)
-	se.buf = append(se.buf, se.tmp[:n]...)
-	if len(se.buf) >= 1<<16-16 {
+	se.buf = binary.AppendUvarint(se.buf, v)
+	se.spill()
+}
+
+// str writes a uvarint length and the bytes of s.
+func (se *sliceEncoder) str(s string) {
+	se.uv(uint64(len(s)))
+	if se.err == nil {
+		se.buf = append(se.buf, s...)
+		se.spill()
+	}
+}
+
+// Write appends raw bytes, so an io.WriterTo can serialise into the
+// encoding.
+func (se *sliceEncoder) Write(p []byte) (int, error) {
+	if se.err != nil {
+		return 0, se.err
+	}
+	se.buf = append(se.buf, p...)
+	se.spill()
+	return len(p), se.err
+}
+
+// spill hands a full buffer to w (never when w is nil).
+func (se *sliceEncoder) spill() {
+	if se.w != nil && len(se.buf) >= 1<<16-16 {
 		_, se.err = se.w.Write(se.buf)
 		se.buf = se.buf[:0]
 	}
@@ -694,12 +721,17 @@ func (se *sliceEncoder) flush() error {
 }
 
 type sliceDecoder struct {
-	br  io.ByteReader
+	br  byteReader
 	err error
 }
 
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 func newSliceDecoder(r io.Reader) *sliceDecoder {
-	if br, ok := r.(io.ByteReader); ok {
+	if br, ok := r.(byteReader); ok {
 		return &sliceDecoder{br: br}
 	}
 	return &sliceDecoder{br: &oneByteReader{r: r}}
@@ -709,6 +741,8 @@ type oneByteReader struct {
 	r   io.Reader
 	one [1]byte
 }
+
+func (o *oneByteReader) Read(p []byte) (int, error) { return o.r.Read(p) }
 
 func (o *oneByteReader) ReadByte() (byte, error) {
 	if _, err := io.ReadFull(o.r, o.one[:]); err != nil {
@@ -726,6 +760,32 @@ func (sd *sliceDecoder) uv() uint64 {
 		sd.err = err
 	}
 	return v
+}
+
+// upTo reads a uvarint that must not exceed max, so a field decoded
+// from untrusted bytes cannot wrap into a different (or negative) id.
+func (sd *sliceDecoder) upTo(max uint64) uint64 {
+	v := sd.uv()
+	if sd.err == nil && v > max {
+		sd.err = fmt.Errorf("core: field value %d exceeds %d", v, max)
+	}
+	return v
+}
+
+// str reads a uvarint length and that many bytes, in bounded chunks: a
+// corrupt length fails on the short read, not on a huge allocation.
+func (sd *sliceDecoder) str() string {
+	n := int(sd.upTo(math.MaxInt32))
+	var b []byte
+	for sd.err == nil && len(b) < n {
+		k := min(n-len(b), 1<<16)
+		b = slices.Grow(b, k)
+		if _, err := io.ReadFull(sd.br, b[len(b):len(b)+k]); err != nil {
+			sd.err = fmt.Errorf("core: truncated string field: %w", err)
+		}
+		b = b[:len(b)+k]
+	}
+	return string(b)
 }
 
 func (sd *sliceDecoder) u32s(want int) []uint32 {

@@ -15,53 +15,132 @@ type TextUpdate struct {
 	Value string
 }
 
+// change is one commit in the decoded form of its log record: the
+// record kind plus the fields that kind carries. Every write is a change
+// run through Indexes.commit. The mutators below build one directly;
+// recovery, followers and OpenAt decode one from a record (durable.go),
+// so a replayed record takes exactly the path the original write took.
+type change struct {
+	kind   storage.RecordKind
+	texts  []TextUpdate   // RecTextBatch
+	attr   xmltree.AttrID // RecAttrUpdate
+	value  string         // RecAttrUpdate
+	node   xmltree.NodeID // RecDelete: the subtree root
+	parent xmltree.NodeID // RecInsert
+	pos    int            // RecInsert
+	frag   *xmltree.Doc   // RecInsert
+	gen    uint64         // RecCheckpoint: a log marker, never committed
+
+	// record is the payload a decoded change came from: the log and the
+	// commit hook see the bytes that arrived, not a re-encoding.
+	record []byte
+}
+
+// ops is the number of logical operations the change carries: the batch
+// size for text batches, 1 otherwise.
+func (ch *change) ops() int {
+	if ch.kind == storage.RecTextBatch {
+		return len(ch.texts)
+	}
+	return 1
+}
+
+// validate checks ch against s before anything is logged or mutated: a
+// validated change cannot fail when applied.
+func (ch *change) validate(s *Snapshot) error {
+	switch ch.kind {
+	case storage.RecTextBatch:
+		return s.validateTexts(ch.texts)
+	case storage.RecAttrUpdate:
+		return s.validateAttr(ch.attr)
+	case storage.RecDelete:
+		return s.validateDelete(ch.node)
+	case storage.RecInsert:
+		return s.validateInsert(ch.parent, ch.pos, ch.frag)
+	}
+	return fmt.Errorf("core: record kind %v is not a commit", ch.kind)
+}
+
+// apply runs a validated ch against a copy-on-write draft of s, cloning
+// only the columns its shape writes. It returns the draft and, for
+// inserts, the first inserted node.
+func (ch *change) apply(s *Snapshot) (*Snapshot, xmltree.NodeID, error) {
+	switch ch.kind {
+	case storage.RecTextBatch:
+		d := s.draft(writesNodes)
+		return d, xmltree.InvalidNode, d.applyTexts(ch.texts)
+	case storage.RecAttrUpdate:
+		d := s.draft(writesAttrs)
+		d.applyAttr(ch.attr, ch.value)
+		return d, xmltree.InvalidNode, nil
+	case storage.RecDelete:
+		d := s.draft(writesStructure)
+		return d, xmltree.InvalidNode, d.applyDelete(ch.node)
+	default:
+		d := s.draft(writesStructure)
+		at, err := d.applyInsert(ch.parent, ch.pos, ch.frag)
+		return d, at, err
+	}
+}
+
+// commit is the one write path: the paper's Figure 8 procedure with a
+// write-ahead log in front. Under the writer mutex it checks the version
+// precondition (next != 0: the change must publish exactly version
+// next), validates ch against the current snapshot, appends its record
+// to the attached WAL, applies it to a private draft, publishes the
+// draft with one atomic store and notifies the commit hook. Concurrent
+// readers keep running against the previous version throughout and
+// observe the whole change or none of it. The record is encoded only
+// when a WAL or a hook will see it; the same bytes feed both, so watch
+// subscribers see exactly the records a WAL replay would.
+func (ix *Indexes) commit(ch *change, next uint64) (xmltree.NodeID, error) {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	s := ix.cur.Load()
+	if next != 0 && next != s.version+1 {
+		return xmltree.InvalidNode, fmt.Errorf("%w: at version %d, the record publishes %d", ErrVersionGap, s.version, next)
+	}
+	if err := ch.validate(s); err != nil {
+		return xmltree.InvalidNode, err
+	}
+	payload := ch.record
+	if payload == nil && (ix.wal != nil || ix.onCommit != nil) {
+		var err error
+		if payload, err = ch.encode(); err != nil {
+			return xmltree.InvalidNode, err
+		}
+	}
+	if ix.wal != nil {
+		if err := ix.wal.Append(ch.kind, payload); err != nil {
+			return xmltree.InvalidNode, err
+		}
+	}
+	draft, at, err := ch.apply(s)
+	if err != nil {
+		return xmltree.InvalidNode, err
+	}
+	ix.publish(draft)
+	ix.notifyCommit(draft.version, ch.kind, ch.ops(), payload)
+	return at, nil
+}
+
 // UpdateText changes the value of a single text node and maintains all
 // indices.
 func (ix *Indexes) UpdateText(n xmltree.NodeID, value string) error {
 	return ix.UpdateTexts([]TextUpdate{{Node: n, Value: value}})
 }
 
-// UpdateTexts applies a batch of text-node value updates — the paper's
-// Figure 8 algorithm. Each updated node is re-hashed / re-run through the
-// FSMs once; every affected ancestor is then refolded exactly once from
-// its children's stored fields, deepest first, and the B+trees are
-// repaired by diffing keys.
-//
-// Like every mutating entry point, the batch is validated against the
-// current snapshot, write-ahead logged, applied to a private
-// copy-on-write draft, and published atomically — concurrent readers
-// keep running against the previous version throughout and observe the
-// whole batch or none of it.
+// UpdateTexts applies a batch of text-node value updates as one commit —
+// the paper's Figure 8 algorithm. Each updated node is re-hashed / re-run
+// through the FSMs once; every affected ancestor is then refolded exactly
+// once from its children's stored fields, deepest first, and the
+// B+trees are repaired by diffing keys.
 func (ix *Indexes) UpdateTexts(updates []TextUpdate) error {
 	if len(updates) == 0 {
 		return nil
 	}
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	s := ix.cur.Load()
-	if err := s.validateTexts(updates); err != nil {
-		return err
-	}
-	// Write-ahead: the batch is logged (one record per UpdateTexts call,
-	// hence one per transaction commit) before any state changes. The
-	// same encoding feeds the commit hook, so watch subscribers see
-	// exactly the records a WAL replay would.
-	var payload []byte
-	if ix.wal != nil || ix.onCommit != nil {
-		payload = encodeTextBatch(updates)
-	}
-	if ix.wal != nil {
-		if err := ix.logRecord(storage.RecTextBatch, payload); err != nil {
-			return err
-		}
-	}
-	draft := s.draft(writesNodes)
-	if err := draft.applyTexts(updates); err != nil {
-		return err
-	}
-	ix.publish(draft)
-	ix.notifyCommit(draft.version, storage.RecTextBatch, len(updates), payload)
-	return nil
+	_, err := ix.commit(&change{kind: storage.RecTextBatch, texts: updates}, 0)
+	return err
 }
 
 // validateTexts rejects a batch that names non-value-carrying or
@@ -116,26 +195,8 @@ func (ix *Snapshot) applyTexts(updates []TextUpdate) error {
 // UpdateAttr changes an attribute value. Attribute values do not
 // contribute to ancestor string values, so no refolding is needed.
 func (ix *Indexes) UpdateAttr(a xmltree.AttrID, value string) error {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	s := ix.cur.Load()
-	if err := s.validateAttr(a); err != nil {
-		return err
-	}
-	var payload []byte
-	if ix.wal != nil || ix.onCommit != nil {
-		payload = encodeAttrUpdate(a, value)
-	}
-	if ix.wal != nil {
-		if err := ix.logRecord(storage.RecAttrUpdate, payload); err != nil {
-			return err
-		}
-	}
-	draft := s.draft(writesAttrs)
-	draft.applyAttr(a, value)
-	ix.publish(draft)
-	ix.notifyCommit(draft.version, storage.RecAttrUpdate, 1, payload)
-	return nil
+	_, err := ix.commit(&change{kind: storage.RecAttrUpdate, attr: a, value: value}, 0)
+	return err
 }
 
 func (ix *Snapshot) validateAttr(a xmltree.AttrID) error {
@@ -158,28 +219,8 @@ func (ix *Snapshot) applyAttr(a xmltree.AttrID, value string) {
 // indices, then refolds the ancestor chain (the paper's subtree-deletion
 // variant of Figure 8).
 func (ix *Indexes) DeleteSubtree(n xmltree.NodeID) error {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	s := ix.cur.Load()
-	if err := s.validateDelete(n); err != nil {
-		return err
-	}
-	var payload []byte
-	if ix.wal != nil || ix.onCommit != nil {
-		payload = encodeDelete(n)
-	}
-	if ix.wal != nil {
-		if err := ix.logRecord(storage.RecDelete, payload); err != nil {
-			return err
-		}
-	}
-	draft := s.draft(writesStructure)
-	if err := draft.applyDelete(n); err != nil {
-		return err
-	}
-	ix.publish(draft)
-	ix.notifyCommit(draft.version, storage.RecDelete, 1, payload)
-	return nil
+	_, err := ix.commit(&change{kind: storage.RecDelete, node: n}, 0)
+	return err
 }
 
 func (ix *Snapshot) validateDelete(n xmltree.NodeID) error {
@@ -224,35 +265,10 @@ func (ix *Snapshot) applyDelete(n xmltree.NodeID) error {
 // pass, and refolds the ancestor chain. It returns the first inserted
 // node.
 func (ix *Indexes) InsertChildren(parent xmltree.NodeID, pos int, frag *xmltree.Doc) (xmltree.NodeID, error) {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
 	if pos < 0 {
 		pos = 0 // the tree layer treats negative positions as "insert first"
 	}
-	s := ix.cur.Load()
-	if err := s.validateInsert(parent, pos, frag); err != nil {
-		return xmltree.InvalidNode, err
-	}
-	var payload []byte
-	if ix.wal != nil || ix.onCommit != nil {
-		var err error
-		if payload, err = encodeInsert(parent, pos, frag); err != nil {
-			return xmltree.InvalidNode, err
-		}
-	}
-	if ix.wal != nil {
-		if err := ix.logRecord(storage.RecInsert, payload); err != nil {
-			return xmltree.InvalidNode, err
-		}
-	}
-	draft := s.draft(writesStructure)
-	at, err := draft.applyInsert(parent, pos, frag)
-	if err != nil {
-		return xmltree.InvalidNode, err
-	}
-	ix.publish(draft)
-	ix.notifyCommit(draft.version, storage.RecInsert, 1, payload)
-	return at, nil
+	return ix.commit(&change{kind: storage.RecInsert, parent: parent, pos: pos, frag: frag}, 0)
 }
 
 // validateInsert mirrors the tree layer's insertion checks so the

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	xmlvi "repro"
+	"repro/internal/server"
 )
 
 // Config configures a Follower.
@@ -320,13 +321,13 @@ func (f *Follower) stream(ctx context.Context) (applied int, err error) {
 		}
 		switch ev.name {
 		case "hello":
-			var h wireHello
+			var h server.WatchHello
 			if err := json.Unmarshal(ev.data, &h); err != nil {
 				return applied, fmt.Errorf("bad hello event: %w", err)
 			}
 			f.observeLeader(uint64(h.Current))
 		case "change":
-			var c wireChange
+			var c server.WatchEvent
 			if err := json.Unmarshal(ev.data, &c); err != nil {
 				return applied, fmt.Errorf("bad change event: %w", err)
 			}
@@ -334,7 +335,7 @@ func (f *Follower) stream(ctx context.Context) (applied int, err error) {
 			if uint64(c.Version) <= doc.Version() {
 				continue // duplicate from a resumed stream
 			}
-			change, err := c.toChange()
+			change, err := toChange(c)
 			if err != nil {
 				return applied, err
 			}
@@ -347,8 +348,8 @@ func (f *Follower) stream(ctx context.Context) (applied int, err error) {
 			f.applied.Add(1)
 			applied++
 		case "error":
-			var e wireError
-			if err := json.Unmarshal(ev.data, &e); err == nil && e.Error.Code == "resume_gone" {
+			var e server.ErrorBody
+			if err := json.Unmarshal(ev.data, &e); err == nil && e.Error.Code == server.CodeResumeGone {
 				return applied, errReseed
 			}
 			return applied, fmt.Errorf("leader stream error: %s", ev.data)
@@ -390,58 +391,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// --- wire decoding (the xvid protocol's JSON, locally declared like
-// other protocol clients so internal/server stays import-free) ---
-
-// wireToken accepts the protocol's version tokens ("42" or 42).
-type wireToken uint64
-
-func (t *wireToken) UnmarshalJSON(b []byte) error {
-	s := strings.Trim(string(b), `"`)
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return fmt.Errorf("invalid version token %s", b)
-	}
-	*t = wireToken(v)
-	return nil
-}
-
-type wireHello struct {
-	Doc     string    `json:"doc"`
-	Version wireToken `json:"version"`
-	Current wireToken `json:"current"`
-}
-
-type wireChange struct {
-	Version wireToken `json:"version"`
-	Kind    string    `json:"kind"`
-	Ops     int       `json:"ops"`
-	Payload string    `json:"payload"`
-}
-
-type wireError struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-// toChange decodes a change event into the public Change the document
+// toChange turns a change event into the public Change the document
 // applies.
-func (c wireChange) toChange() (xmlvi.Change, error) {
-	var kind xmlvi.ChangeKind
-	switch c.Kind {
-	case "texts":
-		kind = xmlvi.ChangeTexts
-	case "attr":
-		kind = xmlvi.ChangeAttr
-	case "delete":
-		kind = xmlvi.ChangeDelete
-	case "insert":
-		kind = xmlvi.ChangeInsert
-	default:
-		return xmlvi.Change{}, fmt.Errorf("unknown change kind %q", c.Kind)
-	}
+func toChange(c server.WatchEvent) (xmlvi.Change, error) {
 	payload, err := base64.StdEncoding.DecodeString(c.Payload)
 	if err != nil {
 		return xmlvi.Change{}, fmt.Errorf("bad change payload: %w", err)
@@ -449,13 +401,13 @@ func (c wireChange) toChange() (xmlvi.Change, error) {
 	if len(payload) == 0 {
 		return xmlvi.Change{}, errors.New("change event without payload (stream not opened with ?payload=1?)")
 	}
-	return xmlvi.Change{Version: uint64(c.Version), Kind: kind, Ops: c.Ops, Payload: payload}, nil
+	return xmlvi.Change{Version: uint64(c.Version), Kind: c.Kind, Ops: c.Ops, Payload: payload}, nil
 }
 
 // readErrorBody extracts a protocol error message for diagnostics.
 func readErrorBody(r io.Reader) string {
 	b, _ := io.ReadAll(io.LimitReader(r, 4096))
-	var e wireError
+	var e server.ErrorBody
 	if json.Unmarshal(b, &e) == nil && e.Error.Code != "" {
 		return e.Error.Code + ": " + e.Error.Message
 	}

@@ -470,7 +470,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		ev := WatchEvent{
 			Version: Token(c.Version),
-			Kind:    c.Kind.String(),
+			Kind:    c.Kind,
 			Ops:     c.Ops,
 		}
 		if withPayload {

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,7 +139,7 @@ func TestWatchPayload(t *testing.T) {
 			if err := json.Unmarshal([]byte(ev.data), &change); err != nil {
 				t.Fatalf("decode change %q: %v", ev.data, err)
 			}
-			if change.Version != 2 || change.Kind != "texts" {
+			if change.Version != 2 || change.Kind != xmlvi.ChangeTexts || !strings.Contains(ev.data, `"kind":"texts"`) {
 				t.Fatalf("unexpected change %+v", change)
 			}
 			payload, err := base64.StdEncoding.DecodeString(change.Payload)

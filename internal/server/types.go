@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 
+	xmlvi "repro"
 	"repro/internal/core"
 )
 
@@ -157,11 +158,12 @@ type PatchResponse struct {
 	Ops     int    `json:"ops"`
 }
 
-// WatchEvent is the data payload of one WATCH change event.
+// WatchEvent is the data payload of one WATCH change event. Kind
+// marshals by name: "texts", "attr", "delete" or "insert".
 type WatchEvent struct {
-	Version Token  `json:"version"`
-	Kind    string `json:"kind"`
-	Ops     int    `json:"ops"`
+	Version Token            `json:"version"`
+	Kind    xmlvi.ChangeKind `json:"kind"`
+	Ops     int              `json:"ops"`
 	// Payload is the canonical write-ahead-log record encoding of the
 	// commit, base64 (standard encoding) — present only on streams opened
 	// with ?payload=1. A subscriber applying these through

@@ -45,7 +45,9 @@ const (
 
 // RecordKind tags the operation a WAL record encodes. The payload format
 // of each kind is owned by the layer that writes it (internal/core); the
-// storage layer only frames and checksums.
+// storage layer only frames and checksums. It is the one kind type from
+// the log to the wire: the public change stream (xmlvi.ChangeKind) and
+// the WATCH protocol's "kind" field carry it, by the names below.
 type RecordKind uint8
 
 const (
@@ -64,21 +66,35 @@ const (
 	RecInsert RecordKind = 5
 )
 
+// recordKindNames is the one name table of the record kinds.
+var recordKindNames = [...]string{
+	RecCheckpoint: "checkpoint",
+	RecTextBatch:  "texts",
+	RecAttrUpdate: "attr",
+	RecDelete:     "delete",
+	RecInsert:     "insert",
+}
+
 func (k RecordKind) String() string {
-	switch k {
-	case RecCheckpoint:
-		return "checkpoint"
-	case RecTextBatch:
-		return "text-batch"
-	case RecAttrUpdate:
-		return "attr-update"
-	case RecDelete:
-		return "delete"
-	case RecInsert:
-		return "insert"
-	default:
-		return fmt.Sprintf("RecordKind(%d)", uint8(k))
+	if int(k) < len(recordKindNames) && recordKindNames[k] != "" {
+		return recordKindNames[k]
 	}
+	return fmt.Sprintf("RecordKind(%d)", uint8(k))
+}
+
+// MarshalText renders the kind by name, so JSON carries "texts", "attr",
+// "delete" or "insert".
+func (k RecordKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText accepts a kind name.
+func (k *RecordKind) UnmarshalText(b []byte) error {
+	for i, name := range recordKindNames {
+		if name != "" && name == string(b) {
+			*k = RecordKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("storage: unknown record kind %q", b)
 }
 
 // Record is one framed WAL entry.

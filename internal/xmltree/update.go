@@ -179,18 +179,18 @@ func (d *Doc) InsertChildren(parent NodeID, pos int, frag *Doc) (NodeID, error) 
 		newAttrValue = append(newAttrValue, d.attrValue[alo:]...)
 		d.attrValue = newAttrValue
 	}
-	d.attrStart = spliceI32(d.attrStart, int(at), starts)
+	d.attrStart = splice(d.attrStart, int(at), starts)
 	for i := int(at) + len(starts); i < len(d.attrStart); i++ {
 		d.attrStart[i] += insAttrs
 	}
 
 	// Splice node columns.
-	d.kind = spliceKind(d.kind, int(at), kinds)
-	d.size = spliceI32(d.size, int(at), sizes)
-	d.level = spliceI32(d.level, int(at), levels)
-	d.name = spliceName(d.name, int(at), names)
-	d.value = spliceVal(d.value, int(at), values)
-	d.parent = spliceNode(d.parent, int(at), parents)
+	d.kind = splice(d.kind, int(at), kinds)
+	d.size = splice(d.size, int(at), sizes)
+	d.level = splice(d.level, int(at), levels)
+	d.name = splice(d.name, int(at), names)
+	d.value = splice(d.value, int(at), values)
+	d.parent = splice(d.parent, int(at), parents)
 
 	// Re-point parents of shifted tail nodes.
 	for i := int(at) + int(cnt); i < len(d.parent); i++ {
@@ -201,36 +201,9 @@ func (d *Doc) InsertChildren(parent NodeID, pos int, frag *Doc) (NodeID, error) 
 	return at, nil
 }
 
-func spliceKind(s []Kind, at int, ins []Kind) []Kind {
-	out := make([]Kind, 0, len(s)+len(ins))
-	out = append(out, s[:at]...)
-	out = append(out, ins...)
-	return append(out, s[at:]...)
-}
-
-func spliceI32(s []int32, at int, ins []int32) []int32 {
-	out := make([]int32, 0, len(s)+len(ins))
-	out = append(out, s[:at]...)
-	out = append(out, ins...)
-	return append(out, s[at:]...)
-}
-
-func spliceName(s []NameID, at int, ins []NameID) []NameID {
-	out := make([]NameID, 0, len(s)+len(ins))
-	out = append(out, s[:at]...)
-	out = append(out, ins...)
-	return append(out, s[at:]...)
-}
-
-func spliceVal(s []valueRef, at int, ins []valueRef) []valueRef {
-	out := make([]valueRef, 0, len(s)+len(ins))
-	out = append(out, s[:at]...)
-	out = append(out, ins...)
-	return append(out, s[at:]...)
-}
-
-func spliceNode(s []NodeID, at int, ins []NodeID) []NodeID {
-	out := make([]NodeID, 0, len(s)+len(ins))
+// splice returns a new slice holding s with ins inserted at index at.
+func splice[T any](s []T, at int, ins []T) []T {
+	out := make([]T, 0, len(s)+len(ins))
 	out = append(out, s[:at]...)
 	out = append(out, ins...)
 	return append(out, s[at:]...)

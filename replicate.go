@@ -3,17 +3,16 @@ package xmlvi
 // Log shipping and point-in-time opens: the public surface follower
 // replicas (internal/replica, cmd/xvid -follow) build on.
 //
-// A Change (see watch.go) carries the canonical write-ahead-log payload
-// of one commit. ApplyChange applies such a record at exactly the
-// matching version boundary, so a follower that feeds a leader's
-// committed-change stream — a WATCH subscription, or a tailed WAL file —
-// through ApplyChange reconstructs every published leader state in
+// A Change (see watch.go) is one commit's write-ahead-log record. Every
+// write — live, recovered, shipped or replayed for time travel — is one
+// such record applied by one commit function in internal/core, so a
+// follower that feeds a leader's committed-change stream (a WATCH
+// subscription, or a tailed WAL file) through ApplyChange runs exactly
+// what the leader ran and reconstructs every published leader state in
 // order, byte for byte. OpenAt is the offline form: replay the durable
 // log's tail up to a cut version, yielding the state as of that commit.
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -35,30 +34,16 @@ var ErrVersionBeforeSnapshot = core.ErrVersionBeforeSnapshot
 // durable log's last record.
 var ErrVersionInFuture = core.ErrVersionInFuture
 
-// recordKindOf maps a public ChangeKind back onto its WAL record kind.
-func recordKindOf(kind ChangeKind) (storage.RecordKind, error) {
-	switch kind {
-	case ChangeTexts:
-		return storage.RecTextBatch, nil
-	case ChangeAttr:
-		return storage.RecAttrUpdate, nil
-	case ChangeDelete:
-		return storage.RecDelete, nil
-	case ChangeInsert:
-		return storage.RecInsert, nil
-	default:
-		return 0, fmt.Errorf("xmlvi: unknown change kind %d", kind)
-	}
-}
-
-// ApplyChange applies one shipped commit record to the document at
-// exactly the matching version boundary: c.Version must be Version()+1,
-// or the apply fails with ErrVersionGap and no state changes. The
-// payload is validated, decoded, and applied through the same
-// clone-apply-publish cycle as a live mutation — readers keep their
-// pinned snapshots, the new version appears with one pointer swap, and
-// the commit observer (OnCommit) sees it like any other commit, so a
-// follower re-publishes the leader's stream to its own subscribers.
+// ApplyChange commits one shipped record to the document at exactly the
+// matching version boundary: c.Version must be Version()+1, or the apply
+// fails with ErrVersionGap and no state changes. The record is decoded
+// and handed to the same commit a live mutation runs: validated against
+// the current state (a field that names no node, or overflows its id
+// type, is rejected with no state change), applied to a copy-on-write
+// draft, and published with one pointer swap — readers keep their pinned
+// snapshots, and the commit observer (OnCommit) sees it like any other
+// commit, so a follower re-publishes the leader's stream to its own
+// subscribers. Ops is informational; the record decides what is applied.
 //
 // On a durable document (Options.WAL after the first Save, or
 // OpenDurable) the record is appended to the document's own write-ahead
@@ -71,11 +56,7 @@ func recordKindOf(kind ChangeKind) (storage.RecordKind, error) {
 // replica is either a follower (all writes arrive as shipped changes) or
 // a leader (all writes are local), never both.
 func (d *Document) ApplyChange(c Change) error {
-	kind, err := recordKindOf(c.Kind)
-	if err != nil {
-		return err
-	}
-	return d.ix.ApplyShippedRecord(c.Version, storage.Record{Kind: kind, Payload: c.Payload})
+	return d.ix.ApplyShippedRecord(c.Version, storage.Record{Kind: c.Kind, Payload: c.Payload})
 }
 
 // OpenAt opens the state of a durable document as of an exact version

@@ -25,36 +25,23 @@ import (
 // what the network protocol uses for read-your-writes and WATCH resume.
 func (d *Document) Version() uint64 { return d.ix.Version() }
 
-// ChangeKind tags the mutation a committed Change carries. The kinds
-// mirror the write-ahead log's record kinds one-to-one.
-type ChangeKind uint8
+// ChangeKind tags the mutation a committed Change carries: it is the
+// kind of the commit's write-ahead-log record, one type from the log to
+// the wire. Its String and JSON form are "texts", "attr", "delete" and
+// "insert".
+type ChangeKind = storage.RecordKind
 
 const (
 	// ChangeTexts is a batch of text-node value updates — one commit,
 	// and therefore one Change, per UpdateTexts call or transaction.
-	ChangeTexts ChangeKind = iota + 1
+	ChangeTexts = storage.RecTextBatch
 	// ChangeAttr is a single attribute value update.
-	ChangeAttr
+	ChangeAttr = storage.RecAttrUpdate
 	// ChangeDelete is a subtree deletion.
-	ChangeDelete
+	ChangeDelete = storage.RecDelete
 	// ChangeInsert is a fragment insertion.
-	ChangeInsert
+	ChangeInsert = storage.RecInsert
 )
-
-func (k ChangeKind) String() string {
-	switch k {
-	case ChangeTexts:
-		return "texts"
-	case ChangeAttr:
-		return "attr"
-	case ChangeDelete:
-		return "delete"
-	case ChangeInsert:
-		return "insert"
-	default:
-		return "unknown"
-	}
-}
 
 // Change is one committed mutation: the version it published, its kind,
 // the number of logical operations it batched (text updates for
@@ -80,24 +67,9 @@ func (d *Document) OnCommit(fn func(Change)) {
 		d.ix.SetCommitHook(nil)
 		return
 	}
-	d.ix.SetCommitHook(func(version uint64, kind storage.RecordKind, ops int, payload []byte) {
-		fn(Change{Version: version, Kind: changeKindOf(kind), Ops: ops, Payload: payload})
+	d.ix.SetCommitHook(func(version uint64, kind ChangeKind, ops int, payload []byte) {
+		fn(Change{Version: version, Kind: kind, Ops: ops, Payload: payload})
 	})
-}
-
-func changeKindOf(kind storage.RecordKind) ChangeKind {
-	switch kind {
-	case storage.RecTextBatch:
-		return ChangeTexts
-	case storage.RecAttrUpdate:
-		return ChangeAttr
-	case storage.RecDelete:
-		return ChangeDelete
-	case storage.RecInsert:
-		return ChangeInsert
-	default:
-		return 0
-	}
 }
 
 // RecoveredChanges returns the committed changes OpenDurable replayed
@@ -107,20 +79,10 @@ func changeKindOf(kind storage.RecordKind) ChangeKind {
 // subscribers can resume across a restart without missing or duplicated
 // records. Nil for documents that were not recovered (or had no tail).
 func (d *Document) RecoveredChanges() []Change {
-	tail := d.ix.RecoveredTail()
-	if len(tail) == 0 {
-		return nil
-	}
-	base := d.ix.Version() - uint64(len(tail))
-	out := make([]Change, len(tail))
-	for i, rec := range tail {
-		out[i] = Change{
-			Version: base + 1 + uint64(i),
-			Kind:    changeKindOf(rec.Kind),
-			Ops:     core.RecordOps(rec.Kind, rec.Payload),
-			Payload: rec.Payload,
-		}
-	}
+	var out []Change
+	d.ix.RecoveredCommits(func(version uint64, kind ChangeKind, ops int, payload []byte) {
+		out = append(out, Change{Version: version, Kind: kind, Ops: ops, Payload: payload})
+	})
 	return out
 }
 
