@@ -269,9 +269,13 @@
 // update, Delete, InsertXML, and every replayed, shipped or time-travel
 // record — is one write-ahead-log record committed by one function
 // inside the index layer: validate against the current version, append
-// the record to the log, build a draft by copy-on-write cloning of
-// exactly the state it changes, apply the paper's Figure 8 update to the
-// draft, and publish it with one atomic pointer swap. Version numbers
+// the record to the log, build a copy-on-write draft, apply the paper's
+// Figure 8 update to the draft, and publish it with one atomic pointer
+// swap. The draft shares everything with the published version: the
+// B+trees path-copy the nodes a write touches, and the per-node value
+// state lives in persistent chunked columns that copy the one chunk a
+// write lands in, so a value commit costs the leaves and ancestors it
+// changes, not the size of the document. Version numbers
 // increase by one per commit; a failed commit publishes nothing (the
 // draft is discarded whole, so batches are atomic: a reader sees all of
 // a batch or none of it).

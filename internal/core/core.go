@@ -301,7 +301,7 @@ func (ix *Snapshot) Options() Options { return ix.opts }
 // string index was not built).
 func (ix *Snapshot) NodeHash(n xmltree.NodeID) uint32 {
 	if h := ix.hashes(); h != nil {
-		return h.col[0][n]
+		return h.col[0].At(int(n))
 	}
 	return 0
 }

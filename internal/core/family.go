@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/storage"
@@ -43,9 +44,9 @@ type family interface {
 	// tables back until flush, so passes over disjoint ranges can run
 	// concurrently.
 	folder(s *Snapshot, held bool) folder
-	// draft returns a copy that a commit of shape w may write: the state
-	// of the sides w writes is copied, the rest shared.
-	draft(w writeShape) family
+	// draft returns a copy that a commit may write, sharing the state
+	// chunks and tree nodes it leaves untouched with f.
+	draft() family
 	// splice removes del positions at at from one side of the state and
 	// inserts ins empty ones, in step with the document. It runs before
 	// the snapshot's stable-id column of that side is spliced.
@@ -69,19 +70,6 @@ type folder interface {
 	close(n xmltree.NodeID)
 	flush()
 }
-
-// writeShape names the state sides a commit writes: text batches write
-// the node side, attribute updates the attribute side, structural
-// updates both.
-type writeShape uint8
-
-const (
-	writesNodes writeShape = 1 << iota
-	writesAttrs
-	writesStructure = writesNodes | writesAttrs
-)
-
-func (w writeShape) writes(side int) bool { return w&(1<<side) != 0 }
 
 // side indexes per-posting state: 0 for tree nodes, 1 for attributes.
 func (p Posting) side() int {
@@ -357,6 +345,8 @@ func (s *Snapshot) refoldAncestors(order []xmltree.NodeID, olds [][][]uint64) {
 // attributes) and inserts ins new ones, in step with the document: every
 // family's state, the stable-id column and its inverse. Removed stable
 // ids resolve to nothing from now on; inserted positions get fresh ones.
+// The stable-id columns are shared with the published version, so both
+// are rewritten into fresh slices.
 func (s *Snapshot) spliceSide(side, at, del, ins int) {
 	if del == 0 && ins == 0 {
 		return
@@ -365,13 +355,14 @@ func (s *Snapshot) spliceSide(side, at, del, ins int) {
 	if side == 1 {
 		stables, pos = &s.attrStableOf, &s.attrOf
 	}
-	for _, st := range (*stables)[at : at+del] {
-		(*pos)[st] = -1
-	}
 	for _, f := range s.fams {
 		f.splice(s, side, at, del, ins)
 	}
-	*stables = splice(*stables, at, del, ins)
+	*pos = slices.Grow(slices.Clone(*pos), ins)
+	for _, st := range (*stables)[at : at+del] {
+		(*pos)[st] = -1
+	}
+	*stables = slices.Concat((*stables)[:at], make([]uint32, ins), (*stables)[at+del:])
 	for k := 0; k < ins; k++ {
 		(*stables)[at+k] = uint32(len(*pos))
 		*pos = append(*pos, int32(at+k))
@@ -379,19 +370,6 @@ func (s *Snapshot) spliceSide(side, at, del, ins int) {
 	for i := at + ins; i < len(*stables); i++ {
 		(*pos)[(*stables)[i]] = int32(i)
 	}
-}
-
-// splice removes del elements at at and inserts ins zero values. A pure
-// removal works in place (drafts own the columns they splice); an
-// insertion allocates the exact new length.
-func splice[T any](s []T, at, del, ins int) []T {
-	if ins == 0 {
-		return append(s[:at], s[at+del:]...)
-	}
-	out := make([]T, 0, len(s)-del+ins)
-	out = append(out, s[:at]...)
-	out = append(out, make([]T, ins)...)
-	return append(out, s[at+del:]...)
 }
 
 // maintainStats refreshes every stale histogram. Called at the end of

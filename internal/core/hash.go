@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
-	"slices"
 
+	"repro/internal/pcol"
 	"repro/internal/storage"
 	"repro/internal/vhash"
 	"repro/internal/xmltree"
@@ -15,12 +15,12 @@ import (
 // children with the associative combination function C, never by
 // re-reading text — and a B+tree from hash to postings.
 type hashFamily struct {
-	col [2][]uint32 // per side: hash by pre rank, by attribute id
+	col [2]pcol.Dense[uint32] // per side: hash by pre rank, by attribute id
 	postingTree
 }
 
 func newHashFamily(n, na int) *hashFamily {
-	return &hashFamily{col: [2][]uint32{make([]uint32, n), make([]uint32, na)}}
+	return &hashFamily{col: [2]pcol.Dense[uint32]{pcol.NewDense[uint32](n), pcol.NewDense[uint32](na)}}
 }
 
 func (h *hashFamily) label() string          { return "string" }
@@ -32,11 +32,11 @@ func (h *hashFamily) keys(s *Snapshot, p Posting, buf []uint64) []uint64 {
 	if !p.IsAttr && !indexedNodeKind(s.doc.Kind(p.Node)) {
 		return buf
 	}
-	return append(buf, uint64(h.col[p.side()][p.pos()]))
+	return append(buf, uint64(h.col[p.side()].At(p.pos())))
 }
 
 func (h *hashFamily) leaf(_ *Snapshot, p Posting, val []byte) {
-	h.col[p.side()][p.pos()] = vhash.Hash(val)
+	h.col[p.side()].Set(p.pos(), vhash.Hash(val))
 }
 
 func (h *hashFamily) refold(s *Snapshot, n xmltree.NodeID) {
@@ -44,14 +44,14 @@ func (h *hashFamily) refold(s *Snapshot, n xmltree.NodeID) {
 	var acc uint32
 	for c := doc.FirstChild(n); c != xmltree.InvalidNode; c = doc.NextSibling(c) {
 		if xmltree.ContributesToParent(doc.Kind(c)) {
-			acc = vhash.Combine(acc, h.col[0][c])
+			acc = vhash.Combine(acc, h.col[0].At(int(c)))
 		}
 	}
-	h.col[0][n] = acc
+	h.col[0].Set(int(n), acc)
 }
 
 func (h *hashFamily) check(_ *Snapshot, p Posting, val []byte) error {
-	if got, want := h.col[p.side()][p.pos()], vhash.Hash(val); got != want {
+	if got, want := h.col[p.side()].At(p.pos()), vhash.Hash(val); got != want {
 		return fmt.Errorf("hash %#x, want %#x (value %.40q)", got, want, val)
 	}
 	return nil
@@ -70,7 +70,7 @@ func (f *hashFolder) open() { f.stack = append(f.stack, 0) }
 
 func (f *hashFolder) leaf(p Posting, val []byte, contributes bool) {
 	v := vhash.Hash(val)
-	f.h.col[p.side()][p.pos()] = v
+	f.h.col[p.side()].Set(p.pos(), v)
 	if contributes {
 		f.fold(v)
 	}
@@ -79,7 +79,7 @@ func (f *hashFolder) leaf(p Posting, val []byte, contributes bool) {
 func (f *hashFolder) close(n xmltree.NodeID) {
 	v := f.stack[len(f.stack)-1]
 	f.stack = f.stack[:len(f.stack)-1]
-	f.h.col[0][n] = v
+	f.h.col[0].Set(int(n), v)
 	f.fold(v)
 }
 
@@ -91,19 +91,17 @@ func (f *hashFolder) fold(v uint32) {
 
 func (f *hashFolder) flush() {}
 
-func (h *hashFamily) draft(w writeShape) family {
+func (h *hashFamily) draft() family {
 	c := *h
 	for side := range c.col {
-		if w.writes(side) {
-			c.col[side] = slices.Clone(h.col[side])
-		}
+		c.col[side] = h.col[side].Clone()
 	}
 	c.postingTree = h.postingTree.clone()
 	return &c
 }
 
 func (h *hashFamily) splice(_ *Snapshot, side, at, del, ins int) {
-	h.col[side] = splice(h.col[side], at, del, ins)
+	h.col[side].Splice(at, del, make([]uint32, ins))
 }
 
 func (h *hashFamily) addStats(_ *Snapshot, st *IndexStats) {
@@ -114,7 +112,7 @@ func (h *hashFamily) addStats(_ *Snapshot, st *IndexStats) {
 func (h *hashFamily) addMem(ms *MemStats) {
 	ms.StringTreeBytes = h.tree.MemBytes()
 	ms.UnpackedTreeBytes += h.tree.UnpackedBytes()
-	ms.SideBytes += cap(h.col[0])*4 + cap(h.col[1])*4
+	ms.SideBytes += h.col[0].MemBytes() + h.col[1].MemBytes()
 }
 
 // save persists only the hashes of value-carrying leaves (4 bytes each,
@@ -126,13 +124,13 @@ func (h *hashFamily) save(w *storage.Writer, s *Snapshot) error {
 		leaves := make([]uint32, 0, doc.NumNodes())
 		for i := 0; i < doc.NumNodes(); i++ {
 			if isLeafKind(doc.Kind(xmltree.NodeID(i))) {
-				leaves = append(leaves, h.col[0][i])
+				leaves = append(leaves, h.col[0].At(i))
 			}
 		}
 		if err := writeU32Fixed(sec, leaves); err != nil {
 			return err
 		}
-		return writeU32Fixed(sec, h.col[1])
+		return writeU32Fixed(sec, h.col[1].AppendRange(nil, 0, h.col[1].Len()))
 	})
 	if err != nil {
 		return err
@@ -156,11 +154,14 @@ func (h *hashFamily) load(r *storage.Reader, s *Snapshot) error {
 		li := 0
 		for i := 0; i < doc.NumNodes(); i++ {
 			if isLeafKind(doc.Kind(xmltree.NodeID(i))) {
-				h.col[0][i] = leafHashes[li]
+				h.col[0].Set(i, leafHashes[li])
 				li++
 			}
 		}
-		h.col[1], err = readU32Fixed(sec, doc.NumAttrs())
+		attrHashes, err := readU32Fixed(sec, doc.NumAttrs())
+		for a, v := range attrHashes {
+			h.col[1].Set(a, v)
+		}
 		return err
 	})
 	if err != nil {

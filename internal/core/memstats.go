@@ -3,9 +3,11 @@ package core
 // MemStats reports the in-memory footprint of one snapshot version —
 // the reader-hot state the compressed layout work (packed B+tree
 // leaves, interned heap values) exists to shrink. All byte counts are
-// measured at slice capacity where capacities are reachable, with
-// fixed per-entry estimates for maps; they are accounting numbers for
-// tracking layout regressions, not allocator ground truth.
+// measured at slice capacity, chunked columns by their spines and
+// chunks, and the name dictionary's map by a fixed per-entry estimate;
+// they are accounting numbers for tracking layout regressions, not
+// allocator ground truth. Chunks and tree nodes shared with other
+// versions count in full for each version.
 //
 // Unpacked* fields are the analytic size of the same state under the
 // pre-packing layout — B+tree leaves holding 16-byte entry structs and
@@ -22,8 +24,8 @@ type MemStats struct {
 	// SubstrTreeBytes is the q-gram substring B+tree, 0 when disabled.
 	SubstrTreeBytes int `json:"substr_tree_bytes,omitempty"`
 	// SideBytes covers the per-version side tables: stable-id maps and
-	// every family's state (hash columns, typed state columns and item
-	// maps).
+	// every family's state (hash columns, typed state columns, item
+	// tables and the item arrays they hold).
 	SideBytes int `json:"side_bytes"`
 	// TotalBytes is the sum of the components above.
 	TotalBytes int `json:"total_bytes"`

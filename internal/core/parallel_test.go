@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -73,16 +74,22 @@ func assertIndexesEqual(t *testing.T, wantIx, gotIx *Indexes) {
 	}
 }
 
-// familyState returns a family's per-posting state (nil for the
-// stateless gram family).
+// familyState returns a family's per-posting state as plain slices and
+// maps (nil for the stateless gram family).
 func familyState(f family) any {
+	var out []any
 	switch f := f.(type) {
 	case *hashFamily:
-		return f.col
+		for side := range f.col {
+			out = append(out, f.col[side].AppendRange(nil, 0, f.col[side].Len()))
+		}
 	case *typedFamily:
-		return f.sides
+		for side := range f.sides {
+			sd := &f.sides[side]
+			out = append(out, sd.elems.AppendRange(nil, 0, sd.elems.Len()), maps.Collect(sd.items.All()))
+		}
 	}
-	return nil
+	return out
 }
 
 // snapshotBytes saves ix and returns the raw snapshot file.

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/btree"
+	"repro/internal/fsm"
 	"repro/internal/storage"
 )
 
@@ -127,5 +131,86 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Error("loading garbage must fail")
+	}
+}
+
+// TestLoadRejectsCraftedTypedSection feeds Load typed sections whose
+// fields are out of range — as a follower could receive them from a
+// leader's /v1/snapshot — and requires an error, not a panic.
+func TestLoadRejectsCraftedTypedSection(t *testing.T) {
+	// Nodes: 0 document, 1 r, 2 p, 3 the text "4.5".
+	ix := Build(mustParseForTest(t, `<r><p>4.5</p></r>`), DefaultOptions())
+	dir := t.TempDir()
+	src := filepath.Join(dir, "good.xvi")
+	if err := ix.Save(src); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := LookupType(TypeDouble)
+	cases := []struct {
+		name        string
+		delta, elem uint64
+	}{
+		{"position delta wraps negative", ^uint64(0), uint64(fsm.Identity)},
+		{"element beyond the machine", 3, uint64(m.Machine.NumElems())},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var sec bytes.Buffer
+			se := newSliceEncoder(&sec)
+			se.uv(typedSectionVersion)
+			se.uv(uint64(TypeDouble))
+			se.uv(uint64(ix.Doc().NumNodes())) // node side: one stored state
+			se.uv(1)
+			se.uv(tc.delta)
+			se.uv(tc.elem)
+			se.uv(0) // no items
+			se.uv(0) // attribute side: no positions, no states
+			se.uv(0)
+			if err := se.flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeTree(&sec, btree.New()); err != nil {
+				t.Fatal(err)
+			}
+			dst := filepath.Join(dir, "crafted.xvi")
+			rewriteSection(t, src, dst, TypedSectionName(TypeDouble), sec.Bytes())
+			if _, err := Load(dst); err == nil {
+				t.Fatal("Load accepted a typed section with an out-of-range field")
+			}
+		})
+	}
+}
+
+// rewriteSection copies the snapshot at src to dst with section name's
+// payload replaced.
+func rewriteSection(t *testing.T, src, dst, name string, payload []byte) {
+	t.Helper()
+	r, err := storage.OpenReader(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	w, err := storage.NewWriter(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range r.Sections() {
+		body, err := r.Section(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := w.Section(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s == name {
+			body = bytes.NewReader(payload)
+		}
+		if _, err := io.Copy(out, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

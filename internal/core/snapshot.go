@@ -1,41 +1,27 @@
 package core
 
-import "slices"
-
 // Copy-on-write drafts. A committing writer never mutates the published
-// Snapshot: it clones exactly the state its operation writes — sharing
-// the rest — applies the change to the private draft, and publishes the
-// draft with one atomic store (see update.go). What a commit writes is
-// its writeShape:
+// Snapshot: it drafts a private clone, applies the change to the draft,
+// and publishes the draft with one atomic store (see update.go).
 //
-//   - text updates write the doc's value column and the node side of
-//     every family;
-//   - attribute updates write the doc's attrValue column and the
-//     attribute side of every family;
-//   - structural updates (delete/insert) splice every column and remint
-//     stable ids, so they copy everything.
-//
-// Every family's B+tree and statistics are cloned for every shape — in
-// O(1) for the tree: Insert/Delete on the draft path-copy the touched
-// nodes and leave the published tree's node graph intact.
-func (s *Snapshot) draft(w writeShape) *Snapshot {
+// A draft clones every column, and every clone is cheap. The per-position
+// state a commit writes — the doc's value and attrValue columns, each
+// family's hash or typed state and the typed item tables — lives in
+// persistent chunked columns (internal/pcol): cloning one copies its
+// spine of chunk pointers, and a write copies the one chunk it lands in.
+// Every family's B+tree clones in O(1) and path-copies the nodes a write
+// touches. A text or attribute commit therefore copies the chunks and
+// tree paths of the postings it changes and their ancestors, not the
+// document. Structural commits (delete/insert) rewrite the flat
+// structural columns and the stable-id maps into fresh slices as they
+// splice them, and splice the chunked columns from the edit point on.
+func (s *Snapshot) draft() *Snapshot {
 	d := *s
 	d.version = s.version + 1
-	switch w {
-	case writesNodes:
-		d.doc = s.doc.CloneForText()
-	case writesAttrs:
-		d.doc = s.doc.CloneForAttr()
-	default:
-		d.doc = s.doc.CloneForStructure()
-		d.stableOf = slices.Clone(s.stableOf)
-		d.preOf = slices.Clone(s.preOf)
-		d.attrStableOf = slices.Clone(s.attrStableOf)
-		d.attrOf = slices.Clone(s.attrOf)
-	}
+	d.doc = s.doc.Clone()
 	d.fams = make([]family, len(s.fams))
 	for i, f := range s.fams {
-		d.fams[i] = f.draft(w)
+		d.fams[i] = f.draft()
 	}
 	return &d
 }

@@ -110,7 +110,7 @@ func (g *gramFamily) addStats(_ *Snapshot, st *IndexStats) {
 	st.SubstringBytes = st.SubstringEntries * 8
 }
 
-func (g *gramFamily) draft(writeShape) family {
+func (g *gramFamily) draft() family {
 	return &gramFamily{g.postingTree.clone()}
 }
 

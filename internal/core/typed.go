@@ -3,12 +3,11 @@ package core
 import (
 	"fmt"
 	"io"
-	"maps"
 	"math"
-	"slices"
 	"unsafe"
 
 	"repro/internal/fsm"
+	"repro/internal/pcol"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -27,17 +26,17 @@ type typedFamily struct {
 // typedSide is one side's state. Rejected positions store no fragment
 // (absence = reject, as in the paper).
 type typedSide struct {
-	elems []fsm.Elem // Reject = not stored
+	elems pcol.Dense[fsm.Elem] // Reject = not stored
 	// items holds the digit runs and punctuation of live fragments (not
 	// Reject, non-empty). Keyed by STABLE id so structural updates that
-	// shift positions do not invalidate the map.
-	items map[uint32][]fsm.Item
+	// shift positions do not invalidate the table.
+	items pcol.Sparse[[]fsm.Item]
 }
 
 func newTypedFamily(spec TypeSpec, n, na int) *typedFamily {
 	return &typedFamily{spec: spec, sides: [2]typedSide{
-		{elems: make([]fsm.Elem, n), items: make(map[uint32][]fsm.Item)}, // zero elem is fsm.Reject
-		{elems: make([]fsm.Elem, na), items: make(map[uint32][]fsm.Item)},
+		{elems: pcol.NewDense[fsm.Elem](n)}, // zero elem is fsm.Reject
+		{elems: pcol.NewDense[fsm.Elem](na)},
 	}}
 }
 
@@ -46,22 +45,26 @@ func (t *typedFamily) postings() *postingTree { return &t.postingTree }
 
 func (t *typedFamily) frag(s *Snapshot, p Posting) fsm.Frag {
 	sd := &t.sides[p.side()]
-	e := sd.elems[p.pos()]
+	e := sd.elems.At(p.pos())
 	if e == fsm.Reject {
 		return fsm.Frag{}
 	}
-	return fsm.Frag{Elem: e, Items: sd.items[s.stable(p)]}
+	return fsm.Frag{Elem: e, Items: sd.items.Get(s.stable(p))}
 }
 
 // set stores p's fragment. fresh skips deleting the stale items of a
-// position whose stable id cannot have any yet (build passes).
+// position whose stable id cannot have any yet (build passes). An
+// unchanged element is not rewritten: most refolded ancestors stay
+// Reject, and rewriting them would copy their chunk.
 func (t *typedFamily) set(s *Snapshot, p Posting, f fsm.Frag, fresh bool) {
 	sd := &t.sides[p.side()]
-	sd.elems[p.pos()] = f.Elem
+	if sd.elems.At(p.pos()) != f.Elem {
+		sd.elems.Set(p.pos(), f.Elem)
+	}
 	if f.Elem != fsm.Reject && len(f.Items) > 0 {
-		sd.items[s.stable(p)] = f.Items
+		sd.items.Set(s.stable(p), f.Items)
 	} else if !fresh {
-		delete(sd.items, s.stable(p))
+		sd.items.Delete(s.stable(p))
 	}
 }
 
@@ -71,7 +74,7 @@ func (t *typedFamily) set(s *Snapshot, p Posting, f fsm.Frag, fresh bool) {
 // (Snapshot.appendWithChain) instead of being stored — this is what keeps
 // the typed index at a few percent of the database, as in the paper.
 func (t *typedFamily) keys(s *Snapshot, p Posting, buf []uint64) []uint64 {
-	e := t.sides[p.side()].elems[p.pos()]
+	e := t.sides[p.side()].elems.At(p.pos())
 	if e == fsm.Reject || !t.spec.Machine.Castable(e) {
 		return buf
 	}
@@ -148,8 +151,9 @@ func (t *typedFamily) folder(s *Snapshot, held bool) folder {
 }
 
 // typedFolder writes elements straight into the columns (concurrent
-// passes cover disjoint positions) and, when held, keeps the items back
-// for flush: the maps are shared.
+// passes cover disjoint positions of freshly created columns, whose
+// chunks are written in place) and, when held, keeps the items back for
+// flush: the item tables are shared.
 type typedFolder struct {
 	t     *typedFamily
 	s     *Snapshot
@@ -159,7 +163,7 @@ type typedFolder struct {
 }
 
 // stableItems carries one position's items, keyed by stable id, from a
-// held folder into its family's map.
+// held folder into its family's item table.
 type stableItems struct {
 	stable uint32
 	items  []fsm.Item
@@ -170,7 +174,7 @@ func (f *typedFolder) store(p Posting, fr fsm.Frag) {
 		f.t.set(f.s, p, fr, true)
 		return
 	}
-	f.t.sides[p.side()].elems[p.pos()] = fr.Elem
+	f.t.sides[p.side()].elems.Set(p.pos(), fr.Elem)
 	if fr.Elem != fsm.Reject && len(fr.Items) > 0 {
 		f.items[p.side()] = append(f.items[p.side()], stableItems{f.s.stable(p), fr.Items})
 	}
@@ -202,19 +206,18 @@ func (f *typedFolder) fold(fr fsm.Frag) {
 func (f *typedFolder) flush() {
 	for side, held := range f.items {
 		for _, si := range held {
-			f.t.sides[side].items[si.stable] = si.items
+			f.t.sides[side].items.Set(si.stable, si.items)
 		}
 	}
 }
 
-// draft copies the written sides' elements and item maps; the fragment
-// slices stay shared because set always replaces whole slices.
-func (t *typedFamily) draft(w writeShape) family {
+// draft clones both sides' columns; the fragment slices stay shared
+// because set always replaces whole slices.
+func (t *typedFamily) draft() family {
 	c := *t
-	for side, sd := range t.sides {
-		if w.writes(side) {
-			c.sides[side] = typedSide{elems: slices.Clone(sd.elems), items: maps.Clone(sd.items)}
-		}
+	for side := range t.sides {
+		sd := &t.sides[side]
+		c.sides[side] = typedSide{elems: sd.elems.Clone(), items: sd.items.Clone()}
 	}
 	c.postingTree = t.postingTree.clone()
 	return &c
@@ -223,9 +226,9 @@ func (t *typedFamily) draft(w writeShape) family {
 func (t *typedFamily) splice(s *Snapshot, side, at, del, ins int) {
 	sd := &t.sides[side]
 	for _, st := range s.stables(side)[at : at+del] {
-		delete(sd.items, st)
+		sd.items.Delete(st)
 	}
-	sd.elems = splice(sd.elems, at, del, ins)
+	sd.elems.Splice(at, del, make([]fsm.Elem, ins))
 }
 
 // addStats fills the type's TypedStats entry and, for the built-in
@@ -236,7 +239,7 @@ func (t *typedFamily) addStats(s *Snapshot, st *IndexStats) {
 	var buf []uint64
 	s.eachPosting(func(p Posting) {
 		sd := &t.sides[p.side()]
-		e := sd.elems[p.pos()]
+		e := sd.elems.At(p.pos())
 		if e == fsm.Reject {
 			return
 		}
@@ -263,7 +266,7 @@ func (t *typedFamily) addStats(s *Snapshot, st *IndexStats) {
 			}
 		}
 		// Items persist as compact varints; estimate 2 bytes per item.
-		ts.Bytes += 2 * len(sd.items[s.stable(p)])
+		ts.Bytes += 2 * len(sd.items.Get(s.stable(p)))
 	})
 	st.Typed = append(st.Typed, ts)
 	switch t.spec.ID {
@@ -279,15 +282,17 @@ func (t *typedFamily) addStats(s *Snapshot, st *IndexStats) {
 	}
 }
 
+// addMem counts both sides' element chunks and item tables exactly,
+// plus the item arrays the tables point to.
 func (t *typedFamily) addMem(ms *MemStats) {
 	ms.TypedTreeBytes += t.tree.MemBytes()
 	ms.UnpackedTreeBytes += t.tree.UnpackedBytes()
 	const itemBytes = int(unsafe.Sizeof(fsm.Item{}))
-	const mapEntryBytes = 48 // rough per-entry map overhead (key+header+buckets)
-	for _, sd := range t.sides {
-		ms.SideBytes += cap(sd.elems) // fsm.Elem is one byte
-		for _, items := range sd.items {
-			ms.SideBytes += mapEntryBytes + cap(items)*itemBytes
+	for side := range t.sides {
+		sd := &t.sides[side]
+		ms.SideBytes += sd.elems.MemBytes() + sd.items.MemBytes()
+		for _, items := range sd.items.All() {
+			ms.SideBytes += cap(items) * itemBytes
 		}
 	}
 }
@@ -306,30 +311,30 @@ func (t *typedFamily) save(w *storage.Writer, s *Snapshot) error {
 		se := newSliceEncoder(sec)
 		se.uv(typedSectionVersion)
 		se.uv(uint64(t.spec.ID))
-		for side, sd := range t.sides {
-			stables := s.stables(side)
+		for side := range t.sides {
+			sd, stables := &t.sides[side], s.stables(side)
 			stored := func(i int) bool {
 				if side == 0 && !isLeafKind(doc.Kind(xmltree.NodeID(i))) {
 					return false
 				}
-				return sd.elems[i] != fsm.Reject && len(sd.items[stables[i]]) > 0
+				return sd.elems.At(i) != fsm.Reject && len(sd.items.Get(stables[i])) > 0
 			}
 			count := 0
-			for i := range sd.elems {
+			for i := range sd.elems.Len() {
 				if stored(i) {
 					count++
 				}
 			}
-			se.uv(uint64(len(sd.elems)))
+			se.uv(uint64(sd.elems.Len()))
 			se.uv(uint64(count))
 			prev := 0
-			for i := range sd.elems {
+			for i := range sd.elems.Len() {
 				if !stored(i) {
 					continue
 				}
-				items := sd.items[stables[i]]
+				items := sd.items.Get(stables[i])
 				se.uv(uint64(i - prev))
-				se.uv(uint64(sd.elems[i]))
+				se.uv(uint64(sd.elems.At(i)))
 				se.uv(uint64(len(items)))
 				for _, it := range items {
 					se.uv(uint64(it.Punct))
@@ -390,7 +395,7 @@ func (t *typedFamily) load(r *storage.Reader, s *Snapshot) error {
 	doc := s.doc
 	for i := 0; i < doc.NumNodes(); i++ {
 		n := xmltree.NodeID(i)
-		if isLeafKind(doc.Kind(n)) && t.sides[0].elems[i] == fsm.Reject {
+		if isLeafKind(doc.Kind(n)) && t.sides[0].elems.At(i) == fsm.Reject {
 			if f, ok := t.spec.Machine.ParseFrag(doc.ValueBytes(n)); ok {
 				t.set(s, NodePosting(n), f, true)
 			}
@@ -399,29 +404,39 @@ func (t *typedFamily) load(r *storage.Reader, s *Snapshot) error {
 	return nil
 }
 
+// readSide reads one side's stored states. The bytes may come from the
+// network (a follower's seed snapshot), so every field is bounded before
+// it is used: positions stay inside the side, elements inside the
+// machine, stable ids inside the stable-id space.
 func (t *typedFamily) readSide(sd *sliceDecoder, s *Snapshot, side int) error {
-	elems, items, stables := t.sides[side].elems, t.sides[side].items, s.stables(side)
-	if got := int(sd.uv()); sd.err == nil && got != len(elems) {
-		return fmt.Errorf("core: typed index has %d positions, want %d", got, len(elems))
+	ts, stables := &t.sides[side], s.stables(side)
+	n := ts.elems.Len()
+	if got := sd.uv(); sd.err == nil && got != uint64(n) {
+		return fmt.Errorf("core: typed index has %d positions, want %d", got, n)
 	}
-	stored := int(sd.uv())
+	ids := len(s.preOf)
+	if side == 1 {
+		ids = len(s.attrOf)
+	}
+	stored := int(sd.upTo(uint64(n)))
+	maxElem := uint64(t.spec.Machine.NumElems() - 1)
 	pos := 0
 	for i := 0; i < stored && sd.err == nil; i++ {
-		pos += int(sd.uv())
-		e := fsm.Elem(sd.uv())
-		k := int(sd.uv())
-		if k < 0 || k > 1<<20 {
-			return fmt.Errorf("core: implausible item count %d", k)
+		pos += int(sd.upTo(uint64(n - 1 - pos)))
+		e := fsm.Elem(sd.upTo(maxElem))
+		k := sd.upTo(1 << 20)
+		if sd.err != nil {
+			break
 		}
 		its := make([]fsm.Item, k)
 		for j := range its {
-			its[j] = fsm.Item{Punct: byte(sd.uv()), Val: decodeRunVal(sd.uv()), Len: int32(sd.uv())}
+			its[j] = fsm.Item{Punct: byte(sd.upTo(math.MaxUint8)), Val: decodeRunVal(sd.uv()), Len: int32(sd.upTo(math.MaxInt32))}
 		}
-		if pos >= len(elems) {
-			return fmt.Errorf("core: state position %d out of range", pos)
+		if st := stables[pos]; int(st) >= ids {
+			return fmt.Errorf("core: stable id %d out of range [0:%d]", st, ids)
 		}
-		elems[pos] = e
-		items[stables[pos]] = its
+		ts.elems.Set(pos, e)
+		ts.items.Set(stables[pos], its)
 	}
 	return sd.err
 }

@@ -61,23 +61,19 @@ func (ch *change) validate(s *Snapshot) error {
 	return fmt.Errorf("core: record kind %v is not a commit", ch.kind)
 }
 
-// apply runs a validated ch against a copy-on-write draft of s, cloning
-// only the columns its shape writes. It returns the draft and, for
-// inserts, the first inserted node.
+// apply runs a validated ch against a copy-on-write draft of s. It
+// returns the draft and, for inserts, the first inserted node.
 func (ch *change) apply(s *Snapshot) (*Snapshot, xmltree.NodeID, error) {
+	d := s.draft()
 	switch ch.kind {
 	case storage.RecTextBatch:
-		d := s.draft(writesNodes)
 		return d, xmltree.InvalidNode, d.applyTexts(ch.texts)
 	case storage.RecAttrUpdate:
-		d := s.draft(writesAttrs)
 		d.applyAttr(ch.attr, ch.value)
 		return d, xmltree.InvalidNode, nil
 	case storage.RecDelete:
-		d := s.draft(writesStructure)
 		return d, xmltree.InvalidNode, d.applyDelete(ch.node)
 	default:
-		d := s.draft(writesStructure)
 		at, err := d.applyInsert(ch.parent, ch.pos, ch.frag)
 		return d, at, err
 	}

@@ -20,9 +20,12 @@ func TestVerifyReportsCorruptFamily(t *testing.T) {
 		leafState    bool
 		corrupt      func(d *Snapshot)
 	}{
-		{"leaf hash", "string", true, func(d *Snapshot) { d.hashes().col[0][leaf]++ }},
+		{"leaf hash", "string", true, func(d *Snapshot) {
+			col := &d.hashes().col[0]
+			col.Set(int(leaf), col.At(int(leaf))+1)
+		}},
 		{"typed leaf elem", "double", true, func(d *Snapshot) {
-			d.typedFor(TypeDouble).sides[0].elems[leaf] = fsm.Identity
+			d.typedFor(TypeDouble).sides[0].elems.Set(int(leaf), fsm.Identity)
 		}},
 		{"gram posting", "substring", false, func(d *Snapshot) {
 			g := d.grams()
@@ -33,7 +36,7 @@ func TestVerifyReportsCorruptFamily(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := base.draft(writesStructure)
+			d := base.draft()
 			tc.corrupt(d)
 			want := tc.family + " index"
 			if err := d.Verify(); err == nil || !strings.Contains(err.Error(), want) {

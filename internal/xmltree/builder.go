@@ -47,7 +47,7 @@ func (b *Builder) appendNode(k Kind, name NameID, v valueRef) NodeID {
 	d.level = append(d.level, level)
 	d.parent = append(d.parent, parent)
 	d.name = append(d.name, name)
-	d.value = append(d.value, v)
+	d.value.Append(v)
 	d.attrStart = append(d.attrStart, int32(len(d.attrName)))
 	return id
 }
@@ -80,7 +80,7 @@ func (b *Builder) Attribute(name, value string) {
 	// later nodes pick up the grown count when they are created, so no
 	// fix-up is needed here.
 	d.attrName = append(d.attrName, d.names.intern(name))
-	d.attrValue = append(d.attrValue, d.heap.putString(value))
+	d.attrValue.Append(d.heap.putString(value))
 }
 
 // Text appends a text node. Adjacent Text calls produce adjacent text

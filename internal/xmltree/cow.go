@@ -2,14 +2,21 @@ package xmltree
 
 // Copy-on-write document clones for the MVCC snapshot layer in
 // internal/core. A published Doc is treated as immutable; a writer that
-// wants to change it clones exactly the columns its operation writes and
-// shares the rest with the published version.
+// wants to change it clones it and writes the clone.
 //
-// The text heap makes this cheap without chunking: clones share the
-// underlying byte array but own their own textHeap header. The heap is
-// append-only, values published in version v live entirely below that
-// version's heap length, and writers are serialized by the caller, so a
-// later draft's appends land at offsets no published reader ever
+// Clone costs O(n/1024), not O(n). The value and attrValue columns are
+// persistent chunked columns (internal/pcol): the clone copies their
+// spines, and SetText or SetAttrValue copies the one chunk it writes. The structural columns (kind, size, level, parent, name,
+// the attribute table) and the name dictionary are shared outright:
+// DeleteSubtree and InsertChildren, which rewrite them, build fresh
+// ones instead of writing in place. Once cloned, a Doc must not be
+// written again — its clone owns the right to write.
+//
+// The text heap is shared the same way without chunking: clones share
+// the underlying byte array but own their own textHeap header. The heap
+// is append-only, values published in version v live entirely below
+// that version's heap length, and writers are serialized by the caller,
+// so a later draft's appends land at offsets no published reader ever
 // dereferences (or on a freshly reallocated array when the append grows
 // the backing store).
 //
@@ -21,48 +28,17 @@ package xmltree
 //
 // Compact allocates fresh value/attrValue columns and a fresh heap (it
 // rewrites nothing in place), so the writer may compact any privately
-// owned draft — including one that still shares columns with a
-// published snapshot — but must never compact a Doc that has itself
-// been published to concurrent readers.
+// owned draft, but must never compact a Doc that has itself been
+// published to concurrent readers.
 
-// CloneForText returns a copy of d that owns its value column and heap
-// header and shares every other column (structure, names, attributes)
-// with d. SetText on the clone leaves d unchanged.
-func (d *Doc) CloneForText() *Doc {
+// Clone returns a copy of d that shares all of d's storage and may be
+// written — values, attributes or structure — while d stays unchanged.
+func (d *Doc) Clone() *Doc {
 	c := *d
-	c.value = append([]valueRef(nil), d.value...)
+	c.value = d.value.Clone()
+	c.attrValue = d.attrValue.Clone()
 	c.heap = d.heap.cloneHeader()
 	return &c
-}
-
-// CloneForAttr returns a copy of d that owns its attrValue column and
-// heap header and shares every other column with d. SetAttrValue on the
-// clone leaves d unchanged.
-func (d *Doc) CloneForAttr() *Doc {
-	c := *d
-	c.attrValue = append([]valueRef(nil), d.attrValue...)
-	c.heap = d.heap.cloneHeader()
-	return &c
-}
-
-// CloneForStructure returns a copy of d that owns every column, the name
-// dictionary, and the heap header. DeleteSubtree and InsertChildren
-// splice columns in place and intern new names, so structural edits need
-// the full copy.
-func (d *Doc) CloneForStructure() *Doc {
-	return &Doc{
-		kind:      append([]Kind(nil), d.kind...),
-		size:      append([]int32(nil), d.size...),
-		level:     append([]int32(nil), d.level...),
-		parent:    append([]NodeID(nil), d.parent...),
-		name:      append([]NameID(nil), d.name...),
-		value:     append([]valueRef(nil), d.value...),
-		attrStart: append([]int32(nil), d.attrStart...),
-		attrName:  append([]NameID(nil), d.attrName...),
-		attrValue: append([]valueRef(nil), d.attrValue...),
-		names:     d.names.clone(),
-		heap:      d.heap.cloneHeader(),
-	}
 }
 
 func (nd *nameDict) clone() *nameDict {

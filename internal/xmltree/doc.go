@@ -14,6 +14,8 @@ package xmltree
 import (
 	"fmt"
 	"unsafe"
+
+	"repro/internal/pcol"
 )
 
 // Kind classifies a node in the tree node table. Attribute nodes live in a
@@ -85,14 +87,14 @@ type Doc struct {
 	size   []int32 // number of descendants (self excluded)
 	level  []int32
 	parent []NodeID
-	name   []NameID   // element tag / PI target; -1 otherwise
-	value  []valueRef // text/comment/PI content; zero otherwise
+	name   []NameID             // element tag / PI target; -1 otherwise
+	value  pcol.Dense[valueRef] // text/comment/PI content; zero otherwise
 
 	// Attribute table, sorted by owner. attrStart[pre] .. attrStart[pre+1]
 	// indexes the owner's attributes (attrStart has NumNodes()+1 entries).
 	attrStart []int32
 	attrName  []NameID
-	attrValue []valueRef
+	attrValue pcol.Dense[valueRef]
 
 	names *nameDict
 	heap  *textHeap
@@ -145,11 +147,11 @@ func (d *Doc) NameIDOf(tag string) NameID { return d.names.find(tag) }
 
 // Value returns the character data of a text, comment, or PI node, and ""
 // for document and element nodes (use StringValue for those).
-func (d *Doc) Value(n NodeID) string { return d.heap.get(d.value[n]) }
+func (d *Doc) Value(n NodeID) string { return d.heap.get(d.value.At(int(n))) }
 
 // ValueBytes is Value without the string copy; the returned slice aliases
 // the document heap and must not be modified.
-func (d *Doc) ValueBytes(n NodeID) []byte { return d.heap.getBytes(d.value[n]) }
+func (d *Doc) ValueBytes(n NodeID) []byte { return d.heap.getBytes(d.value.At(int(n))) }
 
 // IsAncestorOf reports whether a is a proper ancestor of n, using the
 // pre/size range containment test.
@@ -199,11 +201,11 @@ func (d *Doc) AttrName(a AttrID) string { return d.names.lookup(d.attrName[a]) }
 func (d *Doc) AttrNameID(a AttrID) NameID { return d.attrName[a] }
 
 // AttrValue returns the value of attribute a.
-func (d *Doc) AttrValue(a AttrID) string { return d.heap.get(d.attrValue[a]) }
+func (d *Doc) AttrValue(a AttrID) string { return d.heap.get(d.attrValue.At(int(a))) }
 
 // AttrValueBytes is AttrValue without the string copy; the slice aliases
 // the document heap.
-func (d *Doc) AttrValueBytes(a AttrID) []byte { return d.heap.getBytes(d.attrValue[a]) }
+func (d *Doc) AttrValueBytes(a AttrID) []byte { return d.heap.getBytes(d.attrValue.At(int(a))) }
 
 // FindAttr returns the id of the attribute of element n named name, or
 // InvalidAttr.
@@ -237,28 +239,29 @@ func (d *Doc) DeadHeapBytes() int { return d.heap.dead }
 // deduplicated documents.
 func (d *Doc) LiveHeapBytes() int {
 	var n int
-	for _, v := range d.value {
-		n += int(v.len)
+	for i := range d.value.Len() {
+		n += int(d.value.At(i).len)
 	}
-	for _, v := range d.attrValue {
-		n += int(v.len)
+	for a := range d.attrValue.Len() {
+		n += int(d.attrValue.At(a).len)
 	}
 	return n
 }
 
 // MemBytes reports the document's in-memory footprint: the columnar node
-// and attribute tables (at slice capacity), the text heap's backing
-// array, and the name dictionary. The intern table is excluded — it is
+// and attribute tables (flat columns at slice capacity, value columns
+// by their chunks), the text heap's backing array, and the name
+// dictionary. The intern table is excluded — it is
 // shared writer-side bookkeeping, not reader-hot state.
 func (d *Doc) MemBytes() int {
 	b := cap(d.kind)*int(unsafe.Sizeof(Kind(0))) +
 		cap(d.size)*4 + cap(d.level)*4 +
 		cap(d.parent)*int(unsafe.Sizeof(NodeID(0))) +
 		cap(d.name)*int(unsafe.Sizeof(NameID(0))) +
-		cap(d.value)*int(unsafe.Sizeof(valueRef{})) +
+		d.value.MemBytes() +
 		cap(d.attrStart)*4 +
 		cap(d.attrName)*int(unsafe.Sizeof(NameID(0))) +
-		cap(d.attrValue)*int(unsafe.Sizeof(valueRef{})) +
+		d.attrValue.MemBytes() +
 		cap(d.heap.data)
 	for _, s := range d.names.names {
 		b += len(s) + 16 // string header

@@ -1,5 +1,7 @@
 package xmltree
 
+import "repro/internal/pcol"
+
 // textHeap is an append-only byte heap holding all character data of a
 // document. XML values repeat heavily (XMark categories, attribute
 // enums, boilerplate text), so the heap hash-conses small values: a put
@@ -180,11 +182,11 @@ func (d *nameDict) count() int { return len(d.names) }
 //
 // Compact allocates fresh value and attrValue columns and a fresh heap
 // rather than rewriting anything in place, so it is safe on any
-// privately owned draft even when that draft still shares columns with
-// a published snapshot (see cow.go: CloneForText shares attrValue,
-// CloneForAttr shares value). It must still never be called on a Doc
-// that has itself been published to concurrent readers: it swaps the
-// Doc's own column pointers, which readers of that Doc would race with.
+// privately owned draft even though that draft shares chunks with a
+// published snapshot (see cow.go). It must still never be called on a
+// Doc that has itself been published to concurrent readers: it swaps
+// the Doc's own column handles, which readers of that Doc would race
+// with.
 func (d *Doc) Compact() int {
 	old := d.heap
 	capHint := d.LiveHeapBytes()
@@ -193,21 +195,18 @@ func (d *Doc) Compact() int {
 	}
 	fresh := newTextHeap()
 	fresh.data = make([]byte, 0, capHint)
-	value := make([]valueRef, len(d.value))
-	for i := range d.value {
-		if d.value[i].len != 0 {
-			value[i] = fresh.put(old.getBytes(d.value[i]))
+	rebuild := func(col *pcol.Dense[valueRef]) pcol.Dense[valueRef] {
+		out := pcol.NewDense[valueRef](col.Len())
+		for i := range col.Len() {
+			if r := col.At(i); r.len != 0 {
+				out.Set(i, fresh.put(old.getBytes(r)))
+			}
 		}
+		return out
 	}
-	attrValue := make([]valueRef, len(d.attrValue))
-	for i := range d.attrValue {
-		if d.attrValue[i].len != 0 {
-			attrValue[i] = fresh.put(old.getBytes(d.attrValue[i]))
-		}
-	}
+	d.value = rebuild(&d.value)
+	d.attrValue = rebuild(&d.attrValue)
 	reclaimed := old.size() - fresh.size()
-	d.value = value
-	d.attrValue = attrValue
 	d.heap = fresh
 	return reclaimed
 }

@@ -72,14 +72,14 @@ func TestInternValuesAboveLimitNotInterned(t *testing.T) {
 }
 
 // TestCompactOnTextDraftLeavesPublishedIntact pins the cow.go contract
-// the auto-compaction path relies on: a CloneForText draft shares its
-// attrValue column with the published doc, and Compact on the draft must
-// not disturb the published doc's view.
+// the auto-compaction path relies on: a Clone draft shares its value
+// chunks with the published doc, and Compact on the draft must not
+// disturb the published doc's view.
 func TestCompactOnTextDraftLeavesPublishedIntact(t *testing.T) {
 	published := buildRepetitive(t, 10, 5)
 	wantVals := snapshotValues(published)
 
-	draft := published.CloneForText()
+	draft := published.Clone()
 	var textNode NodeID = -1
 	for i := 0; i < draft.NumNodes(); i++ {
 		if draft.Kind(NodeID(i)) == Text {
@@ -143,7 +143,7 @@ func diffValues(d *Doc, want []string) string {
 // trust them.
 func TestStaleInternEntryHealed(t *testing.T) {
 	base := buildRepetitive(t, 2, 2)
-	ghost := base.CloneForText()
+	ghost := base.Clone()
 	var textNode NodeID = -1
 	for i := 0; i < ghost.NumNodes(); i++ {
 		if ghost.Kind(NodeID(i)) == Text {
@@ -156,7 +156,7 @@ func TestStaleInternEntryHealed(t *testing.T) {
 	}
 	// ghost is abandoned; base's heap header never saw the append, but the
 	// shared intern map did.
-	draft := base.CloneForText()
+	draft := base.Clone()
 	if err := draft.SetText(textNode, "phantom value never published"); err != nil {
 		t.Fatal(err)
 	}

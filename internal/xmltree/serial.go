@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/pcol"
 )
 
 // Binary document format: fixed-width little-endian columns plus a text
@@ -83,7 +85,7 @@ func (d *Doc) WriteTo(w io.Writer) (int64, error) {
 		bw.u32(uint32(mapName(d.name[i])))
 	}
 	for i := 0; i < n; i++ {
-		bw.u32(d.value[i].len)
+		bw.u32(d.value.At(i).len)
 	}
 	for i := 0; i <= n; i++ {
 		bw.u32(uint32(d.attrStart[i]))
@@ -92,17 +94,17 @@ func (d *Doc) WriteTo(w io.Writer) (int64, error) {
 		bw.u32(uint32(mapName(d.attrName[a])))
 	}
 	for a := 0; a < na; a++ {
-		bw.u32(d.attrValue[a].len)
+		bw.u32(d.attrValue.At(a).len)
 	}
 	for _, s := range live {
 		bw.u32(uint32(len(s)))
 		bw.raw([]byte(s))
 	}
 	for i := 0; i < n; i++ {
-		bw.raw(d.heap.getBytes(d.value[i]))
+		bw.raw(d.heap.getBytes(d.value.At(i)))
 	}
 	for a := 0; a < na; a++ {
-		bw.raw(d.heap.getBytes(d.attrValue[a]))
+		bw.raw(d.heap.getBytes(d.attrValue.At(a)))
 	}
 	return cw.n, bw.flush()
 }
@@ -134,10 +136,10 @@ func ReadDoc(r io.Reader) (*Doc, error) {
 		level:     make([]int32, n),
 		parent:    make([]NodeID, n),
 		name:      make([]NameID, n),
-		value:     make([]valueRef, n),
+		value:     pcol.NewDense[valueRef](n),
 		attrStart: make([]int32, n+1),
 		attrName:  make([]NameID, na),
-		attrValue: make([]valueRef, na),
+		attrValue: pcol.NewDense[valueRef](na),
 		names:     newNameDict(),
 		heap:      newTextHeap(),
 	}
@@ -200,13 +202,13 @@ func ReadDoc(r io.Reader) (*Doc, error) {
 	off := uint32(0)
 	for i := 0; i < n; i++ {
 		if valueLens[i] > 0 {
-			d.value[i] = d.heap.put(blob[off : off+valueLens[i]])
+			d.value.Set(i, d.heap.put(blob[off:off+valueLens[i]]))
 			off += valueLens[i]
 		}
 	}
 	for a := 0; a < na; a++ {
 		if attrLens[a] > 0 {
-			d.attrValue[a] = d.heap.put(blob[off : off+attrLens[a]])
+			d.attrValue.Set(a, d.heap.put(blob[off:off+attrLens[a]]))
 			off += attrLens[a]
 		}
 	}

@@ -18,7 +18,7 @@ func (d *Doc) StringValue(n NodeID) string {
 	end := n + NodeID(d.size[n])
 	for i := n + 1; i <= end; i++ {
 		if d.kind[i] == Text {
-			sb.Write(d.heap.getBytes(d.value[i]))
+			sb.Write(d.heap.getBytes(d.value.At(int(i))))
 		}
 	}
 	return sb.String()
@@ -29,12 +29,12 @@ func (d *Doc) StringValue(n NodeID) string {
 func (d *Doc) AppendStringValue(dst []byte, n NodeID) []byte {
 	switch d.kind[n] {
 	case Text, Comment, PI:
-		return append(dst, d.heap.getBytes(d.value[n])...)
+		return append(dst, d.heap.getBytes(d.value.At(int(n)))...)
 	}
 	end := n + NodeID(d.size[n])
 	for i := n + 1; i <= end; i++ {
 		if d.kind[i] == Text {
-			dst = append(dst, d.heap.getBytes(d.value[i])...)
+			dst = append(dst, d.heap.getBytes(d.value.At(int(i)))...)
 		}
 	}
 	return dst

@@ -3,6 +3,9 @@ package xmltree
 import (
 	"errors"
 	"fmt"
+	"slices"
+
+	"repro/internal/pcol"
 )
 
 // ErrNotText is returned by SetText when the target cannot carry character
@@ -15,11 +18,7 @@ var ErrNotText = errors.New("xmltree: node has no character data")
 func (d *Doc) SetText(n NodeID, data string) error {
 	switch d.kind[n] {
 	case Text, Comment, PI:
-		old := d.value[n]
-		d.value[n] = d.heap.putString(data)
-		if d.value[n] != old {
-			d.heap.dead += int(old.len)
-		}
+		d.setValue(&d.value, int(n), data)
 		return nil
 	default:
 		return fmt.Errorf("%w: %v node %d", ErrNotText, d.kind[n], n)
@@ -28,9 +27,13 @@ func (d *Doc) SetText(n NodeID, data string) error {
 
 // SetAttrValue replaces the value of attribute a.
 func (d *Doc) SetAttrValue(a AttrID, value string) {
-	old := d.attrValue[a]
-	d.attrValue[a] = d.heap.putString(value)
-	if d.attrValue[a] != old {
+	d.setValue(&d.attrValue, int(a), value)
+}
+
+func (d *Doc) setValue(col *pcol.Dense[valueRef], i int, data string) {
+	old, ref := col.At(i), d.heap.putString(data)
+	col.Set(i, ref)
+	if ref != old {
 		d.heap.dead += int(old.len)
 	}
 }
@@ -45,41 +48,33 @@ func (d *Doc) DeleteSubtree(n NodeID) error {
 	}
 	cnt := NodeID(d.size[n]) + 1
 	end := n + cnt // one past the removed pre range
-
-	// Shrink ancestor sizes before positions move.
-	for p := d.parent[n]; p != InvalidNode; p = d.parent[p] {
-		d.size[p] -= int32(cnt)
-	}
+	alo, ahi := d.attrStart[n], d.attrStart[end]
+	removedAttrs := ahi - alo
+	parent := d.parent[n]
 
 	// The removed range's heap values become garbage (conservatively:
 	// interned ranges may still be shared with surviving refs).
 	for i := n; i < end; i++ {
-		d.heap.dead += int(d.value[i].len)
+		d.heap.dead += int(d.value.At(int(i)).len)
 	}
-	for a := d.attrStart[n]; a < d.attrStart[end]; a++ {
-		d.heap.dead += int(d.attrValue[a].len)
+	for a := alo; a < ahi; a++ {
+		d.heap.dead += int(d.attrValue.At(int(a)).len)
 	}
 
-	// Drop attributes owned by the removed range.
-	alo, ahi := d.attrStart[n], d.attrStart[end]
-	removedAttrs := ahi - alo
-	if removedAttrs > 0 {
-		d.attrName = append(d.attrName[:alo], d.attrName[ahi:]...)
-		d.attrValue = append(d.attrValue[:alo], d.attrValue[ahi:]...)
-	}
-	// Splice attrStart (per-node entries) and shift the tail.
-	d.attrStart = append(d.attrStart[:n], d.attrStart[end:]...)
+	// Every column is shared with the version d was cloned from (see
+	// cow.go), so each splice below writes a fresh one.
+	d.attrName = splice(d.attrName, int(alo), int(removedAttrs), nil)
+	d.attrValue.Splice(int(alo), int(removedAttrs), nil)
+	d.attrStart = splice(d.attrStart, int(n), int(cnt), nil)
 	for i := int(n); i < len(d.attrStart); i++ {
 		d.attrStart[i] -= removedAttrs
 	}
-
-	// Splice the node columns.
-	d.kind = append(d.kind[:n], d.kind[end:]...)
-	d.size = append(d.size[:n], d.size[end:]...)
-	d.level = append(d.level[:n], d.level[end:]...)
-	d.name = append(d.name[:n], d.name[end:]...)
-	d.value = append(d.value[:n], d.value[end:]...)
-	d.parent = append(d.parent[:n], d.parent[end:]...)
+	d.kind = splice(d.kind, int(n), int(cnt), nil)
+	d.size = splice(d.size, int(n), int(cnt), nil)
+	d.level = splice(d.level, int(n), int(cnt), nil)
+	d.name = splice(d.name, int(n), int(cnt), nil)
+	d.value.Splice(int(n), int(cnt), nil)
+	d.parent = splice(d.parent, int(n), int(cnt), nil)
 
 	// Re-point parents of shifted nodes. A shifted node's parent is either
 	// < n (unchanged) or >= end (shifts by cnt); parents inside the removed
@@ -88,6 +83,10 @@ func (d *Doc) DeleteSubtree(n NodeID) error {
 		if d.parent[i] >= end {
 			d.parent[i] -= cnt
 		}
+	}
+	// Shrink ancestor sizes; ancestors precede n, so they did not move.
+	for p := parent; p != InvalidNode; p = d.Parent(p) {
+		d.size[p] -= int32(cnt)
 	}
 	return nil
 }
@@ -120,12 +119,10 @@ func (d *Doc) InsertChildren(parent NodeID, pos int, frag *Doc) (NodeID, error) 
 		return InvalidNode, fmt.Errorf("xmltree: child index %d out of range (%d children)", pos, i)
 	}
 
-	// Grow ancestor sizes.
-	for p := parent; p != InvalidNode; p = d.Parent(p) {
-		d.size[p] += int32(cnt)
-	}
-
-	// Map fragment name ids and heap values into this document.
+	// Map fragment name ids and heap values into this document. The name
+	// dictionary, like every column, is shared with the version d was
+	// cloned from (see cow.go), so new names go into a copy.
+	d.names = d.names.clone()
 	nameMap := make([]NameID, frag.names.count())
 	for id, s := range frag.names.names {
 		nameMap[id] = d.names.intern(s)
@@ -151,7 +148,7 @@ func (d *Doc) InsertChildren(parent NodeID, pos int, frag *Doc) (NodeID, error) 
 		} else {
 			names[j] = -1
 		}
-		values[j] = d.heap.put(frag.heap.getBytes(frag.value[f]))
+		values[j] = d.heap.put(frag.heap.getBytes(frag.value.At(int(f))))
 		if fp := frag.parent[f]; fp == 0 {
 			parents[j] = parent
 		} else {
@@ -159,38 +156,32 @@ func (d *Doc) InsertChildren(parent NodeID, pos int, frag *Doc) (NodeID, error) 
 		}
 		starts[j] = alo + frag.attrStart[f] - frag.attrStart[1]
 	}
-	insAttrs := frag.attrStart[frag.NumNodes()] - frag.attrStart[1]
+	flo, fhi := frag.attrStart[1], frag.attrStart[frag.NumNodes()]
+	insAttrs := fhi - flo
 
 	// Splice attribute columns.
 	if insAttrs > 0 {
-		newAttrName := make([]NameID, 0, len(d.attrName)+int(insAttrs))
-		newAttrName = append(newAttrName, d.attrName[:alo]...)
-		for a := frag.attrStart[1]; a < frag.attrStart[frag.NumNodes()]; a++ {
-			newAttrName = append(newAttrName, nameMap[frag.attrName[a]])
+		attrNames := make([]NameID, 0, insAttrs)
+		attrValues := make([]valueRef, 0, insAttrs)
+		for a := flo; a < fhi; a++ {
+			attrNames = append(attrNames, nameMap[frag.attrName[a]])
+			attrValues = append(attrValues, d.heap.put(frag.heap.getBytes(frag.attrValue.At(int(a)))))
 		}
-		newAttrName = append(newAttrName, d.attrName[alo:]...)
-		d.attrName = newAttrName
-
-		newAttrValue := make([]valueRef, 0, len(d.attrValue)+int(insAttrs))
-		newAttrValue = append(newAttrValue, d.attrValue[:alo]...)
-		for a := frag.attrStart[1]; a < frag.attrStart[frag.NumNodes()]; a++ {
-			newAttrValue = append(newAttrValue, d.heap.put(frag.heap.getBytes(frag.attrValue[a])))
-		}
-		newAttrValue = append(newAttrValue, d.attrValue[alo:]...)
-		d.attrValue = newAttrValue
+		d.attrName = splice(d.attrName, int(alo), 0, attrNames)
+		d.attrValue.Splice(int(alo), 0, attrValues)
 	}
-	d.attrStart = splice(d.attrStart, int(at), starts)
+	d.attrStart = splice(d.attrStart, int(at), 0, starts)
 	for i := int(at) + len(starts); i < len(d.attrStart); i++ {
 		d.attrStart[i] += insAttrs
 	}
 
 	// Splice node columns.
-	d.kind = splice(d.kind, int(at), kinds)
-	d.size = splice(d.size, int(at), sizes)
-	d.level = splice(d.level, int(at), levels)
-	d.name = splice(d.name, int(at), names)
-	d.value = splice(d.value, int(at), values)
-	d.parent = splice(d.parent, int(at), parents)
+	d.kind = splice(d.kind, int(at), 0, kinds)
+	d.size = splice(d.size, int(at), 0, sizes)
+	d.level = splice(d.level, int(at), 0, levels)
+	d.name = splice(d.name, int(at), 0, names)
+	d.value.Splice(int(at), 0, values)
+	d.parent = splice(d.parent, int(at), 0, parents)
 
 	// Re-point parents of shifted tail nodes.
 	for i := int(at) + int(cnt); i < len(d.parent); i++ {
@@ -198,15 +189,17 @@ func (d *Doc) InsertChildren(parent NodeID, pos int, frag *Doc) (NodeID, error) 
 			d.parent[i] += cnt
 		}
 	}
+	// Grow ancestor sizes; ancestors precede at, so they did not move.
+	for p := parent; p != InvalidNode; p = d.Parent(p) {
+		d.size[p] += int32(cnt)
+	}
 	return at, nil
 }
 
-// splice returns a new slice holding s with ins inserted at index at.
-func splice[T any](s []T, at int, ins []T) []T {
-	out := make([]T, 0, len(s)+len(ins))
-	out = append(out, s[:at]...)
-	out = append(out, ins...)
-	return append(out, s[at:]...)
+// splice returns a new slice holding s with del elements at at replaced
+// by ins; s itself is left untouched.
+func splice[T any](s []T, at, del int, ins []T) []T {
+	return slices.Concat(s[:at], ins, s[at+del:])
 }
 
 // Validate checks the structural invariants of the node table: sizes
