@@ -90,9 +90,11 @@
 //
 // Documents are updatable in place (text updates, subtree deletion and
 // insertion) with index maintenance costs proportional to the update, not
-// the document; they persist to a checksummed snapshot file (typed
-// indexes in versioned per-type sections keyed by stable type ID) and
-// support concurrent commutative transactions (Section 5.1 of the paper).
+// the document; they persist to a checksummed snapshot file (the
+// document, the stable-id maps and each index's B+tree — typed trees in
+// per-type sections keyed by stable type ID; the per-node index state is
+// derived on load by the same fold that builds it) and support
+// concurrent commutative transactions (Section 5.1 of the paper).
 //
 // # Query planning
 //
@@ -185,11 +187,11 @@
 // draft of a commit that crosses the dead-bytes threshold; substring
 // candidate postings intersect as delta-encoded byte strings. All of
 // it lives behind the same MVCC snapshots — readers stay lock-free
-// and pinned versions stay bit-stable — and persisted tree sections
-// carry a format version, so a section in any other format (an
-// unversioned pre-v2 one, or an unknown future one) fails to load with
-// a descriptive error. Save rewrites
-// the name dictionary to only the names live nodes still reference.
+// and pinned versions stay bit-stable — and snapshots carry a format
+// version (3), so a snapshot in any other format, including version 2
+// with its persisted per-node state, fails to load with a descriptive
+// error. Save rewrites the name dictionary to only the names live nodes
+// still reference.
 //
 // Document.MemStats reports the footprint per component together with
 // the analytic unpacked equivalent of the same state; bytes per node

@@ -31,18 +31,26 @@ func Build(doc *xmltree.Doc, opts Options) *Indexes {
 	}
 	s.fams = newFamilies(opts, n, na)
 	workers := opts.workers()
-	if workers > 1 {
-		s.buildParallel(workers)
-	} else {
-		folds := s.folders(false)
-		s.buildPass(0, xmltree.NodeID(n-1), folds)
-		s.buildAttrs(0, xmltree.AttrID(na-1), folds)
-	}
+	s.fold(workers)
 	// The trees load from the computed state, and the planner statistics
 	// (distinct counts, equi-depth histograms) derive from the loaded
 	// trees — one extra scan per tree, well under the cost of the load.
 	s.loadTrees(s.fams, workers)
 	return wrapSnapshot(s)
+}
+
+// fold computes every family's per-node state from the document: the
+// Figure 7 pass, sharded over workers when there are several. Build runs
+// it on a fresh document and Load on a loaded one — the state is derived
+// data, so a snapshot never stores it.
+func (s *Snapshot) fold(workers int) {
+	if workers > 1 {
+		s.buildParallel(workers)
+		return
+	}
+	folds := s.folders(false)
+	s.buildPass(0, xmltree.NodeID(s.doc.NumNodes()-1), folds)
+	s.buildAttrs(0, xmltree.AttrID(s.doc.NumAttrs()-1), folds)
 }
 
 // newFamilies creates the empty families opts selects, in snapshot order.

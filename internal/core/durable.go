@@ -118,11 +118,9 @@ func decode(rec storage.Record) (*change, error) {
 	case storage.RecCheckpoint:
 		ch.gen = d.uv()
 	case storage.RecTextBatch:
-		n := d.upTo(uint64(len(rec.Payload) / 2)) // each update is >= 2 bytes encoded
-		if d.err == nil {
-			ch.texts = make([]TextUpdate, 0, n)
-		}
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		n := d.count(2) // each update is >= 2 bytes encoded
+		ch.texts = make([]TextUpdate, 0, n)
+		for i := 0; i < n && d.err == nil; i++ {
 			node := xmltree.NodeID(d.upTo(math.MaxInt32))
 			ch.texts = append(ch.texts, TextUpdate{Node: node, Value: d.str()})
 		}

@@ -54,9 +54,11 @@ type family interface {
 	// addStats and addMem add the family's share to Stats and MemStats.
 	addStats(s *Snapshot, st *IndexStats)
 	addMem(ms *MemStats)
-	// save writes the family's snapshot sections; load reads them back.
-	save(w *storage.Writer, s *Snapshot) error
-	load(r *storage.Reader, s *Snapshot) error
+	// save writes the family's one snapshot section, its B+tree; load
+	// reads it back. The per-node state is not persisted: Load derives
+	// it with Build's fold.
+	save(w *storage.Writer) error
+	load(r *storage.Reader) error
 }
 
 // folder is one family's running fold over a depth-first pass: open

@@ -19,12 +19,12 @@ import (
 // derived state and the order of every section are part of the contract
 // with snapshots already on disk.
 var goldenDigests = map[string]string{
-	"xmark1":              "737600b0f40f8750b1ed2b65cf9f8a669a012627c012f1a2d180bffe83900d95",
-	"giant-subtree":       "d37e1bbce145460380a19f59b822ca39d05da0ce5c2e6057f2b3a0d176641b29",
-	"deep-chain":          "4d381725de845ca3049025a029b1b0d063c2e176f9cf85064d7b3c573773cdc4",
-	"all-attributes":      "7645e407d273e13093d1eeb755a48545016edfd80fa6c7d4bca4c28acb923de0",
-	"empty-document":      "e8e7cfa677076aa7204de849efb2147621fe057c01674a9abc6da063a2442ed2",
-	"mixed-content-spine": "a600d76b108a236166c2f37796f4929a2b3d2b1faf9f1eda49eeb314452c130e",
+	"xmark1":              "1c1bea2a5c7e57cc207d9279ea978509f290ef2053de391b628a290c88d5cde8",
+	"giant-subtree":       "005ffea74bc79a870ea4c96e777c2a72ac82447d798da5ce2ff97dc9dff84496",
+	"deep-chain":          "2961675f69ff14061fe727c298f23e0c613ef6d84875b21e1863904569ecbc53",
+	"all-attributes":      "e5124bd67c4d1644027cb2d844f5a2c418f4882a09e6c7c16bf5a0e12c698983",
+	"empty-document":      "73f57aa099fcb26a21ebdcc66e6d02f0767cf992a3fbc0039d0acc4dfc5d6694",
+	"mixed-content-spine": "da54d9541e3972240ff2b584b5e778f59e5b467003f6bf64ea3d7bdae4730024",
 }
 
 // goldenRecordDigests pins the SHA-256 of the log record stream

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/pcol"
 	"repro/internal/storage"
@@ -115,60 +114,10 @@ func (h *hashFamily) addMem(ms *MemStats) {
 	ms.SideBytes += h.col[0].MemBytes() + h.col[1].MemBytes()
 }
 
-// save persists only the hashes of value-carrying leaves (4 bytes each,
-// fixed-width, in document order) and of attributes: element and
-// document hashes refold from their children on load — derived data.
-func (h *hashFamily) save(w *storage.Writer, s *Snapshot) error {
-	err := writeSection(w, SectionHash, func(sec io.Writer) error {
-		doc := s.doc
-		leaves := make([]uint32, 0, doc.NumNodes())
-		for i := 0; i < doc.NumNodes(); i++ {
-			if isLeafKind(doc.Kind(xmltree.NodeID(i))) {
-				leaves = append(leaves, h.col[0].At(i))
-			}
-		}
-		if err := writeU32Fixed(sec, leaves); err != nil {
-			return err
-		}
-		return writeU32Fixed(sec, h.col[1].AppendRange(nil, 0, h.col[1].Len()))
-	})
-	if err != nil {
-		return err
-	}
-	return writeSection(w, SectionStrTree, func(sec io.Writer) error { return writeTree(sec, h.tree) })
-}
+// save persists the hash tree; the hashes are derived, refolded on load.
+func (h *hashFamily) save(w *storage.Writer) error { return saveTree(w, SectionStrTree, h.tree) }
 
-func (h *hashFamily) load(r *storage.Reader, s *Snapshot) error {
-	doc := s.doc
-	err := readSection(r, SectionHash, func(sec io.Reader) error {
-		leaves := 0
-		for i := 0; i < doc.NumNodes(); i++ {
-			if isLeafKind(doc.Kind(xmltree.NodeID(i))) {
-				leaves++
-			}
-		}
-		leafHashes, err := readU32Fixed(sec, leaves)
-		if err != nil {
-			return err
-		}
-		li := 0
-		for i := 0; i < doc.NumNodes(); i++ {
-			if isLeafKind(doc.Kind(xmltree.NodeID(i))) {
-				h.col[0].Set(i, leafHashes[li])
-				li++
-			}
-		}
-		attrHashes, err := readU32Fixed(sec, doc.NumAttrs())
-		for a, v := range attrHashes {
-			h.col[1].Set(a, v)
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	return readSection(r, SectionStrTree, func(sec io.Reader) (err error) {
-		h.tree, err = readTree(sec)
-		return err
-	})
+func (h *hashFamily) load(r *storage.Reader) (err error) {
+	h.tree, err = loadTree(r, SectionStrTree)
+	return err
 }

@@ -12,15 +12,19 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Snapshot layout. SectionDoc vs the index sections is what the
-// storage-overhead experiment (Figure 9 bottom) compares. Typed indexes
-// live in one section per type, named by stable type ID, so snapshots
-// written with any registry subset load under any superset.
+// Snapshot layout (format version 3). A snapshot holds the document, the
+// stable-id maps, each index family's B+tree, the planner statistics, the
+// version and the WAL generation. The per-node index state — hashes and
+// FSM fragments — is not stored: it is a fold of the document (Figure 7),
+// and Load recomputes it with the fold Build runs. SectionDoc vs the tree
+// sections is what the storage-overhead experiment (Figure 9 bottom)
+// compares. Typed trees live in one section per type, named by stable
+// type ID and opening with that ID, so snapshots written with any
+// registry subset load under any superset.
 const (
 	SectionMeta    = "meta"
 	SectionDoc     = "doc"
 	SectionStable  = "stable"
-	SectionHash    = "hash"
 	SectionStrTree = "strtree"
 
 	// SectionWALGen pairs a snapshot with a write-ahead log: it holds the
@@ -30,34 +34,28 @@ const (
 	SectionWALGen = "walgen"
 
 	// SectionStats holds the planner statistics (distinct-key counts and
-	// equi-depth histograms, see histogram.go). Optional: snapshots
-	// written before the statistics layer load fine — the stats are
-	// rebuilt from the trees instead.
+	// equi-depth histograms, see histogram.go). Optional: when it is
+	// absent or fails its checks, the stats are rebuilt from the trees.
 	SectionStats = "stats"
 
 	// SectionSubstr holds the q-gram substring index tree (see substr.go).
 	// Optional: presence means the index was enabled when the snapshot
 	// was written, and loading restores it enabled; absence loads with
-	// the index off. Its statistics are derived data, rebuilt on load.
+	// the index off. Its statistics are rebuilt on load.
 	SectionSubstr = "substr"
 
 	// SectionVersion holds the snapshot's publication sequence number
 	// (Snapshot.Version), so commit-sequence tokens handed to network
 	// clients stay valid across Save/Load and checkpoint/recovery: a
 	// reloaded document continues the version sequence instead of
-	// restarting at 1. Optional: absence (an older snapshot) means the
-	// loaded state starts over at version 1.
+	// restarting at 1. Optional: absence means the loaded state starts
+	// over at version 1.
 	SectionVersion = "version"
 
-	// snapshotVersion is the overall snapshot format. Version 1 was the
-	// pre-registry layout (fixed double/datetime sections, unversioned
-	// 3-byte meta); version 2 stores a typed-index manifest in the meta
-	// section and per-type sections keyed by type ID.
-	snapshotVersion = 2
-
-	// typedSectionVersion versions the per-type section payload
-	// independently of the snapshot envelope.
-	typedSectionVersion = 1
+	// snapshotVersion is the overall snapshot format: a typed-index
+	// manifest in the meta section, then one tree section per family and
+	// no per-node state. Load rejects every other version.
+	snapshotVersion = 3
 
 	// statsSectionVersion versions the planner-statistics payload; an
 	// unknown version falls back to rebuilding from the trees rather
@@ -136,7 +134,7 @@ func (ix *Snapshot) save(w *storage.Writer, withWALGen bool, walGen uint64) erro
 	}
 
 	for _, f := range ix.fams {
-		if err := f.save(w, ix); err != nil {
+		if err := f.save(w); err != nil {
 			return err
 		}
 	}
@@ -171,10 +169,12 @@ func (ix *Snapshot) save(w *storage.Writer, withWALGen bool, walGen uint64) erro
 }
 
 // Load reads a snapshot produced by Save and reconstructs the Indexes
-// (document included) with full checksum verification. Loading fails
-// with a descriptive error — never a panic or silent corruption — when
-// the snapshot's format version is unknown or it contains a typed index
-// whose type ID is not registered in this process.
+// (document included) with full checksum verification: the document,
+// stable-id maps and trees are read, and every family's per-node state is
+// recomputed by Build's Figure 7 fold. Loading fails with a descriptive
+// error — never a panic or silent corruption — when the snapshot's format
+// version is not this build's, it contains a typed index whose type ID is
+// not registered in this process, or a count exceeds its section.
 func Load(path string) (*Indexes, error) {
 	r, err := storage.OpenReader(path)
 	if err != nil {
@@ -185,11 +185,10 @@ func Load(path string) (*Indexes, error) {
 }
 
 func load(r *storage.Reader) (*Indexes, error) {
-	sec, err := r.Section(SectionMeta)
+	sd, err := openSection(r, SectionMeta)
 	if err != nil {
 		return nil, err
 	}
-	sd := newSliceDecoder(sec)
 	version := sd.uv()
 	if sd.err != nil {
 		return nil, fmt.Errorf("core: reading snapshot meta: %w", sd.err)
@@ -206,21 +205,18 @@ func load(r *storage.Reader) (*Indexes, error) {
 		return nil, fmt.Errorf("core: implausible typed index count %d in snapshot meta", nTypes)
 	}
 	typeIDs := make([]TypeID, nTypes)
-	specs := make([]TypeSpec, nTypes)
 	for i := range typeIDs {
 		id := TypeID(sd.uv())
 		if sd.err != nil {
 			return nil, fmt.Errorf("core: reading snapshot meta: %w", sd.err)
 		}
-		spec, ok := LookupType(id)
-		if !ok {
+		if _, ok := LookupType(id); !ok {
 			return nil, fmt.Errorf("core: snapshot contains typed index with unknown type ID %d; register its TypeSpec before loading", id)
 		}
 		typeIDs[i] = id
-		specs[i] = spec
 	}
 
-	sec, err = r.Section(SectionDoc)
+	sec, err := r.Section(SectionDoc)
 	if err != nil {
 		return nil, err
 	}
@@ -231,11 +227,9 @@ func load(r *storage.Reader) (*Indexes, error) {
 	n, na := doc.NumNodes(), doc.NumAttrs()
 	ix := &Snapshot{doc: doc, opts: optionsForTypes(hasString, typeIDs)}
 
-	sec, err = r.Section(SectionStable)
-	if err != nil {
+	if sd, err = openSection(r, SectionStable); err != nil {
 		return nil, err
 	}
-	sd = newSliceDecoder(sec)
 	ix.stableOf = sd.u32s(n)
 	ix.preOf = sd.i32sAny()
 	ix.attrStableOf = sd.u32s(na)
@@ -243,45 +237,41 @@ func load(r *storage.Reader) (*Indexes, error) {
 	if sd.err != nil {
 		return nil, sd.err
 	}
+	if err := ix.checkStableMaps(); err != nil {
+		return nil, err
+	}
 
-	if hasString {
-		ix.fams = append(ix.fams, newHashFamily(n, na))
-	}
-	for _, spec := range specs {
-		ix.fams = append(ix.fams, newTypedFamily(spec, n, na))
-	}
+	ix.fams = newFamilies(ix.opts, n, na)
 	if r.SectionLen(SectionSubstr) >= 0 {
 		ix.fams = append(ix.fams, &gramFamily{})
 	}
 	for _, f := range ix.fams {
-		if err := f.load(r, ix); err != nil {
+		if err := f.load(r); err != nil {
 			return nil, err
 		}
 	}
 	var walGen uint64
 	if r.SectionLen(SectionWALGen) >= 0 {
-		sec, err = r.Section(SectionWALGen)
-		if err != nil {
+		if sd, err = openSection(r, SectionWALGen); err != nil {
 			return nil, err
 		}
-		sd = newSliceDecoder(sec)
 		walGen = sd.uv()
 		if sd.err != nil {
 			return nil, fmt.Errorf("core: reading snapshot WAL generation: %w", sd.err)
 		}
 	}
 	if r.SectionLen(SectionVersion) >= 0 {
-		sec, err = r.Section(SectionVersion)
-		if err != nil {
+		if sd, err = openSection(r, SectionVersion); err != nil {
 			return nil, err
 		}
-		sd = newSliceDecoder(sec)
 		ix.version = sd.uv()
 		if sd.err != nil {
 			return nil, fmt.Errorf("core: reading snapshot version: %w", sd.err)
 		}
 	}
-	ix.completeDerived()
+	// The per-node state is derived: Build's fold recomputes it, keying
+	// typed items by the stable ids just checked.
+	ix.fold(ix.opts.workers())
 	ix.loadStats(r)
 	out := wrapSnapshot(ix)
 	out.walGen.Store(walGen)
@@ -351,11 +341,10 @@ func (ix *Snapshot) readStats(r *storage.Reader) map[family]*keyStats {
 	if r.SectionLen(SectionStats) < 0 {
 		return nil
 	}
-	sec, err := r.Section(SectionStats)
+	sd, err := openSection(r, SectionStats)
 	if err != nil {
 		return nil
 	}
-	sd := newSliceDecoder(sec)
 	if v := sd.uv(); sd.err != nil || v != statsSectionVersion {
 		return nil
 	}
@@ -424,21 +413,6 @@ func (ks *keyStats) sum() int {
 	return s
 }
 
-// completeDerived reconstructs the interior state after a load by
-// folding children bottom-up in every family, in O(document) without
-// materialising any string value.
-func (ix *Snapshot) completeDerived() {
-	doc := ix.doc
-	for i := doc.NumNodes() - 1; i >= 0; i-- {
-		n := xmltree.NodeID(i)
-		if k := doc.Kind(n); k == xmltree.Element || k == xmltree.Document {
-			for _, f := range ix.fams {
-				f.refold(ix, n)
-			}
-		}
-	}
-}
-
 // Tree sections are versioned independently of the snapshot envelope.
 // A section opens with treeSectionSentinel — a count no real tree can
 // have — followed by the format version; a section that opens any other
@@ -477,7 +451,21 @@ func writeTree(w io.Writer, t *btree.Tree) error {
 	return se.flush()
 }
 
-func readTree(r io.Reader) (*btree.Tree, error) {
+// saveTree writes tree t as section name.
+func saveTree(w *storage.Writer, name string, t *btree.Tree) error {
+	return writeSection(w, name, func(sec io.Writer) error { return writeTree(sec, t) })
+}
+
+// loadTree reads section name back as a tree.
+func loadTree(r *storage.Reader, name string) (*btree.Tree, error) {
+	sd, err := openSection(r, name)
+	if err != nil {
+		return nil, err
+	}
+	return readTree(sd.r)
+}
+
+func readTree(r sizedReader) (*btree.Tree, error) {
 	sd := newSliceDecoder(r)
 	first := sd.uv()
 	if sd.err != nil {
@@ -493,7 +481,7 @@ func readTree(r io.Reader) (*btree.Tree, error) {
 	if version != treeSectionVersion {
 		return nil, fmt.Errorf("core: unsupported tree section format version %d (this build reads version %d)", version, treeSectionVersion)
 	}
-	n := int(sd.uv())
+	n := sd.count(2) // an entry is two varints
 	entries := make([]btree.Entry, 0, n)
 	var key uint64
 	var val uint32
@@ -511,59 +499,6 @@ func readTree(r io.Reader) (*btree.Tree, error) {
 		return nil, sd.err
 	}
 	return btree.NewFromSorted(entries), nil
-}
-
-// --- fixed-width column codec ---
-
-func writeU32Fixed(w io.Writer, s []uint32) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(s)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 1<<16)
-	for _, v := range s {
-		buf = binary.LittleEndian.AppendUint32(buf, v)
-		if len(buf) >= 1<<16-8 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readU32Fixed(r io.Reader, want int) ([]uint32, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if got := int(binary.LittleEndian.Uint32(hdr[:])); got != want {
-		return nil, fmt.Errorf("core: column has %d entries, want %d", got, want)
-	}
-	out := make([]uint32, want)
-	buf := make([]byte, 1<<16)
-	i := 0
-	for i < want {
-		chunk := (want - i) * 4
-		if chunk > len(buf) {
-			chunk = len(buf)
-		}
-		if _, err := io.ReadFull(r, buf[:chunk]); err != nil {
-			return nil, err
-		}
-		for o := 0; o < chunk; o += 4 {
-			out[i] = binary.LittleEndian.Uint32(buf[o : o+4])
-			i++
-		}
-	}
-	return out, nil
 }
 
 // SaveParts selects snapshot sections for staged persistence timing and
@@ -618,7 +553,7 @@ func (ix *Snapshot) SavePartsTo(path string, parts SaveParts) error {
 		default:
 			continue
 		}
-		if err := f.save(w, ix); err != nil {
+		if err := f.save(w); err != nil {
 			return fail(err)
 		}
 	}
@@ -634,13 +569,13 @@ func writeSection(w *storage.Writer, name string, write func(io.Writer) error) e
 	return write(sec)
 }
 
-// readSection opens one named section for read.
-func readSection(r *storage.Reader, name string, read func(io.Reader) error) error {
+// openSection opens one named section for decoding.
+func openSection(r *storage.Reader, name string) (*sliceDecoder, error) {
 	sec, err := r.Section(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return read(sec)
+	return newSliceDecoder(sec.(sizedReader)), nil
 }
 
 // --- varint codecs over io.Writer/Reader (snapshot sections and log
@@ -720,42 +655,30 @@ func (se *sliceEncoder) flush() error {
 	return se.err
 }
 
+// sliceDecoder reads what sliceEncoder wrote. Its bytes may come from
+// the network (a follower's seed snapshot, a shipped log record), so
+// every length it allocates for is bounded by the bytes left to read.
 type sliceDecoder struct {
-	br  byteReader
+	r   sizedReader
 	err error
 }
 
-type byteReader interface {
+// sizedReader is a byte source that knows how many bytes it has left: a
+// snapshot section (*storage.SectionReader) or a log record's payload
+// (*bytes.Reader).
+type sizedReader interface {
 	io.Reader
 	io.ByteReader
+	Len() int
 }
 
-func newSliceDecoder(r io.Reader) *sliceDecoder {
-	if br, ok := r.(byteReader); ok {
-		return &sliceDecoder{br: br}
-	}
-	return &sliceDecoder{br: &oneByteReader{r: r}}
-}
-
-type oneByteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (o *oneByteReader) Read(p []byte) (int, error) { return o.r.Read(p) }
-
-func (o *oneByteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(o.r, o.one[:]); err != nil {
-		return 0, err
-	}
-	return o.one[0], nil
-}
+func newSliceDecoder(r sizedReader) *sliceDecoder { return &sliceDecoder{r: r} }
 
 func (sd *sliceDecoder) uv() uint64 {
 	if sd.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(sd.br)
+	v, err := binary.ReadUvarint(sd.r)
 	if err != nil {
 		sd.err = err
 	}
@@ -772,24 +695,30 @@ func (sd *sliceDecoder) upTo(max uint64) uint64 {
 	return v
 }
 
-// str reads a uvarint length and that many bytes, in bounded chunks: a
-// corrupt length fails on the short read, not on a huge allocation.
+// count reads the length of a slice about to be allocated. Each element
+// takes at least minBytes of encoding, so a length the bytes left cannot
+// hold is an error: crafted bytes fail instead of allocating what they
+// name.
+func (sd *sliceDecoder) count(minBytes int) int {
+	n := sd.uv()
+	if left := sd.r.Len(); sd.err == nil && n > uint64(left/minBytes) {
+		sd.err = fmt.Errorf("core: count %d does not fit in the %d bytes left", n, left)
+		return 0
+	}
+	return int(n)
+}
+
+// str reads a uvarint length and that many bytes.
 func (sd *sliceDecoder) str() string {
-	n := int(sd.upTo(math.MaxInt32))
-	var b []byte
-	for sd.err == nil && len(b) < n {
-		k := min(n-len(b), 1<<16)
-		b = slices.Grow(b, k)
-		if _, err := io.ReadFull(sd.br, b[len(b):len(b)+k]); err != nil {
-			sd.err = fmt.Errorf("core: truncated string field: %w", err)
-		}
-		b = b[:len(b)+k]
+	b := make([]byte, sd.count(1))
+	if _, err := io.ReadFull(sd.r, b); err != nil && sd.err == nil {
+		sd.err = fmt.Errorf("core: truncated string field: %w", err)
 	}
 	return string(b)
 }
 
 func (sd *sliceDecoder) u32s(want int) []uint32 {
-	n := int(sd.uv())
+	n := sd.count(1)
 	if sd.err != nil {
 		return nil
 	}
@@ -805,7 +734,7 @@ func (sd *sliceDecoder) u32s(want int) []uint32 {
 }
 
 func (sd *sliceDecoder) i32sAny() []int32 {
-	n := int(sd.uv())
+	n := sd.count(1)
 	if sd.err != nil {
 		return nil
 	}

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
-	"repro/internal/btree"
-	"repro/internal/fsm"
+	"repro/internal/datagen"
 	"repro/internal/storage"
 )
 
@@ -112,7 +114,7 @@ func TestSnapshotSectionSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for _, name := range []string{SectionDoc, SectionHash, SectionStrTree, TypedSectionName(TypeDouble), TypedSectionName(TypeDateTime), TypedSectionName(TypeDate)} {
+	for _, name := range []string{SectionDoc, SectionStrTree, TypedSectionName(TypeDouble), TypedSectionName(TypeDateTime), TypedSectionName(TypeDate)} {
 		if r.SectionLen(name) <= 0 {
 			t.Errorf("section %s has size %d", name, r.SectionLen(name))
 		}
@@ -134,50 +136,118 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCraftedTypedSection feeds Load typed sections whose
-// fields are out of range — as a follower could receive them from a
-// leader's /v1/snapshot — and requires an error, not a panic.
-func TestLoadRejectsCraftedTypedSection(t *testing.T) {
-	// Nodes: 0 document, 1 r, 2 p, 3 the text "4.5".
-	ix := Build(mustParseForTest(t, `<r><p>4.5</p></r>`), DefaultOptions())
+// loadCrafted saves a small document, replaces section name's payload
+// with what write encodes — as a follower could receive it from a
+// leader's /v1/snapshot — and returns Load's error.
+func loadCrafted(t *testing.T, name string, write func(ix *Indexes, se *sliceEncoder)) error {
+	t.Helper()
+	ix := Build(mustParseForTest(t, `<r a="1"><p>4.5</p></r>`), DefaultOptions())
 	dir := t.TempDir()
 	src := filepath.Join(dir, "good.xvi")
 	if err := ix.Save(src); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := LookupType(TypeDouble)
-	cases := []struct {
-		name        string
-		delta, elem uint64
-	}{
-		{"position delta wraps negative", ^uint64(0), uint64(fsm.Identity)},
-		{"element beyond the machine", 3, uint64(m.Machine.NumElems())},
+	var sec bytes.Buffer
+	se := newSliceEncoder(&sec)
+	write(ix, se)
+	if err := se.flush(); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var sec bytes.Buffer
-			se := newSliceEncoder(&sec)
-			se.uv(typedSectionVersion)
-			se.uv(uint64(TypeDouble))
-			se.uv(uint64(ix.Doc().NumNodes())) // node side: one stored state
-			se.uv(1)
-			se.uv(tc.delta)
-			se.uv(tc.elem)
-			se.uv(0) // no items
-			se.uv(0) // attribute side: no positions, no states
-			se.uv(0)
-			if err := se.flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := writeTree(&sec, btree.New()); err != nil {
-				t.Fatal(err)
-			}
-			dst := filepath.Join(dir, "crafted.xvi")
-			rewriteSection(t, src, dst, TypedSectionName(TypeDouble), sec.Bytes())
-			if _, err := Load(dst); err == nil {
-				t.Fatal("Load accepted a typed section with an out-of-range field")
-			}
-		})
+	dst := filepath.Join(dir, "crafted.xvi")
+	rewriteSection(t, src, dst, name, sec.Bytes())
+	_, err := Load(dst)
+	return err
+}
+
+// craftedTreeCount encodes a tree section header naming count entries,
+// followed by none.
+func craftedTreeCount(count uint64) func(*Indexes, *sliceEncoder) {
+	return func(_ *Indexes, se *sliceEncoder) {
+		se.uv(treeSectionSentinel)
+		se.uv(treeSectionVersion)
+		se.uv(count)
+	}
+}
+
+// TestLoadRejectsCraftedTreeCountMax: a tree count of 2^64-1 is an
+// error, not a makeslice panic.
+func TestLoadRejectsCraftedTreeCountMax(t *testing.T) {
+	if err := loadCrafted(t, SectionStrTree, craftedTreeCount(^uint64(0))); err == nil {
+		t.Fatal("Load accepted a tree section whose count exceeds the section")
+	}
+}
+
+// TestLoadRejectsCraftedTreeCountHuge: a tree count of 2^40 is an error,
+// not an allocation that exhausts memory.
+func TestLoadRejectsCraftedTreeCountHuge(t *testing.T) {
+	if err := loadCrafted(t, SectionStrTree, craftedTreeCount(1<<40)); err == nil {
+		t.Fatal("Load accepted a tree section whose count exceeds the section")
+	}
+}
+
+// TestLoadRejectsCraftedStableCount: a stable section whose preOf count
+// is 2^64-1 is an error, not a makeslice panic.
+func TestLoadRejectsCraftedStableCount(t *testing.T) {
+	err := loadCrafted(t, SectionStable, func(ix *Indexes, se *sliceEncoder) {
+		se.u32s(ix.Snapshot().stableOf)
+		se.uv(^uint64(0))
+	})
+	if err == nil {
+		t.Fatal("Load accepted a stable section whose count exceeds the section")
+	}
+}
+
+// TestLoadRejectsBrokenStableMap: a stable id outside its inverse map is
+// an error, checked before the fold keys typed state by stable id.
+func TestLoadRejectsBrokenStableMap(t *testing.T) {
+	err := loadCrafted(t, SectionStable, func(ix *Indexes, se *sliceEncoder) {
+		s := ix.Snapshot()
+		stables := slices.Clone(s.stableOf)
+		stables[len(stables)-1] = math.MaxUint32
+		se.u32s(stables)
+		se.i32s(s.preOf)
+		se.u32s(s.attrStableOf)
+		se.i32s(s.attrOf)
+	})
+	if err == nil || !strings.Contains(err.Error(), "stable map") {
+		t.Fatalf("Load of a broken stable map: %v", err)
+	}
+}
+
+// TestLoadRejectsFormatVersion2 requires a snapshot in the previous
+// format, which stored the per-node state, to fail with an error naming
+// its version rather than load through a fallback.
+func TestLoadRejectsFormatVersion2(t *testing.T) {
+	err := loadCrafted(t, SectionMeta, func(_ *Indexes, se *sliceEncoder) {
+		se.uv(2)
+		se.uv(1) // string index
+		se.uv(0) // no typed indexes
+	})
+	if err == nil || !strings.Contains(err.Error(), "format version 2") {
+		t.Fatalf("Load of a version-2 snapshot: %v", err)
+	}
+}
+
+// TestLoadSideBytesMatchBuild pins that Load derives the same per-node
+// state as Build, down to the memory it holds: the fold is one path, and
+// the stored item arrays carry no append slack on either.
+func TestLoadSideBytesMatchBuild(t *testing.T) {
+	raw, err := datagen.Generate("xmark1", 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(mustParseForTest(t, string(raw)), DefaultOptions())
+	path := filepath.Join(t.TempDir(), "sides.xvi")
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, loaded := ix.Snapshot().MemStats().SideBytes, got.Snapshot().MemStats().SideBytes
+	if built != loaded {
+		t.Errorf("SideBytes: Build %d, Load of its snapshot %d", built, loaded)
 	}
 }
 

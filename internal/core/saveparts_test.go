@@ -22,19 +22,19 @@ func TestSavePartsSelectsSections(t *testing.T) {
 			name:    "doc-only",
 			parts:   SaveParts{Doc: true},
 			present: []string{SectionDoc},
-			absent:  []string{SectionHash, SectionStrTree, TypedSectionName(TypeDouble), TypedSectionName(TypeDateTime)},
+			absent:  []string{SectionStrTree, TypedSectionName(TypeDouble), TypedSectionName(TypeDateTime)},
 		},
 		{
 			name:    "string-only",
 			parts:   SaveParts{String: true},
-			present: []string{SectionHash, SectionStrTree},
+			present: []string{SectionStrTree},
 			absent:  []string{SectionDoc, TypedSectionName(TypeDouble)},
 		},
 		{
 			name:    "double-only",
 			parts:   SaveParts{Double: true},
 			present: []string{TypedSectionName(TypeDouble)},
-			absent:  []string{SectionDoc, SectionHash, TypedSectionName(TypeDateTime)},
+			absent:  []string{SectionDoc, SectionStrTree, TypedSectionName(TypeDateTime)},
 		},
 		{
 			name:    "datetime-only",

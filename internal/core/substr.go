@@ -20,7 +20,6 @@ package core
 // verification, exactly like the other indices.
 
 import (
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -119,17 +118,12 @@ func (g *gramFamily) addMem(ms *MemStats) {
 	ms.UnpackedTreeBytes += g.tree.UnpackedBytes()
 }
 
-// save persists the gram tree; its statistics are derived data, rebuilt
-// on load.
-func (g *gramFamily) save(w *storage.Writer, _ *Snapshot) error {
-	return writeSection(w, SectionSubstr, func(sec io.Writer) error { return writeTree(sec, g.tree) })
-}
+// save persists the gram tree; its statistics are rebuilt on load.
+func (g *gramFamily) save(w *storage.Writer) error { return saveTree(w, SectionSubstr, g.tree) }
 
-func (g *gramFamily) load(r *storage.Reader, _ *Snapshot) error {
-	return readSection(r, SectionSubstr, func(sec io.Reader) (err error) {
-		g.tree, err = readTree(sec)
-		return err
-	})
+func (g *gramFamily) load(r *storage.Reader) (err error) {
+	g.tree, err = loadTree(r, SectionSubstr)
+	return err
 }
 
 // HasSubstring reports whether the substring index is enabled on this

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
 	"unsafe"
 
 	"repro/internal/fsm"
@@ -62,10 +61,20 @@ func (t *typedFamily) set(s *Snapshot, p Posting, f fsm.Frag, fresh bool) {
 		sd.elems.Set(p.pos(), f.Elem)
 	}
 	if f.Elem != fsm.Reject && len(f.Items) > 0 {
-		sd.items.Set(s.stable(p), f.Items)
+		sd.items.Set(s.stable(p), exactItems(f.Items))
 	} else if !fresh {
 		sd.items.Delete(s.stable(p))
 	}
+}
+
+// exactItems returns items in an array of exactly their length: ParseFrag
+// and Combine leave append slack, which the item tables would otherwise
+// keep for the fragment's lifetime.
+func exactItems(items []fsm.Item) []fsm.Item {
+	if cap(items) == len(items) {
+		return items
+	}
+	return append(make([]fsm.Item, 0, len(items)), items...)
 }
 
 // keys: the value tree holds castable text nodes, castable attributes and
@@ -169,22 +178,26 @@ type stableItems struct {
 	items  []fsm.Item
 }
 
-func (f *typedFolder) store(p Posting, fr fsm.Frag) {
+// store records p's fragment and returns it as stored, with exact-length
+// items, so a parent that folds it unchanged shares the stored array.
+func (f *typedFolder) store(p Posting, fr fsm.Frag) fsm.Frag {
+	fr.Items = exactItems(fr.Items)
 	if !f.held {
 		f.t.set(f.s, p, fr, true)
-		return
+		return fr
 	}
 	f.t.sides[p.side()].elems.Set(p.pos(), fr.Elem)
 	if fr.Elem != fsm.Reject && len(fr.Items) > 0 {
 		f.items[p.side()] = append(f.items[p.side()], stableItems{f.s.stable(p), fr.Items})
 	}
+	return fr
 }
 
 func (f *typedFolder) open() { f.stack = append(f.stack, fsm.Frag{Elem: fsm.Identity}) }
 
 func (f *typedFolder) leaf(p Posting, val []byte, contributes bool) {
 	fr, _ := f.t.spec.Machine.ParseFrag(val)
-	f.store(p, fr)
+	fr = f.store(p, fr)
 	if contributes {
 		f.fold(fr)
 	}
@@ -193,8 +206,7 @@ func (f *typedFolder) leaf(p Posting, val []byte, contributes bool) {
 func (f *typedFolder) close(n xmltree.NodeID) {
 	fr := f.stack[len(f.stack)-1]
 	f.stack = f.stack[:len(f.stack)-1]
-	f.store(NodePosting(n), fr)
-	f.fold(fr)
+	f.fold(f.store(NodePosting(n), fr))
 }
 
 func (f *typedFolder) fold(fr fsm.Frag) {
@@ -297,53 +309,13 @@ func (t *typedFamily) addMem(ms *MemStats) {
 	}
 }
 
-// save persists the paper's [value, state, node] inventory in one
-// section, preceded by a (format version, type ID) header so a reader can
-// reject payloads it does not understand. States are stored sparsely —
-// absence means reject ("the absence of a state signifies the reject
-// state") — and only where not trivially derivable: leaves and attributes
-// with digit/punctuation content. Whitespace-only leaves and interior
-// elements are derived data, recomputed on load by FSM runs and SCT
-// folds.
-func (t *typedFamily) save(w *storage.Writer, s *Snapshot) error {
+// save persists the value tree behind a type-ID header, so a reader can
+// reject a section that holds another type's tree. The states are
+// derived, refolded on load.
+func (t *typedFamily) save(w *storage.Writer) error {
 	return writeSection(w, TypedSectionName(t.spec.ID), func(sec io.Writer) error {
-		doc := s.doc
 		se := newSliceEncoder(sec)
-		se.uv(typedSectionVersion)
 		se.uv(uint64(t.spec.ID))
-		for side := range t.sides {
-			sd, stables := &t.sides[side], s.stables(side)
-			stored := func(i int) bool {
-				if side == 0 && !isLeafKind(doc.Kind(xmltree.NodeID(i))) {
-					return false
-				}
-				return sd.elems.At(i) != fsm.Reject && len(sd.items.Get(stables[i])) > 0
-			}
-			count := 0
-			for i := range sd.elems.Len() {
-				if stored(i) {
-					count++
-				}
-			}
-			se.uv(uint64(sd.elems.Len()))
-			se.uv(uint64(count))
-			prev := 0
-			for i := range sd.elems.Len() {
-				if !stored(i) {
-					continue
-				}
-				items := sd.items.Get(stables[i])
-				se.uv(uint64(i - prev))
-				se.uv(uint64(sd.elems.At(i)))
-				se.uv(uint64(len(items)))
-				for _, it := range items {
-					se.uv(uint64(it.Punct))
-					se.uv(encodeRunVal(it.Val))
-					se.uv(uint64(it.Len))
-				}
-				prev = i
-			}
-		}
 		if err := se.flush(); err != nil {
 			return err
 		}
@@ -351,92 +323,16 @@ func (t *typedFamily) save(w *storage.Writer, s *Snapshot) error {
 	})
 }
 
-// encodeRunVal compresses a digit-run value: runs are integral by
-// construction, so small ones pack as 2v; values beyond exact-integer
-// float range fall back to tagged IEEE bits (2bits+1).
-func encodeRunVal(v float64) uint64 {
-	if v >= 0 && v < 1<<53 && v == math.Trunc(v) {
-		return uint64(v) << 1
-	}
-	return math.Float64bits(v)<<1 | 1
-}
-
-func decodeRunVal(u uint64) float64 {
-	if u&1 == 0 {
-		return float64(u >> 1)
-	}
-	return math.Float64frombits(u >> 1)
-}
-
-// load reads the section back and recomputes the leaf states save left
-// out (whitespace-only or rejected texts) with a fast FSM run; interior
-// states refold afterwards (see completeDerived).
-func (t *typedFamily) load(r *storage.Reader, s *Snapshot) error {
-	err := readSection(r, TypedSectionName(t.spec.ID), func(sec io.Reader) error {
-		sd := newSliceDecoder(sec)
-		if v := sd.uv(); sd.err == nil && v != typedSectionVersion {
-			return fmt.Errorf("unsupported typed section format version %d (this build reads version %d)", v, typedSectionVersion)
-		}
-		if id := TypeID(sd.uv()); sd.err == nil && id != t.spec.ID {
-			return fmt.Errorf("typed section holds type ID %d, want %d", id, t.spec.ID)
-		}
-		for side := range t.sides {
-			if err := t.readSide(sd, s, side); err != nil {
-				return err
-			}
-		}
-		var err error
-		t.tree, err = readTree(sec)
-		return err
-	})
+func (t *typedFamily) load(r *storage.Reader) error {
+	sd, err := openSection(r, TypedSectionName(t.spec.ID))
 	if err != nil {
+		return err
+	}
+	if id := TypeID(sd.uv()); sd.err == nil && id != t.spec.ID {
+		return fmt.Errorf("core: typed index %q: section holds type ID %d, want %d", t.spec.Name, id, t.spec.ID)
+	}
+	if t.tree, err = readTree(sd.r); err != nil {
 		return fmt.Errorf("core: typed index %q: %w", t.spec.Name, err)
 	}
-	doc := s.doc
-	for i := 0; i < doc.NumNodes(); i++ {
-		n := xmltree.NodeID(i)
-		if isLeafKind(doc.Kind(n)) && t.sides[0].elems.At(i) == fsm.Reject {
-			if f, ok := t.spec.Machine.ParseFrag(doc.ValueBytes(n)); ok {
-				t.set(s, NodePosting(n), f, true)
-			}
-		}
-	}
 	return nil
-}
-
-// readSide reads one side's stored states. The bytes may come from the
-// network (a follower's seed snapshot), so every field is bounded before
-// it is used: positions stay inside the side, elements inside the
-// machine, stable ids inside the stable-id space.
-func (t *typedFamily) readSide(sd *sliceDecoder, s *Snapshot, side int) error {
-	ts, stables := &t.sides[side], s.stables(side)
-	n := ts.elems.Len()
-	if got := sd.uv(); sd.err == nil && got != uint64(n) {
-		return fmt.Errorf("core: typed index has %d positions, want %d", got, n)
-	}
-	ids := len(s.preOf)
-	if side == 1 {
-		ids = len(s.attrOf)
-	}
-	stored := int(sd.upTo(uint64(n)))
-	maxElem := uint64(t.spec.Machine.NumElems() - 1)
-	pos := 0
-	for i := 0; i < stored && sd.err == nil; i++ {
-		pos += int(sd.upTo(uint64(n - 1 - pos)))
-		e := fsm.Elem(sd.upTo(maxElem))
-		k := sd.upTo(1 << 20)
-		if sd.err != nil {
-			break
-		}
-		its := make([]fsm.Item, k)
-		for j := range its {
-			its[j] = fsm.Item{Punct: byte(sd.upTo(math.MaxUint8)), Val: decodeRunVal(sd.uv()), Len: int32(sd.upTo(math.MaxInt32))}
-		}
-		if st := stables[pos]; int(st) >= ids {
-			return fmt.Errorf("core: stable id %d out of range [0:%d]", st, ids)
-		}
-		ts.elems.Set(pos, e)
-		ts.items.Set(stables[pos], its)
-	}
-	return sd.err
 }

@@ -50,23 +50,9 @@ func (ix *Snapshot) checkState(p Posting, val []byte) error {
 func (ix *Snapshot) Verify() error {
 	doc := ix.doc
 	n := doc.NumNodes()
-
-	if len(ix.stableOf) != n {
-		return fmt.Errorf("core: stableOf has %d entries, want %d", len(ix.stableOf), n)
+	if err := ix.checkStableMaps(); err != nil {
+		return err
 	}
-	for i := 0; i < n; i++ {
-		s := ix.stableOf[i]
-		if int(s) >= len(ix.preOf) || ix.preOf[s] != int32(i) {
-			return fmt.Errorf("core: stable map broken at pre %d (stable %d)", i, s)
-		}
-	}
-	for a := 0; a < doc.NumAttrs(); a++ {
-		s := ix.attrStableOf[a]
-		if int(s) >= len(ix.attrOf) || ix.attrOf[s] != int32(a) {
-			return fmt.Errorf("core: attr stable map broken at %d", a)
-		}
-	}
-
 	for i := 0; i < n; i++ {
 		nd := xmltree.NodeID(i)
 		if err := ix.checkState(NodePosting(nd), []byte(doc.StringValue(nd))); err != nil {
@@ -81,6 +67,27 @@ func (ix *Snapshot) Verify() error {
 	for _, f := range ix.fams {
 		if err := ix.checkTree(f); err != nil {
 			return fmt.Errorf("core: %s index: %w", f.label(), err)
+		}
+	}
+	return nil
+}
+
+// checkStableMaps requires both sides' stable-id maps to cover the
+// document and to be mutually inverse on its live positions. Load runs it
+// before the fold keys typed items by stable id.
+func (ix *Snapshot) checkStableMaps() error {
+	if len(ix.stableOf) != ix.doc.NumNodes() || len(ix.attrStableOf) != ix.doc.NumAttrs() {
+		return fmt.Errorf("core: stable maps cover %d nodes and %d attributes, want %d and %d",
+			len(ix.stableOf), len(ix.attrStableOf), ix.doc.NumNodes(), ix.doc.NumAttrs())
+	}
+	for i, s := range ix.stableOf {
+		if int(s) >= len(ix.preOf) || ix.preOf[s] != int32(i) {
+			return fmt.Errorf("core: stable map broken at pre %d (stable %d)", i, s)
+		}
+	}
+	for a, s := range ix.attrStableOf {
+		if int(s) >= len(ix.attrOf) || ix.attrOf[s] != int32(a) {
+			return fmt.Errorf("core: attr stable map broken at %d (stable %d)", a, s)
 		}
 	}
 	return nil

@@ -270,7 +270,7 @@ func RunFig9(cfg Config) ([]Fig9Row, error) {
 			return nil, err
 		}
 		row.DBBytes = r.SectionLen(core.SectionDoc)
-		row.StringIdxBytes = r.SectionLen(core.SectionHash) + r.SectionLen(core.SectionStrTree)
+		row.StringIdxBytes = r.SectionLen(core.SectionStrTree)
 		row.DoubleIdxBytes = r.SectionLen(core.TypedSectionName(core.TypeDouble))
 		r.Close()
 		os.Remove(path)

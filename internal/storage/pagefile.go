@@ -236,8 +236,10 @@ func (sw *sectionWriter) finish() error {
 	return nil
 }
 
-// sectionReader streams a section's bytes back out of its page extent.
-type sectionReader struct {
+// SectionReader streams a section's bytes back out of its page extent.
+// It knows how many bytes it has left, so a decoder can bound a length it
+// reads against what the section can still hold.
+type SectionReader struct {
 	pf     *PageFile
 	page   int64
 	remain int64
@@ -248,7 +250,7 @@ type sectionReader struct {
 	err    error
 }
 
-func (sr *sectionReader) Read(p []byte) (int, error) {
+func (sr *SectionReader) Read(p []byte) (int, error) {
 	if sr.err != nil {
 		return 0, sr.err
 	}
@@ -282,7 +284,10 @@ func (sr *sectionReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (sr *sectionReader) ReadByte() (byte, error) {
+// Len returns the number of section bytes not yet read.
+func (sr *SectionReader) Len() int { return int(sr.remain) + len(sr.buf) - sr.off }
+
+func (sr *SectionReader) ReadByte() (byte, error) {
 	var one [1]byte
 	for {
 		n, err := sr.Read(one[:])

@@ -129,7 +129,7 @@ func OpenReader(path string) (*Reader, error) {
 	// length is bounded by the remaining pages, and entries are
 	// self-delimiting.
 	remain := (pf.NumPages() - dirPage) * pagePayload
-	sr := &sectionReader{pf: pf, page: dirPage, remain: remain, want: 0}
+	sr := &SectionReader{pf: pf, page: dirPage, remain: remain, want: 0}
 	sr.want = sr.crc // directory has no independent CRC; page CRCs cover it
 	br := &byteCounter{r: sr}
 	nEntries, err := binary.ReadUvarint(br)
@@ -180,13 +180,13 @@ func (b *byteCounter) ReadByte() (byte, error) {
 }
 
 // Section returns a verified reader over the named section. The returned
-// reader validates the whole-section CRC at EOF.
+// reader validates the whole-section CRC at EOF; it is a *SectionReader.
 func (r *Reader) Section(name string) (io.Reader, error) {
 	e, ok := r.entries[name]
 	if !ok {
 		return nil, fmt.Errorf("storage: no section %q", name)
 	}
-	return &sectionReader{pf: r.pf, page: e.firstPage, remain: e.length, want: e.crc}, nil
+	return &SectionReader{pf: r.pf, page: e.firstPage, remain: e.length, want: e.crc}, nil
 }
 
 // SectionLen reports the byte length of a section, or -1 if absent. It
