@@ -276,8 +276,14 @@
 // swap. The draft shares everything with the published version: the
 // B+trees path-copy the nodes a write touches, and the per-node value
 // state lives in persistent chunked columns that copy the one chunk a
-// write lands in, so a value commit costs the leaves and ancestors it
-// changes, not the size of the document. Version numbers
+// write lands in. Refolding an ancestor reads its children's stored
+// states, and an element with more than B = 64 children keeps block
+// partials: per index, the folded state of each run of B children,
+// recorded by the first commit that refolds it and never persisted. A
+// text commit refolds only the blocks that hold an updated leaf and
+// combines the rest, so it reads O(depth · (B + k/B)) children for
+// fan-out k, plus the B+tree paths of the keys it changes, not the
+// document. Version numbers
 // increase by one per commit; a failed commit publishes nothing (the
 // draft is discarded whole, so batches are atomic: a reader sees all of
 // a batch or none of it).

@@ -58,3 +58,50 @@ func textCommitAllocBytes(t *testing.T, scale float64) uint64 {
 	slices.Sort(allocs)
 	return allocs[len(allocs)/2]
 }
+
+// TestRefoldVisitsAreSublinear is the count guard on the Figure 8 refold:
+// with block partials a text update reads at most B children plus ⌈k/B⌉
+// partials per wide ancestor, so at 16× the nodes it may read at most 2×
+// as many. A refold that walks every child of every ancestor reads about
+// 16× as many.
+func TestRefoldVisitsAreSublinear(t *testing.T) {
+	small, large := textRefoldVisits(t, 0.125), textRefoldVisits(t, 2)
+	ratio := float64(large) / float64(small)
+	t.Logf("children and partials read per 1-value text update: %d at xmark1 scale 0.125, %d at scale 2 (%.1f×)", small, large, ratio)
+	if ratio > 2 {
+		t.Fatalf("a text update at 16× the nodes reads %.1f× the children (%d vs %d), want ≤ 2×", ratio, large, small)
+	}
+}
+
+// textRefoldVisits is the median of the children and partials the refold
+// of one single-value text update reads on xmark1 at scale, every index
+// enabled, in steady state: each measured update follows a warm-up update
+// of the same leaf, which records the partials of its ancestors.
+func textRefoldVisits(t *testing.T, scale float64) int {
+	raw, err := datagen.Generate("xmark1", scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := xmlparse.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(doc, DefaultOptions())
+	texts := textNodesOf(doc)
+	rng := rand.New(rand.NewSource(1))
+	var visits []int
+	for range 15 {
+		n := texts[rng.Intn(len(texts))]
+		for _, v := range []string{"warm-up", fmt.Sprintf("%d.%02d", rng.Intn(1000), rng.Intn(100))} {
+			before := ix.Snapshot().refoldVisits
+			if err := ix.UpdateText(n, v); err != nil {
+				t.Fatal(err)
+			}
+			if v != "warm-up" {
+				visits = append(visits, ix.Snapshot().refoldVisits-before)
+			}
+		}
+	}
+	slices.Sort(visits)
+	return visits[len(visits)/2]
+}

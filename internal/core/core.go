@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fsm"
+	"repro/internal/pcol"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -146,13 +147,15 @@ type Snapshot struct {
 	// enabled registry entry in registry order, then the substring gram
 	// family once enabled. All per-index control flow in this package is
 	// iteration over this slice.
-	fams []family
+	fams        []family
+	blockStarts pcol.Sparse[[]int32] // refold partials' block starts (partials.go)
 
 	// Key buffers reused by the commit paths. They are only ever touched
 	// by the single serialized writer preparing the next version (never
 	// by readers), so sharing them across drafts is safe.
-	scratchOld [][]uint64
-	scratchNew []uint64
+	scratchOld   [][]uint64
+	scratchNew   []uint64
+	refoldVisits int // children and partials refolds read, for a count guard
 }
 
 // Indexes bundles a document with its value indices. All updates to the

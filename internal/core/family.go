@@ -34,8 +34,10 @@ type family interface {
 	// leaf sets p's state from its character data val.
 	leaf(s *Snapshot, p Posting, val []byte)
 	// refold recomputes element n's state from its children's stored
-	// states — the Figure 8 step; no text is read.
-	refold(s *Snapshot, n xmltree.NodeID)
+	// states — the Figure 8 step; no text is read. b carries n's block
+	// partials (partials.go), which checkPartials verifies.
+	refold(s *Snapshot, n xmltree.NodeID, b *blockSpan)
+	checkPartials(s *Snapshot) error
 	// check reports an error unless p's stored state is the one val
 	// produces.
 	check(s *Snapshot, p Posting, val []byte) error
@@ -327,7 +329,9 @@ func (s *Snapshot) captureChain(n xmltree.NodeID) (chain []xmltree.NodeID, olds 
 // (children before parents) in every family and repairs the trees.
 // olds[i], when olds is non-nil, holds order[i]'s keys captured before a
 // structural change; otherwise keys are captured just before each refold.
-func (s *Snapshot) refoldAncestors(order []xmltree.NodeID, olds [][][]uint64) {
+// dirty lists, ascending, the leaves a text commit rewrote; a structural
+// commit passes nil.
+func (s *Snapshot) refoldAncestors(order []xmltree.NodeID, olds [][][]uint64, dirty []xmltree.NodeID) {
 	for i, n := range order {
 		p := NodePosting(n)
 		var old [][]uint64
@@ -336,8 +340,10 @@ func (s *Snapshot) refoldAncestors(order []xmltree.NodeID, olds [][][]uint64) {
 		} else {
 			old = s.captureKeys(p)
 		}
+		b := &blockSpan{starts: s.blockStarts.Get(s.stableOf[n]), dirty: dirty}
+		b.derive = b.starts == nil || dirty == nil
 		for j, f := range s.fams {
-			f.refold(s, n)
+			f.refold(s, n, b)
 			s.reindex(f, p, old[j])
 		}
 	}
@@ -363,6 +369,9 @@ func (s *Snapshot) spliceSide(side, at, del, ins int) {
 	*pos = slices.Grow(slices.Clone(*pos), ins)
 	for _, st := range (*stables)[at : at+del] {
 		(*pos)[st] = -1
+		if side == 0 {
+			s.blockStarts.Delete(st)
+		}
 	}
 	*stables = slices.Concat((*stables)[:at], make([]uint32, ins), (*stables)[at+del:])
 	for k := 0; k < ins; k++ {

@@ -14,7 +14,8 @@ import (
 // children with the associative combination function C, never by
 // re-reading text — and a B+tree from hash to postings.
 type hashFamily struct {
-	col [2]pcol.Dense[uint32] // per side: hash by pre rank, by attribute id
+	col   [2]pcol.Dense[uint32] // per side: hash by pre rank, by attribute id
+	parts pcol.Sparse[[]uint32] // block partials by stable id (partials.go)
 	postingTree
 }
 
@@ -38,16 +39,17 @@ func (h *hashFamily) leaf(_ *Snapshot, p Posting, val []byte) {
 	h.col[p.side()].Set(p.pos(), vhash.Hash(val))
 }
 
-func (h *hashFamily) refold(s *Snapshot, n xmltree.NodeID) {
-	doc := s.doc
-	var acc uint32
-	for c := doc.FirstChild(n); c != xmltree.InvalidNode; c = doc.NextSibling(c) {
-		if xmltree.ContributesToParent(doc.Kind(c)) {
-			acc = vhash.Combine(acc, h.col[0].At(int(c)))
-		}
-	}
-	h.col[0].Set(int(n), acc)
+func (h *hashFamily) refold(s *Snapshot, n xmltree.NodeID, b *blockSpan) {
+	h.col[0].Set(int(n), foldPartials(s, h, &h.parts, n, b))
 }
+
+// The hash monoid: C with identity 0; no hash absorbs.
+func (h *hashFamily) identity() uint32                           { return vhash.Identity }
+func (h *hashFamily) combine(acc, x uint32) (uint32, bool)       { return vhash.Combine(acc, x), false }
+func (h *hashFamily) equal(a, b uint32) bool                     { return a == b }
+func (h *hashFamily) state(_ *Snapshot, n xmltree.NodeID) uint32 { return h.col[0].At(int(n)) }
+
+func (h *hashFamily) checkPartials(s *Snapshot) error { return checkPartials(s, h, &h.parts) }
 
 func (h *hashFamily) check(_ *Snapshot, p Posting, val []byte) error {
 	if got, want := h.col[p.side()].At(p.pos()), vhash.Hash(val); got != want {
@@ -95,11 +97,17 @@ func (h *hashFamily) draft() family {
 	for side := range c.col {
 		c.col[side] = h.col[side].Clone()
 	}
+	c.parts = h.parts.Clone()
 	c.postingTree = h.postingTree.clone()
 	return &c
 }
 
-func (h *hashFamily) splice(_ *Snapshot, side, at, del, ins int) {
+func (h *hashFamily) splice(s *Snapshot, side, at, del, ins int) {
+	if side == 0 {
+		for _, st := range s.stableOf[at : at+del] {
+			h.parts.Delete(st)
+		}
+	}
 	h.col[side].Splice(at, del, make([]uint32, ins))
 }
 
@@ -111,7 +119,7 @@ func (h *hashFamily) addStats(_ *Snapshot, st *IndexStats) {
 func (h *hashFamily) addMem(ms *MemStats) {
 	ms.StringTreeBytes = h.tree.MemBytes()
 	ms.UnpackedTreeBytes += h.tree.UnpackedBytes()
-	ms.SideBytes += h.col[0].MemBytes() + h.col[1].MemBytes()
+	ms.SideBytes += h.col[0].MemBytes() + h.col[1].MemBytes() + partialBytes(&h.parts)
 }
 
 // save persists the hash tree; the hashes are derived, refolded on load.

@@ -56,7 +56,7 @@ func (ix *Snapshot) MemStats() MemStats {
 	ms.UnpackedDocBytes = ms.DocBytes - ix.doc.HeapBytes() + ix.doc.LiveHeapBytes()
 
 	ms.SideBytes = cap(ix.stableOf)*4 + cap(ix.preOf)*4 +
-		cap(ix.attrStableOf)*4 + cap(ix.attrOf)*4
+		cap(ix.attrStableOf)*4 + cap(ix.attrOf)*4 + partialBytes(&ix.blockStarts)
 	for _, f := range ix.fams {
 		f.addMem(&ms)
 	}

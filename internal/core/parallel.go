@@ -19,7 +19,7 @@ package core
 //     Figure 8 update algorithm refolds interiors: from the children's
 //     stored fields, never from text. SCT early-reject semantics are
 //     preserved bit for bit because the spine fold applies the same
-//     foldFrag over the same child sequence the serial pass would.
+//     typed combine over the same child sequence the serial pass would.
 //  5. The B+trees bulk-load in parallel (see loadTrees): sorting by
 //     (key, posting) erases collection order, so the loaded trees — and
 //     therefore snapshot bytes — are identical to a serial build's.
@@ -209,7 +209,7 @@ func (s *Snapshot) buildParallel(workers int) {
 	// pass or from post-update refolds.
 	for i := len(spine) - 1; i >= 0; i-- {
 		for _, f := range s.fams {
-			f.refold(s, spine[i])
+			f.refold(s, spine[i], nil)
 		}
 	}
 }

@@ -19,6 +19,7 @@ func (s *Snapshot) draft() *Snapshot {
 	d := *s
 	d.version = s.version + 1
 	d.doc = s.doc.Clone()
+	d.blockStarts = s.blockStarts.Clone()
 	d.fams = make([]family, len(s.fams))
 	for i, f := range s.fams {
 		d.fams[i] = f.draft()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"unsafe"
 
 	"repro/internal/fsm"
@@ -18,7 +19,8 @@ import (
 // maintains is entirely determined by its TypeSpec.
 type typedFamily struct {
 	spec  TypeSpec
-	sides [2]typedSide // tree nodes by pre rank, attributes by id
+	sides [2]typedSide            // tree nodes by pre rank, attributes by id
+	parts pcol.Sparse[[]fsm.Frag] // block partials by stable id (partials.go)
 	postingTree
 }
 
@@ -108,31 +110,23 @@ func (t *typedFamily) leaf(s *Snapshot, p Posting, val []byte) {
 	t.set(s, p, f, false)
 }
 
-// refold stops consulting children once the fold is Reject, which
-// absorbs everything after it.
-func (t *typedFamily) refold(s *Snapshot, n xmltree.NodeID) {
-	doc := s.doc
-	acc := fsm.Frag{Elem: fsm.Identity}
-	for c := doc.FirstChild(n); c != xmltree.InvalidNode && acc.Elem != fsm.Reject; c = doc.NextSibling(c) {
-		if xmltree.ContributesToParent(doc.Kind(c)) {
-			acc = foldFrag(t.spec.Machine, acc, t.frag(s, NodePosting(c)))
-		}
-	}
-	t.set(s, NodePosting(n), acc, false)
+func (t *typedFamily) refold(s *Snapshot, n xmltree.NodeID, b *blockSpan) {
+	t.set(s, NodePosting(n), foldPartials(s, t, &t.parts, n, b), false)
 }
 
-// foldFrag combines an accumulated fragment with a child fragment,
-// propagating rejection (the SCT's early-reject).
-func foldFrag(m *fsm.Machine, acc, child fsm.Frag) fsm.Frag {
-	if acc.Elem == fsm.Reject || child.Elem == fsm.Reject {
-		return fsm.Frag{Elem: fsm.Reject}
-	}
-	out, ok := m.Combine(acc, child)
-	if !ok {
-		return fsm.Frag{Elem: fsm.Reject}
-	}
-	return out
+// The typed monoid is the SCT's: a failed Combine is the zero Frag,
+// Reject, which absorbs everything after it (the SCT's early-reject).
+func (t *typedFamily) identity() fsm.Frag                           { return fsm.Frag{Elem: fsm.Identity} }
+func (t *typedFamily) state(s *Snapshot, n xmltree.NodeID) fsm.Frag { return t.frag(s, NodePosting(n)) }
+func (t *typedFamily) equal(a, b fsm.Frag) bool {
+	return a.Elem == b.Elem && slices.Equal(a.Items, b.Items)
 }
+func (t *typedFamily) combine(acc, x fsm.Frag) (fsm.Frag, bool) {
+	out, ok := t.spec.Machine.Combine(acc, x)
+	return out, !ok
+}
+
+func (t *typedFamily) checkPartials(s *Snapshot) error { return checkPartials(s, t, &t.parts) }
 
 // check compares elements and, when castable, the reconstructed lexical
 // forms: item-level equality can differ harmlessly in >17-digit
@@ -211,7 +205,7 @@ func (f *typedFolder) close(n xmltree.NodeID) {
 
 func (f *typedFolder) fold(fr fsm.Frag) {
 	if n := len(f.stack); n > 0 {
-		f.stack[n-1] = foldFrag(f.t.spec.Machine, f.stack[n-1], fr)
+		f.stack[n-1], _ = f.t.combine(f.stack[n-1], fr)
 	}
 }
 
@@ -231,6 +225,7 @@ func (t *typedFamily) draft() family {
 		sd := &t.sides[side]
 		c.sides[side] = typedSide{elems: sd.elems.Clone(), items: sd.items.Clone()}
 	}
+	c.parts = t.parts.Clone()
 	c.postingTree = t.postingTree.clone()
 	return &c
 }
@@ -239,6 +234,9 @@ func (t *typedFamily) splice(s *Snapshot, side, at, del, ins int) {
 	sd := &t.sides[side]
 	for _, st := range s.stables(side)[at : at+del] {
 		sd.items.Delete(st)
+		if side == 0 {
+			t.parts.Delete(st)
+		}
 	}
 	sd.elems.Splice(at, del, make([]fsm.Elem, ins))
 }
@@ -305,6 +303,12 @@ func (t *typedFamily) addMem(ms *MemStats) {
 		ms.SideBytes += sd.elems.MemBytes() + sd.items.MemBytes()
 		for _, items := range sd.items.All() {
 			ms.SideBytes += cap(items) * itemBytes
+		}
+	}
+	ms.SideBytes += partialBytes(&t.parts)
+	for _, states := range t.parts.All() {
+		for _, f := range states {
+			ms.SideBytes += cap(f.Items) * itemBytes
 		}
 	}
 }

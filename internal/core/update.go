@@ -160,6 +160,7 @@ func (ix *Snapshot) validateTexts(updates []TextUpdate) error {
 func (ix *Snapshot) applyTexts(updates []TextUpdate) error {
 	doc := ix.doc
 	affected := make(map[xmltree.NodeID]struct{})
+	var dirty []xmltree.NodeID
 	for _, u := range updates {
 		old := ix.captureKeys(NodePosting(u.Node))
 		if err := doc.SetText(u.Node, u.Value); err != nil {
@@ -167,6 +168,7 @@ func (ix *Snapshot) applyTexts(updates []TextUpdate) error {
 		}
 		ix.refreshLeaf(NodePosting(u.Node), old)
 		if xmltree.ContributesToParent(doc.Kind(u.Node)) {
+			dirty = append(dirty, u.Node)
 			for p := doc.Parent(u.Node); p != xmltree.InvalidNode; p = doc.Parent(p) {
 				if _, seen := affected[p]; seen {
 					break // this ancestor chain is already queued
@@ -182,7 +184,8 @@ func (ix *Snapshot) applyTexts(updates []TextUpdate) error {
 		order = append(order, n)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] > order[j] })
-	ix.refoldAncestors(order, nil)
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	ix.refoldAncestors(order, nil, dirty)
 	ix.maintainStats()
 	ix.maybeCompactHeap()
 	return nil
@@ -250,7 +253,7 @@ func (ix *Snapshot) applyDelete(n xmltree.NodeID) error {
 	ix.spliceSide(1, int(alo), int(ahi-alo), 0)
 
 	// Refold the ancestor chain against the pre-captured keys.
-	ix.refoldAncestors(chain, olds)
+	ix.refoldAncestors(chain, olds, nil)
 	ix.maintainStats()
 	ix.maybeCompactHeap()
 	return nil
@@ -323,7 +326,7 @@ func (ix *Snapshot) applyInsert(parent xmltree.NodeID, pos int, frag *xmltree.Do
 
 	// Refold the chain from the insertion parent upwards against the
 	// pre-captured keys.
-	ix.refoldAncestors(chain, olds)
+	ix.refoldAncestors(chain, olds, nil)
 	ix.maintainStats()
 	return at, nil
 }

@@ -68,6 +68,9 @@ func (ix *Snapshot) Verify() error {
 		if err := ix.checkTree(f); err != nil {
 			return fmt.Errorf("core: %s index: %w", f.label(), err)
 		}
+		if err := f.checkPartials(ix); err != nil {
+			return fmt.Errorf("core: %s index: partials: %w", f.label(), err)
+		}
 	}
 	return nil
 }
