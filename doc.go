@@ -283,7 +283,9 @@
 // text commit refolds only the blocks that hold an updated leaf and
 // combines the rest, so it reads O(depth · (B + k/B)) children for
 // fan-out k, plus the B+tree paths of the keys it changes, not the
-// document. Version numbers
+// document. Where two blocks would merge a digit run of more than 15
+// digits, which float64 rounds by grouping, the element folds child by
+// child, as Build and Load do. Version numbers
 // increase by one per commit; a failed commit publishes nothing (the
 // draft is discarded whole, so batches are atomic: a reader sees all of
 // a batch or none of it).

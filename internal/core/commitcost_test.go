@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/xmlparse"
+	"repro/internal/xmltree"
 )
 
 // TestTextCommitAllocIsSublinear is the count guard on the cost of a
@@ -63,7 +64,8 @@ func textCommitAllocBytes(t *testing.T, scale float64) uint64 {
 // with block partials a text update reads at most B children plus ⌈k/B⌉
 // partials per wide ancestor, so at 16× the nodes it may read at most 2×
 // as many. A refold that walks every child of every ancestor reads about
-// 16× as many.
+// 16× as many. It counts the string hash family's reads; every stateful
+// family refolds through the same foldPartials.
 func TestRefoldVisitsAreSublinear(t *testing.T) {
 	small, large := textRefoldVisits(t, 0.125), textRefoldVisits(t, 2)
 	ratio := float64(large) / float64(small)
@@ -75,8 +77,9 @@ func TestRefoldVisitsAreSublinear(t *testing.T) {
 
 // textRefoldVisits is the median of the children and partials the refold
 // of one single-value text update reads on xmark1 at scale, every index
-// enabled, in steady state: each measured update follows a warm-up update
-// of the same leaf, which records the partials of its ancestors.
+// enabled, in steady state: each measured update follows a committed
+// warm-up update of the same leaf, which records the partials of its
+// ancestors.
 func textRefoldVisits(t *testing.T, scale float64) int {
 	raw, err := datagen.Generate("xmark1", scale, 1)
 	if err != nil {
@@ -92,16 +95,42 @@ func textRefoldVisits(t *testing.T, scale float64) int {
 	var visits []int
 	for range 15 {
 		n := texts[rng.Intn(len(texts))]
-		for _, v := range []string{"warm-up", fmt.Sprintf("%d.%02d", rng.Intn(1000), rng.Intn(100))} {
-			before := ix.Snapshot().refoldVisits
-			if err := ix.UpdateText(n, v); err != nil {
-				t.Fatal(err)
-			}
-			if v != "warm-up" {
-				visits = append(visits, ix.Snapshot().refoldVisits-before)
-			}
+		if err := ix.UpdateText(n, "warm-up"); err != nil {
+			t.Fatal(err)
 		}
+		visits = append(visits, hashRefoldReads(ix.Snapshot(), n, fmt.Sprintf("%d.%02d", rng.Intn(1000), rng.Intn(100))))
 	}
 	slices.Sort(visits)
 	return visits[len(visits)/2]
+}
+
+// hashRefoldReads sets text leaf n to v in a draft of s and refolds n's
+// ancestors in the string hash family as a text commit does, returning
+// the child states and partials the refold combines.
+func hashRefoldReads(s *Snapshot, n xmltree.NodeID, v string) int {
+	d := s.draft()
+	if err := d.doc.SetText(n, v); err != nil {
+		panic(err)
+	}
+	h := d.hashes()
+	h.leaf(d, NodePosting(n), []byte(v))
+	reads := 0
+	m := countingMonoid[uint32]{h, &reads}
+	dirty := []xmltree.NodeID{n}
+	for a := d.doc.Parent(n); a != xmltree.InvalidNode; a = d.doc.Parent(a) {
+		starts, blocksDirty := d.spanOf(a, dirty)
+		h.col[0].Set(int(a), foldPartials(d, m, &h.parts, a, starts, blocksDirty))
+	}
+	return reads
+}
+
+// countingMonoid counts the states a fold combines.
+type countingMonoid[S any] struct {
+	monoid[S]
+	combines *int
+}
+
+func (c countingMonoid[S]) combine(acc, x S) (S, bool) {
+	*c.combines++
+	return c.monoid.combine(acc, x)
 }

@@ -153,9 +153,8 @@ type Snapshot struct {
 	// Key buffers reused by the commit paths. They are only ever touched
 	// by the single serialized writer preparing the next version (never
 	// by readers), so sharing them across drafts is safe.
-	scratchOld   [][]uint64
-	scratchNew   []uint64
-	refoldVisits int // children and partials refolds read, for a count guard
+	scratchOld [][]uint64
+	scratchNew []uint64
 }
 
 // Indexes bundles a document with its value indices. All updates to the

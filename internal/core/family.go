@@ -34,9 +34,9 @@ type family interface {
 	// leaf sets p's state from its character data val.
 	leaf(s *Snapshot, p Posting, val []byte)
 	// refold recomputes element n's state from its children's stored
-	// states — the Figure 8 step; no text is read. b carries n's block
+	// states — the Figure 8 step; no text is read — through its block
 	// partials (partials.go), which checkPartials verifies.
-	refold(s *Snapshot, n xmltree.NodeID, b *blockSpan)
+	refold(s *Snapshot, n xmltree.NodeID, starts []int32, dirty []xmltree.NodeID)
 	checkPartials(s *Snapshot) error
 	// check reports an error unless p's stored state is the one val
 	// produces.
@@ -340,10 +340,9 @@ func (s *Snapshot) refoldAncestors(order []xmltree.NodeID, olds [][][]uint64, di
 		} else {
 			old = s.captureKeys(p)
 		}
-		b := &blockSpan{starts: s.blockStarts.Get(s.stableOf[n]), dirty: dirty}
-		b.derive = b.starts == nil || dirty == nil
+		starts, blocksDirty := s.spanOf(n, dirty)
 		for j, f := range s.fams {
-			f.refold(s, n, b)
+			f.refold(s, n, starts, blocksDirty)
 			s.reindex(f, p, old[j])
 		}
 	}

@@ -39,13 +39,14 @@ func (h *hashFamily) leaf(_ *Snapshot, p Posting, val []byte) {
 	h.col[p.side()].Set(p.pos(), vhash.Hash(val))
 }
 
-func (h *hashFamily) refold(s *Snapshot, n xmltree.NodeID, b *blockSpan) {
-	h.col[0].Set(int(n), foldPartials(s, h, &h.parts, n, b))
+func (h *hashFamily) refold(s *Snapshot, n xmltree.NodeID, starts []int32, dirty []xmltree.NodeID) {
+	h.col[0].Set(int(n), foldPartials(s, h, &h.parts, n, starts, dirty))
 }
 
 // The hash monoid: C with identity 0; no hash absorbs.
 func (h *hashFamily) identity() uint32                           { return vhash.Identity }
 func (h *hashFamily) combine(acc, x uint32) (uint32, bool)       { return vhash.Combine(acc, x), false }
+func (h *hashFamily) exact(uint32, uint32) bool                  { return true }
 func (h *hashFamily) equal(a, b uint32) bool                     { return a == b }
 func (h *hashFamily) state(_ *Snapshot, n xmltree.NodeID) uint32 { return h.col[0].At(int(n)) }
 

@@ -209,7 +209,7 @@ func (s *Snapshot) buildParallel(workers int) {
 	// pass or from post-update refolds.
 	for i := len(spine) - 1; i >= 0; i-- {
 		for _, f := range s.fams {
-			f.refold(s, spine[i], nil)
+			f.refold(s, spine[i], nil, nil)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -19,60 +20,69 @@ const partialBlock = 64
 
 // monoid is a stateful family's states under the fold: combine is
 // associative and reports done once the result absorbs all that follows
-// (the typed Reject); state is a tree node's stored state.
+// (the typed Reject); state is a tree node's stored state. exact reports
+// whether combining a block's fold x onto acc gives what folding the
+// block's children onto acc one by one gives, bit for bit.
 type monoid[S any] interface {
 	identity() S
 	combine(acc, x S) (S, bool)
+	exact(acc, x S) bool
 	state(s *Snapshot, n xmltree.NodeID) S
 	equal(a, b S) bool
 }
 
-// blockSpan is a commit's view of element n's blocks: their starts (nil
-// if n is not wide), whether the next family to refold n derives them,
-// and the leaves a text commit rewrote, ascending; nil dirty means n's
-// child structure may have changed, so every block is refolded.
-type blockSpan struct {
-	starts []int32
-	derive bool
-	dirty  []xmltree.NodeID
+// spanOf returns n's block starts (nil if n is not wide) and dirty leaves
+// for a commit's refold: the recorded starts when a text commit finds
+// them, else starts derived and recorded afresh with nil dirty leaves,
+// which refold every block.
+func (s *Snapshot) spanOf(n xmltree.NodeID, dirty []xmltree.NodeID) ([]int32, []xmltree.NodeID) {
+	st := s.stableOf[n]
+	if starts := s.blockStarts.Get(st); starts != nil && dirty != nil {
+		return starts, dirty
+	}
+	if starts := blockStarts(s.doc, n); starts != nil {
+		s.blockStarts.Set(st, starts)
+		return starts, nil
+	}
+	s.blockStarts.Delete(st)
+	return nil, nil
 }
 
-// foldPartials folds element n's state from its children's stored states
-// through n's block partials, or by a plain walk when b is nil (Build's
-// spine), counting the children and partials read in s.refoldVisits.
-func foldPartials[S any](s *Snapshot, m monoid[S], parts *pcol.Sparse[[]S], n xmltree.NodeID, b *blockSpan) S {
+// blockStarts returns the offset from n of every B-th child of n, nil
+// when n has at most B children.
+func blockStarts(doc *xmltree.Doc, n xmltree.NodeID) (starts []int32) {
+	for c, i := n+1, 0; c <= n+xmltree.NodeID(doc.Size(n)); c, i = c+xmltree.NodeID(doc.Size(c))+1, i+1 {
+		if i%partialBlock == 0 {
+			starts = append(starts, int32(c-n))
+		}
+	}
+	if len(starts) < 2 {
+		return nil
+	}
+	return starts
+}
+
+// foldPartials folds n's state from its children's stored states: through
+// its block partials, refreshing those with a dirty leaf (all if dirty is
+// nil), or by a plain walk if n has no blocks or a block is not exact.
+func foldPartials[S any](s *Snapshot, m monoid[S], parts *pcol.Sparse[[]S], n xmltree.NodeID, starts []int32, dirty []xmltree.NodeID) S {
 	st := s.stableOf[n]
-	var states []S
-	switch {
-	case b != nil && b.derive: // later families fold against these starts
-		b.derive, b.dirty = false, nil
-		if b.starts, states = blocks(s, m, n, &s.refoldVisits); len(states) > 1 {
-			s.blockStarts.Set(st, b.starts)
-			parts.Set(st, states)
-		} else { // at most partialBlock children: n is not wide
-			b.starts = nil
-			s.blockStarts.Delete(st)
-			parts.Delete(st)
-		}
-	case b == nil || b.starts == nil:
+	if starts == nil {
 		parts.Delete(st)
-		acc, _ := foldRun(s, m, n, n+1, int(s.doc.Size(n)), false, &s.refoldVisits)
-		return acc
-	default:
-		if states = parts.Get(st); b.dirty == nil || states == nil {
-			states = make([]S, len(b.starts))
-			for j, off := range b.starts {
-				states[j], _ = foldRun(s, m, n, n+xmltree.NodeID(off), partialBlock, false, &s.refoldVisits)
-			}
-			parts.Set(st, states)
-		} else if ns, changed := refresh(s, m, n, b, states); changed {
-			parts.Set(st, ns)
-			states = ns
-		}
+		return foldRun(s, m, n, n+1, math.MaxInt)
+	}
+	states := parts.Get(st)
+	if dirty == nil || states == nil {
+		states = blockFolds(s, m, n, starts)
+		parts.Set(st, states)
+	} else {
+		states = refresh(s, m, parts, n, starts, dirty, states)
 	}
 	acc := m.identity()
 	for _, v := range states {
-		s.refoldVisits++
+		if !m.exact(acc, v) {
+			return foldRun(s, m, n, n+1, math.MaxInt)
+		}
 		var done bool
 		if acc, done = m.combine(acc, v); done {
 			break
@@ -81,78 +91,68 @@ func foldPartials[S any](s *Snapshot, m monoid[S], parts *pcol.Sparse[[]S], n xm
 	return acc
 }
 
-// blocks walks n's children once and returns each block's first child,
-// as an offset from n, and its fold.
-func blocks[S any](s *Snapshot, m monoid[S], n xmltree.NodeID, visits *int) (starts []int32, states []S) {
-	for c, end := n+1, n+xmltree.NodeID(s.doc.Size(n)); c <= end; {
-		v, next := foldRun(s, m, n, c, partialBlock, true, visits)
-		starts, states = append(starts, int32(c-n)), append(states, v)
-		c = next
+// blockFolds folds each block of B children of n that starts at starts.
+func blockFolds[S any](s *Snapshot, m monoid[S], n xmltree.NodeID, starts []int32) []S {
+	states := make([]S, len(starts))
+	for j, off := range starts {
+		states[j] = foldRun(s, m, n, n+xmltree.NodeID(off), partialBlock)
 	}
-	return starts, states
+	return states
 }
 
 // foldRun folds at most limit children of n from child c on, stopping at
-// an absorbing state; only with full does it step on to return the child
-// after the run. It adds the children it visits to visits.
-func foldRun[S any](s *Snapshot, m monoid[S], n, c xmltree.NodeID, limit int, full bool, visits *int) (acc S, next xmltree.NodeID) {
+// an absorbing state.
+func foldRun[S any](s *Snapshot, m monoid[S], n, c xmltree.NodeID, limit int) S {
 	doc := s.doc
 	end := n + xmltree.NodeID(doc.Size(n))
-	acc = m.identity()
-	visited := 0
-	for ; c <= end && visited < limit; c += xmltree.NodeID(doc.Size(c)) + 1 {
-		visited++
+	acc := m.identity()
+	for i := 0; c <= end && i < limit; c, i = c+xmltree.NodeID(doc.Size(c))+1, i+1 {
 		if xmltree.ContributesToParent(doc.Kind(c)) {
 			var done bool
 			if acc, done = m.combine(acc, m.state(s, c)); done {
-				c += xmltree.NodeID(doc.Size(c)) + 1
 				break
 			}
 		}
 	}
-	for ; full && c <= end && visited < limit; c += xmltree.NodeID(doc.Size(c)) + 1 {
-		visited++
-	}
-	*visits += visited
-	return acc, c
+	return acc
 }
 
-// refresh refolds n's blocks that hold a dirty leaf, into a copy of
-// states if any state changes (a Reject block mostly stays Reject).
-func refresh[S any](s *Snapshot, m monoid[S], n xmltree.NodeID, b *blockSpan, states []S) (out []S, changed bool) {
-	out, last := states, -1
-	end := n + xmltree.NodeID(s.doc.Size(n))
-	for i, _ := slices.BinarySearch(b.dirty, n+1); i < len(b.dirty) && b.dirty[i] <= end; i++ {
+// refresh refolds n's blocks that hold a dirty leaf and stores the states
+// as a copy if any changes (a Reject block mostly stays Reject).
+func refresh[S any](s *Snapshot, m monoid[S], parts *pcol.Sparse[[]S], n xmltree.NodeID, starts []int32, dirty []xmltree.NodeID, states []S) []S {
+	last, end, copied := -1, n+xmltree.NodeID(s.doc.Size(n)), false
+	for i, _ := slices.BinarySearch(dirty, n+1); i < len(dirty) && dirty[i] <= end; i++ {
 		// The leaf's block is the last starting at or before it.
-		j, _ := slices.BinarySearch(b.starts, int32(b.dirty[i]-n)+1)
+		j, _ := slices.BinarySearch(starts, int32(dirty[i]-n)+1)
 		if j--; j == last {
 			continue
 		}
 		last = j
-		if v, _ := foldRun(s, m, n, n+xmltree.NodeID(b.starts[j]), partialBlock, false, &s.refoldVisits); !m.equal(v, out[j]) {
-			if !changed {
-				out, changed = slices.Clone(states), true
+		if v := foldRun(s, m, n, n+xmltree.NodeID(starts[j]), partialBlock); !m.equal(v, states[j]) {
+			if !copied {
+				states, copied = slices.Clone(states), true
+				parts.Set(s.stableOf[n], states)
 			}
-			out[j] = v
+			states[j] = v
 		}
 	}
-	return out, changed
+	return states
 }
 
 // checkPartials requires parts and the block starts to cover the same live
-// elements and to be what walking each element's children derives.
+// elements and to be what n's child structure and its blocks' folds derive.
 func checkPartials[S any](s *Snapshot, m monoid[S], parts *pcol.Sparse[[]S]) error {
 	if parts.Len() != s.blockStarts.Len() {
 		return fmt.Errorf("states for %d elements, %d have block starts", parts.Len(), s.blockStarts.Len())
 	}
 	for st, states := range parts.All() {
-		n, visits := s.NodeOfStable(st), 0
+		n := s.NodeOfStable(st)
 		if n == xmltree.InvalidNode {
 			return fmt.Errorf("kept for removed stable id %d", st)
 		}
-		starts, want := blocks(s, m, n, &visits)
-		if len(starts) < 2 || !slices.Equal(s.blockStarts.Get(st), starts) || !slices.EqualFunc(states, want, m.equal) {
-			return fmt.Errorf("node %d: block starts or states differ from its %d children's blocks of %d", n, visits, partialBlock)
+		starts := blockStarts(s.doc, n)
+		if starts == nil || !slices.Equal(s.blockStarts.Get(st), starts) || !slices.EqualFunc(states, blockFolds(s, m, n, starts), m.equal) {
+			return fmt.Errorf("node %d: block starts or states differ from its children's blocks of %d", n, partialBlock)
 		}
 	}
 	return nil

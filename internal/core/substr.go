@@ -99,12 +99,12 @@ func (g *gramFamily) keys(s *Snapshot, p Posting, buf []uint64) []uint64 {
 	return appendGrams(buf, s.valueBytes(p))
 }
 
-func (g *gramFamily) leaf(*Snapshot, Posting, []byte)              {}
-func (g *gramFamily) refold(*Snapshot, xmltree.NodeID, *blockSpan) {}
-func (g *gramFamily) checkPartials(*Snapshot) error                { return nil }
-func (g *gramFamily) check(*Snapshot, Posting, []byte) error       { return nil }
-func (g *gramFamily) folder(*Snapshot, bool) folder                { return nil }
-func (g *gramFamily) splice(*Snapshot, int, int, int, int)         {}
+func (g *gramFamily) leaf(*Snapshot, Posting, []byte)                             {}
+func (g *gramFamily) refold(*Snapshot, xmltree.NodeID, []int32, []xmltree.NodeID) {}
+func (g *gramFamily) checkPartials(*Snapshot) error                               { return nil }
+func (g *gramFamily) check(*Snapshot, Posting, []byte) error                      { return nil }
+func (g *gramFamily) folder(*Snapshot, bool) folder                               { return nil }
+func (g *gramFamily) splice(*Snapshot, int, int, int, int)                        {}
 func (g *gramFamily) addStats(_ *Snapshot, st *IndexStats) {
 	st.SubstringEntries = g.tree.Len()
 	st.SubstringBytes = st.SubstringEntries * 8

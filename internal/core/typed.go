@@ -110,8 +110,8 @@ func (t *typedFamily) leaf(s *Snapshot, p Posting, val []byte) {
 	t.set(s, p, f, false)
 }
 
-func (t *typedFamily) refold(s *Snapshot, n xmltree.NodeID, b *blockSpan) {
-	t.set(s, NodePosting(n), foldPartials(s, t, &t.parts, n, b), false)
+func (t *typedFamily) refold(s *Snapshot, n xmltree.NodeID, starts []int32, dirty []xmltree.NodeID) {
+	t.set(s, NodePosting(n), foldPartials(s, t, &t.parts, n, starts, dirty), false)
 }
 
 // The typed monoid is the SCT's: a failed Combine is the zero Frag,
@@ -121,6 +121,7 @@ func (t *typedFamily) state(s *Snapshot, n xmltree.NodeID) fsm.Frag { return t.f
 func (t *typedFamily) equal(a, b fsm.Frag) bool {
 	return a.Elem == b.Elem && slices.Equal(a.Items, b.Items)
 }
+func (t *typedFamily) exact(acc, x fsm.Frag) bool { return fsm.MergeExact(acc, x) }
 func (t *typedFamily) combine(acc, x fsm.Frag) (fsm.Frag, bool) {
 	out, ok := t.spec.Machine.Combine(acc, x)
 	return out, !ok

@@ -75,7 +75,8 @@ func isWS(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' 
 //
 // Combine is associative (the element by monoid composition, the items by
 // concatenation), which the update algorithm and the commutative-commit
-// protocol rely on.
+// protocol rely on. Bit for bit it is so only while merged digit runs stay
+// exact in float64; see MergeExact.
 func (m *Machine) Combine(a, b Frag) (Frag, bool) {
 	e := m.sct[a.Elem][b.Elem]
 	if e == Reject {
@@ -100,6 +101,16 @@ func (m *Machine) Combine(a, b Frag) (Frag, bool) {
 	}
 	items = append(items, rest...)
 	return Frag{Elem: e, Items: items}, true
+}
+
+// MergeExact reports whether Combine(a, b) merges no digit runs into one
+// of more than 15 digits. A merged run of at most 15 digits is below 2^53,
+// so every float64 step that builds it is exact and its value is the same
+// however its pieces were grouped; a longer run's value depends on the
+// grouping in its last bits.
+func MergeExact(a, b Frag) bool {
+	x, y := a.Items, b.Items
+	return len(x) == 0 || len(y) == 0 || x[len(x)-1].Punct != 0 || y[0].Punct != 0 || x[len(x)-1].Len+y[0].Len <= 15
 }
 
 // CombineAll folds Combine left to right over frags.

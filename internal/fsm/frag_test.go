@@ -95,6 +95,47 @@ func TestFragCombineAssociative(t *testing.T) {
 	}
 }
 
+// TestMergeExactGrouping: folding pieces in groups, each group left to
+// right and then the groups left to right, gives the plain left-to-right
+// fold bit for bit whenever every group boundary is MergeExact; some
+// groupings it rejects do change a long digit run's last bits.
+func TestMergeExactGrouping(t *testing.T) {
+	m := Double()
+	rng := rand.New(rand.NewSource(5))
+	differs := 0
+	for trial := 0; trial < 2000; trial++ {
+		var pieces []Frag
+		for range 1 + rng.Intn(40) {
+			f, _ := m.ParseFragString([]string{"", "7", "19", "305", "0", ".", "123456789"}[rng.Intn(7)])
+			pieces = append(pieces, f)
+		}
+		flat, okFlat := m.CombineAll(pieces...)
+		grouped, ok, exact := m.IdentityFrag(), true, true
+		for i := 0; i < len(pieces) && ok; {
+			j := min(len(pieces), i+1+rng.Intn(8))
+			g, _ := m.CombineAll(pieces[i:j]...)
+			exact = exact && MergeExact(grouped, g) // a rejected g is the zero Frag
+			grouped, ok = m.Combine(grouped, g)
+			i = j
+		}
+		if ok != okFlat {
+			t.Fatalf("grouped ok=%v, flat ok=%v", ok, okFlat)
+		}
+		if !ok {
+			continue
+		}
+		switch {
+		case !exact && !fragEqual(grouped, flat):
+			differs++
+		case exact && !fragEqual(grouped, flat):
+			t.Fatalf("exact grouping differs:\n%+v\n%+v", grouped, flat)
+		}
+	}
+	if differs == 0 {
+		t.Fatal("no grouping that MergeExact rejects changed a run's value; the test shows nothing")
+	}
+}
+
 // TestLexicalRoundTrip: for castable doubles without whitespace and with
 // short digit runs, ParseFrag(s).Lexical() == s exactly.
 func TestLexicalRoundTrip(t *testing.T) {
