@@ -112,9 +112,9 @@
 // entry total, the distinct-key count, and a small equi-depth histogram
 // over each B+tree's key space. Histogram bucket counts are adjusted
 // exactly on every insert/delete; bucket bounds and distinct counts are
-// refreshed once accumulated churn passes a quarter of the tree, and
-// the whole layer is persisted in the snapshot's "stats" section
-// (rebuilt from the trees when loading an older snapshot). Equality
+// refreshed once accumulated churn passes a quarter of the tree. The
+// layer is derived data: Load rebuilds it from the trees, as Build
+// does, and no snapshot stores it. Equality
 // estimates are average cluster size capped by the covering bucket;
 // range estimates interpolate linearly inside boundary buckets.
 //
@@ -188,10 +188,13 @@
 // candidate postings intersect as delta-encoded byte strings. All of
 // it lives behind the same MVCC snapshots — readers stay lock-free
 // and pinned versions stay bit-stable — and snapshots carry a format
-// version (3), so a snapshot in any other format, including version 2
-// with its persisted per-node state, fails to load with a descriptive
-// error. Save rewrites the name dictionary to only the names live nodes
-// still reference.
+// version (4), so a snapshot in any other format, including version 3
+// with its stored parents, inverse stable-id maps and statistics, fails
+// to load with a descriptive error. A snapshot stores only what cannot
+// be derived, all through one varint codec; Load derives parents and
+// levels from sizes (the pre/size/level encoding), the inverse maps,
+// the per-node index state and the statistics. Save rewrites the name
+// dictionary to only the names live nodes still reference.
 //
 // Document.MemStats reports the footprint per component together with
 // the analytic unpacked equivalent of the same state; bytes per node

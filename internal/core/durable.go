@@ -74,72 +74,72 @@ var ErrVersionGap = errors.New("core: shipped record does not extend the current
 
 // --- the log record codec ---
 
-// encode returns ch's record payload, written with the snapshot's varint
-// codec into a buffer sized to fit: uvarint ids, length-prefixed values,
-// and for inserts the fragment's binary serialisation, raw, at the end.
+// encode returns ch's record payload, written with the storage codec
+// into a buffer sized to fit: uvarint ids, length-prefixed values, and
+// for inserts the fragment's document encoding at the end.
 func (ch *change) encode() ([]byte, error) {
 	size := 3*binary.MaxVarintLen64 + len(ch.value)
 	for _, u := range ch.texts {
 		size += 2*binary.MaxVarintLen64 + len(u.Value)
 	}
-	e := &sliceEncoder{buf: make([]byte, 0, size)}
+	e := storage.NewBufEncoder(make([]byte, 0, size))
 	switch ch.kind {
 	case storage.RecCheckpoint:
-		e.uv(ch.gen)
+		e.Uv(ch.gen)
 	case storage.RecTextBatch:
-		e.uv(uint64(len(ch.texts)))
+		e.Uv(uint64(len(ch.texts)))
 		for _, u := range ch.texts {
-			e.uv(uint64(u.Node))
-			e.str(u.Value)
+			e.Uv(uint64(u.Node))
+			e.Str(u.Value)
 		}
 	case storage.RecAttrUpdate:
-		e.uv(uint64(ch.attr))
-		e.str(ch.value)
+		e.Uv(uint64(ch.attr))
+		e.Str(ch.value)
 	case storage.RecDelete:
-		e.uv(uint64(ch.node))
+		e.Uv(uint64(ch.node))
 	case storage.RecInsert:
-		e.uv(uint64(ch.parent))
-		e.uv(uint64(ch.pos))
-		if _, err := ch.frag.WriteTo(e); err != nil {
-			return nil, err
-		}
+		e.Uv(uint64(ch.parent))
+		e.Uv(uint64(ch.pos))
+		ch.frag.Encode(e)
 	}
-	return e.buf, e.err
+	return e.Bytes()
 }
 
 // decode parses one record into its change. Records arrive from disk and
 // from the network, so every field must fit its type: a value that would
-// wrap into another node, attribute or position is an error.
+// wrap into another node, attribute or position is an error, and no
+// count may exceed the bytes left.
 func decode(rec storage.Record) (*change, error) {
-	r := bytes.NewReader(rec.Payload)
-	d := newSliceDecoder(r)
+	d := storage.NewDecoder(bytes.NewReader(rec.Payload))
 	ch := &change{kind: rec.Kind, record: rec.Payload}
 	switch rec.Kind {
 	case storage.RecCheckpoint:
-		ch.gen = d.uv()
+		ch.gen = d.Uv()
 	case storage.RecTextBatch:
-		n := d.count(2) // each update is >= 2 bytes encoded
+		n := d.Count(2) // each update is >= 2 bytes encoded
 		ch.texts = make([]TextUpdate, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			node := xmltree.NodeID(d.upTo(math.MaxInt32))
-			ch.texts = append(ch.texts, TextUpdate{Node: node, Value: d.str()})
+		for i := 0; i < n && d.Err() == nil; i++ {
+			node := xmltree.NodeID(d.UpTo(math.MaxInt32))
+			ch.texts = append(ch.texts, TextUpdate{Node: node, Value: d.Str()})
 		}
 	case storage.RecAttrUpdate:
-		ch.attr = xmltree.AttrID(d.upTo(math.MaxInt32))
-		ch.value = d.str()
+		ch.attr = xmltree.AttrID(d.UpTo(math.MaxInt32))
+		ch.value = d.Str()
 	case storage.RecDelete:
-		ch.node = xmltree.NodeID(d.upTo(math.MaxInt32))
+		ch.node = xmltree.NodeID(d.UpTo(math.MaxInt32))
 	case storage.RecInsert:
-		ch.parent = xmltree.NodeID(d.upTo(math.MaxInt32))
-		ch.pos = int(d.upTo(math.MaxInt))
-		if d.err == nil {
-			ch.frag, d.err = xmltree.ReadDoc(r)
+		ch.parent = xmltree.NodeID(d.UpTo(math.MaxInt32))
+		ch.pos = int(d.UpTo(math.MaxInt))
+		if d.Err() == nil {
+			var err error
+			ch.frag, err = xmltree.ReadDoc(d)
+			d.Fail(err)
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown WAL record kind %v", rec.Kind)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("core: decoding %v record: %w", rec.Kind, d.err)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("core: decoding %v record: %w", rec.Kind, err)
 	}
 	return ch, nil
 }

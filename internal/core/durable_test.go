@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -385,10 +386,14 @@ func TestRecordDecodeBounds(t *testing.T) {
 		}
 		return b
 	}
-	var frag bytes.Buffer
-	if _, err := mustParseForTest(t, `<x/>`).WriteTo(&frag); err != nil {
+	e := storage.NewBufEncoder(nil)
+	mustParseForTest(t, `<x/>`).Encode(e)
+	frag, err := e.Bytes()
+	if err != nil {
 		t.Fatal(err)
 	}
+	// An insert whose fragment names 2^22 nodes in 19 bytes.
+	hugeFrag := append(uv(1, 0, 1<<22, 0), make([]byte, 12)...)
 	for _, tc := range []struct {
 		name string
 		rec  storage.Record
@@ -398,12 +403,25 @@ func TestRecordDecodeBounds(t *testing.T) {
 		{"attr past int32", storage.Record{Kind: storage.RecAttrUpdate, Payload: append(uv(1<<32, 1), 'v')}},
 		{"string length", storage.Record{Kind: storage.RecAttrUpdate, Payload: uv(0, 1<<40)}},
 		{"delete past int32", storage.Record{Kind: storage.RecDelete, Payload: uv(1<<32 | 2)}},
-		{"insert parent past int32", storage.Record{Kind: storage.RecInsert, Payload: append(uv(1<<32|1, 0), frag.Bytes()...)}},
-		{"insert pos past int", storage.Record{Kind: storage.RecInsert, Payload: append(uv(1, 1<<63), frag.Bytes()...)}},
+		{"insert parent past int32", storage.Record{Kind: storage.RecInsert, Payload: append(uv(1<<32|1, 0), frag...)}},
+		{"insert pos past int", storage.Record{Kind: storage.RecInsert, Payload: append(uv(1, 1<<63), frag...)}},
+		{"insert fragment node count", storage.Record{Kind: storage.RecInsert, Payload: hugeFrag}},
 	} {
 		if err := ix.ApplyShippedRecord(2, tc.rec); err == nil {
 			t.Errorf("%s: record applied without error", tc.name)
 		}
+	}
+	// The fragment's node count is bounded by the bytes left, so the
+	// decoder fails before allocating the columns the count names.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err = decode(storage.Record{Kind: storage.RecInsert, Payload: hugeFrag})
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Error("a fragment naming 2^22 nodes decoded")
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("decoding a %d-byte insert record allocated %d bytes", len(hugeFrag), alloc)
 	}
 	if ix.Version() != 1 {
 		t.Fatalf("rejected records moved the version to %d", ix.Version())

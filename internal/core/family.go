@@ -161,8 +161,12 @@ func (pt *postingTree) checkStats() error {
 	if pt.stats == nil {
 		return nil
 	}
-	if got := pt.stats.sum(); got != pt.tree.Len() {
-		return fmt.Errorf("histogram population %d, tree has %d", got, pt.tree.Len())
+	population := 0
+	for _, c := range pt.stats.counts {
+		population += c
+	}
+	if population != pt.tree.Len() {
+		return fmt.Errorf("histogram population %d, tree has %d", population, pt.tree.Len())
 	}
 	if pt.stats.total != pt.tree.Len() {
 		return fmt.Errorf("stats total %d, tree has %d", pt.stats.total, pt.tree.Len())

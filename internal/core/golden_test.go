@@ -19,12 +19,12 @@ import (
 // derived state and the order of every section are part of the contract
 // with snapshots already on disk.
 var goldenDigests = map[string]string{
-	"xmark1":              "1c1bea2a5c7e57cc207d9279ea978509f290ef2053de391b628a290c88d5cde8",
-	"giant-subtree":       "005ffea74bc79a870ea4c96e777c2a72ac82447d798da5ce2ff97dc9dff84496",
-	"deep-chain":          "2961675f69ff14061fe727c298f23e0c613ef6d84875b21e1863904569ecbc53",
-	"all-attributes":      "e5124bd67c4d1644027cb2d844f5a2c418f4882a09e6c7c16bf5a0e12c698983",
-	"empty-document":      "73f57aa099fcb26a21ebdcc66e6d02f0767cf992a3fbc0039d0acc4dfc5d6694",
-	"mixed-content-spine": "da54d9541e3972240ff2b584b5e778f59e5b467003f6bf64ea3d7bdae4730024",
+	"xmark1":              "80cdb0a1d0927cf80e4a6b02dcea30764d4a4f438c77a7d9ed6edd99a70bda95",
+	"giant-subtree":       "3b47d4971f675bd5f1bc89e910e0516a8353d45e00f69de910e509a01d28fb45",
+	"deep-chain":          "d432a1d07a45c32e93cf718dec32ccdc4e6169fc4e361876ca70435198cf3d3d",
+	"all-attributes":      "2724e6b1b77f36debf595a9cc0c9f35a478db4fe4a8f67e838694dd71eeb41f4",
+	"empty-document":      "04f589e0e830715ffe3bb19f29ea32abc4d30d964d9ed3e452443356481791d7",
+	"mixed-content-spine": "a151f65631bbe89bb5858d87d80a26a4d02029b2862f7bc9cbe37c44b7a7e6cc",
 }
 
 // goldenRecordDigests pins the SHA-256 of the log record stream
@@ -32,12 +32,12 @@ var goldenDigests = map[string]string{
 // The record bytes are the write-ahead log's contract with logs already
 // on disk and with followers replaying a leader's shipped stream.
 var goldenRecordDigests = map[string]string{
-	"xmark1":              "0dc318d3911fd38b06f280d73e6cc902f5ba92d94b557f9d6fc3c42ee66ba50e",
-	"giant-subtree":       "08bdec241c41de1cf26f9ba5ece89c50ab406240770fc1e767dac70ae33e03a4",
-	"deep-chain":          "fc99ca83f0659b073d6aa2cac42ed159020f218fc71bae9ded9dbc0daf24bd13",
-	"all-attributes":      "aed3979c210d21aca59aefdf0682136da124ef34669ec42017131f1d2bddcb44",
-	"empty-document":      "66902771d7e905356a1f4fe82189790ce3167853d6d235f95c83fca3abcc7166",
-	"mixed-content-spine": "2a6b99d3d3a796ce92903c2e3da4b8704bf76bb871439ed1b0f67b51c62306af",
+	"xmark1":              "fe2e188c10e931f1afc95ea3b21c9578ea6ff4c4da8178a09e7907b8f3d64bc1",
+	"giant-subtree":       "f35299f42f9718debcd684b0ecb381c36e84e533ca9461ff23cc5a88b6004cec",
+	"deep-chain":          "8ee84289c97501fa4c277099eb49c265adb73e9a89a6ea2eee077ff1756a3e2a",
+	"all-attributes":      "7258b1abceb9290bfe1a9823fff8b90aa55d2bbfe0250ff76ffb682ccdb64778",
+	"empty-document":      "f6f3a18a6fac5fc13429a0b6c5980126bc8ab73d6645006c8bc812c10c7a96c1",
+	"mixed-content-spine": "30436664fccb8aaaed4a4a134da965c026f955bfa9e78c64f70e8bde80b7f8d1",
 }
 
 // goldenCommits builds xml with every index (substring included), runs

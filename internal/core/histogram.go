@@ -20,8 +20,8 @@ const histBuckets = 64
 // bucket); bucket bounds and the distinct count are frozen at (re)build
 // time and refreshed once accumulated churn exceeds a quarter of the
 // tree, so estimates degrade gracefully between rebuilds instead of
-// drifting unboundedly. A keyStats is persisted with its snapshot and
-// rebuilt from the tree when loading an older snapshot without one.
+// drifting unboundedly. A keyStats is derived data: Build and Load both
+// build it from the tree, and no snapshot stores it.
 type keyStats struct {
 	total    int
 	distinct int

@@ -12,11 +12,11 @@ import (
 	"testing"
 
 	"repro/internal/btree"
+	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
-// Tests for the compressed hot-data layout: the versioned tree section
-// codec, the packed posting lists, commit-time heap compaction, the
+// Tests for the compressed hot-data layout: the tree section codec, the packed posting lists, commit-time heap compaction, the
 // MemStats accounting, and the property that the packed layout answers
 // everything byte-identically to the scan oracles.
 
@@ -32,11 +32,10 @@ func buildDupHeavyTree(n int) *btree.Tree {
 func TestTreeSectionRoundTripV2(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 64, 65, 5000} {
 		want := buildDupHeavyTree(n)
-		var buf bytes.Buffer
-		if err := writeTree(&buf, want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := readTree(bytes.NewReader(buf.Bytes()))
+		e := storage.NewBufEncoder(nil)
+		writeTree(e, want)
+		buf, _ := e.Bytes()
+		got, err := readTree(storage.NewDecoder(bytes.NewReader(buf)))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -49,50 +48,6 @@ func TestTreeSectionRoundTripV2(t *testing.T) {
 				t.Fatalf("n=%d: entry %d = %+v, want %+v", n, i, g[i], w[i])
 			}
 		}
-	}
-}
-
-// TestVersionlessTreeSectionRejected hand-encodes the pre-versioning
-// format — entry count first, absolute vals — and proves readTree
-// refuses it with an error that says why, instead of misreading it.
-func TestVersionlessTreeSectionRejected(t *testing.T) {
-	tree := buildDupHeavyTree(500)
-	var buf bytes.Buffer
-	se := newSliceEncoder(&buf)
-	se.uv(uint64(tree.Len()))
-	var prevKey uint64
-	tree.Scan(func(key uint64, val uint32) bool {
-		se.uv(key - prevKey)
-		prevKey = key
-		se.uv(uint64(val))
-		return true
-	})
-	if err := se.flush(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := readTree(bytes.NewReader(buf.Bytes()))
-	if err == nil {
-		t.Fatal("readTree accepted a tree section without a format version")
-	}
-	if !strings.Contains(err.Error(), "no format version") || !strings.Contains(err.Error(), "500") {
-		t.Fatalf("error does not explain the rejected section: %v", err)
-	}
-}
-
-func TestUnknownTreeSectionVersionErrors(t *testing.T) {
-	var buf bytes.Buffer
-	se := newSliceEncoder(&buf)
-	se.uv(treeSectionSentinel)
-	se.uv(99)
-	if err := se.flush(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := readTree(bytes.NewReader(buf.Bytes()))
-	if err == nil {
-		t.Fatal("readTree accepted unknown tree section version")
-	}
-	if !strings.Contains(err.Error(), "version 99") {
-		t.Fatalf("error does not name the offending version: %v", err)
 	}
 }
 

@@ -139,7 +139,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // loadCrafted saves a small document, replaces section name's payload
 // with what write encodes — as a follower could receive it from a
 // leader's /v1/snapshot — and returns Load's error.
-func loadCrafted(t *testing.T, name string, write func(ix *Indexes, se *sliceEncoder)) error {
+func loadCrafted(t *testing.T, name string, write func(ix *Indexes, e *storage.Encoder)) error {
 	t.Helper()
 	ix := Build(mustParseForTest(t, `<r a="1"><p>4.5</p></r>`), DefaultOptions())
 	dir := t.TempDir()
@@ -147,26 +147,22 @@ func loadCrafted(t *testing.T, name string, write func(ix *Indexes, se *sliceEnc
 	if err := ix.Save(src); err != nil {
 		t.Fatal(err)
 	}
-	var sec bytes.Buffer
-	se := newSliceEncoder(&sec)
-	write(ix, se)
-	if err := se.flush(); err != nil {
+	e := storage.NewBufEncoder(nil)
+	write(ix, e)
+	sec, err := e.Bytes()
+	if err != nil {
 		t.Fatal(err)
 	}
 	dst := filepath.Join(dir, "crafted.xvi")
-	rewriteSection(t, src, dst, name, sec.Bytes())
-	_, err := Load(dst)
+	rewriteSection(t, src, dst, name, sec)
+	_, err = Load(dst)
 	return err
 }
 
-// craftedTreeCount encodes a tree section header naming count entries,
+// craftedTreeCount encodes a tree section naming count entries,
 // followed by none.
-func craftedTreeCount(count uint64) func(*Indexes, *sliceEncoder) {
-	return func(_ *Indexes, se *sliceEncoder) {
-		se.uv(treeSectionSentinel)
-		se.uv(treeSectionVersion)
-		se.uv(count)
-	}
+func craftedTreeCount(count uint64) func(*Indexes, *storage.Encoder) {
+	return func(_ *Indexes, e *storage.Encoder) { e.Uv(count) }
 }
 
 // TestLoadRejectsCraftedTreeCountMax: a tree count of 2^64-1 is an
@@ -185,46 +181,69 @@ func TestLoadRejectsCraftedTreeCountHuge(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCraftedStableCount: a stable section whose preOf count
-// is 2^64-1 is an error, not a makeslice panic.
+// TestLoadRejectsCraftedDocCount: a document section naming more nodes
+// than its bytes can hold is an error, not an allocation of what it
+// names.
+func TestLoadRejectsCraftedDocCount(t *testing.T) {
+	err := loadCrafted(t, SectionDoc, func(_ *Indexes, e *storage.Encoder) {
+		e.Uv(1 << 40) // nodes
+		e.Uv(0)       // attributes
+	})
+	if err == nil || !strings.Contains(err.Error(), "does not fit") {
+		t.Fatalf("Load of a document section naming 2^40 nodes: %v", err)
+	}
+}
+
+// TestLoadRejectsCraftedStableCount: a stable column count or an id
+// space of 2^64-1 is an error, not a makeslice panic.
 func TestLoadRejectsCraftedStableCount(t *testing.T) {
-	err := loadCrafted(t, SectionStable, func(ix *Indexes, se *sliceEncoder) {
-		se.u32s(ix.Snapshot().stableOf)
-		se.uv(^uint64(0))
-	})
-	if err == nil {
-		t.Fatal("Load accepted a stable section whose count exceeds the section")
+	for name, write := range map[string]func(*Indexes, *storage.Encoder){
+		"column count": func(_ *Indexes, e *storage.Encoder) { e.Uv(^uint64(0)) },
+		"id space": func(ix *Indexes, e *storage.Encoder) {
+			e.U32s(ix.Snapshot().stableOf)
+			e.Uv(^uint64(0))
+		},
+	} {
+		if err := loadCrafted(t, SectionStable, write); err == nil {
+			t.Errorf("%s: Load accepted a stable section whose count exceeds its bound", name)
+		}
 	}
 }
 
-// TestLoadRejectsBrokenStableMap: a stable id outside its inverse map is
-// an error, checked before the fold keys typed state by stable id.
+// TestLoadRejectsBrokenStableMap: Load inverts the stable columns, and a
+// stable id outside its id space or one that repeats is an error, found
+// before the fold keys typed state by stable id.
 func TestLoadRejectsBrokenStableMap(t *testing.T) {
-	err := loadCrafted(t, SectionStable, func(ix *Indexes, se *sliceEncoder) {
-		s := ix.Snapshot()
-		stables := slices.Clone(s.stableOf)
-		stables[len(stables)-1] = math.MaxUint32
-		se.u32s(stables)
-		se.i32s(s.preOf)
-		se.u32s(s.attrStableOf)
-		se.i32s(s.attrOf)
-	})
-	if err == nil || !strings.Contains(err.Error(), "stable map") {
-		t.Fatalf("Load of a broken stable map: %v", err)
+	for name, broken := range map[string]func(stables []uint32){
+		"outside":   func(stables []uint32) { stables[len(stables)-1] = math.MaxUint32 },
+		"duplicate": func(stables []uint32) { stables[1] = stables[0] },
+	} {
+		err := loadCrafted(t, SectionStable, func(ix *Indexes, e *storage.Encoder) {
+			s := ix.Snapshot()
+			stables := slices.Clone(s.stableOf)
+			broken(stables)
+			e.U32s(stables)
+			e.Uv(uint64(len(s.preOf)))
+			e.U32s(s.attrStableOf)
+			e.Uv(uint64(len(s.attrOf)))
+		})
+		if err == nil || !strings.Contains(err.Error(), "stable map") {
+			t.Errorf("%s: Load of a broken stable map: %v", name, err)
+		}
 	}
 }
 
-// TestLoadRejectsFormatVersion2 requires a snapshot in the previous
-// format, which stored the per-node state, to fail with an error naming
+// TestLoadRejectsFormatVersion3 requires a snapshot in the previous
+// format, which stored derivable sections, to fail with an error naming
 // its version rather than load through a fallback.
-func TestLoadRejectsFormatVersion2(t *testing.T) {
-	err := loadCrafted(t, SectionMeta, func(_ *Indexes, se *sliceEncoder) {
-		se.uv(2)
-		se.uv(1) // string index
-		se.uv(0) // no typed indexes
+func TestLoadRejectsFormatVersion3(t *testing.T) {
+	err := loadCrafted(t, SectionMeta, func(_ *Indexes, e *storage.Encoder) {
+		e.Uv(3)
+		e.Uv(1) // string index
+		e.Uv(0) // no typed indexes
 	})
-	if err == nil || !strings.Contains(err.Error(), "format version 2") {
-		t.Fatalf("Load of a version-2 snapshot: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "format version 3") {
+		t.Fatalf("Load of a version-3 snapshot: %v", err)
 	}
 }
 
@@ -248,6 +267,21 @@ func TestLoadSideBytesMatchBuild(t *testing.T) {
 	built, loaded := ix.Snapshot().MemStats().SideBytes, got.Snapshot().MemStats().SideBytes
 	if built != loaded {
 		t.Errorf("SideBytes: Build %d, Load of its snapshot %d", built, loaded)
+	}
+	// Nothing derivable is stored: no statistics, no inverse maps, no
+	// per-node state.
+	want := []string{SectionMeta, SectionDoc, SectionStable, SectionStrTree, SectionVersion}
+	for _, f := range ix.Snapshot().typedFams() {
+		want = append(want, TypedSectionName(f.spec.ID))
+	}
+	slices.Sort(want)
+	r, err := storage.OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.Sections(); !slices.Equal(got, want) {
+		t.Errorf("sections %v, want %v", got, want)
 	}
 }
 

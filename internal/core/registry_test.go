@@ -200,11 +200,11 @@ func TestLoadRejectsUnknownSnapshotVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := newSliceEncoder(sec)
-	se.uv(99) // a future format version
-	se.uv(1)
-	se.uv(0)
-	if err := se.flush(); err != nil {
+	se := storage.NewEncoder(sec)
+	se.Uv(99) // a future format version
+	se.Uv(1)
+	se.Uv(0)
+	if err := se.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -229,12 +229,12 @@ func TestLoadRejectsUnknownTypeID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := newSliceEncoder(sec)
-	se.uv(snapshotVersion)
-	se.uv(0)
-	se.uv(1)
-	se.uv(9999) // never registered
-	if err := se.flush(); err != nil {
+	se := storage.NewEncoder(sec)
+	se.Uv(snapshotVersion)
+	se.Uv(0)
+	se.Uv(1)
+	se.Uv(9999) // never registered
+	if err := se.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

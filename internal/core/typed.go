@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"unsafe"
 
@@ -318,25 +317,21 @@ func (t *typedFamily) addMem(ms *MemStats) {
 // reject a section that holds another type's tree. The states are
 // derived, refolded on load.
 func (t *typedFamily) save(w *storage.Writer) error {
-	return writeSection(w, TypedSectionName(t.spec.ID), func(sec io.Writer) error {
-		se := newSliceEncoder(sec)
-		se.uv(uint64(t.spec.ID))
-		if err := se.flush(); err != nil {
-			return err
-		}
-		return writeTree(sec, t.tree)
+	return writeSection(w, TypedSectionName(t.spec.ID), func(e *storage.Encoder) {
+		e.Uv(uint64(t.spec.ID))
+		writeTree(e, t.tree)
 	})
 }
 
 func (t *typedFamily) load(r *storage.Reader) error {
-	sd, err := openSection(r, TypedSectionName(t.spec.ID))
+	d, err := openSection(r, TypedSectionName(t.spec.ID))
 	if err != nil {
 		return err
 	}
-	if id := TypeID(sd.uv()); sd.err == nil && id != t.spec.ID {
+	if id := TypeID(d.Uv()); d.Err() == nil && id != t.spec.ID {
 		return fmt.Errorf("core: typed index %q: section holds type ID %d, want %d", t.spec.Name, id, t.spec.ID)
 	}
-	if t.tree, err = readTree(sd.r); err != nil {
+	if t.tree, err = readTree(d); err != nil {
 		return fmt.Errorf("core: typed index %q: %w", t.spec.Name, err)
 	}
 	return nil

@@ -244,7 +244,9 @@ func TestFollowerCrashMidApply(t *testing.T) {
 	stateDir := t.TempDir()
 	f, stop := startFollower(t, ts.URL, stateDir)
 
-	storm(t, doc, 24)
+	// 48 commits log well over 1025 bytes, so every cut below lands
+	// inside the log.
+	storm(t, doc, 48)
 	leaderV := doc.Version()
 	waitVersion(t, f, leaderV)
 	stop() // clean shutdown: the follower's WAL is synced and complete

@@ -288,6 +288,11 @@ func (sr *SectionReader) Read(p []byte) (int, error) {
 func (sr *SectionReader) Len() int { return int(sr.remain) + len(sr.buf) - sr.off }
 
 func (sr *SectionReader) ReadByte() (byte, error) {
+	if sr.off < len(sr.buf) {
+		b := sr.buf[sr.off]
+		sr.off++
+		return b, nil
+	}
 	var one [1]byte
 	for {
 		n, err := sr.Read(one[:])

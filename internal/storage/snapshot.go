@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -84,19 +83,16 @@ func (w *Writer) Close() error {
 		return err
 	}
 	// Serialise the directory.
-	var dir []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putUv := func(v uint64) { n := binary.PutUvarint(tmp[:], v); dir = append(dir, tmp[:n]...) }
-	putUv(uint64(len(w.entries)))
-	for _, e := range w.entries {
-		putUv(uint64(len(e.name)))
-		dir = append(dir, e.name...)
-		putUv(uint64(e.firstPage))
-		putUv(uint64(e.length))
-		putUv(uint64(e.crc))
-	}
 	dw := &sectionWriter{pf: w.pf}
-	if _, err := dw.Write(dir); err != nil {
+	e := NewEncoder(dw)
+	e.Uv(uint64(len(w.entries)))
+	for _, de := range w.entries {
+		e.Str(de.name)
+		e.Uv(uint64(de.firstPage))
+		e.Uv(uint64(de.length))
+		e.Uv(uint64(de.crc))
+	}
+	if err := e.Flush(); err != nil {
 		w.pf.Close()
 		return err
 	}
@@ -131,52 +127,20 @@ func OpenReader(path string) (*Reader, error) {
 	remain := (pf.NumPages() - dirPage) * pagePayload
 	sr := &SectionReader{pf: pf, page: dirPage, remain: remain, want: 0}
 	sr.want = sr.crc // directory has no independent CRC; page CRCs cover it
-	br := &byteCounter{r: sr}
-	nEntries, err := binary.ReadUvarint(br)
-	if err != nil {
+	d := NewDecoder(sr)
+	nEntries := d.Count(4) // an entry is at least four varints
+	for i := 0; i < nEntries && d.Err() == nil; i++ {
+		e := dirEntry{name: d.Str()}
+		e.firstPage = int64(d.UpTo(1<<63 - 1))
+		e.length = int64(d.UpTo(1<<63 - 1))
+		e.crc = uint32(d.UpTo(1<<32 - 1))
+		r.entries[e.name] = e
+	}
+	if err := d.Err(); err != nil {
 		pf.Close()
 		return nil, fmt.Errorf("%w: directory: %v", ErrCorrupt, err)
 	}
-	for i := uint64(0); i < nEntries; i++ {
-		nameLen, err := binary.ReadUvarint(br)
-		if err != nil || nameLen > 4096 {
-			pf.Close()
-			return nil, fmt.Errorf("%w: directory entry", ErrCorrupt)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			pf.Close()
-			return nil, fmt.Errorf("%w: directory entry name", ErrCorrupt)
-		}
-		first, err1 := binary.ReadUvarint(br)
-		length, err2 := binary.ReadUvarint(br)
-		crc, err3 := binary.ReadUvarint(br)
-		if err1 != nil || err2 != nil || err3 != nil {
-			pf.Close()
-			return nil, fmt.Errorf("%w: directory entry fields", ErrCorrupt)
-		}
-		r.entries[string(name)] = dirEntry{
-			name:      string(name),
-			firstPage: int64(first),
-			length:    int64(length),
-			crc:       uint32(crc),
-		}
-	}
 	return r, nil
-}
-
-type byteCounter struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (b *byteCounter) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *byteCounter) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
 }
 
 // Section returns a verified reader over the named section. The returned

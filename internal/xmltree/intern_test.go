@@ -203,11 +203,8 @@ func TestWriteToDropsDeadNames(t *testing.T) {
 		t.Fatalf("in-memory dictionary shrank from %d to %d without serialisation", before, d.names.count())
 	}
 
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDoc(bytes.NewReader(buf.Bytes()))
+	buf := encodeDoc(t, d)
+	got, err := decodeDoc(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +231,8 @@ func TestWriteToDropsDeadNames(t *testing.T) {
 	}
 	// Serialising twice must be byte-stable (determinism matters for
 	// leader/follower snapshot comparisons).
-	var buf2 bytes.Buffer
-	if _, err := d.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("WriteTo is not deterministic")
+	if !bytes.Equal(buf, encodeDoc(t, d)) {
+		t.Fatal("Encode is not deterministic")
 	}
 }
 
@@ -247,11 +240,8 @@ func TestWriteToDropsDeadNames(t *testing.T) {
 // one copy per value) reloads into a hash-consed heap.
 func TestReadDocInternsValues(t *testing.T) {
 	d := buildRepetitive(t, 100, 10)
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDoc(bytes.NewReader(buf.Bytes()))
+	buf := encodeDoc(t, d)
+	got, err := decodeDoc(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

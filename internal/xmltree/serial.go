@@ -1,134 +1,104 @@
 package xmltree
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
+	"math"
 
 	"repro/internal/pcol"
+	"repro/internal/storage"
 )
 
-// Binary document format: fixed-width little-endian columns plus a text
-// heap, mirroring how a column-store database (MonetDB-style BATs) lays
-// out a shredded document — columns stay randomly accessible, so the
-// section size is an honest stand-in for "database storage" in the
-// paper's Figure 9 measurements.
+// Document section format: uvarint columns in pre order, then the name
+// dictionary, then the text heap, all through the storage codec.
 //
-//	magic "XTDOC2"
-//	counts:      n, na, nNames  (u32 each)
-//	kind[n]      u8
-//	size[n]      u32
-//	parentΔ[n-1] u32   (self - parent)
-//	name[n]      i32
-//	valueLen[n]  u32
-//	attrStart[n+1] u32
-//	attrName[na]   i32
-//	attrValueLen[na] u32
-//	names dictionary  (u32 len + bytes each)
-//	heap: node values then attribute values, concatenated
+//	counts:          n, na
+//	kind[n]
+//	size[n]          descendants, self excluded
+//	name[n]          dictionary id + 1; 0 for none
+//	valueLen[n]
+//	attrCount[n]     attributes owned by each node
+//	attrName[na]     dictionary id + 1
+//	attrValueLen[na]
+//	names            length-prefixed, one per name the columns use,
+//	                 in first-use order
+//	heap             node values then attribute values, concatenated
 //
-// Values are re-packed on write, so heap garbage never hits the disk.
-// Levels are recomputed from parents on load.
-const docMagic = "XTDOC2"
+// Only what cannot be derived is stored: parents and levels follow from
+// sizes, and attrStart is the prefix sum of the attribute counts. Values
+// are written once per reference, so heap garbage never reaches the disk,
+// and ReadDoc re-interns them into a hash-consed heap.
 
-// WriteTo serialises the document. It implements io.WriterTo.
+// Encode writes the document to e.
 //
 // Only live names hit the disk: deletions drop nodes but never
 // dictionary entries, so a long-lived document's dictionary accretes
-// dead names. WriteTo remaps name ids densely over the names actually
+// dead names. Encode remaps name ids densely over the names actually
 // referenced by a node or attribute (in first-use order, which is
 // deterministic, keeping leader/follower snapshot bytes identical), so
 // serialisation is the point where the dictionary sheds its garbage.
-func (d *Doc) WriteTo(w io.Writer) (int64, error) {
+func (d *Doc) Encode(e *storage.Encoder) {
 	remap := make([]NameID, d.names.count())
 	for i := range remap {
 		remap[i] = -1
 	}
 	live := make([]string, 0, d.names.count())
-	mapName := func(id NameID) NameID {
+	ref := func(id NameID) uint64 {
 		if id < 0 {
-			return -1
+			return 0
 		}
 		if remap[id] < 0 {
 			remap[id] = NameID(len(live))
 			live = append(live, d.names.names[id])
 		}
-		return remap[id]
+		return uint64(remap[id]) + 1
 	}
-	for i := range d.name {
-		mapName(d.name[i])
-	}
-	for a := range d.attrName {
-		mapName(d.attrName[a])
-	}
-
-	cw := &countWriter{w: w}
-	bw := newBinWriter(cw)
-	bw.raw([]byte(docMagic))
-	n := d.NumNodes()
-	na := d.NumAttrs()
-	bw.u32(uint32(n))
-	bw.u32(uint32(na))
-	bw.u32(uint32(len(live)))
-
+	n, na := d.NumNodes(), d.NumAttrs()
+	e.Uv(uint64(n))
+	e.Uv(uint64(na))
 	for i := 0; i < n; i++ {
-		bw.raw([]byte{byte(d.kind[i])})
+		e.Uv(uint64(d.kind[i]))
 	}
 	for i := 0; i < n; i++ {
-		bw.u32(uint32(d.size[i]))
-	}
-	for i := 1; i < n; i++ {
-		bw.u32(uint32(int32(i) - int32(d.parent[i])))
+		e.Uv(uint64(d.size[i]))
 	}
 	for i := 0; i < n; i++ {
-		bw.u32(uint32(mapName(d.name[i])))
+		e.Uv(ref(d.name[i]))
 	}
 	for i := 0; i < n; i++ {
-		bw.u32(d.value.At(i).len)
+		e.Uv(uint64(d.value.At(i).len))
 	}
-	for i := 0; i <= n; i++ {
-		bw.u32(uint32(d.attrStart[i]))
+	for i := 0; i < n; i++ {
+		e.Uv(uint64(d.attrStart[i+1] - d.attrStart[i]))
 	}
 	for a := 0; a < na; a++ {
-		bw.u32(uint32(mapName(d.attrName[a])))
+		e.Uv(ref(d.attrName[a]))
 	}
 	for a := 0; a < na; a++ {
-		bw.u32(d.attrValue.At(a).len)
+		e.Uv(uint64(d.attrValue.At(a).len))
 	}
 	for _, s := range live {
-		bw.u32(uint32(len(s)))
-		bw.raw([]byte(s))
+		e.Str(s)
 	}
 	for i := 0; i < n; i++ {
-		bw.raw(d.heap.getBytes(d.value.At(i)))
+		e.Raw(d.heap.getBytes(d.value.At(i)))
 	}
 	for a := 0; a < na; a++ {
-		bw.raw(d.heap.getBytes(d.attrValue.At(a)))
+		e.Raw(d.heap.getBytes(d.attrValue.At(a)))
 	}
-	return cw.n, bw.flush()
 }
 
-// ReadDoc deserialises a document written by WriteTo and validates its
-// structural invariants.
-func ReadDoc(r io.Reader) (*Doc, error) {
-	br := newBinReader(r)
-	magic := make([]byte, len(docMagic))
-	br.raw(magic)
-	if br.err == nil && string(magic) != docMagic {
-		return nil, errors.New("xmltree: bad document magic")
+// ReadDoc reads a document written by Encode and validates its
+// structural invariants. Every count is bounded by the bytes left, and
+// an input that decodes re-encodes to the same bytes: name ids must come
+// in first-use order and every varint in its shortest form.
+func ReadDoc(dec *storage.Decoder) (*Doc, error) {
+	n := dec.Count(5) // a node is at least five varints
+	na := dec.Count(2)
+	if dec.Err() == nil && (n == 0 || n > math.MaxInt32-1 || na > math.MaxInt32-1) {
+		return nil, fmt.Errorf("xmltree: implausible counts %d/%d", n, na)
 	}
-	n := int(br.u32())
-	na := int(br.u32())
-	nNames := int(br.u32())
-	if br.err != nil {
-		return nil, br.err
-	}
-	// The names dictionary may legitimately exceed the node count:
-	// deletions drop nodes but never dictionary entries, so a document
-	// that shrank keeps its interned names. Bound it independently.
-	if n <= 0 || n > 1<<31-2 || na < 0 || na > 1<<31-2 || nNames < 0 || nNames > 1<<28 {
-		return nil, fmt.Errorf("xmltree: implausible counts %d/%d/%d", n, na, nNames)
+	if err := dec.Err(); err != nil {
+		return nil, err
 	}
 	d := &Doc{
 		kind:      make([]Kind, n),
@@ -143,82 +113,69 @@ func ReadDoc(r io.Reader) (*Doc, error) {
 		names:     newNameDict(),
 		heap:      newTextHeap(),
 	}
-	kinds := make([]byte, n)
-	br.raw(kinds)
-	for i := range kinds {
-		d.kind[i] = Kind(kinds[i])
+	for i := range d.kind {
+		d.kind[i] = Kind(dec.UpTo(uint64(PI)))
 	}
-	for i := 0; i < n; i++ {
-		d.size[i] = int32(br.u32())
+	for i := range d.size {
+		d.size[i] = int32(dec.UpTo(uint64(n - 1)))
 	}
-	d.parent[0] = InvalidNode
-	for i := 1; i < n; i++ {
-		d.parent[i] = NodeID(int32(i) - int32(br.u32()))
+	used := 0 // names referenced so far; the next new one is used+1
+	ref := func() NameID {
+		v := dec.UpTo(uint64(used) + 1)
+		if int(v) == used+1 {
+			used++
+		}
+		return NameID(v) - 1
 	}
-	for i := 0; i < n; i++ {
-		d.name[i] = NameID(br.u32())
+	for i := range d.name {
+		d.name[i] = ref()
 	}
-	valueLens := make([]uint32, n)
 	var heapNeed uint64
-	for i := 0; i < n; i++ {
-		valueLens[i] = br.u32()
+	valueLens := make([]uint32, n)
+	for i := range valueLens {
+		valueLens[i] = uint32(dec.UpTo(math.MaxUint32))
 		heapNeed += uint64(valueLens[i])
 	}
-	for i := 0; i <= n; i++ {
-		d.attrStart[i] = int32(br.u32())
+	for i := 0; i < n; i++ {
+		d.attrStart[i+1] = d.attrStart[i] + int32(dec.UpTo(uint64(na-int(d.attrStart[i]))))
 	}
-	for a := 0; a < na; a++ {
-		d.attrName[a] = NameID(br.u32())
+	if dec.Err() == nil && int(d.attrStart[n]) != na {
+		return nil, fmt.Errorf("xmltree: nodes own %d attributes, want %d", d.attrStart[n], na)
+	}
+	for a := range d.attrName {
+		d.attrName[a] = ref()
 	}
 	attrLens := make([]uint32, na)
-	for a := 0; a < na; a++ {
-		attrLens[a] = br.u32()
+	for a := range attrLens {
+		attrLens[a] = uint32(dec.UpTo(math.MaxUint32))
 		heapNeed += uint64(attrLens[a])
 	}
-	if br.err != nil {
-		return nil, br.err
-	}
-	if heapNeed > 1<<40 {
-		return nil, errors.New("xmltree: implausible heap size")
-	}
-	for i := 0; i < nNames && br.err == nil; i++ {
-		l := br.u32()
-		if l > 1<<20 {
-			return nil, errors.New("xmltree: implausible name length")
-		}
-		b := make([]byte, l)
-		br.raw(b)
-		d.names.intern(string(b))
-	}
-	// Heap: one contiguous read of the serialised (per-value, duplicated)
-	// blob, then re-intern each value into the document heap — repeated
-	// values collapse onto one stored copy, so a loaded document gets the
-	// same hash-consed layout a built one has.
-	blob := make([]byte, heapNeed)
-	br.raw(blob)
-	if br.err != nil {
-		return nil, br.err
-	}
-	off := uint32(0)
-	for i := 0; i < n; i++ {
-		if valueLens[i] > 0 {
-			d.value.Set(i, d.heap.put(blob[off:off+valueLens[i]]))
-			off += valueLens[i]
+	for i := 0; i < used && dec.Err() == nil; i++ {
+		if d.names.intern(dec.Str()) != NameID(i) {
+			return nil, fmt.Errorf("xmltree: name %d repeats an earlier one", i)
 		}
 	}
-	for a := 0; a < na; a++ {
-		if attrLens[a] > 0 {
-			d.attrValue.Set(a, d.heap.put(blob[off:off+attrLens[a]]))
-			off += attrLens[a]
+	// The heap blob holds one copy per reference; re-interning collapses
+	// repeated values onto one stored copy, so a loaded document gets
+	// the same hash-consed layout a built one has.
+	blob := dec.Raw(heapNeed)
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
+	for i, l := range valueLens {
+		if l > 0 {
+			d.value.Set(i, d.heap.put(blob[:l]))
+			blob = blob[l:]
 		}
 	}
-	// Levels derive from parents.
-	for i := 1; i < n; i++ {
-		p := d.parent[i]
-		if p < 0 || p >= NodeID(i) {
-			return nil, fmt.Errorf("xmltree: bad parent %d of node %d", p, i)
+	for a, l := range attrLens {
+		if l > 0 {
+			d.attrValue.Set(a, d.heap.put(blob[:l]))
+			blob = blob[l:]
 		}
-		d.level[i] = d.level[p] + 1
+	}
+	if err := d.deriveParents(); err != nil {
+		return nil, err
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -226,93 +183,28 @@ func ReadDoc(r io.Reader) (*Doc, error) {
 	return d, nil
 }
 
-// --- buffered fixed-width stream helpers (shared with the storage layer) ---
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type binWriter struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-func newBinWriter(w io.Writer) *binWriter {
-	return &binWriter{w: w, buf: make([]byte, 0, 1<<16)}
-}
-
-func (b *binWriter) flushIfFull() {
-	if len(b.buf) >= 1<<16-64 {
-		_ = b.flush()
+// deriveParents fills parent and level from size in one pass over pre
+// order: a node's parent is the innermost open node whose range holds
+// it. A size that overruns its parent's range is an error.
+func (d *Doc) deriveParents() error {
+	n := d.NumNodes()
+	if int(d.size[0]) != n-1 {
+		return fmt.Errorf("xmltree: document size %d, want %d", d.size[0], n-1)
 	}
-}
-
-func (b *binWriter) flush() error {
-	if b.err != nil {
-		return b.err
-	}
-	if len(b.buf) > 0 {
-		_, b.err = b.w.Write(b.buf)
-		b.buf = b.buf[:0]
-	}
-	return b.err
-}
-
-func (b *binWriter) raw(p []byte) {
-	if b.err != nil {
-		return
-	}
-	if len(p) >= 1<<15 {
-		_ = b.flush()
-		if b.err == nil {
-			_, b.err = b.w.Write(p)
+	d.parent[0] = InvalidNode
+	end := func(i NodeID) int { return int(i) + int(d.size[i]) }
+	open := []NodeID{0} // the root's range holds every node, so it stays
+	for i := NodeID(1); int(i) < n; i++ {
+		for end(open[len(open)-1]) < int(i) {
+			open = open[:len(open)-1]
 		}
-		return
+		p := open[len(open)-1]
+		if end(i) > end(p) {
+			return fmt.Errorf("xmltree: node %d (size %d) overruns parent %d", i, d.size[i], p)
+		}
+		d.parent[i] = p
+		d.level[i] = d.level[p] + 1
+		open = append(open, i)
 	}
-	b.buf = append(b.buf, p...)
-	b.flushIfFull()
-}
-
-func (b *binWriter) u32(v uint32) {
-	if b.err != nil {
-		return
-	}
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, v)
-	b.flushIfFull()
-}
-
-type binReader struct {
-	rr  io.Reader
-	buf [4]byte
-	err error
-}
-
-func newBinReader(r io.Reader) *binReader { return &binReader{rr: r} }
-
-func (b *binReader) u32() uint32 {
-	if b.err != nil {
-		return 0
-	}
-	if _, err := io.ReadFull(b.rr, b.buf[:4]); err != nil {
-		b.err = err
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b.buf[:4])
-}
-
-func (b *binReader) raw(p []byte) {
-	if b.err != nil {
-		return
-	}
-	if _, err := io.ReadFull(b.rr, p); err != nil {
-		b.err = err
-	}
+	return nil
 }

@@ -5,19 +5,30 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/storage"
 )
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	d := buildPersonDoc(t)
-	var buf bytes.Buffer
-	n, err := d.WriteTo(&buf)
+// encodeDoc returns d's document-section bytes.
+func encodeDoc(t testing.TB, d *Doc) []byte {
+	t.Helper()
+	e := storage.NewBufEncoder(nil)
+	d.Encode(e)
+	b, err := e.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := ReadDoc(&buf)
+	return b
+}
+
+// decodeDoc reads a document section from b.
+func decodeDoc(b []byte) (*Doc, error) {
+	return ReadDoc(storage.NewDecoder(bytes.NewReader(b)))
+}
+
+func TestWriteReadRoundTrip(t *testing.T) {
+	d := buildPersonDoc(t)
+	got, err := decodeDoc(encodeDoc(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +67,7 @@ func TestWriteReadRoundTripWithAttrsAndUpdates(t *testing.T) {
 			break
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDoc(&buf)
+	got, err := decodeDoc(encodeDoc(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,25 +82,40 @@ func TestReadDocRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("not a document"),
-		[]byte("XTDOC2"), // truncated after magic
-		append([]byte("XTDOC2"), bytes.Repeat([]byte{0xFF}, 12)...), // absurd counts
+		{1},                            // truncated after the node count
+		bytes.Repeat([]byte{0xFF}, 12), // absurd counts
 	}
 	for i, c := range cases {
-		if _, err := ReadDoc(bytes.NewReader(c)); err == nil {
+		if _, err := decodeDoc(c); err == nil {
 			t.Errorf("case %d: ReadDoc accepted garbage", i)
 		}
 	}
 }
 
-func TestReadDocRejectsTruncation(t *testing.T) {
-	d := buildPersonDoc(t)
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// TestReadDocRejectsSizeOverrun: parents derive from sizes, so a node
+// whose subtree runs past its parent's range is an error of its own,
+// found before Validate runs.
+func TestReadDocRejectsSizeOverrun(t *testing.T) {
+	// <r><e><e/></e></r> with the inner element's size 1 instead of 0.
+	enc := []byte{
+		4, 0, // nodes, attributes
+		0, 1, 1, 1, // kinds: document, then elements
+		3, 1, 1, 0, // sizes: node 2 reaches node 3, outside node 1
+		0, 1, 1, 1, // name ids + 1
+		0, 0, 0, 0, // value lengths
+		0, 0, 0, 0, // attribute counts
+		1, 'e', // the name dictionary
 	}
-	full := buf.Bytes()
+	_, err := decodeDoc(enc)
+	if err == nil || !strings.Contains(err.Error(), "overruns parent 1") {
+		t.Fatalf("ReadDoc of an overrunning size: %v", err)
+	}
+}
+
+func TestReadDocRejectsTruncation(t *testing.T) {
+	full := encodeDoc(t, buildPersonDoc(t))
 	for _, cut := range []int{10, len(full) / 2, len(full) - 1} {
-		if _, err := ReadDoc(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := decodeDoc(full[:cut]); err == nil {
 			t.Errorf("ReadDoc accepted %d/%d-byte truncation", cut, len(full))
 		}
 	}
@@ -103,11 +125,7 @@ func TestRandomDocsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 25; trial++ {
 		d := randomDoc(t, rng, 4, 4)
-		var buf bytes.Buffer
-		if _, err := d.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadDoc(&buf)
+		got, err := decodeDoc(encodeDoc(t, d))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -138,14 +156,11 @@ func assertSameDoc(t *testing.T, a, b *Doc) {
 	}
 }
 
-func BenchmarkWriteTo(b *testing.B) {
+func BenchmarkEncode(b *testing.B) {
 	d := buildPersonDoc(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if _, err := d.WriteTo(&buf); err != nil {
-			b.Fatal(err)
-		}
+		encodeDoc(b, d)
 	}
 }
 
@@ -173,11 +188,7 @@ func TestRoundTripAfterRootDeletion(t *testing.T) {
 	if d.NumNodes() != 1 {
 		t.Fatalf("doc has %d nodes after root deletion, want 1", d.NumNodes())
 	}
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDoc(&buf)
+	got, err := decodeDoc(encodeDoc(t, d))
 	if err != nil {
 		t.Fatalf("round-trip after root deletion: %v", err)
 	}
