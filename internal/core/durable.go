@@ -130,11 +130,9 @@ func decode(rec storage.Record) (*change, error) {
 	case storage.RecInsert:
 		ch.parent = xmltree.NodeID(d.UpTo(math.MaxInt32))
 		ch.pos = int(d.UpTo(math.MaxInt))
-		if d.Err() == nil {
-			var err error
-			ch.frag, err = xmltree.ReadDoc(d)
-			d.Fail(err)
-		}
+		var err error
+		ch.frag, err = xmltree.ReadDoc(d) // fails at once on an earlier error
+		d.Fail(err)
 	default:
 		return nil, fmt.Errorf("core: unknown WAL record kind %v", rec.Kind)
 	}
