@@ -17,7 +17,8 @@ import (
 //	meta     the format version, whether the string index is built, and
 //	         the typed manifest (type IDs in registry order)
 //	doc      the document (xmltree/serial.go)
-//	stable   stableOf, attrStableOf and the two id-space lengths
+//	stable   per side (nodes, then attributes): the stable-id column,
+//	         then the retired stable ids as ascending deltas
 //	strtree  the string hash tree
 //	typed.N  one per typed index: its type ID, then its tree
 //	substr   the q-gram tree, when the substring index is enabled
@@ -25,10 +26,12 @@ import (
 //	walgen   the checkpoint generation, in checkpoints only
 //
 // Load derives the rest: parents and levels from sizes (ReadDoc), preOf
-// and attrOf by inverting the stable columns, every family's per-node
-// hashes and FSM fragments with the fold Build runs (Figure 7), and the
-// planner statistics from the trees. SectionDoc vs the tree sections is
-// what the storage-overhead experiment (Figure 9 bottom) compares.
+// and attrOf by inverting the stable columns (an id space is as long as
+// its column plus its retired ids, so it never outgrows the section),
+// every family's per-node hashes and FSM fragments with the fold Build
+// runs (Figure 7), and the planner statistics from the trees. SectionDoc
+// vs the tree sections is what the storage-overhead experiment (Figure 9
+// bottom) compares.
 // Typed sections are named by stable type ID, so snapshots written with
 // any registry subset load under any superset.
 const (
@@ -110,10 +113,8 @@ func (ix *Snapshot) save(w *storage.Writer, withWALGen bool, walGen uint64) erro
 		return err
 	}
 	err = writeSection(w, SectionStable, func(e *storage.Encoder) {
-		e.U32s(ix.stableOf)
-		e.Uv(uint64(len(ix.preOf)))
-		e.U32s(ix.attrStableOf)
-		e.Uv(uint64(len(ix.attrOf)))
+		writeStableSide(e, ix.stableOf, ix.preOf)
+		writeStableSide(e, ix.attrStableOf, ix.attrOf)
 	})
 	if err != nil {
 		return err
@@ -216,25 +217,59 @@ func load(r *storage.Reader) (*Indexes, error) {
 	return out, nil
 }
 
-// readStableSide reads one side's stable-id column and the length of its
-// id space, and builds the inverse map (-1 for retired ids). A stable id
-// outside the id space, or one that repeats, is an error.
+// writeStableSide writes one side's stable-id column, then the side's
+// retired ids (those whose inverse entry is -1) as a count and ascending
+// deltas. The id space's length is never stored: it is the two counts'
+// sum, so a reader's inverse map is bounded by the bytes it read.
+func writeStableSide(e *storage.Encoder, stables []uint32, pos []int32) {
+	e.U32s(stables)
+	e.Uv(uint64(len(pos) - len(stables)))
+	prev := 0
+	for s, p := range pos {
+		if p < 0 {
+			e.Uv(uint64(s - prev))
+			prev = s
+		}
+	}
+}
+
+// readStableSide reads what writeStableSide wrote and builds the inverse
+// map (-1 for retired ids). The column and the retired ids must together
+// name every id of the space exactly once: an id outside the space, or
+// one that repeats, is an error.
 func readStableSide(d *storage.Decoder, n int) (stables []uint32, pos []int32) {
 	stables = d.U32s(n)
-	space := d.UpTo(1 << 31) // a posting packs the stable id into 31 bits
+	space := n + d.Count(1)
+	if space > 1<<31 { // a posting packs the stable id into 31 bits
+		d.Fail(fmt.Errorf("core: stable id space of %d exceeds 2^31", space))
+	}
 	if d.Err() != nil {
 		return nil, nil
 	}
+	const unseen = -2
 	pos = make([]int32, space)
 	for i := range pos {
-		pos[i] = -1
+		pos[i] = unseen
+	}
+	claim := func(s uint64, p int32) bool {
+		if s >= uint64(space) || pos[s] != unseen {
+			d.Fail(fmt.Errorf("core: stable map broken: stable id %d is outside its %d-id space or repeats", s, space))
+			return false
+		}
+		pos[s] = p
+		return true
 	}
 	for i, s := range stables {
-		if uint64(s) >= space || pos[s] >= 0 {
-			d.Fail(fmt.Errorf("core: stable map broken at %d: stable id %d is outside its %d-id space or repeats", i, s, space))
+		if !claim(uint64(s), int32(i)) {
 			return nil, nil
 		}
-		pos[s] = int32(i)
+	}
+	var s uint64
+	for range space - n {
+		s += d.UpTo(1 << 31)
+		if d.Err() != nil || !claim(s, -1) {
+			return nil, nil
+		}
 	}
 	return stables, pos
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -194,38 +195,63 @@ func TestLoadRejectsCraftedDocCount(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCraftedStableCount: a stable column count or an id
-// space of 2^64-1 is an error, not a makeslice panic.
+// TestLoadRejectsCraftedStableCount: a stable column count or a retired
+// id count the section cannot hold is an error, and Load allocates
+// nothing near what it names. The id space is the two counts' sum, so a
+// retired count of 2^31-1 would otherwise mean an 8 GiB inverse map.
 func TestLoadRejectsCraftedStableCount(t *testing.T) {
 	for name, write := range map[string]func(*Indexes, *storage.Encoder){
-		"column count": func(_ *Indexes, e *storage.Encoder) { e.Uv(^uint64(0)) },
-		"id space": func(ix *Indexes, e *storage.Encoder) {
+		"column count 2^64-1": func(_ *Indexes, e *storage.Encoder) { e.Uv(^uint64(0)) },
+		"column count 2^31-1": func(_ *Indexes, e *storage.Encoder) { e.Uv(1<<31 - 1) },
+		"retired count 2^64-1": func(ix *Indexes, e *storage.Encoder) {
 			e.U32s(ix.Snapshot().stableOf)
 			e.Uv(^uint64(0))
 		},
+		"id space 2^31-1": func(ix *Indexes, e *storage.Encoder) {
+			stables := ix.Snapshot().stableOf
+			e.U32s(stables)
+			e.Uv(uint64(1<<31 - 1 - len(stables)))
+		},
 	} {
-		if err := loadCrafted(t, SectionStable, write); err == nil {
-			t.Errorf("%s: Load accepted a stable section whose count exceeds its bound", name)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := loadCrafted(t, SectionStable, write)
+		runtime.ReadMemStats(&m1)
+		if err == nil || !strings.Contains(err.Error(), "does not fit") {
+			t.Errorf("%s: Load of a stable section whose count exceeds it: %v", name, err)
+		}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 16<<20 {
+			t.Errorf("%s: building, saving and loading a crafted snapshot allocated %d bytes", name, alloc)
 		}
 	}
 }
 
 // TestLoadRejectsBrokenStableMap: Load inverts the stable columns, and a
-// stable id outside its id space or one that repeats is an error, found
-// before the fold keys typed state by stable id.
+// stable id outside its id space or one named twice — by the column or
+// by the column and the retired ids — is an error, found before the
+// fold keys typed state by stable id.
 func TestLoadRejectsBrokenStableMap(t *testing.T) {
-	for name, broken := range map[string]func(stables []uint32){
-		"outside":   func(stables []uint32) { stables[len(stables)-1] = math.MaxUint32 },
-		"duplicate": func(stables []uint32) { stables[1] = stables[0] },
+	for name, broken := range map[string]func(stables []uint32) (retired []uint32){
+		"outside":          func(stables []uint32) []uint32 { stables[len(stables)-1] = math.MaxUint32; return nil },
+		"duplicate":        func(stables []uint32) []uint32 { stables[1] = stables[0]; return nil },
+		"live and retired": func(stables []uint32) []uint32 { return []uint32{stables[0]} },
+		"retired outside":  func(stables []uint32) []uint32 { return []uint32{uint32(len(stables)) + 1} },
+		"retired twice": func(stables []uint32) []uint32 {
+			return []uint32{uint32(len(stables)), uint32(len(stables))}
+		},
 	} {
 		err := loadCrafted(t, SectionStable, func(ix *Indexes, e *storage.Encoder) {
 			s := ix.Snapshot()
 			stables := slices.Clone(s.stableOf)
-			broken(stables)
+			retired := broken(stables)
 			e.U32s(stables)
-			e.Uv(uint64(len(s.preOf)))
-			e.U32s(s.attrStableOf)
-			e.Uv(uint64(len(s.attrOf)))
+			e.Uv(uint64(len(retired)))
+			prev := uint32(0)
+			for _, r := range retired {
+				e.Uv(uint64(r - prev))
+				prev = r
+			}
+			writeStableSide(e, s.attrStableOf, s.attrOf)
 		})
 		if err == nil || !strings.Contains(err.Error(), "stable map") {
 			t.Errorf("%s: Load of a broken stable map: %v", name, err)

@@ -77,8 +77,8 @@ func (ix *Snapshot) Verify() error {
 
 // checkStableMaps requires both sides' stable-id maps to cover the
 // document and to be mutually inverse on its live positions. Load needs
-// no such check: it builds each inverse map from its column
-// (readStableSide).
+// no such check: it builds each inverse map from its column and retired
+// ids (readStableSide).
 func (ix *Snapshot) checkStableMaps() error {
 	if len(ix.stableOf) != ix.doc.NumNodes() || len(ix.attrStableOf) != ix.doc.NumAttrs() {
 		return fmt.Errorf("core: stable maps cover %d nodes and %d attributes, want %d and %d",
