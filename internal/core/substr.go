@@ -78,7 +78,7 @@ func (ix *Indexes) EnableSubstring() {
 	d := *s
 	g := &gramFamily{}
 	d.fams = append(slices.Clip(s.fams), g)
-	d.loadTrees([]family{g}, 1)
+	d.loadTrees([]family{g}, s.opts.workers())
 	ix.publish(&d)
 }
 

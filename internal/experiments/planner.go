@@ -35,7 +35,8 @@ var A6Selectivities = []float64{0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9}
 // strategies at each point. At low selectivity the index drive wins by
 // orders of magnitude; near 1.0 the scan wins because the index path
 // pays per-candidate context mapping and verification for nearly every
-// node — the planner should switch sides near the crossover.
+// node. The planner switches sides near the crossover: at XMark scale 4
+// it drives the index up to selectivity 0.25 and scans from 0.5.
 func RunA6(cfg Config, dataset string, fracs []float64) ([]A6Row, error) {
 	if len(fracs) == 0 {
 		fracs = A6Selectivities

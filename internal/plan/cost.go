@@ -10,17 +10,22 @@ import (
 	"repro/internal/xpath"
 )
 
-// The cost model: abstract work units per primitive operation, chosen
-// from the relative costs measured on the query benchmarks (a structure
-// + predicate verification walks ancestor chains and re-evaluates every
-// predicate by navigation, an order of magnitude over streaming one
-// posting out of a B+tree leaf).
+// The cost model, in one unit: one node or attribute visited by the
+// document scan. A scan costs N + A. An index arm is charged per
+// estimated posting of its access paths, whatever its hit count. Every
+// constant is measured, not chosen: TestCostConstantsMatchMeasurement
+// times forced scans against forced index drives on XMark and logs what
+// each constant measures. Estimates count B+tree entries, and a typed
+// range's iterator also yields the single-child ancestors it lifts,
+// about two postings per entry; the range constants absorb that factor.
+// Marking or probing an intersection bitmap slot costs about one unit
+// and is not charged.
 const (
-	costScanNode = 1.0  // visit one node/attr during a document scan
-	costFetch    = 1.2  // stream one posting out of a B+tree
-	costContext  = 1.5  // map one candidate to its context nodes
-	costVerify   = 12.0 // verify structure + all predicates at one context
-	costProbe    = 0.3  // mark or probe one bitmap slot
+	costScanNode   = 1.0 // visit one node or attribute during a document scan
+	costFetchRange = 20  // stream a typed range's posting: leaf, chain lift, ContextsFor
+	costFetchHash  = 7   // the same for hash equality and q-grams, which lift nothing
+	costVerify     = 30  // verify structure + every predicate for one driver posting
+	costVerifyDate = 80  // the same under a date range: on XMark its postings reach contexts more often
 )
 
 // Prepare plans a query against the indexes under the given mode. It
@@ -225,8 +230,8 @@ func (p *Plan) substrLeafOperand(c xpath.Cond) bool {
 
 // chooseIndexStrategy picks the cheapest driver and greedily adds
 // intersection paths while they pay for themselves: streaming an extra
-// path into a bitmap costs its own enumeration, and saves the expensive
-// per-context verification for every driver context it filters out.
+// path into a bitmap costs its own fetches, and saves the per-posting
+// verification for every driver posting it filters out.
 func (p *Plan) chooseIndexStrategy(cands []*accessPath) (driver *accessPath, extras []*accessPath, cost float64) {
 	driver = cands[0]
 	for _, ap := range cands[1:] {
@@ -234,15 +239,13 @@ func (p *Plan) chooseIndexStrategy(cands []*accessPath) (driver *accessPath, ext
 			driver = ap
 		}
 	}
-	universe := p.scanCost() // node+attr count in scan-cost units (costScanNode = 1)
-	if universe < 1 {
-		universe = 1
-	}
+	universe := max(p.scanCost(), 1) // node+attr count in scan-cost units (costScanNode = 1)
+	verify := driver.verifyCost()
 
-	// surviving tracks the expected number of driver contexts still
+	// surviving tracks the expected number of driver postings still
 	// reaching verification as extras are added (independence assumed).
 	surviving := driver.est
-	cost = driver.est * (costFetch + costContext)
+	cost = driver.est * driver.fetchCost()
 	// Consider the most selective extras first: each accepted extra
 	// shrinks the surviving count the next one is judged against.
 	rest := make([]*accessPath, 0, len(cands)-1)
@@ -260,20 +263,34 @@ func (p *Plan) chooseIndexStrategy(cands []*accessPath) (driver *accessPath, ext
 		if len(extras) == maxExtras {
 			break
 		}
-		sel := ap.est / universe
-		if sel > 1 {
-			sel = 1
-		}
-		streamCost := ap.est*(costFetch+costContext+costProbe) + surviving*costProbe
-		saving := surviving * (1 - sel) * costVerify
+		sel := min(ap.est/universe, 1)
+		streamCost := ap.est * ap.fetchCost()
+		saving := surviving * (1 - sel) * verify
 		if streamCost < saving {
 			extras = append(extras, ap)
 			cost += streamCost
 			surviving *= sel
 		}
 	}
-	cost += surviving * costVerify
+	cost += surviving * verify
 	return driver, extras, cost
+}
+
+// fetchCost is what streaming one estimated posting of the path costs.
+func (ap *accessPath) fetchCost() float64 {
+	if ap.kind == pathRange {
+		return costFetchRange
+	}
+	return costFetchHash
+}
+
+// verifyCost is what verifying one estimated posting costs when the path
+// drives.
+func (ap *accessPath) verifyCost() float64 {
+	if ap.kind == pathRange && ap.typeID == core.TypeDate {
+		return costVerifyDate
+	}
+	return costVerify
 }
 
 // buildIndexTree assembles the printable operator tree for an index
@@ -282,18 +299,11 @@ func (p *Plan) buildIndexTree() {
 	p.driver.node = newNode(opName(p.driver), p.driver.describe()+"  [driver]", p.driver.est)
 	children := []*Node{p.driver.node}
 	surviving := p.driver.est
-	universe := p.scanCost()
-	if universe < 1 {
-		universe = 1
-	}
+	universe := max(p.scanCost(), 1)
 	for _, ap := range p.extras {
 		ap.node = newNode(opName(ap), ap.describe(), ap.est)
 		children = append(children, ap.node)
-		sel := ap.est / universe
-		if sel > 1 {
-			sel = 1
-		}
-		surviving *= sel
+		surviving *= min(ap.est/universe, 1)
 	}
 	feed := children[0]
 	if len(p.extras) > 0 {

@@ -99,6 +99,12 @@ var dialectCorpus = []struct {
 		`//i[p = 5 and q = "alpha"]`, `//i[p = 5][q = "alpha"]`,
 	}},
 	{`<r><person><age>10</age><age>42</age></person></r>`, []string{`//person[age = 42]`, `//person[age != 10]`}},
+	// A multi-valued operand: the first c holds no v in [10, 20], yet 25
+	// satisfies the lower bound and 5 the upper, so both queries select
+	// it. Folding the two comparisons into one interval would lose it.
+	{`<r><c><v>5</v><v>25</v></c><c><v>15</v></c><c><v>5</v></c></r>`, []string{
+		`//c[v >= 10 and v <= 20]`, `//c[v >= 10][v <= 20]`,
+	}},
 	{`<r><v>42</v><v>42.0</v><v> +4.2E1</v><v>0042</v><v>42x</v></r>`, []string{`//v[. = 42]`}},
 	{`<r><w>apple</w><w>banana</w><w>cherry</w></r>`, []string{`//w[. > "avocado"]`}},
 	{`<a><b><a><c>x</c></a></b></a>`, []string{`/a[.//c = "x"]`, `//a[.//c = "x"]`}},
@@ -147,7 +153,7 @@ func checkPlannedEquivalence(t *testing.T, label string, ix *core.Snapshot, q st
 	}
 }
 
-// buildDialectDoc indexes one corpus document, optionally with the
+// buildDialectDoc indexes one document, optionally with the
 // substring index enabled.
 func buildDialectDoc(t *testing.T, xml string, opts core.Options, substring bool) *core.Snapshot {
 	t.Helper()

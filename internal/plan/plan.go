@@ -139,8 +139,8 @@ type Plan struct {
 	Mode Mode
 	// Root of the printable operator tree.
 	Root *Node
-	// EstCost is the planner's cost for the chosen strategy, in
-	// abstract work units (comparable across strategies for one query).
+	// EstCost is the planner's cost for the chosen strategy, in scan
+	// units: one node or attribute visited by the document scan.
 	EstCost float64
 	// Notes explains access paths the planner had to reject — a
 	// contains()/starts-with() pattern shorter than the q-gram width, a
