@@ -1,13 +1,12 @@
 package xmlvi_test
 
-// One benchmark per table and figure of the paper's evaluation (Section
-// 6), plus the ablation benches from DESIGN.md. Each bench wraps the
-// typed runner in internal/experiments and reports paper-relevant shapes
-// as custom metrics, so `go test -bench=. -benchmem` regenerates the
-// whole evaluation. The xvibench command prints the same data as tables.
+// Layer micro-benchmarks that no other tool takes: planned-query
+// latency, index build, the date-range and substring indexes against
+// their scans, and lock-free reads under a writer. The paper's
+// evaluation (Table 1, Figures 9-11, ablations A1-A6 and A8) is
+// `xvibench -exp`; the served traffic is bench/.
 //
-// Scales default small enough for CI; raise with -benchscale to approach
-// the paper's sizes.
+// The corpus scale defaults small; raise it with -benchscale.
 
 import (
 	"flag"
@@ -22,245 +21,14 @@ import (
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/experiments"
 	"repro/internal/xmlparse"
 	"repro/internal/xmltree"
 )
 
-var benchScale = flag.Float64("benchscale", 0.10, "dataset scale for experiment benches (1.0 ≈ 1/64 of paper size)")
-
-func benchConfig() experiments.Config {
-	cfg := experiments.DefaultConfig()
-	cfg.Scale = *benchScale
-	cfg.Repeat = 1
-	return cfg
-}
-
-// BenchmarkTable1DatasetStats regenerates Table 1: dataset statistics for
-// all eight corpora. Reported metrics: measured text and double shares
-// (paper: 56–66 % and 0.1–10 %).
-func BenchmarkTable1DatasetStats(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.TextPct, r.Dataset+"_text%")
-			}
-		}
-	}
-}
-
-// BenchmarkFig9StringIndexCreation regenerates Figure 9 (top left):
-// string-index creation time as overhead over shredding. Paper shape:
-// below ~10 %.
-func BenchmarkFig9StringIndexCreation(b *testing.B) {
-	benchFig9(b, func(r experiments.Fig9Row) (float64, string) {
-		return r.StringTimePct, r.Dataset + "_ovh%"
-	})
-}
-
-// BenchmarkFig9DoubleIndexCreation regenerates Figure 9 (top right):
-// double-index creation overhead. Paper shape: below ~2 %.
-func BenchmarkFig9DoubleIndexCreation(b *testing.B) {
-	benchFig9(b, func(r experiments.Fig9Row) (float64, string) {
-		return r.DoubleTimePct, r.Dataset + "_ovh%"
-	})
-}
-
-// BenchmarkFig9StringIndexStorage regenerates Figure 9 (bottom left):
-// string-index storage share. Paper shape: 10–20 % of the database.
-func BenchmarkFig9StringIndexStorage(b *testing.B) {
-	benchFig9(b, func(r experiments.Fig9Row) (float64, string) {
-		return r.StringSizePct, r.Dataset + "_size%"
-	})
-}
-
-// BenchmarkFig9DoubleIndexStorage regenerates Figure 9 (bottom right):
-// double-index storage share. Paper shape: ≤ 2–3 %.
-func BenchmarkFig9DoubleIndexStorage(b *testing.B) {
-	benchFig9(b, func(r experiments.Fig9Row) (float64, string) {
-		return r.DoubleSizePct, r.Dataset + "_size%"
-	})
-}
-
-func benchFig9(b *testing.B, metric func(experiments.Fig9Row) (float64, string)) {
-	cfg := benchConfig()
-	cfg.Datasets = []string{"xmark1", "epageo", "dblp", "wiki"}
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunFig9(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				v, name := metric(r)
-				b.ReportMetric(v, name)
-			}
-		}
-	}
-}
-
-// BenchmarkFig10StringIndexUpdate regenerates Figure 10 (left): string
-// index update time vs number of updated nodes. Paper shape: bounded
-// growth, < 400 ms at 10^6 nodes on 2 GB documents.
-func BenchmarkFig10StringIndexUpdate(b *testing.B) {
-	benchFig10(b, func(p experiments.Fig10Point) float64 { return p.StringMS })
-}
-
-// BenchmarkFig10DoubleIndexUpdate regenerates Figure 10 (right): double
-// index update time. Paper shape: slightly cheaper than the string index
-// (SCT probe vs function call).
-func BenchmarkFig10DoubleIndexUpdate(b *testing.B) {
-	benchFig10(b, func(p experiments.Fig10Point) float64 { return p.DoubleMS })
-}
-
-func benchFig10(b *testing.B, metric func(experiments.Fig10Point) float64) {
-	cfg := benchConfig()
-	cfg.Datasets = []string{"xmark1"}
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.RunFig10(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range points {
-				b.ReportMetric(metric(p), fmt.Sprintf("ms_at_%d", p.Updated))
-			}
-		}
-	}
-}
-
-// BenchmarkFig11HashStability regenerates Figure 11: the distribution of
-// distinct strings per hash value. Paper shape: <1 % collisions for most
-// datasets, <10 % for Wiki-like, clusters up to 9 strings.
-func BenchmarkFig11HashStability(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Datasets = []string{"xmark1", "wiki"}
-	for i := 0; i < b.N; i++ {
-		_, sums, err := experiments.RunFig11(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, s := range sums {
-				b.ReportMetric(s.CollidingPct, s.Dataset+"_colliding%")
-				b.ReportMetric(float64(s.MaxCluster), s.Dataset+"_maxcluster")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationCombineVsRehash is A1: maintaining ancestor hashes
-// with the combination function C vs re-hashing reconstructed strings.
-func BenchmarkAblationCombineVsRehash(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		row, err := experiments.RunA1(cfg, "xmark1", 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(row.SpeedupX, "speedup_x")
-		}
-	}
-}
-
-// BenchmarkAblationSCTVsFSM is A2: SCT probe vs FSM re-run over text.
-func BenchmarkAblationSCTVsFSM(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		row := experiments.RunA2(cfg)
-		if i == 0 {
-			b.ReportMetric(row.SpeedupX, "speedup_x")
-			b.ReportMetric(row.SCTNS, "sct_ns")
-			b.ReportMetric(row.FSMNS, "fsm_ns")
-		}
-	}
-}
-
-// BenchmarkQueryIndexVsScan is A3: index-accelerated XPath vs full scan.
-func BenchmarkQueryIndexVsScan(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunA3(cfg, "xmark1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && len(rows) > 0 {
-			var total float64
-			for _, r := range rows {
-				total += r.SpeedupX
-			}
-			b.ReportMetric(total/float64(len(rows)), "avg_speedup_x")
-		}
-	}
-}
-
-// BenchmarkAblationOnePassVsTwoPass is A4: simultaneous one-pass index
-// creation vs separate passes.
-func BenchmarkAblationOnePassVsTwoPass(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		row, err := experiments.RunA4(cfg, "xmark1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(row.SpeedupX, "speedup_x")
-		}
-	}
-}
-
-// BenchmarkTxnCommutativeVsLocking is A5: Section 5.1's commutative
-// commit protocol vs ancestor-chain locking under concurrent updaters.
-func BenchmarkTxnCommutativeVsLocking(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		row, err := experiments.RunA5(cfg, 8, 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(row.SpeedupX, "speedup_x")
-			b.ReportMetric(float64(row.LockingAbort), "locking_aborts")
-		}
-	}
-}
-
-// BenchmarkQueryPlannerCrossover is A6: one range predicate swept from
-// high to low selectivity, under a forced scan, a forced index drive,
-// and the cost-based planner (the Figure 8-style read-path crossover).
-// Paper-shaped expectation: the index drive wins by orders of magnitude
-// at low selectivity and loses near 1.0; the auto column should track
-// the winner on both sides of the crossover.
-func BenchmarkQueryPlannerCrossover(b *testing.B) {
-	cfg := benchConfig()
-	// One RunA6 call for both points: the dataset is generated and
-	// indexed once, so ns/op measures the queries, not repeated builds.
-	fracs := []float64{0.01, 0.5}
-	tags := []string{"lo", "hi"}
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunA6(cfg, "xmark1", fracs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && len(rows) == len(fracs) {
-			for pi, r := range rows {
-				b.ReportMetric(r.ScanMS, tags[pi]+"_scan_ms")
-				b.ReportMetric(r.IndexMS, tags[pi]+"_index_ms")
-				b.ReportMetric(r.AutoMS, tags[pi]+"_auto_ms")
-			}
-		}
-	}
-}
+var benchScale = flag.Float64("benchscale", 0.10, "xmark1 dataset scale for the benchmarks (1.0 ≈ 1/64 of paper size)")
 
 // BenchmarkQuerySinglePredicate tracks raw planned-query latency on the
-// two single-predicate shapes (string equality, numeric range) so
-// BENCH_PR.json records planner overhead alongside build/update numbers.
+// two single-predicate shapes (string equality, numeric range).
 func BenchmarkQuerySinglePredicate(b *testing.B) {
 	xml, err := datagen.Generate("xmark1", *benchScale, 42)
 	if err != nil {
@@ -291,10 +59,9 @@ var benchResults []xmlvi.Result
 // BenchmarkBuild measures full index construction (string + every
 // registered typed index) over the XMark bench corpus, serial
 // (Parallelism=1, the paper's Figure 7 loop) against the sharded
-// parallel build (Parallelism=4). CI's bench job diffs the two
-// sub-benchmarks in its job summary; on multi-core hardware p4 should
-// be well over 2x faster, while on a single core it degrades to
-// roughly serial cost. The equivalence property tests in internal/core
+// parallel build (Parallelism=4). On multi-core hardware p4 should be
+// well over 2x faster, while on a single core it degrades to roughly
+// serial cost. The equivalence property tests in internal/core
 // pin that both paths produce byte-identical indexes.
 func BenchmarkBuild(b *testing.B) {
 	xml, err := datagen.Generate("xmark1", *benchScale, 42)
@@ -318,27 +85,6 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 var benchBuilt *core.Indexes
-
-// BenchmarkMemFootprint is the packed-layout headline number: bytes per
-// indexed node for the fully built XMark snapshot (string + typed +
-// substring indices). bytes_per_node measures the packed layout the
-// readers actually traverse; unpacked_bytes_per_node is the analytic
-// cost of the same state in the pre-packing layout (one (key,val) pair
-// per tree slot, no value interning), so the ratio between the two
-// metrics is the layout's measured compression. CI's bench job tracks
-// bytes_per_node across PRs and flags regressions like any timing.
-func BenchmarkMemFootprint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ix := buildSubstringIndex(b)
-		if i == 0 {
-			ms := ix.Snapshot().MemStats()
-			b.ReportMetric(ms.BytesPerNode, "bytes_per_node")
-			b.ReportMetric(ms.UnpackedBytesPerNode, "unpacked_bytes_per_node")
-			b.ReportMetric(float64(ms.TotalBytes)/(1<<20), "total_MB")
-		}
-		benchBuilt = ix
-	}
-}
 
 // BenchmarkRangeDate compares the xs:date range index — added to the
 // core purely by registration — against the index-less scan baseline on
@@ -412,19 +158,17 @@ func TestRangeDateIndexedMatchesScan(t *testing.T) {
 // the full-document scan baseline on the datagen auction (XMark)
 // dataset, using a selective contains() pattern with verified hits. The
 // "speedup_x" metric on the indexed sub-benchmark reports the measured
-// ratio; CI's bench job surfaces it as the substring-vs-scan line in
-// the job summary.
+// ratio.
 func BenchmarkSubstring(b *testing.B) {
 	ix := buildSubstringIndex(b).Snapshot()
 	const pattern = "bidder" // selective: a handful of hits at any bench scale
 	// Warm both paths: a single cold lookup is dominated by first-touch
-	// allocation, and CI runs at -benchtime 1x.
+	// allocation.
 	if len(ix.Contains(pattern)) == 0 || len(ix.ScanContains(pattern)) == 0 {
 		b.Fatal("no hits for the benchmark pattern")
 	}
-	// reps amortizes per-call jitter inside each iteration so the ratio
-	// is stable even at one iteration; both arms use the same factor, so
-	// speedup_x and the baseline ns/op trajectory are unaffected by it.
+	// reps amortizes per-call jitter inside each iteration; both arms use
+	// the same factor, so speedup_x is unaffected by it.
 	const reps = 25
 	var scanNS float64
 	b.Run("scan", func(b *testing.B) {

@@ -1,16 +1,24 @@
 // Command xviload drives mixed read/write/watch traffic against a
-// running xvid server and reports throughput and latency percentiles in
-// `go test -bench` output format, so the result pipes straight through
-// benchjson into the CI benchmark artifacts:
+// running xvid server, or a leader and its follower, and prints one
+// summary line of key=value fields: ops, qps, read_p50_ms, read_p99_ms,
+// patch_p50_ms, patch_p99_ms, lag_p50_ms and lag_p99_ms (with -follower
+// only), watch_events and errors.
 //
-//	xviload -addr http://127.0.0.1:8080 -duration 10s | benchjson
+// It is a smoke and a probe, not the benchmark: bench/ measures the
+// served traffic, and scripts/ab.sh compares two revisions through it.
+// What xviload adds is a live server's watch-ordering check and, with
+// -follower, the replica lag: the time from a patch on the leader until
+// the follower answers at its version.
 //
 // The generated load is readers issuing XPath queries, writers issuing
 // set_text patch batches against nodes discovered by an initial query,
 // and watchers tailing the committed-change stream. Watchers verify the
 // protocol's ordering contract while they consume: every change event
 // must carry exactly the previous version + 1 — a gap, duplicate, or
-// reordering counts as an error and fails the run.
+// reordering counts as an error and fails the run. The exit status is
+// 1 on any request error or when nothing completed, 2 when the server
+// is not up or the write query matches nothing, and 3 on an ordering
+// violation.
 //
 // Usage:
 //
@@ -45,7 +53,6 @@ type config struct {
 	queries  []string
 	writeQ   string
 	batch    int
-	bench    string
 }
 
 // readAddr is where reads, watches, and the lag probe go: the follower
@@ -120,7 +127,6 @@ func main() {
 	flag.StringVar(&queries, "queries", `//item[quantity = 7];//open_auction[initial > 4950];//quantity[. = 3];//person[contains(emailaddress/text(), "mailto:a")];//person[starts-with(@id, "person12")]`, "read queries, ';'-separated (text predicates answer through the substring index when the server enables it)")
 	flag.StringVar(&cfg.writeQ, "write-query", `//quantity[. = 3]`, "query discovering set_text targets (elements with one text child)")
 	flag.IntVar(&cfg.batch, "batch", 8, "set_text ops per patch (one commit each)")
-	flag.StringVar(&cfg.bench, "bench", "BenchmarkServeTraffic", "benchmark name to report as")
 	flag.Parse()
 	cfg.queries = strings.Split(queries, ";")
 
@@ -181,17 +187,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xviload: no operations completed")
 		os.Exit(1)
 	}
-	line := fmt.Sprintf("%s \t%8d\t%12.0f ns/op\t%10.1f qps\t%8.3f read_p50_ms\t%8.3f read_p99_ms\t%8.3f patch_p50_ms\t%8.3f patch_p99_ms",
-		cfg.bench, ops,
-		float64(elapsed)/float64(ops),
-		float64(ops)/elapsed.Seconds(),
+	line := fmt.Sprintf("ops=%d qps=%.1f read_p50_ms=%.3f read_p99_ms=%.3f patch_p50_ms=%.3f patch_p99_ms=%.3f",
+		ops, float64(ops)/elapsed.Seconds(),
 		percentile(col.readNS, 50)/1e6, percentile(col.readNS, 99)/1e6,
 		percentile(col.patchNS, 50)/1e6, percentile(col.patchNS, 99)/1e6)
 	if len(col.lagNS) > 0 {
-		line += fmt.Sprintf("\t%8.3f lag_p50_ms\t%8.3f lag_p99_ms",
+		line += fmt.Sprintf(" lag_p50_ms=%.3f lag_p99_ms=%.3f",
 			percentile(col.lagNS, 50)/1e6, percentile(col.lagNS, 99)/1e6)
 	}
-	fmt.Printf("%s\t%6d watch_events\t%4d errors\n", line, col.watchEvents, len(col.errs))
+	fmt.Printf("%s watch_events=%d errors=%d\n", line, col.watchEvents, len(col.errs))
 	for _, e := range col.errs {
 		fmt.Fprintln(os.Stderr, "xviload: error:", e)
 	}

@@ -264,25 +264,3 @@ func nodeMemBytes(n node) int {
 	}
 	panic("btree: unknown node type")
 }
-
-// UnpackedBytes reports what the same node graph would occupy with
-// leaves stored as raw []Entry slices (16 bytes per entry) — the layout
-// this package used before leaf packing, kept as the baseline that
-// bytes/node savings are measured against.
-func (t *Tree) UnpackedBytes() int {
-	return int(unsafe.Sizeof(Tree{})) + nodeUnpackedBytes(t.root)
-}
-
-func nodeUnpackedBytes(n node) int {
-	switch nn := n.(type) {
-	case *leaf:
-		return leafFixedBytes + int(nn.count)*entryBytes
-	case *inner:
-		b := innerFixedBytes + cap(nn.keys)*entryBytes + cap(nn.children)*nodeIfaceBytes
-		for _, c := range nn.children {
-			b += nodeUnpackedBytes(c)
-		}
-		return b
-	}
-	panic("btree: unknown node type")
-}

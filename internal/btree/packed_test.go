@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // oracleModel shadows a tree with a plain sorted entry slice.
@@ -195,8 +196,28 @@ func TestPackedFootprint(t *testing.T) {
 		entries = append(entries, Entry{Key: uint64(i / 4), Val: uint32(i)})
 	}
 	tree := NewFromSorted(entries)
-	packed, unpacked := tree.MemBytes(), tree.UnpackedBytes()
+	packed, unpacked := tree.MemBytes(), unpackedBytes(tree)
 	if packed >= unpacked/2 {
 		t.Fatalf("packed %d bytes vs unpacked %d: expected > 2x saving on clustered keys", packed, unpacked)
 	}
+}
+
+// unpackedBytes is what t's node graph would occupy with leaves stored as
+// raw []Entry slices (16 bytes per entry), the layout before leaf packing.
+func unpackedBytes(t *Tree) int {
+	return int(unsafe.Sizeof(Tree{})) + nodeUnpackedBytes(t.root)
+}
+
+func nodeUnpackedBytes(n node) int {
+	switch nn := n.(type) {
+	case *leaf:
+		return leafFixedBytes + int(nn.count)*entryBytes
+	case *inner:
+		b := innerFixedBytes + cap(nn.keys)*entryBytes + cap(nn.children)*nodeIfaceBytes
+		for _, c := range nn.children {
+			b += nodeUnpackedBytes(c)
+		}
+		return b
+	}
+	panic("btree: unknown node type")
 }

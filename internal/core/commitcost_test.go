@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -133,4 +134,85 @@ type countingMonoid[S any] struct {
 func (c countingMonoid[S]) combine(acc, x S) (S, bool) {
 	*c.combines++
 	return c.monoid.combine(acc, x)
+}
+
+// TestFig10BatchWorkGrows is Figure 10's shape as counted work: over the
+// figure's batch sizes, a text batch through the real commit path
+// refolds more ancestors, combines more child states and partials, and
+// makes more string-index B+tree key operations the more leaves it
+// updates. A commit that refolds or re-keys the whole document, whatever
+// the batch, reads the same at every size and fails. The wall-clock form
+// of the figure is experiments.TestRunFig10ShapesHold.
+func TestFig10BatchWorkGrows(t *testing.T) {
+	raw, err := datagen.Generate("xmark1", 0.25, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := xmlparse.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Build(doc, Options{String: true}).Snapshot()
+	texts := textNodesOf(doc)
+	rng := rand.New(rand.NewSource(1))
+	var prev batchWork
+	// experiments.Fig10Batches, up to the document's text nodes.
+	for i, batch := range []int{1, 10, 100, 1000, 10000, 100000} {
+		if batch > len(texts) {
+			break
+		}
+		var updates []TextUpdate
+		for _, k := range rng.Perm(len(texts))[:batch] {
+			updates = append(updates, TextUpdate{Node: texts[k], Value: fmt.Sprintf("%d.%02d", rng.Intn(1000), rng.Intn(100))})
+		}
+		w := textBatchWork(t, base, updates)
+		t.Logf("batch %6d: %6d ancestors refolded, %7d states combined, %6d key operations", batch, w.refolds, w.combines, w.keyOps)
+		if i > 0 && (w.refolds <= prev.refolds || w.combines <= prev.combines || w.keyOps <= prev.keyOps) {
+			t.Fatalf("batch %d does no more work than the batch before it: %+v, then %+v", batch, prev, w)
+		}
+		prev = w
+	}
+}
+
+// batchWork is what one text batch costs the string index.
+type batchWork struct{ refolds, combines, keyOps int }
+
+// textBatchWork commits updates to a draft of s through applyTexts, the
+// commit path of UpdateTexts, with the hash family wrapped in a
+// countingHash, and returns what the wrapper counted.
+func textBatchWork(t *testing.T, s *Snapshot, updates []TextUpdate) batchWork {
+	d := s.draft()
+	h := d.fams[0].(*hashFamily)
+	c := &countingHash{hashFamily: h, pt: postingTree{
+		tree: h.tree,
+		// A stats that never goes stale: its churn counts every key
+		// inserted or deleted, and no rebuild resets it.
+		stats: &keyStats{total: math.MaxInt / 8, bounds: []uint64{math.MaxUint64}, counts: []int{0}},
+	}}
+	d.fams[0] = c
+	if err := d.validateTexts(updates); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.applyTexts(updates); err != nil {
+		t.Fatal(err)
+	}
+	c.work.keyOps = c.pt.stats.churn
+	return c.work
+}
+
+// countingHash is the hash family with its refolds counted and combined
+// through countingMonoid, and its tree operations routed through a
+// counting postingTree.
+type countingHash struct {
+	*hashFamily
+	pt   postingTree
+	work batchWork
+}
+
+func (c *countingHash) postings() *postingTree { return &c.pt }
+
+func (c *countingHash) refold(s *Snapshot, n xmltree.NodeID, starts []int32, dirty []xmltree.NodeID) {
+	c.work.refolds++
+	m := countingMonoid[uint32]{c.hashFamily, &c.work.combines}
+	c.col[0].Set(int(n), foldPartials(s, m, &c.parts, n, starts, dirty))
 }

@@ -119,7 +119,6 @@ func (h *hashFamily) addStats(_ *Snapshot, st *IndexStats) {
 
 func (h *hashFamily) addMem(ms *MemStats) {
 	ms.StringTreeBytes = h.tree.MemBytes()
-	ms.UnpackedTreeBytes += h.tree.UnpackedBytes()
 	ms.SideBytes += h.col[0].MemBytes() + h.col[1].MemBytes() + partialBytes(&h.parts)
 }
 

@@ -8,11 +8,6 @@ package core
 // they are accounting numbers for tracking layout regressions, not
 // allocator ground truth. Chunks and tree nodes shared with other
 // versions count in full for each version.
-//
-// Unpacked* fields are the analytic size of the same state under the
-// pre-packing layout — B+tree leaves holding 16-byte entry structs and
-// the text heap holding one copy per value reference — so a single
-// measurement shows what the packed layout saves.
 type MemStats struct {
 	// DocBytes is the document: columnar node/attribute tables, text
 	// heap backing array, and name dictionary.
@@ -30,21 +25,11 @@ type MemStats struct {
 	// TotalBytes is the sum of the components above.
 	TotalBytes int `json:"total_bytes"`
 
-	// UnpackedTreeBytes is what all B+trees together would occupy with
-	// uncompressed leaves.
-	UnpackedTreeBytes int `json:"unpacked_tree_bytes"`
-	// UnpackedDocBytes is DocBytes with the heap holding one copy per
-	// value reference (no interning).
-	UnpackedDocBytes int `json:"unpacked_doc_bytes"`
-
 	// Nodes is the indexed population: tree nodes plus attributes (the
 	// paper's "Total Nodes").
 	Nodes int `json:"nodes"`
 	// BytesPerNode is TotalBytes / Nodes — the tracked layout metric.
 	BytesPerNode float64 `json:"bytes_per_node"`
-	// UnpackedBytesPerNode is the same ratio under the uncompressed
-	// layout; the packed-vs-unpacked gap in one number.
-	UnpackedBytesPerNode float64 `json:"unpacked_bytes_per_node"`
 }
 
 // MemStats measures this version's in-memory footprint. It only reads
@@ -53,7 +38,6 @@ type MemStats struct {
 func (ix *Snapshot) MemStats() MemStats {
 	var ms MemStats
 	ms.DocBytes = ix.doc.MemBytes()
-	ms.UnpackedDocBytes = ms.DocBytes - ix.doc.HeapBytes() + ix.doc.LiveHeapBytes()
 
 	ms.SideBytes = cap(ix.stableOf)*4 + cap(ix.preOf)*4 +
 		cap(ix.attrStableOf)*4 + cap(ix.attrOf)*4 + partialBytes(&ix.blockStarts)
@@ -63,12 +47,10 @@ func (ix *Snapshot) MemStats() MemStats {
 
 	ms.TotalBytes = ms.DocBytes + ms.StringTreeBytes + ms.TypedTreeBytes +
 		ms.SubstrTreeBytes + ms.SideBytes
-	unpackedTotal := ms.UnpackedDocBytes + ms.UnpackedTreeBytes + ms.SideBytes
 
 	ms.Nodes = ix.doc.NumNodes() + ix.doc.NumAttrs()
 	if ms.Nodes > 0 {
 		ms.BytesPerNode = float64(ms.TotalBytes) / float64(ms.Nodes)
-		ms.UnpackedBytesPerNode = float64(unpackedTotal) / float64(ms.Nodes)
 	}
 	return ms
 }

@@ -116,7 +116,6 @@ func (g *gramFamily) draft() family {
 
 func (g *gramFamily) addMem(ms *MemStats) {
 	ms.SubstrTreeBytes = g.tree.MemBytes()
-	ms.UnpackedTreeBytes += g.tree.UnpackedBytes()
 }
 
 // save persists the gram tree; its statistics are rebuilt on load.

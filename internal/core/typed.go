@@ -297,7 +297,6 @@ func (t *typedFamily) addStats(s *Snapshot, st *IndexStats) {
 // plus the item arrays the tables point to.
 func (t *typedFamily) addMem(ms *MemStats) {
 	ms.TypedTreeBytes += t.tree.MemBytes()
-	ms.UnpackedTreeBytes += t.tree.UnpackedBytes()
 	const itemBytes = int(unsafe.Sizeof(fsm.Item{}))
 	for side := range t.sides {
 		sd := &t.sides[side]

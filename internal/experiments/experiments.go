@@ -2,8 +2,8 @@
 // typed, reusable runners: Table 1 (dataset statistics), Figure 9 (index
 // creation time and storage overhead), Figure 10 (update time versus
 // batch size), Figure 11 (hash stability), and the ablations DESIGN.md
-// calls out (A1–A5). The xvibench command and the repository-level
-// benchmarks are thin wrappers over these runners.
+// calls out (A1–A5). The xvibench command is the thin wrapper over these
+// runners; each runner's Test*ShapesHold checks the paper's shape.
 package experiments
 
 import (

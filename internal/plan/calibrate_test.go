@@ -2,6 +2,9 @@ package plan
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,9 +14,23 @@ import (
 	"repro/internal/xpath"
 )
 
-// calibrationRounds is how many interleaved scan/index pairs each
-// calibration query runs; the best time of each arm counts.
-const calibrationRounds = 7
+// Each calibration round times a forced scan, a forced index drive and
+// the drive's fetches alone, back to back, and turns the last two into
+// ratios to that round's scan, so a slower or faster moment of the
+// machine moves every arm of the round together. A constant is checked
+// against the median of its per-round ratios. Rounds are added until the
+// median is known to within calibrationPrecision — the ratios'
+// interquartile range over their median, divided by √rounds, which is
+// small against the 2× band — or until calibrationMaxRounds.
+const (
+	calibrationMinRounds = 9
+	calibrationMaxRounds = 41
+	calibrationPrecision = 0.05
+	// calibrationPostings is the least number of estimated postings one
+	// round's fetch timing covers: a small arm's fetch loop repeats until
+	// it is long against the clock's jitter.
+	calibrationPostings = 1 << 15
+)
 
 // calibrationScale is the XMark scale the constants are measured at:
 // about 2 MB of XML. The per-posting costs grow with the document (the
@@ -25,14 +42,14 @@ const calibrationScale = 2
 // TestCostConstantsMatchMeasurement is where the constants of cost.go
 // come from, and the check that they still hold. For each index arm it
 // times a forced scan, a forced index drive and the drive's fetches
-// alone (its postings streamed through ContextsFor), interleaved, best
-// of calibrationRounds. The scan's time per node and attribute is the
-// unit (costScanNode). The index time per estimated posting, in that
-// unit, is what the arm's fetch and verify constants must add up to; the
-// fetch time per estimated posting is its fetch constant. The test logs
-// every measured constant and fails when one in cost.go is more than 2×
-// from what it measures. Timing needs a quiet, optimised build: it skips
-// under -short and under the race detector.
+// alone (its postings streamed through ContextsFor) in calibration
+// rounds. The scan's time per node and attribute is the unit
+// (costScanNode). The index time per estimated posting, in that unit, is
+// what the arm's fetch and verify constants must add up to; the fetch
+// time per estimated posting is its fetch constant. The test logs every
+// measured constant, with the spread of its rounds, and fails when one
+// in cost.go is more than 2× from what it measures. Timing needs an
+// optimised build: it skips under -short and under the race detector.
 func TestCostConstantsMatchMeasurement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing calibration skipped under -short")
@@ -81,21 +98,29 @@ func TestCostConstantsMatchMeasurement(t *testing.T) {
 			t.Fatalf("%s: want a single index driver:\n%s", c.query, pl)
 		}
 		est := pl.driver.est
-		scan, index, fetch := time.Duration(1<<62), time.Duration(1<<62), time.Duration(1<<62)
-		for r := 0; r < calibrationRounds; r++ {
-			scan = min(scan, timeRun(t, c.ix, path, ForceScan))
-			index = min(index, timeRun(t, c.ix, path, ForceIndex))
-			fetch = min(fetch, timeFetch(c.ix, pl.driver))
-		}
 		doc := c.ix.Doc()
-		unit := float64(scan) / float64(doc.NumNodes()+doc.NumAttrs())
-		perPosting := float64(index) / est / unit
-		fetchPerPosting := float64(fetch) / est / unit
+		units := float64(doc.NumNodes() + doc.NumAttrs())
+		reps := max(1, int(calibrationPostings/est))
+		var perPosting, fetchPerPosting []float64
+		runtime.GC() // no arm inherits the previous arm's garbage
+		for len(perPosting) < calibrationMinRounds ||
+			(len(perPosting) < calibrationMaxRounds &&
+				max(relIQR(perPosting), relIQR(fetchPerPosting)) > calibrationPrecision*math.Sqrt(float64(len(perPosting)))) {
+			scan := timeRun(t, c.ix, path, ForceScan)
+			index := timeRun(t, c.ix, path, ForceIndex)
+			fetch := timeFetch(c.ix, pl.driver, reps) / time.Duration(reps)
+			// One estimated posting's share of the scan's time per unit.
+			perUnit := float64(scan) / units * est
+			perPosting = append(perPosting, float64(index)/perUnit)
+			fetchPerPosting = append(fetchPerPosting, float64(fetch)/perUnit)
+		}
+		measured, fetched := median(perPosting), median(fetchPerPosting)
 		fetchConst := pl.driver.fetchCost()
-		t.Logf("%-16s %-53s est %5.0f  scan %5.2f ms (%4.1f ns/unit)  index %5.2f ms  per posting: %5.1f units (cost.go %5.1f), fetch %5.1f (cost.go %5.1f)",
-			c.arm, c.query, est, ms(scan), unit, ms(index), perPosting, pl.EstCost/est, fetchPerPosting, fetchConst)
-		checkConstant(t, c.arm+" posting", pl.EstCost/est, perPosting)
-		checkConstant(t, c.arm+" fetch", fetchConst, fetchPerPosting)
+		t.Logf("%-16s %-53s est %5.0f  %2d rounds  per posting: %5.1f units, IQR %3.0f%% (cost.go %5.1f), fetch %5.1f, IQR %3.0f%% (cost.go %5.1f)",
+			c.arm, c.query, est, len(perPosting), measured, 100*relIQR(perPosting), pl.EstCost/est,
+			fetched, 100*relIQR(fetchPerPosting), fetchConst)
+		checkConstant(t, c.arm+" posting", pl.EstCost/est, measured)
+		checkConstant(t, c.arm+" fetch", fetchConst, fetched)
 	}
 }
 
@@ -109,19 +134,22 @@ func timeRun(t *testing.T, ix *core.Snapshot, path *xpath.Path, mode Mode) time.
 }
 
 // timeFetch times streaming an access path's postings and mapping each
-// to its contexts: the driver loop of runNode without verification.
-func timeFetch(ix *core.Snapshot, ap *accessPath) time.Duration {
+// to its contexts, reps times: the driver loop of runNode without
+// verification.
+func timeFetch(ix *core.Snapshot, ap *accessPath, reps int) time.Duration {
 	start := time.Now()
 	ex := xpath.NewExec(ix.Doc())
-	it := ap.open(ix)
-	for {
-		cand, ok := it.Next()
-		if !ok {
-			break
+	for range reps {
+		it := ap.open(ix)
+		for {
+			cand, ok := it.Next()
+			if !ok {
+				break
+			}
+			ex.ContextsFor(cand, ap.cond)
 		}
-		ex.ContextsFor(cand, ap.cond)
+		it.Close()
 	}
-	it.Close()
 	return time.Since(start)
 }
 
@@ -132,4 +160,17 @@ func checkConstant(t *testing.T, name string, constant, measured float64) {
 	}
 }
 
-func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+// median and relIQR summarise per-round ratios: the middle value, and
+// the interquartile range over it (+Inf for fewer than four rounds).
+func median(xs []float64) float64 {
+	s := slices.Sorted(slices.Values(xs))
+	return s[len(s)/2]
+}
+
+func relIQR(xs []float64) float64 {
+	if len(xs) < 4 {
+		return math.Inf(1)
+	}
+	s := slices.Sorted(slices.Values(xs))
+	return (s[3*len(s)/4] - s[len(s)/4]) / s[len(s)/2]
+}
