@@ -127,6 +127,15 @@
 // planned execution is result-identical to the scan evaluator — the
 // equivalence property tests and FuzzQueryPlanned pin exactly that.
 //
+// The document scan is a column pass: each step's name resolves to a
+// dictionary id once per query, a descendant step tests the kind and
+// name columns in one loop over its context's pre/size range, and
+// predicates read operand values as text-heap bytes. It needs no visit
+// set: a child step over distinct parents yields distinct nodes, and a
+// descendant step that skips contexts nested in the one before yields
+// distinct nodes in document order, so a scan allocates for its hits
+// and contexts, not per node.
+//
 // Costs are in one unit, one node or attribute visited by the document
 // scan, so a scan costs N + A. An index arm is charged per estimated
 // posting, a fetch plus a verification, and PlannerAuto scans when that
@@ -327,7 +336,10 @@
 // stream is the write-ahead log viewed live (the hook payload is the
 // canonical WAL record encoding), and RecoveredChanges replays the
 // recovered log tail into it after a restart so subscribers resume
-// across crashes.
+// across crashes. A query's response is appended straight from its hits
+// (Result.AppendValue, Result.AppendPath) into a pooled buffer, in
+// exactly the bytes encoding/json would write for the documented
+// QueryResponse schema.
 //
 // Replication (internal/replica, xvid -follow) is the same protocol run
 // in reverse: a follower subscribes to the leader's WATCH stream with

@@ -35,9 +35,13 @@ func (m *Machine) IdentityFrag() Frag { return Frag{Elem: Identity} }
 // ParseFrag runs the machine over text and captures the fragment
 // descriptor. ok is false (and the Frag zero) when the text is rejected —
 // it cannot occur inside any valid lexical value of the type.
-func (m *Machine) ParseFrag(text []byte) (Frag, bool) {
+func (m *Machine) ParseFrag(text []byte) (Frag, bool) { return m.AppendFrag(nil, text) }
+
+// AppendFrag is ParseFrag with the items appended to items[:0], so a
+// caller casting value after value reuses one buffer.
+func (m *Machine) AppendFrag(items []Item, text []byte) (Frag, bool) {
 	e := Identity
-	var items []Item
+	items = items[:0]
 	classOf := &m.dfa.classOf
 	for _, b := range text {
 		e = m.step[e][classOf[b]]

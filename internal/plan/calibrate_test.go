@@ -46,9 +46,10 @@ const calibrationScale = 2
 // rounds. The scan's time per node and attribute is the unit
 // (costScanNode). The index time per estimated posting, in that unit, is
 // what the arm's fetch and verify constants must add up to; the fetch
-// time per estimated posting is its fetch constant. The test logs every
-// measured constant, with the spread of its rounds, and fails when one
-// in cost.go is more than 2× from what it measures. Timing needs an
+// time per estimated posting is its fetch constant, and the index time
+// less the fetch time, per estimated posting, its verify constant. The
+// test logs every measured constant, with the spread of its rounds, and
+// fails when one in cost.go is more than 2× from what it measures. Timing needs an
 // optimised build: it skips under -short and under the race detector.
 func TestCostConstantsMatchMeasurement(t *testing.T) {
 	if testing.Short() {
@@ -101,11 +102,11 @@ func TestCostConstantsMatchMeasurement(t *testing.T) {
 		doc := c.ix.Doc()
 		units := float64(doc.NumNodes() + doc.NumAttrs())
 		reps := max(1, int(calibrationPostings/est))
-		var perPosting, fetchPerPosting []float64
+		var perPosting, fetchPerPosting, verifyPerPosting []float64
 		runtime.GC() // no arm inherits the previous arm's garbage
 		for len(perPosting) < calibrationMinRounds ||
 			(len(perPosting) < calibrationMaxRounds &&
-				max(relIQR(perPosting), relIQR(fetchPerPosting)) > calibrationPrecision*math.Sqrt(float64(len(perPosting)))) {
+				max(relIQR(perPosting), relIQR(fetchPerPosting), relIQR(verifyPerPosting)) > calibrationPrecision*math.Sqrt(float64(len(perPosting)))) {
 			scan := timeRun(t, c.ix, path, ForceScan)
 			index := timeRun(t, c.ix, path, ForceIndex)
 			fetch := timeFetch(c.ix, pl.driver, reps) / time.Duration(reps)
@@ -113,14 +114,16 @@ func TestCostConstantsMatchMeasurement(t *testing.T) {
 			perUnit := float64(scan) / units * est
 			perPosting = append(perPosting, float64(index)/perUnit)
 			fetchPerPosting = append(fetchPerPosting, float64(fetch)/perUnit)
+			verifyPerPosting = append(verifyPerPosting, float64(index-fetch)/perUnit)
 		}
-		measured, fetched := median(perPosting), median(fetchPerPosting)
-		fetchConst := pl.driver.fetchCost()
-		t.Logf("%-16s %-53s est %5.0f  %2d rounds  per posting: %5.1f units, IQR %3.0f%% (cost.go %5.1f), fetch %5.1f, IQR %3.0f%% (cost.go %5.1f)",
+		measured, fetched, verified := median(perPosting), median(fetchPerPosting), median(verifyPerPosting)
+		fetchConst, verifyConst := pl.driver.fetchCost(), pl.driver.verifyCost()
+		t.Logf("%-16s %-53s est %5.0f  %2d rounds  per posting: %5.1f units, IQR %3.0f%% (cost.go %5.1f), fetch %5.1f, IQR %3.0f%% (cost.go %5.1f), verify %5.1f, IQR %3.0f%% (cost.go %5.1f)",
 			c.arm, c.query, est, len(perPosting), measured, 100*relIQR(perPosting), pl.EstCost/est,
-			fetched, 100*relIQR(fetchPerPosting), fetchConst)
+			fetched, 100*relIQR(fetchPerPosting), fetchConst, verified, 100*relIQR(verifyPerPosting), verifyConst)
 		checkConstant(t, c.arm+" posting", pl.EstCost/est, measured)
 		checkConstant(t, c.arm+" fetch", fetchConst, fetched)
+		checkConstant(t, c.arm+" verify", verifyConst, verified)
 	}
 }
 

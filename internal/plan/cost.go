@@ -22,10 +22,10 @@ import (
 // and is not charged.
 const (
 	costScanNode   = 1.0 // visit one node or attribute during a document scan
-	costFetchRange = 20  // stream a typed range's posting: leaf, chain lift, ContextsFor
-	costFetchHash  = 7   // the same for hash equality and q-grams, which lift nothing
-	costVerify     = 30  // verify structure + every predicate for one driver posting
-	costVerifyDate = 80  // the same under a date range: on XMark its postings reach contexts more often
+	costFetchRange = 70  // stream a typed range's posting: leaf, chain lift, ContextsFor
+	costFetchHash  = 28  // the same for hash equality and q-grams, which lift nothing
+	costVerify     = 50  // verify structure + every predicate for one driver posting
+	costVerifyDate = 125 // the same under a date range: on XMark its postings reach contexts more often
 )
 
 // Prepare plans a query against the indexes under the given mode. It

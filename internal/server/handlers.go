@@ -75,7 +75,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.AsOf = Token(at)
-		writeJSON(w, http.StatusOK, resp)
+		writeQuery(w, resp)
 		return
 	}
 
@@ -119,12 +119,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Replica = &ReplicaInfo{LeaderVersion: Token(leader), Lag: lag}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQuery(w, resp)
 }
 
-// execQuery plans, executes, and serializes one query against a pinned
-// version, writing the error response itself on failure (ok=false).
-func execQuery(w http.ResponseWriter, ds *docState, pinned *xmlvi.Pinned, req QueryRequest) (*QueryResponse, bool) {
+// execQuery plans and executes one query against a pinned version,
+// writing the error response itself on failure (ok=false).
+func execQuery(w http.ResponseWriter, ds *docState, pinned *xmlvi.Pinned, req QueryRequest) (*queryAnswer, bool) {
 	var (
 		results []xmlvi.Result
 		info    *ExplainInfo
@@ -147,37 +147,11 @@ func execQuery(w http.ResponseWriter, ds *docState, pinned *xmlvi.Pinned, req Qu
 		}
 		return nil, false
 	}
-
 	limit := req.Limit
 	if limit <= 0 {
 		limit = defaultResultLimit
 	}
-	resp := &QueryResponse{
-		Doc:     ds.name,
-		Version: Token(pinned.Version()),
-		Count:   len(results),
-		Results: make([]ResultItem, 0, min(len(results), limit)),
-		Explain: info,
-	}
-	for i, res := range results {
-		if i == limit {
-			resp.Truncated = true
-			break
-		}
-		item := ResultItem{
-			Node:   int32(res.Node),
-			Attr:   -1,
-			IsAttr: res.IsAttr,
-			Name:   res.Name(),
-			Value:  res.Value(),
-			Path:   res.Path(),
-		}
-		if res.IsAttr {
-			item.Attr = int32(res.Attr)
-		}
-		resp.Results = append(resp.Results, item)
-	}
-	return resp, true
+	return &queryAnswer{Doc: ds.name, Version: Token(pinned.Version()), Hits: results, Limit: limit, Explain: info}, true
 }
 
 // pitCacheLimit bounds the per-document cache of point-in-time opens; a

@@ -97,7 +97,9 @@ type ReplicaInfo struct {
 	Lag uint64 `json:"lag"`
 }
 
-// QueryResponse is the body of a successful query.
+// QueryResponse is the body of a successful query: the schema clients
+// decode into. The server does not build one; its encoder (encode.go)
+// writes the same bytes encoding/json would, straight from the hits.
 type QueryResponse struct {
 	Doc string `json:"doc"`
 	// Version is the pinned MVCC version the whole query ran against —

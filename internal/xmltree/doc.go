@@ -141,6 +141,11 @@ func (d *Doc) Name(n NodeID) string {
 // NameID returns the dictionary id of n's tag name, or -1 if n has none.
 func (d *Doc) NameID(n NodeID) NameID { return d.name[n] }
 
+// Columns returns the kind and name columns, indexed by NodeID, for
+// passes that test every node of a range in place. The slices alias the
+// document and must not be modified.
+func (d *Doc) Columns() ([]Kind, []NameID) { return d.kind, d.name }
+
 // NameIDOf returns the dictionary id for tag, or -1 if the tag does not
 // occur in the document.
 func (d *Doc) NameIDOf(tag string) NameID { return d.names.find(tag) }

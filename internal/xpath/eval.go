@@ -1,8 +1,9 @@
 package xpath
 
 import (
-	"sort"
-	"strings"
+	"bytes"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fsm"
@@ -12,180 +13,207 @@ import (
 // Evaluate runs the path over the document by structural navigation and
 // value materialisation — the index-less baseline.
 func Evaluate(doc *xmltree.Doc, path *Path) []core.Posting {
-	ev := &evaluator{doc: doc}
+	ev := newEvaluator(doc)
 	return ev.run(path)
 }
 
+// evaluator answers queries over one document version. Its buffers are
+// reused from step to step and query to query; it is not safe for
+// concurrent use.
 type evaluator struct {
-	doc *xmltree.Doc
+	doc  *xmltree.Doc
+	kind []xmltree.Kind // the document's kind and name columns, read in place
+	name []xmltree.NameID
 
-	// stepSeen and relSeen are reusable epoch-stamped visit sets
-	// replacing the per-step map[NodeID]bool and dedupe allocations on
-	// the evaluation hot path. stepSeen serves the top-level step loops
-	// (run, and the planner's driver loop through Exec.BeginVisit — never
-	// active at the same time); relSeen serves the step loop inside
-	// relNodes, which runs nested within a stepSeen scope but never
-	// within itself (relative-path steps carry no predicates), so the two
-	// sets never clobber each other.
-	stepSeen visitSet
-	relSeen  visitSet
-}
-
-// visitSet marks visited node ids with an epoch stamp; bumping the epoch
-// clears the whole set in O(1), so one backing store per evaluator is
-// reused across steps and queries. Two representations share the
-// interface: scan-shaped scopes (which touch most of the document
-// anyway) pre-size a dense array, while selective index-driven scopes
-// use a retained epoch map and never pay O(document) per query. Once a
-// dense array exists it serves sparse scopes too — the array is already
-// paid for.
-type visitSet struct {
-	marks  []uint32
-	sparse map[xmltree.NodeID]uint32
-	epoch  uint32
-}
-
-// beginDense starts a fresh scope over ids [0, n), backed by an array.
-func (v *visitSet) beginDense(n int) {
-	if len(v.marks) < n {
-		v.marks = make([]uint32, n)
-		v.epoch = 0
+	// ctx holds run's context lists and rel those of a predicate's
+	// relative path, each a pair swapped from step to step. condHolds
+	// runs inside run's steps but never inside itself (relative-path
+	// steps carry no predicates), so the pairs never clobber each other.
+	ctx, rel [2][]xmltree.NodeID
+	// val holds an element's concatenated text while a condition tests it.
+	val []byte
+	// items is the typed casts' parse buffer.
+	items []fsm.Item
+	// names memoises the dictionary ids of the query's step names.
+	names []struct {
+		name string
+		id   xmltree.NameID
 	}
-	v.bump()
 }
 
-// beginSparse starts a fresh scope without pre-sizing: marks live in a
-// reused epoch map (unless a dense array already exists), created
-// lazily on the first add so empty scopes cost nothing.
-func (v *visitSet) beginSparse() { v.bump() }
+func newEvaluator(doc *xmltree.Doc) evaluator {
+	kind, name := doc.Columns()
+	return evaluator{doc: doc, kind: kind, name: name}
+}
 
-func (v *visitSet) bump() {
-	if v.epoch == ^uint32(0) {
-		for i := range v.marks {
-			v.marks[i] = 0
+// test is a step's node test resolved against the document, the name
+// once per query: a kind and a dictionary name id. anyName matches every name; a
+// name missing from the dictionary resolves to -1, which no node or
+// attribute carries.
+type test struct {
+	kind xmltree.Kind
+	name xmltree.NameID
+}
+
+const (
+	anyName  xmltree.NameID = -2
+	attrKind xmltree.Kind   = 255 // attribute tests match no tree node
+)
+
+func (ev *evaluator) resolve(s Step) test {
+	t := test{xmltree.Element, anyName}
+	switch {
+	case s.Kind == TestText:
+		t.kind = xmltree.Text
+	case s.Kind == TestAttr:
+		t.kind = attrKind
+	}
+	if (s.Kind == TestName || s.Kind == TestAttr) && s.Name != "*" {
+		t.name = ev.nameID(s.Name)
+	}
+	return t
+}
+
+func (ev *evaluator) nameID(name string) xmltree.NameID {
+	for _, e := range ev.names {
+		if e.name == name {
+			return e.id
 		}
-		v.sparse = nil
-		v.epoch = 0
 	}
-	v.epoch++
+	id := ev.doc.NameIDOf(name)
+	ev.names = append(ev.names, struct {
+		name string
+		id   xmltree.NameID
+	}{name, id})
+	return id
 }
 
-// add marks id and reports whether it was new in this scope.
-func (v *visitSet) add(id xmltree.NodeID) bool {
-	if v.marks != nil {
-		if v.marks[id] == v.epoch {
-			return false
-		}
-		v.marks[id] = v.epoch
-		return true
-	}
-	if v.sparse[id] == v.epoch {
-		return false
-	}
-	if v.sparse == nil {
-		v.sparse = make(map[xmltree.NodeID]uint32)
-	}
-	v.sparse[id] = v.epoch
-	return true
+func (ev *evaluator) matches(n xmltree.NodeID, t test) bool {
+	return ev.kind[n] == t.kind && (t.name == anyName || ev.name[n] == t.name)
+}
+
+func (ev *evaluator) attrMatches(a xmltree.AttrID, t test) bool {
+	return t.name == anyName || ev.doc.AttrNameID(a) == t.name
 }
 
 // --- scan evaluation ---
 
+// run evaluates the path from the document node. The steps keep their
+// context lists distinct without a visit set (see step), and in document
+// order unless a child step from nested contexts broke it, so the hits
+// are sorted only then.
 func (ev *evaluator) run(path *Path) []core.Posting {
-	doc := ev.doc
-	contexts := []xmltree.NodeID{doc.Root()}
-	for si, step := range path.Steps {
-		if step.Kind == TestAttr {
+	ctxs, next := append(ev.ctx[0][:0], ev.doc.Root()), ev.ctx[1]
+	defer func() { ev.ctx = [2][]xmltree.NodeID{ctxs, next} }()
+	sorted := true
+	for si, st := range path.Steps {
+		if st.Kind == TestAttr {
 			// Attribute steps terminate the node phase.
 			if si != len(path.Steps)-1 {
 				return nil // unsupported mid-path attribute step
 			}
-			var out []core.Posting
-			for _, n := range contexts {
-				out = append(out, ev.attrStep(n, step)...)
-			}
-			return sortPostings(doc, out)
+			return ev.attrStep(ctxs, sorted, st)
 		}
-		var next []xmltree.NodeID
-		ev.stepSeen.beginDense(doc.NumNodes())
-		for _, n := range contexts {
-			ev.nodeStep(n, step, func(m xmltree.NodeID) {
-				if ev.stepSeen.add(m) {
-					next = append(next, m)
-				}
-			})
-		}
-		contexts = next
-		if len(contexts) == 0 {
+		next, sorted = ev.step(ctxs, sorted, st, next)
+		ctxs, next = next, ctxs
+		if len(ctxs) == 0 {
 			return nil
 		}
 	}
-	out := make([]core.Posting, 0, len(contexts))
-	for _, n := range contexts {
-		out = append(out, core.NodePosting(n))
+	if !sorted {
+		slices.Sort(ctxs)
 	}
-	return sortPostings(doc, out)
-}
-
-// nodeStep yields the nodes selected by one non-attribute step from n,
-// with predicates applied.
-func (ev *evaluator) nodeStep(n xmltree.NodeID, step Step, yield func(xmltree.NodeID)) {
-	doc := ev.doc
-	emit := func(m xmltree.NodeID) {
-		if ev.testMatch(m, step) && ev.predsHold(m, step.Preds) {
-			yield(m)
-		}
+	out := make([]core.Posting, len(ctxs))
+	for i, n := range ctxs {
+		out[i] = core.NodePosting(n)
 	}
-	if step.Axis == Child {
-		for c := doc.FirstChild(n); c != xmltree.InvalidNode; c = doc.NextSibling(c) {
-			emit(c)
-		}
-		return
-	}
-	doc.Descendants(n, func(m xmltree.NodeID) bool {
-		emit(m)
-		return true
-	})
-}
-
-func (ev *evaluator) attrStep(n xmltree.NodeID, step Step) []core.Posting {
-	doc := ev.doc
-	collect := func(m xmltree.NodeID, out []core.Posting) []core.Posting {
-		lo, hi := doc.AttrRange(m)
-		for a := lo; a < hi; a++ {
-			if step.Name == "*" || doc.AttrName(a) == step.Name {
-				if ev.attrPredsHold(a, step.Preds) {
-					out = append(out, core.AttrPosting(a))
-				}
-			}
-		}
-		return out
-	}
-	var out []core.Posting
-	if step.Axis == Child {
-		out = collect(n, out)
-		return out
-	}
-	doc.Descendants(n, func(m xmltree.NodeID) bool {
-		if doc.Kind(m) == xmltree.Element {
-			out = collect(m, out)
-		}
-		return true
-	})
 	return out
 }
 
-func (ev *evaluator) testMatch(n xmltree.NodeID, step Step) bool {
-	doc := ev.doc
-	switch step.Kind {
-	case TestAny:
-		return doc.Kind(n) == xmltree.Element
-	case TestName:
-		return doc.Kind(n) == xmltree.Element && doc.Name(n) == step.Name
-	case TestText:
-		return doc.Kind(n) == xmltree.Text
+// step appends to out[:0] the nodes one element or text step selects
+// from ctxs, predicates applied, testing the kind and name columns in
+// one pass over each context's children or subtree. It reports whether
+// out is in document order. Given distinct contexts out is distinct: a
+// node has one parent, and a descendant step visits the contexts in
+// document order (sorting them unless sorted says they are) and skips
+// each one nested in the subtree it has just covered.
+func (ev *evaluator) step(ctxs []xmltree.NodeID, sorted bool, st Step, out []xmltree.NodeID) ([]xmltree.NodeID, bool) {
+	out = out[:0]
+	t := ev.resolve(st)
+	if t.name == -1 {
+		return out, true // the name occurs nowhere in the document
 	}
-	return false
+	if st.Axis == Child {
+		sorted = true
+		for _, n := range ctxs {
+			end := n + xmltree.NodeID(ev.doc.Size(n))
+			for c := n + 1; c <= end; c += xmltree.NodeID(ev.doc.Size(c)) + 1 {
+				if ev.matches(c, t) && ev.predsHold(c, st.Preds) {
+					sorted = sorted && (len(out) == 0 || out[len(out)-1] < c)
+					out = append(out, c)
+				}
+			}
+		}
+		return out, sorted
+	}
+	if !sorted {
+		slices.Sort(ctxs)
+	}
+	covered := xmltree.NodeID(-1)
+	for _, n := range ctxs {
+		if n <= covered {
+			continue
+		}
+		covered = n + xmltree.NodeID(ev.doc.Size(n))
+		kind, name := ev.kind[n+1:covered+1], ev.name[n+1:covered+1]
+		name = name[:len(kind)]
+		for i, k := range kind {
+			if k == t.kind && (t.name == anyName || name[i] == t.name) {
+				if m := n + 1 + xmltree.NodeID(i); ev.predsHold(m, st.Preds) {
+					out = append(out, m)
+				}
+			}
+		}
+	}
+	return out, true
+}
+
+// attrStep selects a final attribute step's hits from ctxs, in document
+// order: attribute ids follow their owners.
+func (ev *evaluator) attrStep(ctxs []xmltree.NodeID, sorted bool, st Step) []core.Posting {
+	if !sorted {
+		slices.Sort(ctxs)
+	}
+	t := ev.resolve(st)
+	var out []core.Posting
+	covered := xmltree.NodeID(-1)
+	for _, n := range ctxs {
+		if n <= covered {
+			continue // its descendants' attributes are already out
+		}
+		if st.Axis == Descendant {
+			covered = n + xmltree.NodeID(ev.doc.Size(n))
+		}
+		lo, hi := ev.attrRange(n, st.Axis)
+		for a := lo; a < hi; a++ {
+			if ev.attrMatches(a, t) && ev.attrPredsHold(a, st.Preds) {
+				out = append(out, core.AttrPosting(a))
+			}
+		}
+	}
+	return out
+}
+
+// attrRange is the ids of the attributes an attribute step on axis can
+// select from n: its own, or all of its proper descendants', one range
+// because attribute ids follow their owners' document order.
+func (ev *evaluator) attrRange(n xmltree.NodeID, axis Axis) (lo, hi xmltree.AttrID) {
+	lo, hi = ev.doc.AttrRange(n)
+	if axis == Descendant {
+		_, end := ev.doc.AttrRange(n + xmltree.NodeID(ev.doc.Size(n)))
+		lo, hi = hi, end
+	}
+	return lo, hi
 }
 
 func (ev *evaluator) predsHold(n xmltree.NodeID, preds []Pred) bool {
@@ -205,7 +233,7 @@ func (ev *evaluator) attrPredsHold(a xmltree.AttrID, preds []Pred) bool {
 			if !c.Dot {
 				return false // attributes have no children
 			}
-			if !condMatch(ev.doc.AttrValue(a), c) {
+			if !ev.condMatch(ev.doc.AttrValueBytes(a), c) {
 				return false
 			}
 		}
@@ -213,144 +241,91 @@ func (ev *evaluator) attrPredsHold(a xmltree.AttrID, preds []Pred) bool {
 	return true
 }
 
-// condMatch applies one condition to one operand value: a text-predicate
-// function when Fn is set, the comparison operator otherwise.
-func condMatch(value string, c Cond) bool {
-	switch c.Fn {
-	case FnContains:
-		return strings.Contains(value, c.Lit.Str)
-	case FnStartsWith:
-		return strings.HasPrefix(value, c.Lit.Str)
-	}
-	return compareString(value, c.Op, c.Lit)
-}
-
 // condHolds implements XPath existential comparison semantics: the
-// condition holds if ANY operand node satisfies the comparison.
+// condition holds if ANY operand node satisfies the comparison. The
+// relative path's element and text steps run as step does, into the rel
+// buffers; a final attribute step tests its attributes in place.
 func (ev *evaluator) condHolds(n xmltree.NodeID, c Cond) bool {
 	if c.Dot {
-		return condMatch(ev.doc.StringValue(n), c)
+		return ev.condMatch(ev.value(n), c)
 	}
-	found := false
-	ev.relNodes(n, c.Rel, func(value string) bool {
-		if condMatch(value, c) {
-			found = true
-			return false
+	steps, last := c.Rel, c.Rel[len(c.Rel)-1]
+	if last.Kind == TestAttr {
+		steps = steps[:len(steps)-1]
+	}
+	ctxs, next := append(ev.rel[0][:0], n), ev.rel[1]
+	sorted := true
+	for _, st := range steps {
+		next, sorted = ev.step(ctxs, sorted, st, next)
+		ctxs, next = next, ctxs
+	}
+	ev.rel = [2][]xmltree.NodeID{ctxs, next}
+	if last.Kind != TestAttr {
+		for _, m := range ctxs {
+			if ev.condMatch(ev.value(m), c) {
+				return true
+			}
 		}
-		return true
-	})
-	return found
+		return false
+	}
+	t := ev.resolve(last)
+	for _, m := range ctxs {
+		lo, hi := ev.attrRange(m, last.Axis)
+		for a := lo; a < hi; a++ {
+			if ev.attrMatches(a, t) && ev.condMatch(ev.doc.AttrValueBytes(a), c) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
-// relNodes yields the string values selected by a relative path from n;
-// yield returning false stops early.
-func (ev *evaluator) relNodes(n xmltree.NodeID, rel []Step, yield func(string) bool) {
-	doc := ev.doc
-	contexts := []xmltree.NodeID{n}
-	for i, step := range rel {
-		last := i == len(rel)-1
-		if step.Kind == TestAttr {
-			if !last {
-				return
-			}
-			for _, ctx := range contexts {
-				stop := false
-				walk := func(m xmltree.NodeID) {
-					lo, hi := doc.AttrRange(m)
-					for a := lo; a < hi && !stop; a++ {
-						if step.Name == "*" || doc.AttrName(a) == step.Name {
-							if !yield(doc.AttrValue(a)) {
-								stop = true
-							}
-						}
-					}
-				}
-				if step.Axis == Child {
-					walk(ctx)
-				} else {
-					doc.Descendants(ctx, func(m xmltree.NodeID) bool {
-						if doc.Kind(m) == xmltree.Element {
-							walk(m)
-						}
-						return !stop
-					})
-				}
-				if stop {
-					return
-				}
-			}
-			return
-		}
-		var next []xmltree.NodeID
-		stop := false
-		if !last {
-			// Follow the query's shape: scan evaluation (dense stepSeen
-			// already paid for) dedupes densely; a selective index drive
-			// stays sparse so predicates on few candidates cost O(matches).
-			if ev.stepSeen.marks != nil {
-				ev.relSeen.beginDense(doc.NumNodes())
-			} else {
-				ev.relSeen.beginSparse()
-			}
-		}
-		for _, ctx := range contexts {
-			ev.nodeStep(ctx, Step{Axis: step.Axis, Kind: step.Kind, Name: step.Name}, func(m xmltree.NodeID) {
-				if stop {
-					return
-				}
-				if last {
-					if !yield(doc.StringValue(m)) {
-						stop = true
-					}
-					return
-				}
-				if ev.relSeen.add(m) {
-					next = append(next, m)
-				}
-			})
-			if stop {
-				return
-			}
-		}
-		if last {
-			return
-		}
-		contexts = next
-		if len(contexts) == 0 {
-			return
-		}
+// value is n's string value as heap bytes: its own character data, an
+// element's single text child, or else its descendant text concatenated
+// into ev.val, valid until the next call.
+func (ev *evaluator) value(n xmltree.NodeID) []byte {
+	switch {
+	case ev.kind[n] != xmltree.Element && ev.kind[n] != xmltree.Document:
+		return ev.doc.ValueBytes(n)
+	case ev.doc.Size(n) == 1 && ev.kind[n+1] == xmltree.Text:
+		return ev.doc.ValueBytes(n + 1)
 	}
+	ev.val = ev.doc.AppendStringValue(ev.val[:0], n)
+	return ev.val
+}
+
+// condMatch applies one condition to one operand value: a text-predicate
+// function when Fn is set, the comparison operator otherwise.
+func (ev *evaluator) condMatch(value []byte, c Cond) bool {
+	switch c.Fn {
+	case FnContains:
+		return bytes.Contains(value, []byte(c.Lit.Str))
+	case FnStartsWith:
+		return bytes.HasPrefix(value, []byte(c.Lit.Str))
+	}
+	return ev.compare(value, c.Op, c.Lit)
 }
 
 func dedupe(ns []xmltree.NodeID) []xmltree.NodeID {
-	if len(ns) < 2 {
-		return ns
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	out := ns[:1]
-	for _, n := range ns[1:] {
-		if n != out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
-	return out
+	slices.Sort(ns)
+	return slices.Compact(ns)
 }
 
-// compareString applies a comparison between an untyped node value and a
+// compare applies a comparison between an untyped node value and a
 // literal: numeric literals compare through the xs:double cast, xs:date
 // literals through the date cast (FSM semantics in both cases, so mixed
 // content works); string literals compare as strings (lexicographically
 // for the relational operators).
-func compareString(value string, op CmpOp, lit Literal) bool {
+func (ev *evaluator) compare(value []byte, op CmpOp, lit Literal) bool {
 	if lit.IsNum {
-		v, ok := castDouble(value)
+		v, ok := castDouble(value, &ev.items)
 		if !ok {
 			return false
 		}
 		return compareFloat(v, op, lit.Num)
 	}
 	if lit.IsDate {
-		d, ok := castDate(value)
+		d, ok := castDate(value, &ev.items)
 		if !ok {
 			return false
 		}
@@ -358,17 +333,17 @@ func compareString(value string, op CmpOp, lit Literal) bool {
 	}
 	switch op {
 	case OpEq:
-		return value == lit.Str
+		return string(value) == lit.Str
 	case OpNe:
-		return value != lit.Str
+		return string(value) != lit.Str
 	case OpLt:
-		return strings.Compare(value, lit.Str) < 0
+		return string(value) < lit.Str
 	case OpLe:
-		return strings.Compare(value, lit.Str) <= 0
+		return string(value) <= lit.Str
 	case OpGt:
-		return strings.Compare(value, lit.Str) > 0
+		return string(value) > lit.Str
 	case OpGe:
-		return strings.Compare(value, lit.Str) >= 0
+		return string(value) >= lit.Str
 	}
 	return false
 }
@@ -409,48 +384,42 @@ func compareInt(v int64, op CmpOp, lit int64) bool {
 	return false
 }
 
-func castDouble(s string) (float64, bool) {
-	f, ok := fsm.Double().ParseFragString(s)
+// castDouble and castDate parse into *items, which the next cast reuses.
+func castDouble(b []byte, items *[]fsm.Item) (float64, bool) {
+	f, ok := fsm.Double().AppendFrag(*items, b)
 	if !ok {
 		return 0, false
 	}
+	*items = f.Items
 	return fsm.DoubleValue(f)
 }
 
-func castDate(s string) (int64, bool) {
-	f, ok := fsm.Date().ParseFragString(s)
+func castDate(b []byte, items *[]fsm.Item) (int64, bool) {
+	f, ok := fsm.Date().AppendFrag(*items, b)
 	if !ok {
 		return 0, false
 	}
+	*items = f.Items
 	return fsm.DateValue(f)
 }
 
 func sortPostings(doc *xmltree.Doc, ps []core.Posting) []core.Posting {
-	key := func(p core.Posting) (xmltree.NodeID, int, xmltree.AttrID) {
+	key := func(p core.Posting) xmltree.NodeID {
 		if p.IsAttr {
-			return doc.AttrOwner(p.Attr), 1, p.Attr
+			return doc.AttrOwner(p.Attr)
 		}
-		return p.Node, 0, 0
+		return p.Node
 	}
-	sort.Slice(ps, func(i, j int) bool {
-		ni, ti, ai := key(ps[i])
-		nj, tj, aj := key(ps[j])
-		if ni != nj {
-			return ni < nj
+	isAttr := func(p core.Posting) int {
+		if p.IsAttr {
+			return 1
 		}
-		if ti != tj {
-			return ti < tj
-		}
-		return ai < aj
+		return 0
+	}
+	slices.SortFunc(ps, func(a, b core.Posting) int {
+		return cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(isAttr(a), isAttr(b)), cmp.Compare(a.Attr, b.Attr))
 	})
-	// Dedupe.
-	out := ps[:0]
-	for i, p := range ps {
-		if i == 0 || p != ps[i-1] {
-			out = append(out, p)
-		}
-	}
-	return out
+	return slices.Compact(ps)
 }
 
 // --- bottom-up verification (the planner's index strategies) ---
@@ -462,7 +431,7 @@ func (ev *evaluator) absMatches(n xmltree.NodeID, steps []Step) bool {
 		return n == ev.doc.Root()
 	}
 	last := steps[len(steps)-1]
-	return ev.testMatch(n, last) && ev.predsHold(n, last.Preds) &&
+	return ev.matches(n, ev.resolve(last)) && ev.predsHold(n, last.Preds) &&
 		ev.matchesAt(n, steps[:len(steps)-1], last.Axis)
 }
 
@@ -515,7 +484,7 @@ func (ev *evaluator) elemContexts(m xmltree.NodeID, steps []Step) []xmltree.Node
 	}
 	doc := ev.doc
 	last := steps[len(steps)-1]
-	if !ev.testMatch(m, last) {
+	if !ev.matches(m, ev.resolve(last)) {
 		return nil
 	}
 	var prevs []xmltree.NodeID
@@ -558,7 +527,7 @@ func (ev *evaluator) matchesAt(n xmltree.NodeID, prefix []Step, axis Axis) bool 
 	lastIdx := len(prefix) - 1
 	st := prefix[lastIdx]
 	for _, p := range parents {
-		if ev.testMatch(p, st) && ev.predsHold(p, st.Preds) &&
+		if ev.matches(p, ev.resolve(st)) && ev.predsHold(p, st.Preds) &&
 			ev.matchesAt(p, prefix[:lastIdx], st.Axis) {
 			return true
 		}

@@ -40,16 +40,17 @@ func CheckSupported(p *Path) error {
 // Exec exposes the evaluator's structural machinery — candidate-to-
 // context mapping, step/predicate verification, ancestor-chain matching
 // — to the planner's executor (internal/plan) without exporting the
-// evaluator itself. An Exec reuses its visit-set scratch across calls
-// and is not safe for concurrent use; create one per query.
+// evaluator itself. An Exec reuses its scratch across calls and is not
+// safe for concurrent use; create one per query.
 type Exec struct {
-	ev evaluator
+	ev   evaluator
+	seen map[xmltree.NodeID]struct{}
 }
 
 // NewExec returns executor machinery over a document version (the
 // planner passes the document of the snapshot it pinned).
 func NewExec(doc *xmltree.Doc) *Exec {
-	return &Exec{ev: evaluator{doc: doc}}
+	return &Exec{ev: newEvaluator(doc)}
 }
 
 // Doc returns the underlying document.
@@ -67,7 +68,9 @@ func (e *Exec) ContextsFor(cand core.Posting, c Cond) []xmltree.NodeID {
 }
 
 // TestMatch reports whether node n passes the step's node test.
-func (e *Exec) TestMatch(n xmltree.NodeID, step Step) bool { return e.ev.testMatch(n, step) }
+func (e *Exec) TestMatch(n xmltree.NodeID, step Step) bool {
+	return e.ev.matches(n, e.ev.resolve(step))
+}
 
 // PredsHold evaluates every predicate condition at node n.
 func (e *Exec) PredsHold(n xmltree.NodeID, preds []Pred) bool { return e.ev.predsHold(n, preds) }
@@ -95,11 +98,19 @@ func (e *Exec) SortPostings(ps []core.Posting) []core.Posting {
 	return sortPostings(e.ev.doc, ps)
 }
 
-// BeginVisit opens a fresh node-dedup scope on the executor's reusable
-// visit set (the planner's driver loop dedupes candidate contexts with
-// it, like the evaluators dedupe step results). The scope is sparse:
-// memory follows the driver's output, not the document.
-func (e *Exec) BeginVisit() { e.ev.stepSeen.beginSparse() }
+// BeginVisit opens a fresh node-dedup scope (the planner's driver loop
+// dedupes candidate contexts with it). The scope is a set of the nodes
+// visited: memory follows the driver's output, not the document.
+func (e *Exec) BeginVisit() {
+	if e.seen == nil {
+		e.seen = make(map[xmltree.NodeID]struct{})
+	}
+	clear(e.seen)
+}
 
 // Visit marks a node in the current scope, reporting whether it was new.
-func (e *Exec) Visit(n xmltree.NodeID) bool { return e.ev.stepSeen.add(n) }
+func (e *Exec) Visit(n xmltree.NodeID) bool {
+	_, dup := e.seen[n]
+	e.seen[n] = struct{}{}
+	return !dup
+}

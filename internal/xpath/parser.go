@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/fsm"
 )
 
 // Parse compiles an XPath expression in the supported dialect.
@@ -304,7 +306,7 @@ func (p *parser) parseLiteral() (Literal, error) {
 			if inner.IsNum || inner.IsDate {
 				return lit, fmt.Errorf("xs:date expects a string literal")
 			}
-			days, ok := castDate(inner.Str)
+			days, ok := castDate([]byte(inner.Str), new([]fsm.Item))
 			if !ok {
 				return lit, fmt.Errorf("bad xs:date literal %q", inner.Str)
 			}

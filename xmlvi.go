@@ -222,11 +222,15 @@ type Result struct {
 
 // Value returns the hit's string value (XDM semantics: for elements, the
 // concatenation of descendant text).
-func (r Result) Value() string {
+func (r Result) Value() string { return string(r.AppendValue(nil)) }
+
+// AppendValue appends Value's bytes to dst and returns the extended
+// slice, copying straight from the document's text heap.
+func (r Result) AppendValue(dst []byte) []byte {
 	if r.IsAttr {
-		return r.doc.AttrValue(r.Attr)
+		return append(dst, r.doc.AttrValueBytes(r.Attr)...)
 	}
-	return r.doc.StringValue(r.Node)
+	return r.doc.AppendStringValue(dst, r.Node)
 }
 
 // Name returns the element tag or attribute name of the hit, "" for text
@@ -240,26 +244,51 @@ func (r Result) Name() string {
 
 // Path returns a simple location path (tag names from the root) for
 // diagnostics.
-func (r Result) Path() string {
-	var n Node
-	suffix := ""
-	if r.IsAttr {
-		n = r.doc.AttrOwner(r.Attr)
-		suffix = "/@" + r.doc.AttrName(r.Attr)
+func (r Result) Path() string { return string(r.AppendPath(nil, Result{}, nil)) }
+
+// AppendPath appends Path's bytes to dst and returns the extended slice.
+// When prevPath is what AppendPath appended for prev, the hit before r in
+// the same result list, and the two hits have the same parent, r's path
+// copies prev's prefix instead of walking its ancestors again. Pass a
+// nil prevPath to walk them.
+func (r Result) AppendPath(dst []byte, prev Result, prevPath []byte) []byte {
+	base, sep, name := r.pathParts()
+	if pb, psep, pname := prev.pathParts(); prevPath != nil && prev.doc == r.doc && pb == base {
+		dst = append(dst, prevPath[:len(prevPath)-len(psep)-len(pname)]...)
 	} else {
-		n = r.Node
-		if r.doc.Kind(n) == xmltree.Text {
-			suffix = "/text()"
-			n = r.doc.Parent(n)
-		}
+		dst = appendElementPath(dst, r.doc, base)
 	}
-	path := ""
-	for ; n > 0; n = r.doc.Parent(n) {
-		if r.doc.Kind(n) == xmltree.Element {
-			path = "/" + r.doc.Name(n) + path
-		}
+	return append(append(dst, sep...), name...)
+}
+
+// pathParts splits the hit's path into the element path of base and a
+// last step sep+name: "/" and the tag for an element, "/text()" for a
+// text node, "/@" and the name for an attribute.
+func (r Result) pathParts() (base Node, sep, name string) {
+	switch {
+	case r.doc == nil:
+		return xmltree.InvalidNode, "", ""
+	case r.IsAttr:
+		return r.doc.AttrOwner(r.Attr), "/@", r.doc.AttrName(r.Attr)
+	case r.doc.Kind(r.Node) == xmltree.Element:
+		return r.doc.Parent(r.Node), "/", r.doc.Name(r.Node)
+	case r.doc.Kind(r.Node) == xmltree.Text:
+		return r.doc.Parent(r.Node), "/text()", ""
 	}
-	return path + suffix
+	return r.Node, "", ""
+}
+
+// appendElementPath appends "/tag" for every element from the root down
+// to n, n included.
+func appendElementPath(dst []byte, doc *xmltree.Doc, n Node) []byte {
+	if n <= 0 {
+		return dst
+	}
+	dst = appendElementPath(dst, doc, doc.Parent(n))
+	if doc.Kind(n) == xmltree.Element {
+		dst = append(append(dst, '/'), doc.Name(n)...)
+	}
+	return dst
 }
 
 // results binds postings to the document version they were computed
