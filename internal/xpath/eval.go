@@ -35,10 +35,12 @@ type evaluator struct {
 	// items is the typed casts' parse buffer.
 	items []fsm.Item
 	// names memoises the dictionary ids of the query's step names.
-	names []struct {
-		name string
-		id   xmltree.NameID
-	}
+	names []nameID
+}
+
+type nameID struct {
+	name string
+	id   xmltree.NameID
 }
 
 func newEvaluator(doc *xmltree.Doc) evaluator {
@@ -81,10 +83,7 @@ func (ev *evaluator) nameID(name string) xmltree.NameID {
 		}
 	}
 	id := ev.doc.NameIDOf(name)
-	ev.names = append(ev.names, struct {
-		name string
-		id   xmltree.NameID
-	}{name, id})
+	ev.names = append(ev.names, nameID{name, id})
 	return id
 }
 
