@@ -48,10 +48,10 @@ func newEvaluator(doc *xmltree.Doc) evaluator {
 	return evaluator{doc: doc, kind: kind, name: name}
 }
 
-// test is a step's node test resolved against the document, the name
-// once per query: a kind and a dictionary name id. anyName matches every name; a
-// name missing from the dictionary resolves to -1, which no node or
-// attribute carries.
+// test is a step's node test resolved against the document (the name
+// once per query): a kind and a dictionary name id. anyName matches
+// every name; a name missing from the dictionary resolves to -1, which
+// no node or attribute carries.
 type test struct {
 	kind xmltree.Kind
 	name xmltree.NameID
