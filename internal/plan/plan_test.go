@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -264,43 +265,73 @@ func TestPlannerChoosesSelectiveDriver(t *testing.T) {
 
 // TestPlannerIntersects pins the new capability: two selective
 // predicates produce an intersect operator, and the executed actuals
-// show the bitmap filtering driver contexts before verification. The
-// predicates are string equalities: streaming a hash posting costs less
-// than verifying a driver posting (costFetchHash < costVerify), so an
-// extra path of the driver's size pays; a typed range's posting costs
-// more to stream than to verify, so ranges of that size never do.
+// show the bitmap filtering driver contexts before verification. An
+// extra path is never smaller than the driver, so it pays only when
+// streaming its posting costs less than verifying a driver posting:
+// a hash path always (costFetchHash < costVerify), a typed range only
+// under a date-range driver (costVerify < costFetchRange <
+// costVerifyDate). Two equal-size double ranges therefore do not
+// intersect.
 func TestPlannerIntersects(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("<r>")
-	for i := 0; i < 4000; i++ {
-		fmt.Fprintf(&b, "<p><x>a%d</x><y>b%d</y></p>", i%200, (i+3)%190)
+	day := time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC)
+	cases := []struct {
+		name, query string
+		row         func(i int) string
+		extraOp     string // the extra path's operator, "" for none
+	}{
+		{"hash extra", `//p[x = "a7" and y = "b10"]`, func(i int) string {
+			return fmt.Sprintf("<x>a%d</x><y>b%d</y>", i%200, (i+3)%190)
+		}, "hash-eq"},
+		{"range extra under a date driver", `//p[d < xs:date("1900-01-05") and v < 3]`, func(i int) string {
+			return fmt.Sprintf("<d>%s</d><v>%d</v>", day.AddDate(0, 0, i%250).Format("2006-01-02"), i%180)
+		}, "range(double)"},
+		{"range extra under a double driver", `//p[x = 7 and y = 10]`, func(i int) string {
+			return fmt.Sprintf("<x>%d</x><y>%d</y>", i%200, (i+3)%190)
+		}, ""},
 	}
-	b.WriteString("</r>")
-	doc, err := xmlparse.ParseString(b.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := core.Build(doc, core.DefaultOptions()).Snapshot()
-	path := xpath.MustParse(`//p[x = "a7" and y = "b10"]`)
-	pl, err := Prepare(ix, path, Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pl.extras) == 0 {
-		t.Fatalf("planner did not intersect:\n%s", pl)
-	}
-	got := pl.Execute()
-	oracle := xpath.Evaluate(doc, path)
-	if !postingsEqual(got, oracle) {
-		t.Fatalf("intersection plan wrong: %d hits, oracle %d", len(got), len(oracle))
-	}
-	if !strings.Contains(pl.String(), "intersect") {
-		t.Errorf("plan tree missing intersect node:\n%s", pl)
-	}
-	// The verify operator must have seen no more contexts than the
-	// driver produced (the bitmap can only shrink the set).
-	if pl.verifyNode.ActRows > pl.driver.node.ActRows {
-		t.Errorf("verify saw %d contexts, driver fetched %d", pl.verifyNode.ActRows, pl.driver.node.ActRows)
+	for _, c := range cases {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for i := 0; i < 4000; i++ {
+			fmt.Fprintf(&b, "<p>%s</p>", c.row(i))
+		}
+		b.WriteString("</r>")
+		doc, err := xmlparse.ParseString(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := core.Build(doc, core.DefaultOptions()).Snapshot()
+		path := xpath.MustParse(c.query)
+		pl, err := Prepare(ix, path, Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.driver == nil {
+			t.Fatalf("%s: planner chose the scan:\n%s", c.name, pl)
+		}
+		extraOp := ""
+		if len(pl.extras) > 0 {
+			extraOp = opName(pl.extras[0])
+		}
+		if extraOp != c.extraOp {
+			t.Fatalf("%s: extra path %q, want %q:\n%s", c.name, extraOp, c.extraOp, pl)
+		}
+		got := pl.Execute()
+		oracle := xpath.Evaluate(doc, path)
+		if len(oracle) == 0 || !postingsEqual(got, oracle) {
+			t.Fatalf("%s: plan wrong: %d hits, oracle %d", c.name, len(got), len(oracle))
+		}
+		if c.extraOp == "" {
+			continue
+		}
+		if !strings.Contains(pl.String(), "intersect") {
+			t.Errorf("%s: plan tree missing intersect node:\n%s", c.name, pl)
+		}
+		// The verify operator must have seen no more contexts than the
+		// driver produced (the bitmap can only shrink the set).
+		if pl.verifyNode.ActRows > pl.driver.node.ActRows {
+			t.Errorf("%s: verify saw %d contexts, driver fetched %d", c.name, pl.verifyNode.ActRows, pl.driver.node.ActRows)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package server
 
 // The query response encoder. A successful query's body is appended into
-// a pooled buffer straight from the hits: values are copied once from
-// the document's text heap and escaped in place, with no ResultItem,
-// no reflection and no re-indenting pass. The bytes are exactly what
+// a pooled buffer straight from the hits: each value and path is
+// appended into a reused scratch buffer and escaped from there, with no
+// ResultItem, no reflection and no re-indenting pass. The bytes are exactly what
 // json.Encoder with SetIndent("", "  ") writes for the QueryResponse
 // the hits describe (TestEncoderMatchesEncodingJSON and
 // FuzzQueryResponseEncoding hold the two together).
@@ -34,8 +34,7 @@ type queryAnswer struct {
 // encoder holds the scratch one response reuses; pooled, it is reused
 // across responses too.
 type encoder struct {
-	body, value []byte
-	path        [2][]byte // this hit's path and the previous one's
+	body, value, path []byte
 }
 
 var encoders = sync.Pool{New: func() any { return new(encoder) }}
@@ -61,7 +60,6 @@ func (e *encoder) appendQuery(b []byte, q *queryAnswer) []byte {
 	b = strconv.AppendInt(b, int64(len(q.Hits)), 10)
 	b = append(b, ",\n  \"results\": ["...)
 	hits := q.Hits[:min(len(q.Hits), q.Limit)]
-	var prev xmlvi.Result
 	for i, h := range hits {
 		if i > 0 {
 			b = append(b, ',')
@@ -79,19 +77,12 @@ func (e *encoder) appendQuery(b []byte, q *queryAnswer) []byte {
 			b = append(b, ",\n      \"name\": "...)
 			b = appendString(b, name)
 		}
-		// The value is appended raw, then escaped from a copy only when
-		// it holds a byte that may need it.
-		b = append(b, ",\n      \"value\": \""...)
-		start := len(b)
-		b = h.AppendValue(b)
-		if j := needsEscape(b[start:]); j >= 0 {
-			e.value = append(e.value[:0], b[start+j:]...)
-			b = appendEscaped(b[:start+j], e.value)
-		}
-		b = append(b, "\",\n      \"path\": "...)
-		e.path[0], e.path[1] = h.AppendPath(e.path[1][:0], prev, e.path[0]), e.path[0]
-		prev = h
-		b = appendString(b, e.path[0])
+		b = append(b, ",\n      \"value\": "...)
+		e.value = h.AppendValue(e.value[:0])
+		b = appendString(b, e.value)
+		b = append(b, ",\n      \"path\": "...)
+		e.path = h.AppendPath(e.path[:0])
+		b = appendString(b, e.path)
 		b = append(b, "\n    }"...)
 	}
 	if len(hits) > 0 {
@@ -140,17 +131,6 @@ var safe = func() (s [utf8.RuneSelf]bool) {
 	}
 	return s
 }()
-
-// needsEscape is the index of the first byte of s that is not a safe
-// ASCII byte, or -1.
-func needsEscape(s []byte) int {
-	for i, c := range s {
-		if c >= utf8.RuneSelf || !safe[c] {
-			return i
-		}
-	}
-	return -1
-}
 
 // appendString appends s as a JSON string.
 func appendString[T string | []byte](b []byte, s T) []byte {

@@ -244,38 +244,25 @@ func (r Result) Name() string {
 
 // Path returns a simple location path (tag names from the root) for
 // diagnostics.
-func (r Result) Path() string { return string(r.AppendPath(nil, Result{}, nil)) }
+func (r Result) Path() string { return string(r.AppendPath(nil)) }
 
 // AppendPath appends Path's bytes to dst and returns the extended slice.
-// When prevPath is what AppendPath appended for prev, the hit before r in
-// the same result list, and the two hits have the same parent, r's path
-// copies prev's prefix instead of walking its ancestors again. Pass a
-// nil prevPath to walk them.
-func (r Result) AppendPath(dst []byte, prev Result, prevPath []byte) []byte {
-	base, sep, name := r.pathParts()
-	if pb, psep, pname := prev.pathParts(); prevPath != nil && prev.doc == r.doc && pb == base {
-		dst = append(dst, prevPath[:len(prevPath)-len(psep)-len(pname)]...)
-	} else {
-		dst = appendElementPath(dst, r.doc, base)
-	}
-	return append(append(dst, sep...), name...)
-}
-
-// pathParts splits the hit's path into the element path of base and a
-// last step sep+name: "/" and the tag for an element, "/text()" for a
-// text node, "/@" and the name for an attribute.
-func (r Result) pathParts() (base Node, sep, name string) {
+func (r Result) AppendPath(dst []byte) []byte {
+	n := r.Node
 	switch {
-	case r.doc == nil:
-		return xmltree.InvalidNode, "", ""
 	case r.IsAttr:
-		return r.doc.AttrOwner(r.Attr), "/@", r.doc.AttrName(r.Attr)
-	case r.doc.Kind(r.Node) == xmltree.Element:
-		return r.doc.Parent(r.Node), "/", r.doc.Name(r.Node)
-	case r.doc.Kind(r.Node) == xmltree.Text:
-		return r.doc.Parent(r.Node), "/text()", ""
+		n = r.doc.AttrOwner(r.Attr)
+	case r.doc.Kind(n) == xmltree.Text:
+		n = r.doc.Parent(n)
 	}
-	return r.Node, "", ""
+	dst = appendElementPath(dst, r.doc, n)
+	switch {
+	case r.IsAttr:
+		dst = append(append(dst, "/@"...), r.doc.AttrName(r.Attr)...)
+	case r.doc.Kind(r.Node) == xmltree.Text:
+		dst = append(dst, "/text()"...)
+	}
+	return dst
 }
 
 // appendElementPath appends "/tag" for every element from the root down
