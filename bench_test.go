@@ -247,7 +247,7 @@ func buildAuctionDateIndex(tb testing.TB) *core.Indexes {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return core.Build(doc, core.Options{Date: true})
+	return core.Build(doc, core.Options{Types: []core.TypeID{core.TypeDate}})
 }
 
 // dateBenchWindow covers two generator years — a selective but non-empty

@@ -1,11 +1,11 @@
 // Command xvishred shreds an XML file into an indexed, persistent
 // database snapshot: the document columns plus the string index and the
-// registered typed range indices (double, dateTime, date).
+// registered typed range indices (by default every registered type).
 //
 // Usage:
 //
 //	xvishred -in doc.xml -out doc.xvi
-//	xvishred -in doc.xml -out doc.xvi -strip-ws -no-datetime
+//	xvishred -in doc.xml -out doc.xvi -strip-ws -types double,date
 //	xvishred -in doc.xml -out doc.xvi -wal doc.wal   # durable: reopen with OpenDurable
 package main
 
@@ -13,9 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	xmlvi "repro"
+	"repro/internal/core"
 )
 
 func main() {
@@ -23,9 +25,12 @@ func main() {
 	out := flag.String("out", "", "output snapshot file (required)")
 	stripWS := flag.Bool("strip-ws", false, "drop whitespace-only text nodes")
 	noString := flag.Bool("no-string", false, "skip the string equi-index")
-	noDouble := flag.Bool("no-double", false, "skip the double range index")
-	noDateTime := flag.Bool("no-datetime", false, "skip the dateTime range index")
-	noDate := flag.Bool("no-date", false, "skip the date range index")
+	var registered []string
+	for _, id := range core.RegisteredTypes() {
+		spec, _ := core.LookupType(id)
+		registered = append(registered, spec.Name)
+	}
+	types := flag.String("types", strings.Join(registered, ","), "comma-separated typed range indices to build, by registered name (empty = none)")
 	parallel := flag.Int("parallel", 0, "index-build worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	wal := flag.String("wal", "", "write-ahead log path: the snapshot becomes a durable database (see OpenDurable)")
 	walSync := flag.Int("wal-sync", 1, "fsync the WAL once every N records (with -wal; 1 = every record)")
@@ -39,22 +44,32 @@ func main() {
 		fatal(fmt.Errorf("-parallel must be >= 0 (0 = GOMAXPROCS, 1 = serial), got %d", *parallel))
 	}
 
+	var typeIDs []core.TypeID
+	for _, name := range strings.Split(*types, ",") {
+		if name == "" {
+			continue
+		}
+		spec, ok := core.TypeByName(name)
+		if !ok {
+			fatal(fmt.Errorf("-types: no typed index named %q (registered: %s)", name, strings.Join(registered, ", ")))
+		}
+		typeIDs = append(typeIDs, spec.ID)
+	}
+	if *noString && len(typeIDs) == 0 {
+		fatal(fmt.Errorf("at least one index must be enabled"))
+	}
+
 	xml, err := os.ReadFile(*in)
 	if err != nil {
 		fatal(err)
 	}
 	opts := xmlvi.Options{
 		String:          !*noString,
-		Double:          !*noDouble,
-		DateTime:        !*noDateTime,
-		Date:            !*noDate,
+		Types:           typeIDs,
 		StripWhitespace: *stripWS,
 		Parallelism:     *parallel,
 		WAL:             *wal,
 		WALSyncEvery:    *walSync,
-	}
-	if !opts.String && !opts.Double && !opts.DateTime && !opts.Date {
-		fatal(fmt.Errorf("at least one index must be enabled"))
 	}
 	start := time.Now()
 	doc, err := xmlvi.ParseWithOptions(xml, opts)
@@ -74,9 +89,9 @@ func main() {
 		fmt.Printf("shredded %s (%d bytes) in %v, saved in %v\n", *in, len(xml), buildTime.Round(time.Millisecond), saveTime.Round(time.Millisecond))
 		fmt.Printf("  nodes: %d (elements %d, texts %d, attributes %d)\n", s.Nodes, s.Elements, s.Texts, s.Attrs)
 		fmt.Printf("  string index: %d postings\n", s.StringEntries)
-		fmt.Printf("  double index: %d values (%d from mixed content), %d live states\n", s.DoubleCastable, s.DoubleNonLeaf, s.DoubleLive)
-		fmt.Printf("  dateTime index: %d values\n", s.DateTimeCastable)
-		fmt.Printf("  date index: %d values\n", s.DateCastable)
+		for _, ts := range s.Typed {
+			fmt.Printf("  %s index: %d values (%d from mixed content), %d live states\n", ts.Name, ts.Castable, ts.NonLeaf, ts.Live)
+		}
 		if *wal != "" {
 			fmt.Printf("  durable: WAL at %s (fsync every %d records); reopen with OpenDurable\n", *wal, *walSync)
 		}

@@ -39,11 +39,20 @@
 // keys, recompute its state and its ancestors', repair every tree with
 // one sorted key diff), copy-on-write drafts, verification, statistics,
 // memory accounting and snapshot persistence are each one loop over the
-// families — none of them name a concrete index or type. The paper's
-// Section 4 claims the FSM/monoid machinery generalises to any ordered
-// XML type; the registry is that claim made operational, and the xs:date
-// index is the living proof: it is wired in by a single RegisterType call
-// with no new control flow anywhere.
+// families — none of them name a concrete index or type — and a typed
+// index is selected (Options.Types, core.SaveParts), reported
+// (IndexStats.TypedFor), planned and scanned by its TypeID alone. The
+// paper's Section 4 claims the FSM/monoid machinery generalises to any
+// ordered XML type; the registry is that claim made operational: within
+// internal/core only registry.go names a built-in type. Outside core,
+// the built-ins are still named by:
+//
+//   - the XPath literal syntax and its casts (numbers, xs:date("…"));
+//   - the planner's literal→type mapping and its measured date verify
+//     cost (costVerifyDate);
+//   - this package's typed accessors (RangeDouble, RangeDate,
+//     DoubleValue, …);
+//   - the experiments' per-figure configurations.
 //
 // # Adding a new typed index
 //
@@ -69,10 +78,14 @@
 //     Encode:  encodeInteger,
 //     })
 //
-//  4. Enable it at build time via Options.Types (or a sugar boolean, as
-//     the built-ins do). Build, UpdateText(s), UpdateAttr, Delete,
-//     InsertXML, Save, Load, Verify, and Stats pick the type up
-//     unchanged; RangeTyped serves lookups by TypeID.
+//  4. Enable it at build time by listing its TypeID in Options.Types
+//     (core.DefaultOptions lists the three built-ins). Build,
+//     UpdateText(s), UpdateAttr, Delete, InsertXML, Save, Load, Verify,
+//     Stats and MemStats pick the type up unchanged; RangeTyped and
+//     TypedRangeIter serve lookups by TypeID. For Query to reach it, the
+//     XPath dialect needs a literal of the type and the planner a mapping
+//     from that literal to the TypeID and its encoded key; the
+//     operator→key-range logic is shared by every type.
 //
 // # Quick start
 //
@@ -102,9 +115,9 @@
 // the parsed path is the logical plan; the planner turns it into a
 // physical plan by enumerating one access path per indexable condition
 // of the final step — hash equality on the string equi-index, a B+tree
-// range on the matching typed index (every type registered with
-// core.RegisterType advertises its range path this way: an indexable
-// literal plus an order-preserving Encode is all a type needs), and a
+// range on the matching typed index (one code path for every type: the
+// literal maps to a TypeID and an encoded key, and each comparison
+// operator to a key range), and a
 // document scan as the universal fallback — and the executor drives the
 // chosen tree. Plan IR: result ← verify ← (intersect ←)? access paths.
 //

@@ -59,8 +59,8 @@ func newFamilies(opts Options, n, na int) []family {
 	if opts.String {
 		fams = append(fams, newHashFamily(n, na))
 	}
-	// typeIDs() intersects with the registry, so every ID resolves.
-	for _, id := range opts.typeIDs() {
+	// orderTypeIDs intersects with the registry, so every ID resolves.
+	for _, id := range orderTypeIDs(opts.Types) {
 		spec, _ := LookupType(id)
 		fams = append(fams, newTypedFamily(spec, n, na))
 	}

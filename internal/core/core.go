@@ -38,16 +38,12 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Options selects which indices to build. Double, DateTime, and Date are
-// sugar for the built-in type IDs; Types names further registered typed
-// indexes directly.
+// Options selects which indices to build: the string equi-index and
+// the registered typed indexes listed in Types.
 type Options struct {
-	String   bool
-	Double   bool
-	DateTime bool
-	Date     bool
-	// Types lists additional registered typed indexes to build (beyond
-	// the boolean sugar above). Unknown IDs are ignored.
+	String bool
+	// Types lists the registered typed indexes to build. Unknown IDs are
+	// ignored.
 	Types []TypeID
 	// Parallelism bounds the number of worker goroutines Build uses for
 	// the collection passes and the B+tree bulk loads. 0 means
@@ -58,35 +54,6 @@ type Options struct {
 	// Parallelism is a build-time knob only; it is not persisted in
 	// snapshots.
 	Parallelism int
-}
-
-// DefaultOptions builds the string index and every built-in typed index.
-func DefaultOptions() Options {
-	return Options{String: true, Double: true, DateTime: true, Date: true}
-}
-
-// typeIDs resolves the selected typed indexes in registry order.
-func (o Options) typeIDs() []TypeID {
-	return typeIDsFor(o.Double, o.DateTime, o.Date, o.Types)
-}
-
-// optionsForTypes reconstructs Options sugar from a type-ID list (used by
-// snapshot loading).
-func optionsForTypes(str bool, ids []TypeID) Options {
-	o := Options{String: str}
-	for _, id := range ids {
-		switch id {
-		case TypeDouble:
-			o.Double = true
-		case TypeDateTime:
-			o.DateTime = true
-		case TypeDate:
-			o.Date = true
-		default:
-			o.Types = append(o.Types, id)
-		}
-	}
-	return o
 }
 
 // Posting identifies an indexed node: either a tree node or an attribute.

@@ -477,15 +477,16 @@ func TestStatsOnPerson(t *testing.T) {
 	if s.Texts != 8 {
 		t.Errorf("Texts = %d, want 8", s.Texts)
 	}
-	if s.DoubleTexts != 5 { // "4","2","78",".","230" are live; "Arthur","Dent","1966-09-26" are not
-		t.Errorf("DoubleTexts = %d, want 5", s.DoubleTexts)
+	dbl, _ := s.TypedFor(TypeDouble)
+	if dbl.LiveTexts != 5 { // "4","2","78",".","230" are live; "Arthur","Dent","1966-09-26" are not
+		t.Errorf("double LiveTexts = %d, want 5", dbl.LiveTexts)
 	}
 	// Combined (mixed-content) castable elements: <age> (4+2) and
 	// <weight> (78+.+230); single-text wrappers like <kilos> don't count.
-	if s.DoubleNonLeaf != 2 {
-		t.Errorf("DoubleNonLeaf = %d, want 2", s.DoubleNonLeaf)
+	if dbl.NonLeaf != 2 {
+		t.Errorf("double NonLeaf = %d, want 2", dbl.NonLeaf)
 	}
-	if s.StringEntries == 0 || s.StringBytes == 0 || s.DoubleBytes == 0 {
+	if s.StringEntries == 0 || s.StringBytes == 0 || dbl.Bytes == 0 {
 		t.Error("size estimates must be positive")
 	}
 }
@@ -500,11 +501,11 @@ func TestPartialOptions(t *testing.T) {
 		t.Error("double lookups must be empty without the double index")
 	}
 	doc2, _ := xmlparse.ParseString(personXML)
-	ix2 := Build(doc2, Options{Double: true})
+	ix2 := Build(doc2, Options{Types: []TypeID{TypeDouble}})
 	if err := ix2.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if ix2.Snapshot().LookupStringCandidates("Arthur") != nil {
+	if ix2.Snapshot().LookupString("Arthur") != nil {
 		t.Error("string lookups must be empty without the string index")
 	}
 	if len(lookupDoubleEq(ix2.Snapshot(), 42)) == 0 {

@@ -219,20 +219,9 @@ func (ix *Snapshot) EstimateStringEq(value string) float64 {
 // cardinality the planner assigns a B+tree range access path.
 func (ix *Snapshot) EstimateTypedRange(id TypeID, lo, hi uint64, incLo, incHi bool) float64 {
 	t := ix.typedFor(id)
-	if t == nil || t.stats == nil {
+	lo, hi, ok := closedRange(lo, hi, incLo, incHi)
+	if t == nil || t.stats == nil || !ok {
 		return 0
-	}
-	if !incLo {
-		if lo == math.MaxUint64 {
-			return 0
-		}
-		lo++
-	}
-	if !incHi {
-		if hi == 0 {
-			return 0
-		}
-		hi--
 	}
 	if lo == hi {
 		return t.stats.estimateEq(lo)

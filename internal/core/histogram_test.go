@@ -74,7 +74,7 @@ func TestKeyStatsRangeAccuracy(t *testing.T) {
 // refreshes distinct counts.
 func TestKeyStatsMaintenance(t *testing.T) {
 	doc := mustParseForTest(t, makeNumDoc(400))
-	ix := Build(doc, Options{Double: true})
+	ix := Build(doc, Options{Types: []TypeID{TypeDouble}})
 	ti := ix.Snapshot().typedFor(TypeDouble)
 	if ti.stats == nil {
 		t.Fatal("no stats after Build")
@@ -146,56 +146,26 @@ func TestStatsPersistRoundTrip(t *testing.T) {
 }
 
 // TestStringEqIterMatchesLookup pins the streaming string path against
-// the materialised one.
+// the index-less scan.
 func TestStringEqIterMatchesLookup(t *testing.T) {
 	doc := mustParseForTest(t, `<r><a>x</a><b>x</b><c>y</c><d at="x"/><e>x<f/></e></r>`)
-	ix := Build(doc, Options{String: true})
-	want := ix.Snapshot().LookupString("x")
-	it := ix.Snapshot().StringEqIter("x")
-	var got []Posting
-	for {
-		p, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, p)
-	}
+	snap := Build(doc, Options{String: true}).Snapshot()
+	it := snap.StringEqIter("x")
+	got := it.drain()
 	it.Close()
-	if len(got) != len(want) {
-		t.Fatalf("iterator %d postings, lookup %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("posting %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
+	assertSamePostings(t, "string eq x", got, snap.ScanStringEquals("x"))
 }
 
 // TestTypedRangeIterMatchesRange pins the streaming typed path —
-// including wrapper chain-lifting — against the materialised range.
+// including wrapper chain-lifting — against the index-less scan.
 func TestTypedRangeIterMatchesRange(t *testing.T) {
 	doc := mustParseForTest(t, makeNumDoc(120))
-	ix := Build(doc, Options{Double: true})
+	ix := Build(doc, Options{Types: []TypeID{TypeDouble}})
 	lo, hi := btree.EncodeFloat64(10), btree.EncodeFloat64(60)
-	want := ix.Snapshot().RangeTyped(TypeDouble, lo, hi, true, true)
 	it := ix.Snapshot().TypedRangeIter(TypeDouble, lo, hi, true, true)
-	var got []Posting
-	for {
-		p, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, p)
-	}
+	got := it.drain()
 	it.Close()
-	if len(got) != len(want) {
-		t.Fatalf("iterator %d postings, range %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("posting %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
+	assertSamePostings(t, "double [10, 60]", got, ScanTypedRange(doc, TypeDouble, lo, hi))
 	// Exclusive-bound and empty iterators behave.
 	it = ix.Snapshot().TypedRangeIter(TypeDouble, lo, lo, false, false)
 	if _, ok := it.Next(); ok {
@@ -230,8 +200,8 @@ func makeNumDoc(n int) string {
 // and parallel builds still produce byte-identical snapshots.
 func TestStatsSnapshotDeterministic(t *testing.T) {
 	doc := mustParseForTest(t, makeNumDoc(500))
-	p1 := Build(doc, Options{String: true, Double: true, Date: true, Parallelism: 1})
-	p4 := Build(doc, Options{String: true, Double: true, Date: true, Parallelism: 4})
+	p1 := Build(doc, Options{String: true, Types: []TypeID{TypeDouble, TypeDate}, Parallelism: 1})
+	p4 := Build(doc, Options{String: true, Types: []TypeID{TypeDouble, TypeDate}, Parallelism: 4})
 	d := t.TempDir()
 	f1, f4 := filepath.Join(d, "p1.xvi"), filepath.Join(d, "p4.xvi")
 	if err := p1.Save(f1); err != nil {

@@ -15,7 +15,7 @@ import (
 // can stream straight into bitmaps. String-equality iterators verify
 // every hash candidate against the document (no false positives escape);
 // typed range iterators interleave each hit's single-child ancestor
-// chain, exactly like the materialised Range* lookups.
+// chain.
 //
 // The iterator pins the Snapshot it was opened on, so a concurrent
 // update cannot slip between candidate retrieval and verification:
@@ -59,27 +59,31 @@ func (ix *Snapshot) StringEqIter(value string) *PostingIter {
 func (ix *Snapshot) TypedRangeIter(id TypeID, lo, hi uint64, incLo, incHi bool) *PostingIter {
 	it := &PostingIter{ix: ix, chainLift: true}
 	t := ix.typedFor(id)
-	if t == nil {
-		return it
-	}
-	if !incLo {
-		if lo == math.MaxUint64 {
-			return it
-		}
-		lo++
-	}
-	if !incHi {
-		if hi == 0 {
-			return it
-		}
-		hi--
-	}
-	if lo > hi {
+	lo, hi, ok := closedRange(lo, hi, incLo, incHi)
+	if t == nil || !ok {
 		return it
 	}
 	it.cur = t.tree.CursorAt(lo)
 	it.hi = hi
 	return it
+}
+
+// closedRange turns a key range whose bounds may be exclusive into the
+// inclusive range it covers; ok is false when that range is empty.
+func closedRange(lo, hi uint64, incLo, incHi bool) (uint64, uint64, bool) {
+	if !incLo {
+		if lo == math.MaxUint64 {
+			return 0, 0, false
+		}
+		lo++
+	}
+	if !incHi {
+		if hi == 0 {
+			return 0, 0, false
+		}
+		hi--
+	}
+	return lo, hi, lo <= hi
 }
 
 // Next returns the next posting; ok is false once the path is exhausted.
@@ -106,8 +110,11 @@ func (it *PostingIter) Next() (Posting, bool) {
 			continue
 		}
 		if it.chainLift && !p.IsAttr {
-			// Queue the single-child ancestor chain (bottom-up, like
-			// appendWithChain); pending is drained LIFO so push in reverse.
+			// Queue the single-child ancestor chain: wrapper elements
+			// share their only contributing child's value and are not
+			// stored in the value trees (the inverse of the storage rule
+			// in typedFamily.keys). pending drains LIFO, so the run is
+			// reversed below.
 			doc := it.ix.doc
 			start := len(it.pending)
 			for parent := doc.Parent(p.Node); parent != xmltree.InvalidNode; parent = doc.Parent(parent) {
@@ -126,8 +133,7 @@ func (it *PostingIter) Next() (Posting, bool) {
 }
 
 // Close releases the iterator's cursor state. Snapshot reads take no
-// locks, so this only drops references; calling it after draining (or
-// abandoning) an iterator keeps the old locking contract's shape.
+// locks, so this only drops references.
 func (it *PostingIter) Close() {
 	if it.closed {
 		return
@@ -135,4 +141,14 @@ func (it *PostingIter) Close() {
 	it.closed = true
 	it.cur = nil
 	it.pending = nil
+}
+
+// drain collects the iterator's remaining postings; nil when there are
+// none.
+func (it *PostingIter) drain() []Posting {
+	var out []Posting
+	for p, ok := it.Next(); ok; p, ok = it.Next() {
+		out = append(out, p)
+	}
+	return out
 }

@@ -1,48 +1,12 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/vhash"
-	"repro/internal/xmltree"
-)
-
-// LookupStringCandidates returns the postings whose hash equals H(value),
-// unverified: hash collisions may contribute false positives, which the
-// paper's query pipeline filters afterwards (see LookupString).
-func (ix *Snapshot) LookupStringCandidates(value string) []Posting {
-	return ix.lookupStringCandidates(value)
-}
-
-func (ix *Snapshot) lookupStringCandidates(value string) []Posting {
-	h := ix.hashes()
-	if h == nil {
-		return nil
-	}
-	var out []Posting
-	h.tree.ScanEq(uint64(vhash.HashString(value)), func(packed uint32) bool {
-		if p, ok := ix.resolve(packed); ok {
-			out = append(out, p)
-		}
-		return true
-	})
-	return out
-}
+import "repro/internal/xmltree"
 
 // LookupString returns the nodes whose string value equals value,
 // verifying each hash candidate against the document (the candidate check
-// the paper describes in Section 3). Candidate retrieval and verification
-// run under one read-lock acquisition, so a concurrent update cannot slip
-// between them.
+// the paper describes in Section 3). It drains StringEqIter.
 func (ix *Snapshot) LookupString(value string) []Posting {
-	cands := ix.lookupStringCandidates(value)
-	out := cands[:0]
-	for _, p := range cands {
-		if ix.postingStringValue(p) == value {
-			out = append(out, p)
-		}
-	}
-	return out
+	return ix.StringEqIter(value).drain()
 }
 
 func (ix *Snapshot) postingStringValue(p Posting) string {
@@ -58,50 +22,9 @@ func (ix *Snapshot) postingStringValue(p Posting) string {
 // lookup every typed index answers. Keys compare in value order because
 // every TypeSpec.Encode is order-preserving, so callers pass bounds
 // through the type's encoding (btree.EncodeFloat64, btree.EncodeInt64).
+// It drains TypedRangeIter.
 func (ix *Snapshot) RangeTyped(id TypeID, lo, hi uint64, incLo, incHi bool) []Posting {
-	t := ix.typedFor(id)
-	if t == nil {
-		return nil
-	}
-	if !incLo {
-		if lo == math.MaxUint64 {
-			return nil
-		}
-		lo++
-	}
-	if !incHi {
-		if hi == 0 {
-			return nil
-		}
-		hi--
-	}
-	var out []Posting
-	t.tree.ScanRange(lo, hi, func(_ uint64, packed uint32) bool {
-		if p, ok := ix.resolve(packed); ok {
-			out = ix.appendWithChain(out, p)
-		}
-		return true
-	})
-	return out
-}
-
-// appendWithChain emits a typed-index hit plus its single-child ancestor
-// chain: wrapper elements share their only contributing child's value and
-// are not stored in the value trees, so they are materialised here (the
-// inverse of the storage rule in typedFamily.keys).
-func (ix *Snapshot) appendWithChain(out []Posting, p Posting) []Posting {
-	out = append(out, p)
-	if p.IsAttr {
-		return out
-	}
-	doc := ix.doc
-	for parent := doc.Parent(p.Node); parent != xmltree.InvalidNode; parent = doc.Parent(parent) {
-		if countContributing(doc, parent) != 1 {
-			break
-		}
-		out = append(out, NodePosting(parent))
-	}
-	return out
+	return ix.TypedRangeIter(id, lo, hi, incLo, incHi).drain()
 }
 
 // countContributing counts children participating in n's string value

@@ -169,7 +169,7 @@ func TestParallelBuildPathologicalShapes(t *testing.T) {
 			checkParallelEquivalence(t, []byte(tc.xml), DefaultOptions())
 			// Also with a subset of indexes, so absent structures stay
 			// absent on the parallel path too.
-			checkParallelEquivalence(t, []byte(tc.xml), Options{Double: true})
+			checkParallelEquivalence(t, []byte(tc.xml), Options{Types: []TypeID{TypeDouble}})
 		})
 	}
 }

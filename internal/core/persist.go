@@ -177,7 +177,7 @@ func load(r *storage.Reader) (*Indexes, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Snapshot{doc: doc, opts: optionsForTypes(hasString, typeIDs)}
+	ix := &Snapshot{doc: doc, opts: Options{String: hasString, Types: typeIDs}}
 
 	if d, err = openSection(r, SectionStable); err != nil {
 		return nil, err
@@ -351,19 +351,11 @@ func readTree(d *storage.Decoder) (*btree.Tree, error) {
 // storage accounting in the experiments: the paper's "shredding" stage
 // writes the document store, index creation writes the index stores.
 // Part files are not loadable by Load (they lack sections); use Save for
-// complete snapshots. Double/DateTime/Date are sugar for the built-in
-// type IDs; Types selects further registered typed indexes.
+// complete snapshots. Types selects registered typed indexes.
 type SaveParts struct {
-	Doc      bool
-	String   bool
-	Double   bool
-	DateTime bool
-	Date     bool
-	Types    []TypeID
-}
-
-func (p SaveParts) typeIDs() []TypeID {
-	return typeIDsFor(p.Double, p.DateTime, p.Date, p.Types)
+	Doc    bool
+	String bool
+	Types  []TypeID
 }
 
 // SavePartsTo writes only the selected sections to path.
@@ -381,7 +373,6 @@ func (ix *Snapshot) SavePartsTo(path string, parts SaveParts) error {
 			return fail(err)
 		}
 	}
-	ids := parts.typeIDs()
 	for _, f := range ix.fams {
 		switch f := f.(type) {
 		case *hashFamily:
@@ -389,7 +380,7 @@ func (ix *Snapshot) SavePartsTo(path string, parts SaveParts) error {
 				continue
 			}
 		case *typedFamily:
-			if !slices.Contains(ids, f.spec.ID) {
+			if !slices.Contains(parts.Types, f.spec.ID) {
 				continue
 			}
 		default:

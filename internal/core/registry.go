@@ -144,22 +144,11 @@ func RegisteredTypes() []TypeID {
 	return out
 }
 
-// typeIDsFor expands the built-in sugar booleans plus an explicit list
-// into registry order — the single place the boolean↔TypeID mapping
-// lives (Options and SaveParts both resolve through it).
-func typeIDsFor(double, dateTime, date bool, extra []TypeID) []TypeID {
-	ids := make([]TypeID, 0, 3+len(extra))
-	if double {
-		ids = append(ids, TypeDouble)
-	}
-	if dateTime {
-		ids = append(ids, TypeDateTime)
-	}
-	if date {
-		ids = append(ids, TypeDate)
-	}
-	ids = append(ids, extra...)
-	return orderTypeIDs(ids)
+// DefaultOptions builds the string index and every built-in typed index.
+// It names the built-ins rather than calling RegisteredTypes, so a type
+// registered later in the process does not change what it builds.
+func DefaultOptions() Options {
+	return Options{String: true, Types: []TypeID{TypeDouble, TypeDateTime, TypeDate}}
 }
 
 // orderTypeIDs sorts ids into registry registration order and drops

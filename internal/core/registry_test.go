@@ -53,7 +53,7 @@ func TestDateIndexViaRegistration(t *testing.T) {
 	// Semantically impossible dates are live fragments but never castable:
 	// no posting may appear for month 13.
 	doc2 := mustParseForTest(t, `<r><d>1999-13-01</d><d>2000-02-30</d><d>2000-02-29</d></r>`)
-	ix2 := Build(doc2, Options{Date: true})
+	ix2 := Build(doc2, Options{Types: []TypeID{TypeDate}})
 	if err := ix2.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +166,28 @@ func TestCustomTypeEndToEnd(t *testing.T) {
 	hits := ix.Snapshot().RangeTyped(customTypeID, lo, hi, true, true)
 	if len(hits) == 0 {
 		t.Fatal("custom typed index found nothing")
+	}
+
+	// Stats, memory accounting and partial saves select it by ID too.
+	tree := ix.Snapshot().typedFor(customTypeID).tree
+	if st, ok := ix.Snapshot().Stats().TypedFor(customTypeID); !ok || st.Castable != tree.Len() {
+		t.Errorf("stats = %+v (ok %v), want Castable %d", st, ok, tree.Len())
+	}
+	if ms := ix.Snapshot().MemStats(); ms.TypedTreeBytes != tree.MemBytes() {
+		t.Errorf("MemStats.TypedTreeBytes = %d, want the custom tree's %d", ms.TypedTreeBytes, tree.MemBytes())
+	}
+	part := filepath.Join(t.TempDir(), "custom.part")
+	if err := ix.Snapshot().SavePartsTo(part, SaveParts{Types: []TypeID{customTypeID}}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := storage.OpenReader(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := r.Sections()
+	r.Close()
+	if len(sections) != 1 || sections[0] != TypedSectionName(customTypeID) {
+		t.Errorf("SavePartsTo wrote %v, want only %s", sections, TypedSectionName(customTypeID))
 	}
 
 	// Round-trip through the versioned per-type snapshot sections.

@@ -32,13 +32,13 @@ func TestSavePartsSelectsSections(t *testing.T) {
 		},
 		{
 			name:    "double-only",
-			parts:   SaveParts{Double: true},
+			parts:   SaveParts{Types: []TypeID{TypeDouble}},
 			present: []string{TypedSectionName(TypeDouble)},
 			absent:  []string{SectionDoc, SectionStrTree, TypedSectionName(TypeDateTime)},
 		},
 		{
 			name:    "datetime-only",
-			parts:   SaveParts{DateTime: true},
+			parts:   SaveParts{Types: []TypeID{TypeDateTime}},
 			present: []string{TypedSectionName(TypeDateTime)},
 			absent:  []string{TypedSectionName(TypeDouble)},
 		},
@@ -91,7 +91,7 @@ func TestSavePartsSizesOrdering(t *testing.T) {
 	}
 	docBytes := write("d", SaveParts{Doc: true})
 	strBytes := write("s", SaveParts{String: true})
-	dblBytes := write("x", SaveParts{Double: true})
+	dblBytes := write("x", SaveParts{Types: []TypeID{TypeDouble}})
 	if !(dblBytes < strBytes && strBytes < docBytes) {
 		t.Errorf("size ordering violated: dbl %d, str %d, doc %d", dblBytes, strBytes, docBytes)
 	}

@@ -34,24 +34,6 @@ type IndexStats struct {
 	// Typed holds one entry per built typed index, in registry order.
 	Typed []TypedStats
 
-	// Flattened views of the built-in types, for Table 1 reporting (the
-	// double columns are Table 1's "Double Values" and "non-leaf"
-	// columns). Zero when the corresponding index was not built.
-	DoubleLive          int
-	DoubleTexts         int
-	DoubleCastableTexts int
-	DoubleCastable      int
-	DoubleNonLeaf       int
-	DoubleBytes         int
-	DateTimeLive        int
-	DateTimeTexts       int
-	DateTimeCastable    int
-	DateTimeBytes       int
-	DateLive            int
-	DateTexts           int
-	DateCastable        int
-	DateBytes           int
-
 	Elements int // element count (Table 1 totals are elements + texts)
 }
 
@@ -92,7 +74,7 @@ func (ix *Snapshot) Stats() IndexStats {
 // example). Wrappers with a single contributing child (a text, or one
 // element) share that child's value exactly and are chain-lifted at query
 // time instead of being stored (see typedFamily.keys and
-// Indexes.appendWithChain — the two rules must stay complementary).
+// PostingIter.Next — the two rules must stay complementary).
 func isCombinedValue(doc *xmltree.Doc, n xmltree.NodeID) bool {
 	return countContributing(doc, n) > 1
 }

@@ -136,27 +136,21 @@ func (ix *Snapshot) HasSubstring() bool { return ix.grams() != nil }
 // ScanContains, so index and scan answers are byte-identical). Patterns
 // shorter than SubstrQ bytes, and snapshots without the index, fall back
 // to a scan.
-func (ix *Snapshot) Contains(pattern string) []Posting {
-	if ix.grams() == nil || len(pattern) < SubstrQ {
-		return ix.ScanContains(pattern)
-	}
-	return ix.substrLookup(pattern, false)
-}
+func (ix *Snapshot) Contains(pattern string) []Posting { return ix.substrLookup(pattern, false) }
 
 // StartsWith is Contains for prefix matching: values starting with
 // pattern. A prefix match implies a substring match, so the gram
 // intersection yields a candidate superset and verification tightens it.
-func (ix *Snapshot) StartsWith(pattern string) []Posting {
-	if ix.grams() == nil || len(pattern) < SubstrQ {
-		return ix.ScanStartsWith(pattern)
-	}
-	return ix.substrLookup(pattern, true)
-}
+func (ix *Snapshot) StartsWith(pattern string) []Posting { return ix.substrLookup(pattern, true) }
 
 // substrLookup intersects the pattern's gram posting lists (rarest
 // first), verifies every surviving candidate against the pinned
-// document, and returns the hits in scan order.
+// document, and returns the hits in scan order. Patterns shorter than
+// SubstrQ bytes, and snapshots without the index, are answered by scan.
 func (ix *Snapshot) substrLookup(pattern string, prefix bool) []Posting {
+	if ix.grams() == nil || len(pattern) < SubstrQ {
+		return ix.scanSubstr(pattern, prefix)
+	}
 	cand := ix.substrCandidates(pattern)
 	var nodes, attrs []Posting
 	for _, packed := range cand {
@@ -264,14 +258,7 @@ func (ix *Snapshot) scanSubstr(pattern string, prefix bool) []Posting {
 // materialised up front — the gram intersection needs all lists anyway —
 // and drained through the iterator's pending queue.
 func (ix *Snapshot) SubstrIter(pattern string, prefix bool) *PostingIter {
-	var hits []Posting
-	if ix.grams() != nil && len(pattern) >= SubstrQ {
-		hits = ix.substrLookup(pattern, prefix)
-	} else if prefix {
-		hits = ix.ScanStartsWith(pattern)
-	} else {
-		hits = ix.ScanContains(pattern)
-	}
+	hits := ix.substrLookup(pattern, prefix)
 	// pending drains LIFO, so queue in reverse to emit in order.
 	for i, j := 0, len(hits)-1; i < j; i, j = i+1, j-1 {
 		hits[i], hits[j] = hits[j], hits[i]

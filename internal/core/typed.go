@@ -81,7 +81,7 @@ func exactItems(items []fsm.Item) []fsm.Item {
 // keys: the value tree holds castable text nodes, castable attributes and
 // castable COMBINED elements (mixed content). Single-text wrapper
 // elements share their text's value and are chain-lifted at query time
-// (Snapshot.appendWithChain) instead of being stored — this is what keeps
+// (PostingIter.Next) instead of being stored — this is what keeps
 // the typed index at a few percent of the database, as in the paper.
 func (t *typedFamily) keys(s *Snapshot, p Posting, buf []uint64) []uint64 {
 	e := t.sides[p.side()].elems.At(p.pos())
@@ -242,8 +242,7 @@ func (t *typedFamily) splice(s *Snapshot, side, at, del, ins int) {
 	sd.elems.Splice(at, del, make([]fsm.Elem, ins))
 }
 
-// addStats fills the type's TypedStats entry and, for the built-in
-// types, Table 1's flattened columns.
+// addStats appends the type's TypedStats entry.
 func (t *typedFamily) addStats(s *Snapshot, st *IndexStats) {
 	doc := s.doc
 	ts := TypedStats{ID: t.spec.ID, Name: t.spec.Name}
@@ -280,17 +279,6 @@ func (t *typedFamily) addStats(s *Snapshot, st *IndexStats) {
 		ts.Bytes += 2 * len(sd.items.Get(s.stable(p)))
 	})
 	st.Typed = append(st.Typed, ts)
-	switch t.spec.ID {
-	case TypeDouble:
-		st.DoubleLive, st.DoubleTexts, st.DoubleCastableTexts = ts.Live, ts.LiveTexts, ts.CastableTexts
-		st.DoubleCastable, st.DoubleNonLeaf, st.DoubleBytes = ts.Castable, ts.NonLeaf, ts.Bytes
-	case TypeDateTime:
-		st.DateTimeLive, st.DateTimeTexts = ts.Live, ts.LiveTexts
-		st.DateTimeCastable, st.DateTimeBytes = ts.Castable, ts.Bytes
-	case TypeDate:
-		st.DateLive, st.DateTexts = ts.Live, ts.LiveTexts
-		st.DateCastable, st.DateBytes = ts.Castable, ts.Bytes
-	}
 }
 
 // addMem counts both sides' element chunks and item tables exactly,

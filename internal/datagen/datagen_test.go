@@ -22,11 +22,12 @@ func statsOf(t *testing.T, name string, scale float64) (total, texts, dblTexts, 
 	if err != nil {
 		t.Fatalf("%s does not parse: %v", name, err)
 	}
-	ix := core.Build(doc, core.Options{Double: true})
+	ix := core.Build(doc, core.Options{Types: []core.TypeID{core.TypeDouble}})
 	s := ix.Snapshot().Stats()
 	// Table 1 counts elements + texts as "Total Nodes" and castable text
 	// nodes as "Double Values" (see DESIGN.md).
-	return s.Elements + s.Texts, s.Texts, s.DoubleCastableTexts, s.DoubleNonLeaf
+	dbl, _ := s.TypedFor(core.TypeDouble)
+	return s.Elements + s.Texts, s.Texts, dbl.CastableTexts, dbl.NonLeaf
 }
 
 // TestDistributionsMatchTable1 checks every dataset against its paper row
@@ -180,7 +181,7 @@ func TestDblpNonLeafDoubles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := core.Build(doc, core.Options{Double: true}).Snapshot()
+	snap := core.Build(doc, core.Options{Types: []core.TypeID{core.TypeDouble}}).Snapshot()
 	found := 0
 	for i := 0; i < doc.NumNodes(); i++ {
 		n := xmltree.NodeID(i)

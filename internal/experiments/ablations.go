@@ -269,8 +269,8 @@ func RunA4(cfg Config, dataset string) (A4Row, error) {
 
 		start = time.Now()
 		core.Build(p.doc, cfg.buildOpts(core.Options{String: true}))
-		core.Build(p.doc, cfg.buildOpts(core.Options{Double: true}))
-		core.Build(p.doc, cfg.buildOpts(core.Options{DateTime: true}))
+		core.Build(p.doc, cfg.buildOpts(core.Options{Types: []core.TypeID{core.TypeDouble}}))
+		core.Build(p.doc, cfg.buildOpts(core.Options{Types: []core.TypeID{core.TypeDateTime}}))
 		threeNS += time.Since(start).Nanoseconds()
 	}
 	n := int64(cfg.repeat())

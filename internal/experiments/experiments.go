@@ -145,9 +145,10 @@ func RunTable1(cfg Config) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ix := core.Build(p.doc, cfg.buildOpts(core.Options{Double: true, Date: true}))
+		ix := core.Build(p.doc, cfg.buildOpts(core.Options{Types: []core.TypeID{core.TypeDouble, core.TypeDate}}))
 		s := ix.Snapshot().Stats()
 		total := s.Elements + s.Texts
+		dblStats, _ := s.TypedFor(core.TypeDouble)
 		// Match the double column's arithmetic: castable TEXT nodes over
 		// elements+texts, so the two typed columns are comparable.
 		dateStats, _ := s.TypedFor(core.TypeDate)
@@ -158,9 +159,9 @@ func RunTable1(cfg Config) ([]Table1Row, error) {
 			TotalNodes:     total,
 			TextNodes:      s.Texts,
 			TextPct:        pct(s.Texts, total),
-			DoubleTexts:    s.DoubleCastableTexts,
-			DoublePct:      pct(s.DoubleCastableTexts, total),
-			NonLeaf:        s.DoubleNonLeaf,
+			DoubleTexts:    dblStats.CastableTexts,
+			DoublePct:      pct(dblStats.CastableTexts, total),
+			NonLeaf:        dblStats.NonLeaf,
 			DateValues:     dateStats.CastableTexts,
 			DatePct:        pct(dateStats.CastableTexts, total),
 			PaperTextPct:   paper.TextPct,
@@ -239,8 +240,8 @@ func RunFig9(cfg Config) ([]Fig9Row, error) {
 			strNS += time.Since(start).Nanoseconds()
 
 			start = time.Now()
-			dIx := core.Build(doc, cfg.buildOpts(core.Options{Double: true}))
-			if err := dIx.Snapshot().SavePartsTo(stage, core.SaveParts{Double: true}); err != nil {
+			dIx := core.Build(doc, cfg.buildOpts(core.Options{Types: []core.TypeID{core.TypeDouble}}))
+			if err := dIx.Snapshot().SavePartsTo(stage, core.SaveParts{Types: []core.TypeID{core.TypeDouble}}); err != nil {
 				return nil, err
 			}
 			dblNS += time.Since(start).Nanoseconds()
@@ -314,7 +315,7 @@ func RunFig10(cfg Config) ([]Fig10Point, error) {
 			}
 		}
 		strIx := core.Build(p.doc, cfg.buildOpts(core.Options{String: true}))
-		dblIx := core.Build(p.doc, cfg.buildOpts(core.Options{Double: true}))
+		dblIx := core.Build(p.doc, cfg.buildOpts(core.Options{Types: []core.TypeID{core.TypeDouble}}))
 		if cfg.WAL {
 			// Durable mode: measure update throughput with write-ahead
 			// logging attached (the -wal / -checkpoint-every wiring).

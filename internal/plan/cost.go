@@ -123,52 +123,31 @@ func (p *Plan) accessPathFor(c xpath.Cond) *accessPath {
 	// probe for it.
 	case c.Fn != xpath.FnNone:
 		return p.substrPathFor(c)
-	case c.Lit.IsDate:
-		if !ix.HasTyped(core.TypeDate) {
+	case c.Lit.IsDate || c.Lit.IsNum:
+		id, key, ok := typedKey(c.Lit)
+		if !ok || !ix.HasTyped(id) {
 			return nil
 		}
-		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		switch c.Op {
-		case xpath.OpEq:
-			lo, hi = c.Lit.Days, c.Lit.Days
-		case xpath.OpLt:
-			hi = c.Lit.Days - 1 // integral day domain: exclusive = previous day
-		case xpath.OpLe:
-			hi = c.Lit.Days
-		case xpath.OpGt:
-			lo = c.Lit.Days + 1
-		case xpath.OpGe:
-			lo = c.Lit.Days
-		case xpath.OpNe:
-			return nil // the whole index; never selective
-		}
-		ap := &accessPath{cond: c, kind: pathRange, typeID: core.TypeDate, typeName: "date",
-			lo: btree.EncodeInt64(lo), hi: btree.EncodeInt64(hi), incLo: true, incHi: true}
-		ap.est = ix.EstimateTypedRange(ap.typeID, ap.lo, ap.hi, true, true)
-		return ap
-	case c.Lit.IsNum:
-		if !ix.HasTyped(core.TypeDouble) || math.IsNaN(c.Lit.Num) {
-			return nil
-		}
-		lo, hi := math.Inf(-1), math.Inf(1)
+		// Open ends are the ends of the key space; an exclusive bound is
+		// normalised by the index on the encoded key.
+		lo, hi := uint64(0), uint64(math.MaxUint64)
 		incLo, incHi := true, true
 		switch c.Op {
 		case xpath.OpEq:
-			lo, hi = c.Lit.Num, c.Lit.Num
+			lo, hi = key, key
 		case xpath.OpLt:
-			hi, incHi = c.Lit.Num, false
+			hi, incHi = key, false
 		case xpath.OpLe:
-			hi = c.Lit.Num
+			hi = key
 		case xpath.OpGt:
-			lo, incLo = c.Lit.Num, false
+			lo, incLo = key, false
 		case xpath.OpGe:
-			lo = c.Lit.Num
+			lo = key
 		case xpath.OpNe:
-			return nil
+			return nil // the whole index; never selective
 		}
-		ap := &accessPath{cond: c, kind: pathRange, typeID: core.TypeDouble, typeName: "double",
-			lo: btree.EncodeFloat64(lo), hi: btree.EncodeFloat64(hi), incLo: incLo, incHi: incHi}
-		ap.est = ix.EstimateTypedRange(ap.typeID, ap.lo, ap.hi, incLo, incHi)
+		ap := &accessPath{cond: c, kind: pathRange, typeID: id, lo: lo, hi: hi, incLo: incLo, incHi: incHi}
+		ap.est = ix.EstimateTypedRange(id, lo, hi, incLo, incHi)
 		return ap
 	case c.Op == xpath.OpEq:
 		if !ix.HasString() {
@@ -179,6 +158,19 @@ func (p *Plan) accessPathFor(c xpath.Cond) *accessPath {
 		return ap
 	}
 	return nil
+}
+
+// typedKey maps a date or number literal to the typed index that orders
+// it and the literal's key in that index's encoding; ok is false for a
+// NaN, which no range holds.
+func typedKey(l xpath.Literal) (id core.TypeID, key uint64, ok bool) {
+	if l.IsDate {
+		return core.TypeDate, btree.EncodeInt64(l.Days), true
+	}
+	if math.IsNaN(l.Num) {
+		return 0, 0, false
+	}
+	return core.TypeDouble, btree.EncodeFloat64(l.Num), true
 }
 
 // substrPathFor maps a contains()/starts-with() condition to a q-gram
@@ -325,5 +317,6 @@ func opName(ap *accessPath) string {
 	case pathSubstr:
 		return "substr"
 	}
-	return fmt.Sprintf("range(%s)", ap.typeName)
+	spec, _ := core.LookupType(ap.typeID)
+	return fmt.Sprintf("range(%s)", spec.Name)
 }

@@ -65,8 +65,10 @@ var dialectCorpus = []struct {
 	</people>`, []string{
 		`//person[birthday = xs:date("1966-09-26")]`,
 		`//person[birthday < xs:date("1970-01-01")]`,
+		`//person[birthday < xs:date("1971-01-05")]`,
 		`//person[birthday <= xs:date("1971-01-05")]`,
 		`//person[birthday > xs:date("1966-09-26")]`,
+		`//person[birthday >= xs:date("1985-12-31")]`,
 		`//person[birthday >= xs:date("1800-01-01")]`,
 		`//person[birthday != xs:date("1966-09-26")]`,
 		`//person[birthday = xs:date("2020-02-02")]`,
@@ -190,7 +192,7 @@ func TestPlannedEquivalenceMissingIndex(t *testing.T) {
 		opts core.Options
 	}{
 		{"string-only", core.Options{String: true}},
-		{"typed-only", core.Options{Double: true, Date: true}},
+		{"typed-only", core.Options{Types: []core.TypeID{core.TypeDouble, core.TypeDate}}},
 	}
 	for _, b := range builds {
 		for i, c := range dialectCorpus {

@@ -194,16 +194,15 @@ const (
 // final step, the index that can answer it, the key range to scan, and
 // the estimated posting count.
 type accessPath struct {
-	cond     xpath.Cond
-	kind     pathKind
-	typeID   core.TypeID
-	typeName string
-	value    string // pathHashEq: the literal to hash and verify
-	lo, hi   uint64 // pathRange: encoded key bounds
-	incLo    bool
-	incHi    bool
-	est      float64
-	node     *Node
+	cond   xpath.Cond
+	kind   pathKind
+	typeID core.TypeID
+	value  string // pathHashEq: the literal to hash and verify
+	lo, hi uint64 // pathRange: encoded key bounds
+	incLo  bool
+	incHi  bool
+	est    float64
+	node   *Node
 }
 
 // open returns the streaming iterator for the access path.

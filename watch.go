@@ -140,7 +140,9 @@ func (p *Pinned) StringValue(n Node) string { return p.snap.Doc().StringValue(n)
 // NumNodes reports the number of tree nodes at the pinned version.
 func (p *Pinned) NumNodes() int { return p.snap.Doc().NumNodes() }
 
-// pinnedResults binds postings to the pinned version's document.
+// pinnedResults binds postings to the document version they were
+// computed against, so a Result stays valid even when later commits
+// publish new versions.
 func pinnedResults(ps []core.Posting, snap *core.Snapshot) []Result {
 	out := make([]Result, len(ps))
 	for i, pp := range ps {

@@ -19,14 +19,14 @@ import (
 
 // Options configure parsing and index construction.
 type Options struct {
-	// String, Double, DateTime, and Date select the indices to build. The
-	// zero Options value builds all of them. Types selects further typed
-	// indexes registered with core.RegisterType.
-	String   bool
-	Double   bool
-	DateTime bool
-	Date     bool
-	Types    []core.TypeID
+	// String and Types select the indices to build: the string
+	// equi-index and the typed indexes registered with core.RegisterType
+	// under the listed IDs (core.TypeDouble, core.TypeDateTime,
+	// core.TypeDate, …). Leaving both unset builds the string index and
+	// every built-in typed index; an ID that is not registered makes
+	// ParseWithOptions fail.
+	String bool
+	Types  []core.TypeID
 	// StripWhitespace drops whitespace-only text nodes while shredding.
 	StripWhitespace bool
 	// SkipComments and SkipPIs drop those node kinds while shredding.
@@ -77,13 +77,18 @@ const (
 // command-line spellings of Options.Planner.
 func ParsePlannerMode(s string) (PlannerMode, error) { return plan.ParseMode(s) }
 
-func (o Options) indexOptions() core.Options {
-	if !o.String && !o.Double && !o.DateTime && !o.Date && len(o.Types) == 0 {
-		co := core.DefaultOptions()
+func (o Options) indexOptions() (core.Options, error) {
+	co := core.Options{String: o.String, Types: o.Types, Parallelism: o.Parallelism}
+	if !o.String && len(o.Types) == 0 {
+		co = core.DefaultOptions()
 		co.Parallelism = o.Parallelism
-		return co
 	}
-	return core.Options{String: o.String, Double: o.Double, DateTime: o.DateTime, Date: o.Date, Types: o.Types, Parallelism: o.Parallelism}
+	for _, id := range co.Types {
+		if _, ok := core.LookupType(id); !ok {
+			return core.Options{}, fmt.Errorf("xmlvi: typed index ID %d is not registered", id)
+		}
+	}
+	return co, nil
 }
 
 // Document is an indexed XML document: the shredded tree plus the value
@@ -127,7 +132,11 @@ func ParseWithOptions(xml []byte, opts Options) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := core.Build(doc, opts.indexOptions())
+	co, err := opts.indexOptions()
+	if err != nil {
+		return nil, err
+	}
+	ix := core.Build(doc, co)
 	return &Document{ix: ix, mgr: txn.NewManager(ix), planner: opts.Planner, walPath: opts.WAL, walSyncEvery: opts.WALSyncEvery}, nil
 }
 
@@ -278,13 +287,6 @@ func appendElementPath(dst []byte, doc *xmltree.Doc, n Node) []byte {
 	return dst
 }
 
-// results binds postings to the document version they were computed
-// against, so a Result stays valid even when later commits publish new
-// versions.
-func (d *Document) results(ps []core.Posting, snap *core.Snapshot) []Result {
-	return pinnedResults(ps, snap)
-}
-
 // ErrUnsupportedPath is returned by Query, QueryScan, and Explain for
 // parsed expressions whose shape the evaluators cannot answer (such as
 // attribute steps in the middle of a path). Match with errors.Is.
@@ -298,20 +300,7 @@ var ErrUnsupportedPath = xpath.ErrUnsupportedPath
 // switches the strategy; Explain shows the chosen plan. Unsupported
 // path shapes fail with ErrUnsupportedPath instead of silently
 // returning an empty result.
-func (d *Document) Query(expr string) ([]Result, error) {
-	p, err := xpath.Parse(expr)
-	if err != nil {
-		return nil, err
-	}
-	// One snapshot pin per query: planning, execution, and result
-	// binding all observe the same index version, even mid-commit.
-	snap := d.ix.Snapshot()
-	ps, _, err := plan.Run(snap, p, d.planner)
-	if err != nil {
-		return nil, err
-	}
-	return d.results(ps, snap), nil
-}
+func (d *Document) Query(expr string) ([]Result, error) { return d.Pin().Query(expr) }
 
 // QueryScan evaluates an XPath expression without indices — the baseline
 // the benchmarks compare against.
@@ -324,7 +313,7 @@ func (d *Document) QueryScan(expr string) ([]Result, error) {
 		return nil, err
 	}
 	snap := d.ix.Snapshot()
-	return d.results(xpath.Evaluate(snap.Doc(), p), snap), nil
+	return pinnedResults(xpath.Evaluate(snap.Doc(), p), snap), nil
 }
 
 // Explain is the executed plan of one query: a printable operator tree
@@ -336,18 +325,7 @@ type Explain = plan.Plan
 // together with the executed plan tree. The plan reports, per operator,
 // the estimated cardinality (from the statistics layer's distinct-key
 // counts and equi-depth histograms) and the actual one.
-func (d *Document) Explain(expr string) ([]Result, *Explain, error) {
-	p, err := xpath.Parse(expr)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap := d.ix.Snapshot()
-	ps, pl, err := plan.Run(snap, p, d.planner)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.results(ps, snap), pl, nil
-}
+func (d *Document) Explain(expr string) ([]Result, *Explain, error) { return d.Pin().Explain(expr) }
 
 // SetPlanner switches the query planning mode (useful on documents
 // loaded from snapshots, where no Options are passed).
@@ -360,7 +338,7 @@ func (d *Document) Planner() PlannerMode { return d.planner }
 // verified (hash candidates are checked against the document).
 func (d *Document) LookupString(value string) []Result {
 	snap := d.ix.Snapshot()
-	return d.results(snap.LookupString(value), snap)
+	return pinnedResults(snap.LookupString(value), snap)
 }
 
 // LookupDouble returns every node whose typed double value equals v —
@@ -401,7 +379,7 @@ func (d *Document) rangeDouble(lo, hi float64, inclusive bool) []Result {
 // against one pinned version.
 func (d *Document) rangeTyped(id core.TypeID, lo, hi uint64, inclusive bool) []Result {
 	snap := d.ix.Snapshot()
-	return d.results(snap.RangeTyped(id, lo, hi, inclusive, inclusive), snap)
+	return pinnedResults(snap.RangeTyped(id, lo, hi, inclusive, inclusive), snap)
 }
 
 // epochDays converts a time to whole days since the Unix epoch in UTC,
@@ -655,12 +633,12 @@ func (d *Document) HasSubstringIndex() bool { return d.ix.Snapshot().HasSubstrin
 // routes answer against one pinned snapshot.
 func (d *Document) Contains(pattern string) []Result {
 	snap := d.ix.Snapshot()
-	return d.results(snap.Contains(pattern), snap)
+	return pinnedResults(snap.Contains(pattern), snap)
 }
 
 // StartsWith returns every text and attribute node whose value starts
 // with pattern, through the same index-or-scan route as Contains.
 func (d *Document) StartsWith(pattern string) []Result {
 	snap := d.ix.Snapshot()
-	return d.results(snap.StartsWith(pattern), snap)
+	return pinnedResults(snap.StartsWith(pattern), snap)
 }

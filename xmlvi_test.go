@@ -8,6 +8,7 @@ import (
 	"time"
 
 	xmlvi "repro"
+	"repro/internal/core"
 )
 
 const personXML = `<person><name><first>Arthur</first><family>Dent</family></name><birthday>1966-09-26</birthday><age><decades>4</decades>2<years/></age><weight><kilos>78</kilos>.<grams>230</grams></weight></person>`
@@ -255,6 +256,26 @@ func TestOptionsSelectIndexes(t *testing.T) {
 	if len(d.LookupString("Arthur")) == 0 {
 		t.Error("string index should be present")
 	}
+	d, err = xmlvi.ParseWithOptions([]byte(personXML), xmlvi.Options{Types: []core.TypeID{core.TypeDate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := d.LookupString("Arthur"); len(hits) != 0 {
+		t.Error("string index should be absent")
+	}
+	day := time.Date(1966, 9, 26, 0, 0, 0, 0, time.UTC)
+	if hits := d.RangeDate(day, day); len(hits) == 0 {
+		t.Error("date index should be present")
+	}
+}
+
+// TestOptionsRejectUnregisteredType: a typed index ID nothing registered
+// fails the build instead of silently leaving the index out.
+func TestOptionsRejectUnregisteredType(t *testing.T) {
+	_, err := xmlvi.ParseWithOptions([]byte(personXML), xmlvi.Options{Types: []core.TypeID{core.TypeDouble, 999}})
+	if err == nil || !strings.Contains(err.Error(), "999") {
+		t.Fatalf("err = %v, want an error naming type ID 999", err)
+	}
 }
 
 func TestParseErrorsSurface(t *testing.T) {
@@ -273,8 +294,8 @@ func TestStats(t *testing.T) {
 	if s.Texts != 8 || s.Elements != 11 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.DoubleNonLeaf != 2 {
-		t.Errorf("non-leaf doubles = %d", s.DoubleNonLeaf)
+	if dbl, _ := s.TypedFor(core.TypeDouble); dbl.NonLeaf != 2 {
+		t.Errorf("non-leaf doubles = %d", dbl.NonLeaf)
 	}
 }
 
