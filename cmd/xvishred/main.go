@@ -46,7 +46,7 @@ func main() {
 
 	var typeIDs []core.TypeID
 	for _, name := range strings.Split(*types, ",") {
-		if name == "" {
+		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
 		spec, ok := core.TypeByName(name)
