@@ -33,8 +33,8 @@ func Build(doc *xmltree.Doc, opts Options) *Indexes {
 	workers := opts.workers()
 	s.fold(workers)
 	// The trees load from the computed state, and the planner statistics
-	// (distinct counts, equi-depth histograms) derive from the loaded
-	// trees — one extra scan per tree, well under the cost of the load.
+	// (distinct counts, equi-depth histograms) derive from the same sorted
+	// entries in one pass, with no scan of the loaded trees.
 	s.loadTrees(s.fams, workers)
 	return wrapSnapshot(s)
 }

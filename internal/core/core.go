@@ -45,14 +45,14 @@ type Options struct {
 	// Types lists the registered typed indexes to build. Unknown IDs are
 	// ignored.
 	Types []TypeID
-	// Parallelism bounds the number of worker goroutines Build uses for
-	// the collection passes and the B+tree bulk loads. 0 means
+	// Parallelism bounds the number of worker goroutines Build,
+	// EnableSubstring and VerifyLeaves use. 0 means
 	// runtime.GOMAXPROCS(0); 1 selects the serial reference path (the
 	// paper's Figure 7 loop, kept as the oracle the parallel path is
 	// property-tested against); negative values are treated as 0. Any
 	// setting produces identical indexes — down to snapshot bytes.
-	// Parallelism is a build-time knob only; it is not persisted in
-	// snapshots.
+	// It is not persisted in snapshots: Load and what it loads run on
+	// GOMAXPROCS workers.
 	Parallelism int
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"repro/internal/btree"
@@ -57,8 +58,8 @@ type family interface {
 	addStats(s *Snapshot, st *IndexStats)
 	addMem(ms *MemStats)
 	// save writes the family's one snapshot section, its B+tree; load
-	// reads it back. The per-node state is not persisted: Load derives
-	// it with Build's fold.
+	// reads it back with its statistics. The per-node state is not
+	// persisted: Load derives it with Build's fold.
 	save(w *storage.Writer) error
 	load(r *storage.Reader) error
 }
@@ -144,14 +145,25 @@ func (pt postingTree) clone() postingTree {
 	return postingTree{tree: pt.tree.Clone(), stats: pt.stats.clone()}
 }
 
-func (pt *postingTree) rebuildStats() { pt.stats = buildKeyStats(pt.tree) }
+// bulkLoad replaces the tree with one loaded from entries, sorted by
+// (key, posting), and derives its statistics from the same slice.
+func (pt *postingTree) bulkLoad(entries []btree.Entry) {
+	pt.tree = btree.NewFromSorted(entries)
+	pt.stats = buildKeyStats(len(entries), func(yield func(uint64) bool) {
+		for _, e := range entries {
+			if !yield(e.Key) {
+				return
+			}
+		}
+	})
+}
 
 // maintain rebuilds a histogram whose churn crossed the rebuild
 // threshold; a rebuild is O(tree) after O(tree/4) churn, so the amortised
 // cost per updated posting is O(1).
 func (pt *postingTree) maintain() {
 	if pt.stats != nil && pt.stats.stale() {
-		pt.rebuildStats()
+		pt.stats = treeKeyStats(pt.tree)
 	}
 }
 
@@ -208,52 +220,84 @@ func (s *Snapshot) valueBytes(p Posting) []byte {
 	return s.doc.ValueBytes(p.Node)
 }
 
-// eachPosting visits every tree node in pre order, then every attribute.
-func (s *Snapshot) eachPosting(f func(Posting)) {
-	for i := 0; i < s.doc.NumNodes(); i++ {
-		f(NodePosting(xmltree.NodeID(i)))
-	}
-	for a := 0; a < s.doc.NumAttrs(); a++ {
-		f(AttrPosting(xmltree.AttrID(a)))
+// postingRange returns range r of the posting space — every tree node
+// in pre order, then every attribute — cut into ranges contiguous
+// ranges. Range 0 of 1 is the whole space.
+func (s *Snapshot) postingRange(r, ranges int) iter.Seq[Posting] {
+	return func(yield func(Posting) bool) {
+		nn := s.doc.NumNodes()
+		total := nn + s.doc.NumAttrs()
+		for i := total * r / ranges; i < total*(r+1)/ranges; i++ {
+			p := AttrPosting(xmltree.AttrID(i - nn))
+			if i < nn {
+				p = NodePosting(xmltree.NodeID(i))
+			}
+			if !yield(p) {
+				return
+			}
+		}
 	}
 }
 
+// entryChunk is the capacity of one key-generation chunk: a worker fills
+// fixed-size chunks instead of regrowing one slice, so every entry is
+// copied once, into the joined result.
+const entryChunk = 16 << 10
+
 // entries lists every entry family f's tree must hold, as derived from
-// the stored state, sorted. It is the bulk-load input of Build and
-// EnableSubstring and the ground truth Verify compares trees against.
-func (s *Snapshot) entries(f family, sortWorkers int) []btree.Entry {
-	var out []btree.Entry
-	var buf []uint64
-	s.eachPosting(func(p Posting) {
-		buf = f.keys(s, p, buf[:0])
-		if len(buf) == 0 {
-			return
+// the stored state, sorted by (key, posting). It is the bulk-load input
+// of Build and EnableSubstring and the ground truth Verify compares
+// trees against. Up to workers goroutines generate the keys, one
+// contiguous posting range each, and then sort them.
+func (s *Snapshot) entries(f family, workers int) []btree.Entry {
+	chunks := make([][][]btree.Entry, workers)
+	parallelFor(workers, workers, func(r int) {
+		var keys []uint64
+		var full [][]btree.Entry
+		var chunk []btree.Entry
+		for p := range s.postingRange(r, workers) {
+			if keys = f.keys(s, p, keys[:0]); len(keys) == 0 {
+				continue
+			}
+			posting := s.packed(p)
+			for _, k := range keys {
+				if len(chunk) == cap(chunk) {
+					full = append(full, chunk)
+					chunk = make([]btree.Entry, 0, entryChunk)
+				}
+				chunk = append(chunk, btree.Entry{Key: k, Val: posting})
+			}
 		}
-		posting := s.packed(p)
-		for _, k := range buf {
-			out = append(out, btree.Entry{Key: k, Val: posting})
-		}
+		chunks[r] = append(full, chunk)
 	})
-	btree.SortEntriesParallel(out, sortWorkers)
+	// Joined by hand: slices.Concat allocates the result twice under the
+	// race detector.
+	all, n := slices.Concat(chunks...), 0
+	for _, c := range all {
+		n += len(c)
+	}
+	out := make([]btree.Entry, 0, n)
+	for _, c := range all {
+		out = append(out, c...)
+	}
+	btree.SortEntriesParallel(out, workers)
 	return out
 }
 
-// loadTrees bulk-loads the trees of fams from their stored state and
-// derives their statistics. With workers > 1 the trees load concurrently,
-// each sort fanning out through btree.SortEntriesParallel with the worker
-// budget divided by the number of concurrently loading trees, so
-// CPU-bound goroutines stay within Options.Parallelism. The loaded trees
-// are identical for any worker count: entries sort by (key, posting).
+// loadTrees bulk-loads the trees of fams from their stored state. With
+// workers > 1 the trees load concurrently, each one's key generation and
+// sort fanning out over the worker budget divided by the number of
+// concurrently loading trees, so CPU-bound goroutines stay within
+// Options.Parallelism. The loaded trees are identical for any worker
+// count: entries sort by (key, posting).
 func (s *Snapshot) loadTrees(fams []family, workers int) {
 	concurrent := min(len(fams), workers)
-	sortWorkers := 1
+	perTree := 1
 	if concurrent > 0 {
-		sortWorkers = max(workers/concurrent, 1)
+		perTree = max(workers/concurrent, 1)
 	}
 	parallelFor(workers, len(fams), func(i int) {
-		pt := fams[i].postings()
-		pt.tree = btree.NewFromSorted(s.entries(fams[i], sortWorkers))
-		pt.rebuildStats()
+		fams[i].postings().bulkLoad(s.entries(fams[i], perTree))
 	})
 }
 

@@ -125,7 +125,6 @@ func (h *hashFamily) addMem(ms *MemStats) {
 // save persists the hash tree; the hashes are derived, refolded on load.
 func (h *hashFamily) save(w *storage.Writer) error { return saveTree(w, SectionStrTree, h.tree) }
 
-func (h *hashFamily) load(r *storage.Reader) (err error) {
-	h.tree, err = loadTree(r, SectionStrTree)
-	return err
+func (h *hashFamily) load(r *storage.Reader) error {
+	return loadTree(r, SectionStrTree, &h.postingTree)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"math"
 	"sort"
 
@@ -20,8 +21,10 @@ const histBuckets = 64
 // bucket); bucket bounds and the distinct count are frozen at (re)build
 // time and refreshed once accumulated churn exceeds a quarter of the
 // tree, so estimates degrade gracefully between rebuilds instead of
-// drifting unboundedly. A keyStats is derived data: Build and Load both
-// build it from the tree, and no snapshot stores it.
+// drifting unboundedly. A keyStats is derived data: Build,
+// EnableSubstring and Load build it from the sorted entries each tree
+// bulk-loads from, a churn rebuild from a tree scan, and no snapshot
+// stores it.
 type keyStats struct {
 	total    int
 	distinct int
@@ -31,21 +34,20 @@ type keyStats struct {
 	churn    int      // inserts+deletes since the last rebuild
 }
 
-// buildKeyStats scans a tree once and derives its statistics. A nil or
-// empty tree yields a single empty catch-all bucket.
-func buildKeyStats(t *btree.Tree) *keyStats {
+// buildKeyStats derives the statistics of total keys from one ascending
+// pass over them. No keys yield a single empty catch-all bucket.
+func buildKeyStats(total int, keys iter.Seq[uint64]) *keyStats {
 	ks := &keyStats{bounds: []uint64{math.MaxUint64}, counts: []int{0}}
-	if t == nil || t.Len() == 0 {
+	if total == 0 {
 		return ks
 	}
-	total := t.Len()
 	depth := (total + histBuckets - 1) / histBuckets
 	ks.bounds = ks.bounds[:0]
 	ks.counts = ks.counts[:0]
 	first := true
 	var prev uint64
 	cum := 0
-	t.Scan(func(key uint64, _ uint32) bool {
+	for key := range keys {
 		if first {
 			ks.min, ks.distinct = key, 1
 			first = false
@@ -61,13 +63,20 @@ func buildKeyStats(t *btree.Tree) *keyStats {
 		}
 		prev = key
 		cum++
-		return true
-	})
+	}
 	ks.max = prev
 	ks.total = total
 	ks.bounds = append(ks.bounds, math.MaxUint64)
 	ks.counts = append(ks.counts, cum)
 	return ks
+}
+
+// treeKeyStats derives t's statistics from a scan of the tree: the
+// churn rebuild's input, where no sorted entries are at hand.
+func treeKeyStats(t *btree.Tree) *keyStats {
+	return buildKeyStats(t.Len(), func(yield func(uint64) bool) {
+		t.Scan(func(key uint64, _ uint32) bool { return yield(key) })
+	})
 }
 
 // bucketFor locates the bucket covering key — the first bound >= key.

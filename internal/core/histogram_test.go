@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,8 +15,34 @@ import (
 
 // TestKeyStatsBuild pins the equi-depth construction: population equals
 // the tree, distinct keys counted exactly, equal keys never straddle a
-// bucket boundary.
+// bucket boundary. Statistics from the sorted entries a tree bulk-loads
+// from equal those from a scan of the tree, the churn rebuild's input.
 func TestKeyStatsBuild(t *testing.T) {
+	// dup-heavy runs 7 postings per key over more keys than the
+	// histogram has buckets; all-equal puts 3 buckets' depth on one key.
+	var allEqual, dupHeavy []btree.Entry
+	for i := range 40 * histBuckets {
+		dupHeavy = append(dupHeavy, btree.Entry{Key: uint64(i / 7), Val: uint32(i)})
+	}
+	for i := range 3 * histBuckets {
+		allEqual = append(allEqual, btree.Entry{Key: 9, Val: uint32(i)})
+	}
+	for name, entries := range map[string][]btree.Entry{
+		"empty":     nil,
+		"one entry": {{Key: 5, Val: 1}},
+		"all equal": allEqual,
+		"dup-heavy": dupHeavy,
+	} {
+		var pt postingTree
+		pt.bulkLoad(entries)
+		if want := treeKeyStats(pt.tree); !reflect.DeepEqual(pt.stats, want) {
+			t.Fatalf("%s: statistics from entries %+v, from a tree scan %+v", name, pt.stats, want)
+		}
+		if name == "dup-heavy" && len(pt.stats.counts) <= histBuckets/2 {
+			t.Fatalf("dup-heavy: %d buckets, want the histogram filled", len(pt.stats.counts))
+		}
+	}
+
 	tr := btree.New()
 	// 50 distinct keys, key k carrying k%5+1 postings.
 	want := 0
@@ -25,7 +52,7 @@ func TestKeyStatsBuild(t *testing.T) {
 			want++
 		}
 	}
-	ks := buildKeyStats(tr)
+	ks := treeKeyStats(tr)
 	if err := (&postingTree{tree: tr, stats: ks}).checkStats(); err != nil || ks.total != want {
 		t.Fatalf("total %d, want %d: %v", ks.total, want, err)
 	}
@@ -59,7 +86,7 @@ func TestKeyStatsRangeAccuracy(t *testing.T) {
 	for k := uint64(0); k < 10000; k++ {
 		tr.Insert(k, uint32(k))
 	}
-	ks := buildKeyStats(tr)
+	ks := treeKeyStats(tr)
 	for _, span := range []struct{ lo, hi uint64 }{{0, 99}, {5000, 5999}, {9000, 9999}, {2500, 7499}} {
 		truth := float64(span.hi - span.lo + 1)
 		est := ks.estimateRange(span.lo, span.hi)

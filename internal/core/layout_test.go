@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -35,11 +36,14 @@ func TestTreeSectionRoundTripV2(t *testing.T) {
 		e := storage.NewBufEncoder(nil)
 		writeTree(e, want)
 		buf, _ := e.Bytes()
-		got, err := readTree(storage.NewDecoder(bytes.NewReader(buf)))
-		if err != nil {
+		var pt postingTree
+		if err := readTree(storage.NewDecoder(bytes.NewReader(buf)), &pt); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		w, g := dumpTree(want), dumpTree(got)
+		if !reflect.DeepEqual(pt.stats, treeKeyStats(want)) {
+			t.Fatalf("n=%d: decoded statistics differ from a scan of the tree", n)
+		}
+		w, g := dumpTree(want), dumpTree(pt.tree)
 		if len(w) != len(g) {
 			t.Fatalf("n=%d: %d entries, want %d", n, len(g), len(w))
 		}

@@ -6,9 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/btree"
 	"repro/internal/datagen"
@@ -202,6 +205,119 @@ func TestParallelBuildDeepChain(t *testing.T) {
 	serial := Build(doc, opts)
 	opts.Parallelism = 4
 	assertIndexesEqual(t, serial, Build(doc, opts))
+}
+
+// setUpCorpus is the input set of the set-up equivalence tests: the
+// generated corpora of TestParallelBuildMatchesSerialOnXMark and the
+// shapes of TestParallelBuildPathologicalShapes.
+func setUpCorpus(t *testing.T) []shapeCase {
+	t.Helper()
+	var out []shapeCase
+	for _, gen := range []struct {
+		name  string
+		scale float64
+	}{{"xmark1", 0.25}, {"dblp", 0.02}, {"wiki", 0.02}} {
+		xml, err := datagen.Generate(gen.name, gen.scale, 42)
+		if err != nil {
+			t.Fatalf("generate %s: %v", gen.name, err)
+		}
+		out = append(out, shapeCase{gen.name, string(xml)})
+	}
+	return append(out, shapeCorpus()...)
+}
+
+// TestParallelEnableSubstringMatchesSerial: the gram tree and its
+// statistics come out the same whether EnableSubstring generates and
+// sorts the keys on one worker or on four.
+func TestParallelEnableSubstringMatchesSerial(t *testing.T) {
+	for _, tc := range setUpCorpus(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := mustParseForTest(t, tc.xml)
+			var grams [2]*gramFamily
+			for i, p := range []int{1, 4} {
+				opts := DefaultOptions()
+				opts.Parallelism = p
+				ix := Build(doc, opts)
+				ix.EnableSubstring()
+				grams[i] = ix.Snapshot().grams()
+			}
+			if !slices.Equal(dumpTree(grams[0].tree), dumpTree(grams[1].tree)) {
+				t.Fatal("gram tree differs between Parallelism 1 and 4")
+			}
+			if !reflect.DeepEqual(grams[0].stats, grams[1].stats) {
+				t.Fatalf("gram statistics differ: %+v vs %+v", grams[0].stats, grams[1].stats)
+			}
+		})
+	}
+}
+
+// TestParallelLoadMatchesSerial: Load decodes the tree sections beside
+// the fold on GOMAXPROCS workers. Under 1 and 4 it must bring up the
+// same state, trees and statistics, and re-save the same bytes.
+func TestParallelLoadMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range setUpCorpus(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := Build(mustParseForTest(t, tc.xml), DefaultOptions())
+			ix.EnableSubstring()
+			want := snapshotBytes(t, ix)
+			path := filepath.Join(t.TempDir(), "snap.xvi")
+			if err := os.WriteFile(path, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var loaded [2]*Indexes
+			for i, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				var err error
+				if loaded[i], err = Load(path); err != nil {
+					t.Fatalf("GOMAXPROCS=%d: load: %v", procs, err)
+				}
+				if got := snapshotBytes(t, loaded[i]); string(got) != string(want) {
+					t.Fatalf("GOMAXPROCS=%d: re-saved snapshot differs", procs)
+				}
+			}
+			assertIndexesEqual(t, loaded[0], loaded[1])
+			for i, f := range loaded[0].Snapshot().fams {
+				if got := loaded[1].Snapshot().fams[i].postings().stats; !reflect.DeepEqual(f.postings().stats, got) {
+					t.Fatalf("%s statistics differ between GOMAXPROCS 1 and 4", f.label())
+				}
+				if !reflect.DeepEqual(f.postings().stats, ix.Snapshot().fams[i].postings().stats) {
+					t.Fatalf("%s statistics after Load differ from Build's", f.label())
+				}
+			}
+		})
+	}
+}
+
+// TestBulkLoadAllocFollowsEntries is a count guard on the gram
+// family's bulk-load input: entries fills fixed-size chunks and joins
+// them once, so what it allocates stays a small multiple of the slice
+// it returns — a slice regrown by append would not.
+func TestBulkLoadAllocFollowsEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds xmark1 at scale 2")
+	}
+	for _, scale := range []float64{0.25, 2} {
+		xml, err := datagen.Generate("xmark1", scale, 42)
+		if err != nil {
+			t.Fatalf("generate: %v", err)
+		}
+		ix := Build(mustParseForTest(t, string(xml)), DefaultOptions())
+		ix.EnableSubstring()
+		s := ix.Snapshot()
+		for _, workers := range []int{1, 2} {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			out := s.entries(s.grams(), workers)
+			runtime.ReadMemStats(&m1)
+			size := uint64(len(out)) * uint64(unsafe.Sizeof(btree.Entry{}))
+			ratio := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(size)
+			t.Logf("scale %g, %d workers: %d entries, allocated %.2fx their bytes", scale, workers, len(out), ratio)
+			if ratio > 5 {
+				t.Errorf("scale %g, %d workers: entries allocated %.2fx the bytes it returned, want <= 5x", scale, workers, ratio)
+			}
+		}
+	}
 }
 
 // TestPlanShardsPartition pins the planner invariant everything else

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -29,9 +30,9 @@ import (
 // and attrOf by inverting the stable columns (an id space is as long as
 // its column plus its retired ids, so it never outgrows the section),
 // every family's per-node hashes and FSM fragments with the fold Build
-// runs (Figure 7), and the planner statistics from the trees. SectionDoc
-// vs the tree sections is what the storage-overhead experiment (Figure 9
-// bottom) compares.
+// runs (Figure 7), and the planner statistics from the decoded entries.
+// SectionDoc vs the tree sections is what the storage-overhead
+// experiment (Figure 9 bottom) compares.
 // Typed sections are named by stable type ID, so snapshots written with
 // any registry subset load under any superset.
 const (
@@ -192,10 +193,23 @@ func load(r *storage.Reader) (*Indexes, error) {
 	if r.SectionLen(SectionSubstr) >= 0 {
 		ix.fams = append(ix.fams, &gramFamily{})
 	}
-	for _, f := range ix.fams {
-		if err := f.load(r); err != nil {
-			return nil, err
+	// The per-node state is derived: Build's fold recomputes it, keying
+	// typed items by the stable ids just read. The tree sections depend
+	// on neither the fold nor the document, so they decode — each tree
+	// bulk-loaded with its statistics derived from the decoded entries —
+	// on part of the worker budget while the fold runs on the rest.
+	workers := ix.opts.workers()
+	treeWorkers := max(workers/2, 1)
+	errs := make([]error, len(ix.fams))
+	parallelFor(min(workers, 2), 2, func(job int) {
+		if job == 0 {
+			parallelFor(treeWorkers, len(ix.fams), func(i int) { errs[i] = ix.fams[i].load(r) })
+		} else {
+			ix.fold(max(workers-treeWorkers, 1))
 		}
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
 	}
 	if ix.version, err = readUv(r, SectionVersion); err != nil {
 		return nil, err
@@ -205,12 +219,6 @@ func load(r *storage.Reader) (*Indexes, error) {
 		if walGen, err = readUv(r, SectionWALGen); err != nil {
 			return nil, err
 		}
-	}
-	// The per-node state is derived: Build's fold recomputes it, keying
-	// typed items by the stable ids just read. So are the statistics.
-	ix.fold(ix.opts.workers())
-	for _, f := range ix.fams {
-		f.postings().rebuildStats()
 	}
 	out := wrapSnapshot(ix)
 	out.walGen.Store(walGen)
@@ -317,16 +325,16 @@ func saveTree(w *storage.Writer, name string, t *btree.Tree) error {
 	return writeSection(w, name, func(e *storage.Encoder) { writeTree(e, t) })
 }
 
-// loadTree reads section name back as a tree.
-func loadTree(r *storage.Reader, name string) (*btree.Tree, error) {
+// loadTree reads section name back into pt's tree and statistics.
+func loadTree(r *storage.Reader, name string, pt *postingTree) error {
 	d, err := openSection(r, name)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return readTree(d)
+	return readTree(d, pt)
 }
 
-func readTree(d *storage.Decoder) (*btree.Tree, error) {
+func readTree(d *storage.Decoder, pt *postingTree) error {
 	n := d.Count(2) // an entry is two varints
 	entries := make([]btree.Entry, 0, n)
 	var key uint64
@@ -342,9 +350,10 @@ func readTree(d *storage.Decoder) (*btree.Tree, error) {
 		entries = append(entries, btree.Entry{Key: key, Val: val})
 	}
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return btree.NewFromSorted(entries), nil
+	pt.bulkLoad(entries)
+	return nil
 }
 
 // SaveParts selects snapshot sections for staged persistence timing and

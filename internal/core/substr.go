@@ -118,12 +118,11 @@ func (g *gramFamily) addMem(ms *MemStats) {
 	ms.SubstrTreeBytes = g.tree.MemBytes()
 }
 
-// save persists the gram tree; its statistics are rebuilt on load.
+// save persists the gram tree; its statistics are derived on load.
 func (g *gramFamily) save(w *storage.Writer) error { return saveTree(w, SectionSubstr, g.tree) }
 
-func (g *gramFamily) load(r *storage.Reader) (err error) {
-	g.tree, err = loadTree(r, SectionSubstr)
-	return err
+func (g *gramFamily) load(r *storage.Reader) error {
+	return loadTree(r, SectionSubstr, &g.postingTree)
 }
 
 // HasSubstring reports whether the substring index is enabled on this

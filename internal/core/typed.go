@@ -247,17 +247,17 @@ func (t *typedFamily) addStats(s *Snapshot, st *IndexStats) {
 	doc := s.doc
 	ts := TypedStats{ID: t.spec.ID, Name: t.spec.Name}
 	var buf []uint64
-	s.eachPosting(func(p Posting) {
+	for p := range s.postingRange(0, 1) {
 		sd := &t.sides[p.side()]
 		e := sd.elems.At(p.pos())
 		if e == fsm.Reject {
-			return
+			continue
 		}
 		text := !p.IsAttr && doc.Kind(p.Node) == xmltree.Text
 		if e == fsm.Identity && !text {
 			// Empty elements and attributes carry no information; the
 			// paper would not store them either.
-			return
+			continue
 		}
 		ts.Live++
 		// 1 byte state (paper) + node id reference (4) per stored state.
@@ -277,7 +277,7 @@ func (t *typedFamily) addStats(s *Snapshot, st *IndexStats) {
 		}
 		// Items persist as compact varints; estimate 2 bytes per item.
 		ts.Bytes += 2 * len(sd.items.Get(s.stable(p)))
-	})
+	}
 	st.Typed = append(st.Typed, ts)
 }
 
@@ -319,7 +319,7 @@ func (t *typedFamily) load(r *storage.Reader) error {
 	if id := TypeID(d.Uv()); d.Err() == nil && id != t.spec.ID {
 		return fmt.Errorf("core: typed index %q: section holds type ID %d, want %d", t.spec.Name, id, t.spec.ID)
 	}
-	if t.tree, err = readTree(d); err != nil {
+	if err := readTree(d, &t.postingTree); err != nil {
 		return fmt.Errorf("core: typed index %q: %w", t.spec.Name, err)
 	}
 	return nil

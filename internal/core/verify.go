@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/xmltree"
@@ -11,24 +12,22 @@ import (
 // character data produces, in every family (H of the data, a fresh FSM
 // run). Interior state is derived from leaves by the fold, so this is the
 // recovery contract's integrity check — O(total character data), cheap
-// enough to run at every OpenDurable, unlike the full Verify.
+// enough to run at every OpenDurable, unlike the full Verify. The
+// posting ranges are checked on up to Options.Parallelism workers; the
+// error reported is the one a serial walk would meet first.
 func (ix *Snapshot) VerifyLeaves() error {
-	doc := ix.doc
-	for i := 0; i < doc.NumNodes(); i++ {
-		n := xmltree.NodeID(i)
-		if !isLeafKind(doc.Kind(n)) {
-			continue
+	workers := ix.opts.workers()
+	errs := make([]error, workers)
+	parallelFor(workers, workers, func(r int) {
+		for p := range ix.postingRange(r, workers) {
+			if p.IsAttr || isLeafKind(ix.doc.Kind(p.Node)) {
+				if errs[r] = ix.checkState(p, ix.valueBytes(p)); errs[r] != nil {
+					return
+				}
+			}
 		}
-		if err := ix.checkState(NodePosting(n), doc.ValueBytes(n)); err != nil {
-			return err
-		}
-	}
-	for a := 0; a < doc.NumAttrs(); a++ {
-		if err := ix.checkState(AttrPosting(xmltree.AttrID(a)), doc.AttrValueBytes(xmltree.AttrID(a))); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
+	return cmp.Or(errs...)
 }
 
 // checkState checks p's state in every family against val.
