@@ -318,9 +318,14 @@
 // the record to the log, build a copy-on-write draft, apply the paper's
 // Figure 8 update to the draft, and publish it with one atomic pointer
 // swap. The draft shares everything with the published version: the
-// B+trees path-copy the nodes a write touches, and the per-node value
-// state lives in persistent chunked columns that copy the one chunk a
-// write lands in. Refolding an ancestor reads its children's stored
+// B+trees path-copy the nodes a write touches, and every per-position
+// column — structure, values, stable ids, index state — is a persistent
+// chunked column that copies its spine and the one chunk a write lands
+// in. A structural commit splices every column at its edit point and
+// rewrites the chunks from there on: O(chunk + depth) at the document's
+// tail, O(N − at) in the middle, because pre ranks, parents and
+// attribute starts are absolute; splices in O(chunk) anywhere need
+// relative parents and a per-chunk count directory. Refolding an ancestor reads its children's stored
 // states, and an element with more than B = 64 children keeps block
 // partials: per index, the folded state of each run of B children,
 // recorded by the first commit that refolds it and never persisted. A

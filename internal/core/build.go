@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/pcol"
 	"repro/internal/xmltree"
 )
 
@@ -13,21 +14,14 @@ import (
 func Build(doc *xmltree.Doc, opts Options) *Indexes {
 	n := doc.NumNodes()
 	na := doc.NumAttrs()
-	s := &Snapshot{
-		doc:          doc,
-		opts:         opts,
-		stableOf:     make([]uint32, n),
-		preOf:        make([]int32, n),
-		attrStableOf: make([]uint32, na),
-		attrOf:       make([]int32, na),
-	}
-	for i := 0; i < n; i++ {
-		s.stableOf[i] = uint32(i)
-		s.preOf[i] = int32(i)
-	}
-	for i := 0; i < na; i++ {
-		s.attrStableOf[i] = uint32(i)
-		s.attrOf[i] = int32(i)
+	s := &Snapshot{doc: doc, opts: opts}
+	for side, size := range []int{n, na} { // a fresh document's stable ids are its positions
+		stables, pos := s.stableIDs(side)
+		*stables, *pos = pcol.NewDense[uint32](size), pcol.NewDense[int32](size)
+		for i := range size {
+			stables.Set(i, uint32(i))
+			pos.Set(i, int32(i))
+		}
 	}
 	s.fams = newFamilies(opts, n, na)
 	workers := opts.workers()
@@ -78,28 +72,32 @@ func (s *Snapshot) buildPass(from, to xmltree.NodeID, folds []folder) {
 	doc := s.doc
 	type frame struct{ node, end xmltree.NodeID }
 	var stack []frame
-	for i := from; i <= to; i++ {
-		switch k := doc.Kind(i); k {
-		case xmltree.Element, xmltree.Document:
-			stack = append(stack, frame{i, i + xmltree.NodeID(doc.Size(i))})
-			for _, f := range folds {
-				f.open()
+	for i := from; i <= to; {
+		kinds, _, _ := doc.Chunk(i) // the kind column a chunk at a time
+		for _, k := range kinds[:min(len(kinds), int(to-i)+1)] {
+			switch k {
+			case xmltree.Element, xmltree.Document:
+				stack = append(stack, frame{i, i + xmltree.NodeID(doc.Size(i))})
+				for _, f := range folds {
+					f.open()
+				}
+			default:
+				// Comments and PIs carry their own value but contribute
+				// nothing to ancestors (XDM).
+				val := doc.ValueBytes(i)
+				for _, f := range folds {
+					f.leaf(NodePosting(i), val, k == xmltree.Text)
+				}
 			}
-		default:
-			// Comments and PIs carry their own value but contribute
-			// nothing to ancestors (XDM).
-			val := doc.ValueBytes(i)
-			for _, f := range folds {
-				f.leaf(NodePosting(i), val, k == xmltree.Text)
+			// Close every frame whose subtree ends here.
+			for len(stack) > 0 && stack[len(stack)-1].end == i {
+				n := stack[len(stack)-1].node
+				stack = stack[:len(stack)-1]
+				for _, f := range folds {
+					f.close(n)
+				}
 			}
-		}
-		// Close every frame whose subtree ends here.
-		for len(stack) > 0 && stack[len(stack)-1].end == i {
-			n := stack[len(stack)-1].node
-			stack = stack[:len(stack)-1]
-			for _, f := range folds {
-				f.close(n)
-			}
+			i++
 		}
 	}
 }

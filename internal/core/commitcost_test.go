@@ -61,6 +61,76 @@ func textCommitAllocBytes(t *testing.T, scale float64) uint64 {
 	return allocs[len(allocs)/2]
 }
 
+// TestStructuralCommitAllocIsSublinear is the count guard on the cost of
+// a structural commit: the bytes allocated by inserting a 7-node
+// open_auction at the end of the document's last element, and by
+// deleting it again, may grow with the spines, the chunks at the edit
+// point and on the ancestors, the tree paths and the fan-out of the
+// wide parent, but not with the document. At 16× the nodes each may
+// allocate at most 4× as much; a commit that copies any per-position
+// column whole allocates about 16× as much.
+func TestStructuralCommitAllocIsSublinear(t *testing.T) {
+	small, large := structuralCommitAllocBytes(t, 0.125), structuralCommitAllocBytes(t, 2)
+	for i, kind := range []string{"insert", "delete"} {
+		ratio := float64(large[i]) / float64(small[i])
+		t.Logf("bytes per %s commit: %d at xmark1 scale 0.125, %d at scale 2 (%.1f×)", kind, small[i], large[i], ratio)
+		if ratio > 4 {
+			t.Errorf("the %s commit at 16× the nodes allocates %.1f× the bytes (%d vs %d), want ≤ 4×", kind, ratio, large[i], small[i])
+		}
+	}
+}
+
+// structuralCommitAllocBytes is the median of the bytes allocated by one
+// insert of a 7-node open_auction as the last child of the last
+// open_auctions element, and by its delete, on xmark1 at scale, every
+// index enabled.
+func structuralCommitAllocBytes(t *testing.T, scale float64) (insDel [2]uint64) {
+	raw, err := datagen.Generate("xmark1", scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := xmlparse.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(doc, DefaultOptions())
+	ix.EnableSubstring()
+	parent := xmltree.InvalidNode
+	for n := range doc.NumNodes() {
+		if doc.Name(xmltree.NodeID(n)) == "open_auctions" {
+			parent = xmltree.NodeID(n)
+		}
+	}
+	if parent == xmltree.InvalidNode || parent+xmltree.NodeID(doc.Size(parent)) != xmltree.NodeID(doc.NumNodes()-1) {
+		t.Fatalf("the last open_auctions (%d) does not end the document", parent)
+	}
+	frag := mustParseForTest(t, `<open_auction id="guard"><initial>12.50</initial><current>15.00</current><quantity>1</quantity></open_auction>`)
+	var allocs [2][]uint64
+	var before, after runtime.MemStats
+	for range 15 {
+		pos := ix.Doc().NumChildren(parent)
+		runtime.ReadMemStats(&before)
+		at, err := ix.InsertChildren(parent, pos, frag)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[0] = append(allocs[0], after.TotalAlloc-before.TotalAlloc)
+		runtime.ReadMemStats(&before)
+		err = ix.DeleteSubtree(at)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[1] = append(allocs[1], after.TotalAlloc-before.TotalAlloc)
+	}
+	for i := range allocs {
+		slices.Sort(allocs[i])
+		insDel[i] = allocs[i][len(allocs[i])/2]
+	}
+	return insDel
+}
+
 // TestRefoldVisitsAreSublinear is the count guard on the Figure 8 refold:
 // with block partials a text update reads at most B children plus ⌈k/B⌉
 // partials per wide ancestor, so at 16× the nodes it may read at most 2×

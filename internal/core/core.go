@@ -104,10 +104,10 @@ type Snapshot struct {
 	// Stable node ids: postings in the B+trees survive structural updates.
 	// stableOf[pre] is the node's stable id; preOf[stable] is the current
 	// pre rank or -1 once deleted. Attributes get their own spaces.
-	stableOf     []uint32
-	preOf        []int32
-	attrStableOf []uint32
-	attrOf       []int32
+	stableOf     pcol.Dense[uint32]
+	preOf        pcol.Dense[int32]
+	attrStableOf pcol.Dense[uint32]
+	attrOf       pcol.Dense[int32]
 
 	// fams holds the index families in snapshot order (see family.go):
 	// the string hash family when Options.String, one typed family per
@@ -346,19 +346,18 @@ func (ix *Snapshot) TypedFrag(id TypeID, n xmltree.NodeID) (fsm.Frag, bool) {
 
 // NodeOfStable resolves a stable id to the current pre rank, or
 // xmltree.InvalidNode if the node was deleted.
-func (ix *Snapshot) NodeOfStable(s uint32) xmltree.NodeID {
-	if int(s) >= len(ix.preOf) || ix.preOf[s] < 0 {
-		return xmltree.InvalidNode
-	}
-	return xmltree.NodeID(ix.preOf[s])
-}
+func (ix *Snapshot) NodeOfStable(s uint32) xmltree.NodeID { return xmltree.NodeID(ix.posOf(0, s)) }
 
 // AttrOfStable resolves a stable attribute id, or xmltree.InvalidAttr.
-func (ix *Snapshot) AttrOfStable(s uint32) xmltree.AttrID {
-	if int(s) >= len(ix.attrOf) || ix.attrOf[s] < 0 {
-		return xmltree.InvalidAttr
+func (ix *Snapshot) AttrOfStable(s uint32) xmltree.AttrID { return xmltree.AttrID(ix.posOf(1, s)) }
+
+// posOf returns stable id s's position on side, or -1 — InvalidNode and
+// InvalidAttr — when no live posting has it.
+func (ix *Snapshot) posOf(side int, s uint32) int32 {
+	if _, pos := ix.stableIDs(side); int(s) < pos.Len() {
+		return pos.At(int(s))
 	}
-	return xmltree.AttrID(ix.attrOf[s])
+	return -1
 }
 
 func (ix *Snapshot) resolve(packed uint32) (Posting, bool) {

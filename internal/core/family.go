@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/btree"
+	"repro/internal/pcol"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -50,10 +51,10 @@ type family interface {
 	// draft returns a copy that a commit may write, sharing the state
 	// chunks and tree nodes it leaves untouched with f.
 	draft() family
-	// splice removes del positions at at from one side of the state and
-	// inserts ins empty ones, in step with the document. It runs before
-	// the snapshot's stable-id column of that side is spliced.
-	splice(s *Snapshot, side, at, del, ins int)
+	// splice removes the positions at at of the stable ids gone from one
+	// side of the state and inserts ins empty ones, in step with the
+	// document.
+	splice(side, at int, gone []uint32, ins int)
 	// addStats and addMem add the family's share to Stats and MemStats.
 	addStats(s *Snapshot, st *IndexStats)
 	addMem(ms *MemStats)
@@ -190,20 +191,18 @@ func (pt *postingTree) checkStats() error {
 
 // stable returns p's stable id; packed its B+tree posting value.
 func (s *Snapshot) stable(p Posting) uint32 {
-	if p.IsAttr {
-		return s.attrStableOf[p.Attr]
-	}
-	return s.stableOf[p.Node]
+	stables, _ := s.stableIDs(p.side())
+	return stables.At(p.pos())
 }
 
 func (s *Snapshot) packed(p Posting) uint32 { return packPosting(s.stable(p), p.IsAttr) }
 
-// stables returns one side's stable-id column.
-func (s *Snapshot) stables(side int) []uint32 {
+// stableIDs returns one side's stable-id column and its inverse.
+func (s *Snapshot) stableIDs(side int) (stables *pcol.Dense[uint32], pos *pcol.Dense[int32]) {
 	if side == 1 {
-		return s.attrStableOf
+		return &s.attrStableOf, &s.attrOf
 	}
-	return s.stableOf
+	return &s.stableOf, &s.preOf
 }
 
 // isLeafKind reports whether nodes of kind k carry their own character
@@ -399,34 +398,31 @@ func (s *Snapshot) refoldAncestors(order []xmltree.NodeID, olds [][][]uint64, di
 // spliceSide removes del positions at at from one side (0 tree nodes, 1
 // attributes) and inserts ins new ones, in step with the document: every
 // family's state, the stable-id column and its inverse. Removed stable
-// ids resolve to nothing from now on; inserted positions get fresh ones.
-// The stable-id columns are shared with the published version, so both
-// are rewritten into fresh slices.
+// ids resolve to nothing from now on; inserted positions get fresh ones,
+// appended to the inverse.
 func (s *Snapshot) spliceSide(side, at, del, ins int) {
 	if del == 0 && ins == 0 {
 		return
 	}
-	stables, pos := &s.stableOf, &s.preOf
-	if side == 1 {
-		stables, pos = &s.attrStableOf, &s.attrOf
-	}
+	stables, pos := s.stableIDs(side)
+	gone := stables.AppendRange(nil, at, at+del)
 	for _, f := range s.fams {
-		f.splice(s, side, at, del, ins)
+		f.splice(side, at, gone, ins)
 	}
-	*pos = slices.Grow(slices.Clone(*pos), ins)
-	for _, st := range (*stables)[at : at+del] {
-		(*pos)[st] = -1
+	for _, st := range gone {
+		pos.Set(int(st), -1)
 		if side == 0 {
 			s.blockStarts.Delete(st)
 		}
 	}
-	*stables = slices.Concat((*stables)[:at], make([]uint32, ins), (*stables)[at+del:])
-	for k := 0; k < ins; k++ {
-		(*stables)[at+k] = uint32(len(*pos))
-		*pos = append(*pos, int32(at+k))
+	fresh := make([]uint32, ins)
+	for k := range fresh {
+		fresh[k] = uint32(pos.Len())
+		pos.Append(int32(at + k))
 	}
-	for i := at + ins; i < len(*stables); i++ {
-		(*pos)[(*stables)[i]] = int32(i)
+	stables.Splice(at, del, fresh)
+	for i := at + ins; i < stables.Len(); i++ {
+		pos.Set(int(stables.At(i)), int32(i))
 	}
 }
 

@@ -103,13 +103,13 @@ func (h *hashFamily) draft() family {
 	return &c
 }
 
-func (h *hashFamily) splice(s *Snapshot, side, at, del, ins int) {
+func (h *hashFamily) splice(side, at int, gone []uint32, ins int) {
 	if side == 0 {
-		for _, st := range s.stableOf[at : at+del] {
+		for _, st := range gone {
 			h.parts.Delete(st)
 		}
 	}
-	h.col[side].Splice(at, del, make([]uint32, ins))
+	h.col[side].Splice(at, len(gone), make([]uint32, ins))
 }
 
 func (h *hashFamily) addStats(_ *Snapshot, st *IndexStats) {

@@ -39,8 +39,8 @@ func (ix *Snapshot) MemStats() MemStats {
 	var ms MemStats
 	ms.DocBytes = ix.doc.MemBytes()
 
-	ms.SideBytes = cap(ix.stableOf)*4 + cap(ix.preOf)*4 +
-		cap(ix.attrStableOf)*4 + cap(ix.attrOf)*4 + partialBytes(&ix.blockStarts)
+	ms.SideBytes = ix.stableOf.MemBytes() + ix.preOf.MemBytes() +
+		ix.attrStableOf.MemBytes() + ix.attrOf.MemBytes() + partialBytes(&ix.blockStarts)
 	for _, f := range ix.fams {
 		f.addMem(&ms)
 	}

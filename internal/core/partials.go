@@ -36,7 +36,7 @@ type monoid[S any] interface {
 // them, else starts derived and recorded afresh with nil dirty leaves,
 // which refold every block.
 func (s *Snapshot) spanOf(n xmltree.NodeID, dirty []xmltree.NodeID) ([]int32, []xmltree.NodeID) {
-	st := s.stableOf[n]
+	st := s.stable(NodePosting(n))
 	if starts := s.blockStarts.Get(st); starts != nil && dirty != nil {
 		return starts, dirty
 	}
@@ -66,7 +66,7 @@ func blockStarts(doc *xmltree.Doc, n xmltree.NodeID) (starts []int32) {
 // its block partials, refreshing those with a dirty leaf (all if dirty is
 // nil), or by a plain walk if n has no blocks or a block is not exact.
 func foldPartials[S any](s *Snapshot, m monoid[S], parts *pcol.Sparse[[]S], n xmltree.NodeID, starts []int32, dirty []xmltree.NodeID) S {
-	st := s.stableOf[n]
+	st := s.stable(NodePosting(n))
 	if starts == nil {
 		parts.Delete(st)
 		return foldRun(s, m, n, n+1, math.MaxInt)
@@ -131,7 +131,7 @@ func refresh[S any](s *Snapshot, m monoid[S], parts *pcol.Sparse[[]S], n xmltree
 		if v := foldRun(s, m, n, n+xmltree.NodeID(starts[j]), partialBlock); !m.equal(v, states[j]) {
 			if !copied {
 				states, copied = slices.Clone(states), true
-				parts.Set(s.stableOf[n], states)
+				parts.Set(s.stable(NodePosting(n)), states)
 			}
 			states[j] = v
 		}

@@ -279,7 +279,7 @@ func TestVerifyReportsCorruptPartial(t *testing.T) {
 	ix := Build(mustParseForTest(t, b.String()), DefaultOptions())
 	touchWide(t, ix)
 	base := ix.Snapshot()
-	st := base.stableOf[1] // <r>
+	st := base.stableOf.At(1) // <r>
 	cases := []struct {
 		want    string
 		corrupt func(d *Snapshot)

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/btree"
+	"repro/internal/pcol"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -114,8 +115,8 @@ func (ix *Snapshot) save(w *storage.Writer, withWALGen bool, walGen uint64) erro
 		return err
 	}
 	err = writeSection(w, SectionStable, func(e *storage.Encoder) {
-		writeStableSide(e, ix.stableOf, ix.preOf)
-		writeStableSide(e, ix.attrStableOf, ix.attrOf)
+		writeStableSide(e, &ix.stableOf, &ix.preOf)
+		writeStableSide(e, &ix.attrStableOf, &ix.attrOf)
 	})
 	if err != nil {
 		return err
@@ -183,8 +184,8 @@ func load(r *storage.Reader) (*Indexes, error) {
 	if d, err = openSection(r, SectionStable); err != nil {
 		return nil, err
 	}
-	ix.stableOf, ix.preOf = readStableSide(d, doc.NumNodes())
-	ix.attrStableOf, ix.attrOf = readStableSide(d, doc.NumAttrs())
+	readStableSide(d, doc.NumNodes(), &ix.stableOf, &ix.preOf)
+	readStableSide(d, doc.NumAttrs(), &ix.attrStableOf, &ix.attrOf)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: reading stable-id maps: %w", err)
 	}
@@ -229,33 +230,33 @@ func load(r *storage.Reader) (*Indexes, error) {
 // retired ids (those whose inverse entry is -1) as a count and ascending
 // deltas. The id space's length is never stored: it is the two counts'
 // sum, so a reader's inverse map is bounded by the bytes it read.
-func writeStableSide(e *storage.Encoder, stables []uint32, pos []int32) {
-	e.U32s(stables)
-	e.Uv(uint64(len(pos) - len(stables)))
+func writeStableSide(e *storage.Encoder, stables *pcol.Dense[uint32], pos *pcol.Dense[int32]) {
+	e.U32s(stables.AppendRange(nil, 0, stables.Len()))
+	e.Uv(uint64(pos.Len() - stables.Len()))
 	prev := 0
-	for s, p := range pos {
-		if p < 0 {
+	for s := range pos.Len() {
+		if pos.At(s) < 0 {
 			e.Uv(uint64(s - prev))
 			prev = s
 		}
 	}
 }
 
-// readStableSide reads what writeStableSide wrote and builds the inverse
-// map (-1 for retired ids). The column and the retired ids must together
-// name every id of the space exactly once: an id outside the space, or
-// one that repeats, is an error.
-func readStableSide(d *storage.Decoder, n int) (stables []uint32, pos []int32) {
-	stables = d.U32s(n)
+// readStableSide reads what writeStableSide wrote into stableCol and
+// builds the inverse map (-1 for retired ids) in posCol. The column and
+// the retired ids must together name every id of the space exactly once:
+// an id outside the space, or one that repeats, is an error.
+func readStableSide(d *storage.Decoder, n int, stableCol *pcol.Dense[uint32], posCol *pcol.Dense[int32]) {
+	stables := d.U32s(n)
 	space := n + d.Count(1)
 	if space > 1<<31 { // a posting packs the stable id into 31 bits
 		d.Fail(fmt.Errorf("core: stable id space of %d exceeds 2^31", space))
 	}
 	if d.Err() != nil {
-		return nil, nil
+		return
 	}
 	const unseen = -2
-	pos = make([]int32, space)
+	pos := make([]int32, space)
 	for i := range pos {
 		pos[i] = unseen
 	}
@@ -269,17 +270,18 @@ func readStableSide(d *storage.Decoder, n int) (stables []uint32, pos []int32) {
 	}
 	for i, s := range stables {
 		if !claim(uint64(s), int32(i)) {
-			return nil, nil
+			return
 		}
 	}
 	var s uint64
 	for range space - n {
 		s += d.UpTo(1 << 31)
 		if d.Err() != nil || !claim(s, -1) {
-			return nil, nil
+			return
 		}
 	}
-	return stables, pos
+	stableCol.Splice(0, 0, stables)
+	posCol.Splice(0, 0, pos)
 }
 
 // readUv reads the one-uvarint section name.
@@ -340,12 +342,19 @@ func readTree(d *storage.Decoder, pt *postingTree) error {
 	var key uint64
 	var val uint32
 	for i := 0; i < n && d.Err() == nil; i++ {
-		delta := d.Uv()
-		key += delta
-		if delta == 0 {
-			val += uint32(d.Uv())
+		// Entries ascend strictly by (key, val), which NewFromSorted
+		// requires: a zero val step repeats the entry before, and a key
+		// or val step that wraps goes back.
+		if delta := d.Uv(); delta != 0 {
+			if key+delta < key {
+				d.Fail(fmt.Errorf("core: tree entry %d: key delta %d wraps", i, delta))
+			}
+			key += delta
+			val = uint32(d.UpTo(math.MaxUint32))
+		} else if step := d.UpTo(math.MaxUint32 - uint64(val)); step == 0 && i > 0 {
+			d.Fail(fmt.Errorf("core: tree entry %d repeats the entry before", i))
 		} else {
-			val = uint32(d.Uv())
+			val += uint32(step)
 		}
 		entries = append(entries, btree.Entry{Key: key, Val: val})
 	}

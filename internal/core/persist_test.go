@@ -182,6 +182,27 @@ func TestLoadRejectsCraftedTreeCountHuge(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCraftedTreeOrder: tree entries that do not ascend
+// strictly by (key, posting) — a repeated entry, a key delta that wraps
+// back, a posting delta that wraps — are an error, not a panic in the
+// bulk load.
+func TestLoadRejectsCraftedTreeOrder(t *testing.T) {
+	for name, deltas := range map[string][]uint64{
+		"repeated entry":       {2, 5, 1, 0, 0},
+		"wrapping key delta":   {2, 5, 1, ^uint64(0), 1},
+		"wrapping value delta": {2, 5, 1, 0, 1<<32 - 1},
+	} {
+		err := loadCrafted(t, SectionStrTree, func(_ *Indexes, e *storage.Encoder) {
+			for _, v := range deltas {
+				e.Uv(v)
+			}
+		})
+		if err == nil {
+			t.Errorf("%s: Load accepted a tree section whose entries do not ascend", name)
+		}
+	}
+}
+
 // TestLoadRejectsCraftedDocCount: a document section naming more nodes
 // than its bytes can hold is an error, not an allocation of what it
 // names.
@@ -204,11 +225,13 @@ func TestLoadRejectsCraftedStableCount(t *testing.T) {
 		"column count 2^64-1": func(_ *Indexes, e *storage.Encoder) { e.Uv(^uint64(0)) },
 		"column count 2^31-1": func(_ *Indexes, e *storage.Encoder) { e.Uv(1<<31 - 1) },
 		"retired count 2^64-1": func(ix *Indexes, e *storage.Encoder) {
-			e.U32s(ix.Snapshot().stableOf)
+			stableOf := &ix.Snapshot().stableOf
+			e.U32s(stableOf.AppendRange(nil, 0, stableOf.Len()))
 			e.Uv(^uint64(0))
 		},
 		"id space 2^31-1": func(ix *Indexes, e *storage.Encoder) {
-			stables := ix.Snapshot().stableOf
+			stableOf := &ix.Snapshot().stableOf
+			stables := stableOf.AppendRange(nil, 0, stableOf.Len())
 			e.U32s(stables)
 			e.Uv(uint64(1<<31 - 1 - len(stables)))
 		},
@@ -242,7 +265,7 @@ func TestLoadRejectsBrokenStableMap(t *testing.T) {
 	} {
 		err := loadCrafted(t, SectionStable, func(ix *Indexes, e *storage.Encoder) {
 			s := ix.Snapshot()
-			stables := slices.Clone(s.stableOf)
+			stables := s.stableOf.AppendRange(nil, 0, s.stableOf.Len())
 			retired := broken(stables)
 			e.U32s(stables)
 			e.Uv(uint64(len(retired)))
@@ -251,7 +274,7 @@ func TestLoadRejectsBrokenStableMap(t *testing.T) {
 				e.Uv(uint64(r - prev))
 				prev = r
 			}
-			writeStableSide(e, s.attrStableOf, s.attrOf)
+			writeStableSide(e, &s.attrStableOf, &s.attrOf)
 		})
 		if err == nil || !strings.Contains(err.Error(), "stable map") {
 			t.Errorf("%s: Load of a broken stable map: %v", name, err)

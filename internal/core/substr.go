@@ -104,7 +104,7 @@ func (g *gramFamily) refold(*Snapshot, xmltree.NodeID, []int32, []xmltree.NodeID
 func (g *gramFamily) checkPartials(*Snapshot) error                               { return nil }
 func (g *gramFamily) check(*Snapshot, Posting, []byte) error                      { return nil }
 func (g *gramFamily) folder(*Snapshot, bool) folder                               { return nil }
-func (g *gramFamily) splice(*Snapshot, int, int, int, int)                        {}
+func (g *gramFamily) splice(int, int, []uint32, int)                              {}
 func (g *gramFamily) addStats(_ *Snapshot, st *IndexStats) {
 	st.SubstringEntries = g.tree.Len()
 	st.SubstringBytes = st.SubstringEntries * 8

@@ -231,15 +231,15 @@ func (t *typedFamily) draft() family {
 	return &c
 }
 
-func (t *typedFamily) splice(s *Snapshot, side, at, del, ins int) {
+func (t *typedFamily) splice(side, at int, gone []uint32, ins int) {
 	sd := &t.sides[side]
-	for _, st := range s.stables(side)[at : at+del] {
+	for _, st := range gone {
 		sd.items.Delete(st)
 		if side == 0 {
 			t.parts.Delete(st)
 		}
 	}
-	sd.elems.Splice(at, del, make([]fsm.Elem, ins))
+	sd.elems.Splice(at, len(gone), make([]fsm.Elem, ins))
 }
 
 // addStats appends the type's TypedStats entry.

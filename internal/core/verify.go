@@ -79,18 +79,16 @@ func (ix *Snapshot) Verify() error {
 // no such check: it builds each inverse map from its column and retired
 // ids (readStableSide).
 func (ix *Snapshot) checkStableMaps() error {
-	if len(ix.stableOf) != ix.doc.NumNodes() || len(ix.attrStableOf) != ix.doc.NumAttrs() {
+	if ix.stableOf.Len() != ix.doc.NumNodes() || ix.attrStableOf.Len() != ix.doc.NumAttrs() {
 		return fmt.Errorf("core: stable maps cover %d nodes and %d attributes, want %d and %d",
-			len(ix.stableOf), len(ix.attrStableOf), ix.doc.NumNodes(), ix.doc.NumAttrs())
+			ix.stableOf.Len(), ix.attrStableOf.Len(), ix.doc.NumNodes(), ix.doc.NumAttrs())
 	}
-	for i, s := range ix.stableOf {
-		if int(s) >= len(ix.preOf) || ix.preOf[s] != int32(i) {
-			return fmt.Errorf("core: stable map broken at pre %d (stable %d)", i, s)
-		}
-	}
-	for a, s := range ix.attrStableOf {
-		if int(s) >= len(ix.attrOf) || ix.attrOf[s] != int32(a) {
-			return fmt.Errorf("core: attr stable map broken at %d (stable %d)", a, s)
+	for side, what := range []string{"pre", "attr"} {
+		stables, pos := ix.stableIDs(side)
+		for i := range stables.Len() {
+			if s := int(stables.At(i)); s >= pos.Len() || pos.At(s) != int32(i) {
+				return fmt.Errorf("core: stable map broken at %s %d (stable %d)", what, i, s)
+			}
 		}
 	}
 	return nil

@@ -1,18 +1,25 @@
 // Package pcol implements persistent columns: arrays that a
-// copy-on-write snapshot can clone in time proportional to the number of
-// chunks, not elements, and whose writes copy only the chunk they touch.
+// copy-on-write snapshot can clone in O(1), and whose writes copy only
+// the chunk they touch and, once per handle, the spine of chunk
+// pointers.
 //
 // Both column types split their positions into chunks of 1024 and keep
 // a spine of chunk pointers. Ownership follows the scheme of
 // internal/btree: every chunk carries the generation of the handle that
-// created it, and a handle writes a chunk in place only when the
-// generations match. Clone copies the spine and bumps the generation, so
+// created it (a Dense chunk beside its pointer in the spine, so that the
+// chunk itself is exactly its values), and a handle writes a chunk in
+// place only when the generations match. Clone bumps the generation, so
 // the first write through the clone to any chunk copies that chunk, and
 // the source's view is never disturbed. A handle that has been cloned is
 // therefore frozen by convention: it may be read for as long as anyone
 // likes, concurrently with writes through its clones, but never written
 // again. Two clones of the same handle share a generation yet never a
 // copied chunk, because each copies shared chunks before writing them.
+//
+// A Dense clone also shares the spine itself until its first write
+// takes a copy of it, so a clone that is never written costs nothing.
+// Every spine mutation goes through that copy first: sibling clones
+// never append into one backing array.
 package pcol
 
 import (
@@ -23,8 +30,7 @@ import (
 )
 
 // chunkLen is the number of positions (Dense) or ids (Sparse) one chunk
-// covers. A clone copies one spine pointer per chunk; a write copies one
-// chunk.
+// covers. A write copies one chunk.
 const (
 	chunkBits = 10
 	chunkLen  = 1 << chunkBits
@@ -34,21 +40,23 @@ const (
 // Dense is a persistent array of T indexed 0..Len()-1. The zero value is
 // an empty column.
 type Dense[T any] struct {
-	spine []*denseChunk[T]
-	n     int
-	gen   uint64
+	spine  []denseSlot[T]
+	n      int
+	gen    uint64
+	shared bool // spine is another handle's too: copy it before changing it
 }
 
-// denseChunk is a full-size block of values: At indexes it without a
-// length check, and only the last chunk of a column is partly unused.
-type denseChunk[T any] struct {
+// denseSlot is one spine entry: a full-size block of values, which At
+// indexes without a length check (only the last chunk of a column is
+// partly unused), and the generation of the handle that created it.
+type denseSlot[T any] struct {
+	vals *[chunkLen]T
 	gen  uint64
-	vals [chunkLen]T
 }
 
 // NewDense returns a column of n zero values.
 func NewDense[T any](n int) Dense[T] {
-	d := Dense[T]{spine: make([]*denseChunk[T], 0, (n+chunkMask)>>chunkBits)}
+	d := Dense[T]{spine: make([]denseSlot[T], 0, (n+chunkMask)>>chunkBits)}
 	d.grow(n)
 	return d
 }
@@ -65,25 +73,41 @@ func (d *Dense[T]) At(i int) T {
 	return d.spine[i>>chunkBits].vals[i&chunkMask]
 }
 
+// Chunk returns the values from position i to the end of i's chunk or
+// of the column, whichever comes first, in place, for loops that walk a
+// range a chunk at a time. The slice must not be written.
+func (d *Dense[T]) Chunk(i int) []T {
+	if uint(i) >= uint(d.n) {
+		panic("pcol: index out of range")
+	}
+	return d.spine[i>>chunkBits].vals[i&chunkMask : min(d.n-(i&^chunkMask), chunkLen)]
+}
+
 // Set writes v at position i, first copying the chunk when an older
 // handle shares it.
 func (d *Dense[T]) Set(i int, v T) {
 	if uint(i) >= uint(d.n) {
 		panic("pcol: index out of range")
 	}
-	d.own(i >> chunkBits).vals[i&chunkMask] = v
+	d.own(i >> chunkBits)[i&chunkMask] = v
 }
 
 // own returns chunk ci, copied and stamped first unless d created it.
-func (d *Dense[T]) own(ci int) *denseChunk[T] {
-	c := d.spine[ci]
-	if c.gen != d.gen {
-		cp := *c
-		cp.gen = d.gen
-		c = &cp
-		d.spine[ci] = c
+func (d *Dense[T]) own(ci int) *[chunkLen]T {
+	if s := d.spine[ci]; s.gen != d.gen {
+		d.ownSpine()
+		c := new([chunkLen]T)
+		*c = *s.vals
+		d.spine[ci] = denseSlot[T]{c, d.gen}
 	}
-	return c
+	return d.spine[ci].vals
+}
+
+// ownSpine gives d a spine of its own before d changes it.
+func (d *Dense[T]) ownSpine() {
+	if d.shared {
+		d.spine, d.shared = slices.Clone(d.spine), false
+	}
 }
 
 // Append adds v as position Len().
@@ -97,48 +121,53 @@ func (d *Dense[T]) Append(v T) {
 // write stays below the length.
 func (d *Dense[T]) grow(n int) {
 	for len(d.spine)<<chunkBits < n {
-		d.spine = append(d.spine, &denseChunk[T]{gen: d.gen})
+		d.ownSpine()
+		d.spine = append(d.spine, denseSlot[T]{new([chunkLen]T), d.gen})
 	}
 	d.n = n
 }
 
 // Clone returns a handle with the same contents that shares every chunk
-// with d; writes through either copy what they touch. d must not be
-// written afterwards (see the package comment).
+// and the spine with d; writes through either copy what they touch. d
+// must not be written afterwards (see the package comment).
 func (d *Dense[T]) Clone() Dense[T] {
-	return Dense[T]{spine: slices.Clone(d.spine), n: d.n, gen: d.gen + 1}
+	return Dense[T]{spine: d.spine, n: d.n, gen: d.gen + 1, shared: true}
 }
 
 // Splice removes del positions at at and inserts ins in their place.
 // Chunks wholly before at stay shared; the rest of the column is
-// rewritten into fresh chunks.
+// rewritten into fresh chunks. Splice at Len() on an empty column fills
+// it with one copy of ins.
 func (d *Dense[T]) Splice(at, del int, ins []T) {
 	if at < 0 || del < 0 || at+del > d.n {
 		panic(fmt.Sprintf("pcol: splice [%d:%d] out of range [0:%d]", at, at+del, d.n))
 	}
 	first := at >> chunkBits
-	tail := d.AppendRange(nil, first<<chunkBits, at)
-	tail = append(tail, ins...)
-	tail = d.AppendRange(tail, at+del, d.n)
+	head := d.AppendRange(nil, first<<chunkBits, at)
+	rest := d.AppendRange(nil, at+del, d.n)
+	d.ownSpine()
 	clear(d.spine[first:])
-	d.spine = d.spine[:first]
+	d.spine = slices.Grow(d.spine[:first], (len(head)+len(ins)+len(rest)+chunkMask)>>chunkBits)
 	d.n = first << chunkBits
-	for len(tail) > 0 {
-		c := &denseChunk[T]{gen: d.gen}
-		k := copy(c.vals[:], tail)
-		d.spine = append(d.spine, c)
-		d.n += k
-		tail = tail[k:]
+	for _, vals := range [][]T{head, ins, rest} {
+		for len(vals) > 0 {
+			if d.n&chunkMask == 0 {
+				d.spine = append(d.spine, denseSlot[T]{new([chunkLen]T), d.gen})
+			}
+			k := copy(d.spine[len(d.spine)-1].vals[d.n&chunkMask:], vals)
+			d.n += k
+			vals = vals[k:]
+		}
 	}
 }
 
 // AppendRange appends the values at positions [lo, hi) to dst.
 func (d *Dense[T]) AppendRange(dst []T, lo, hi int) []T {
 	for lo < hi {
-		c := d.spine[lo>>chunkBits]
-		end := min(hi, (lo|chunkMask)+1)
-		dst = append(dst, c.vals[lo&chunkMask:(end-1)&chunkMask+1]...)
-		lo = end
+		c := d.Chunk(lo)
+		c = c[:min(len(c), hi-lo)]
+		dst = append(dst, c...)
+		lo += len(c)
 	}
 	return dst
 }
@@ -146,8 +175,8 @@ func (d *Dense[T]) AppendRange(dst []T, lo, hi int) []T {
 // MemBytes reports the spine and chunks the column references, whether
 // or not other handles share them.
 func (d *Dense[T]) MemBytes() int {
-	return cap(d.spine)*int(unsafe.Sizeof((*denseChunk[T])(nil))) +
-		len(d.spine)*int(unsafe.Sizeof(denseChunk[T]{}))
+	return cap(d.spine)*int(unsafe.Sizeof(denseSlot[T]{})) +
+		len(d.spine)*int(unsafe.Sizeof([chunkLen]T{}))
 }
 
 // Sparse is a persistent map from uint32 ids to T. Ids are grouped into

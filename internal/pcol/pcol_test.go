@@ -2,6 +2,7 @@ package pcol
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -41,42 +42,67 @@ const keptVersions = 6
 func runDense(t testing.TB, code []byte) {
 	p := newProg(code)
 	n := p.u16() % (3 * chunkLen)
-	cur, model := NewDense[int32](n), make([]int32, n)
 	type version struct {
 		col  Dense[int32]
 		want []int32
 	}
-	var old []version
+	// Two live handles, written independently: after a fork they are
+	// sibling clones of one frozen handle, sharing its spine until each
+	// first writes.
+	base := version{NewDense[int32](n), make([]int32, n)}
+	live := [2]version{{base.col.Clone(), slices.Clone(base.want)}, {base.col.Clone(), slices.Clone(base.want)}}
+	old := []version{base}
+	freeze := func(v version) {
+		old = append(old, version{v.col, slices.Clone(v.want)})
+		if len(old) > keptVersions {
+			old = old[1:]
+		}
+	}
 	for step := 0; !p.done(); step++ {
-		switch p.byte() % 4 {
+		op := p.byte()
+		cur := &live[op/6%2]
+		switch op % 6 {
 		case 0:
-			if len(model) == 0 {
+			if len(cur.want) == 0 {
 				continue
 			}
-			i, v := p.u16()%len(model), int32(p.u16())
-			cur.Set(i, v)
-			model[i] = v
+			i, v := p.u16()%len(cur.want), int32(p.u16())
+			cur.col.Set(i, v)
+			cur.want[i] = v
 		case 1:
-			at := p.u16() % (len(model) + 1)
-			del := min(p.u16()%(2*chunkLen), len(model)-at)
+			at := p.u16() % (len(cur.want) + 1)
+			del := min(p.u16()%(2*chunkLen), len(cur.want)-at)
 			ins := make([]int32, p.u16()%(chunkLen+chunkLen/2))
 			for k := range ins {
 				ins[k] = int32(step<<16 | k)
 			}
-			cur.Splice(at, del, ins)
-			model = slices.Concat(model[:at], ins, model[at+del:])
+			cur.col.Splice(at, del, ins)
+			cur.want = slices.Concat(cur.want[:at], ins, cur.want[at+del:])
 		case 2:
-			old = append(old, version{cur, slices.Clone(model)})
-			if len(old) > keptVersions {
-				old = old[1:]
-			}
-			cur = cur.Clone()
+			freeze(*cur)
+			cur.col = cur.col.Clone()
 		case 3:
 			v := int32(p.u16())
-			cur.Append(v)
-			model = append(model, v)
+			cur.col.Append(v)
+			cur.want = append(cur.want, v)
+		case 4:
+			freeze(*cur)
+			src := *cur
+			live[0] = version{src.col.Clone(), slices.Clone(src.want)}
+			live[1] = version{src.col.Clone(), src.want}
+		case 5:
+			if len(cur.want) == 0 {
+				continue
+			}
+			i := p.u16() % len(cur.want)
+			end := min(i|chunkMask+1, len(cur.want))
+			if got := cur.col.Chunk(i); !slices.Equal(got, cur.want[i:end]) {
+				t.Fatalf("step %d: Chunk(%d) has %d values, want positions [%d:%d]", step, i, len(got), i, end)
+			}
 		}
-		checkDense(t, step, &cur, model)
+		for _, v := range live {
+			checkDense(t, step, &v.col, v.want)
+		}
 		for _, v := range old {
 			checkDense(t, step, &v.col, v.want)
 		}
@@ -216,6 +242,28 @@ func TestCloneCopiesOnlyWrittenChunks(t *testing.T) {
 	if copied != 1 {
 		t.Fatalf("one write and one absent delete copied %d chunks, want 1", copied)
 	}
+}
+
+// TestDenseChunksAllocateExactlyTheirValues pins that a chunk is exactly
+// its values, with nothing beside them to push it into a larger size
+// class: a 1 Mi-entry int32 column is 4 MiB of values and a 16 KiB
+// spine, and MemBytes reports what the heap holds.
+func TestDenseChunksAllocateExactlyTheirValues(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := NewDense[int32](1 << 20)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("1 Mi int32 positions: %d B of heap, MemBytes %d", heap, d.MemBytes())
+	if limit := int64(41 << 20 / 10); heap > limit {
+		t.Fatalf("a 1 Mi-entry Dense[int32] takes %d B of heap, want ≤ %d", heap, limit)
+	}
+	if want := 4<<20 + 16<<10; d.MemBytes() != want {
+		t.Fatalf("MemBytes %d, want %d", d.MemBytes(), want)
+	}
+	runtime.KeepAlive(d)
 }
 
 func FuzzDense(f *testing.F) {

@@ -4,13 +4,14 @@ package xmltree
 // internal/core. A published Doc is treated as immutable; a writer that
 // wants to change it clones it and writes the clone.
 //
-// Clone costs O(n/1024), not O(n). The value and attrValue columns are
-// persistent chunked columns (internal/pcol): the clone copies their
-// spines, and SetText or SetAttrValue copies the one chunk it writes. The structural columns (kind, size, level, parent, name,
-// the attribute table) and the name dictionary are shared outright:
-// DeleteSubtree and InsertChildren, which rewrite them, build fresh
-// ones instead of writing in place. Once cloned, a Doc must not be
-// written again — its clone owns the right to write.
+// Clone costs O(1). Every per-position column is a persistent chunked
+// column (internal/pcol) whose clone shares its spine and chunks: SetText
+// or SetAttrValue copies the spine once and the one chunk it writes, and
+// DeleteSubtree or InsertChildren copies every column's spine, the chunks
+// from the edit point on and one chunk per ancestor whose size changes.
+// The name dictionary is shared outright; InsertChildren copies it only
+// when the fragment brings a name it lacks. Once cloned, a Doc must not
+// be written again — its clone owns the right to write.
 //
 // The text heap is shared the same way without chunking: clones share
 // the underlying byte array but own their own textHeap header. The heap
@@ -34,11 +35,19 @@ package xmltree
 // Clone returns a copy of d that shares all of d's storage and may be
 // written — values, attributes or structure — while d stays unchanged.
 func (d *Doc) Clone() *Doc {
-	c := *d
-	c.value = d.value.Clone()
-	c.attrValue = d.attrValue.Clone()
-	c.heap = d.heap.cloneHeader()
-	return &c
+	return &Doc{
+		kind:      d.kind.Clone(),
+		size:      d.size.Clone(),
+		level:     d.level.Clone(),
+		parent:    d.parent.Clone(),
+		name:      d.name.Clone(),
+		value:     d.value.Clone(),
+		attrStart: d.attrStart.Clone(),
+		attrName:  d.attrName.Clone(),
+		attrValue: d.attrValue.Clone(),
+		names:     d.names,
+		heap:      d.heap.cloneHeader(),
+	}
 }
 
 func (nd *nameDict) clone() *nameDict {

@@ -7,13 +7,17 @@
 // The encoding supports the operations the paper's index create/update
 // algorithms (Figures 7 and 8) rely on: O(1) first-child / next-sibling /
 // parent navigation, O(1) ancestor tests via range containment, and
-// efficient depth-first traversal. Value updates are O(1); structural
-// updates (subtree delete/insert) splice the columnar arrays.
+// efficient depth-first traversal. Every column is a persistent chunked
+// column (internal/pcol; see cow.go): a value update copies one chunk,
+// and a structural update (subtree delete/insert) rewrites every column
+// from the edit point on. That is O(chunk + depth) at the document's
+// tail and O(N − at) in the middle, as pre ranks, parents and attribute
+// starts are absolute; O(chunk) anywhere needs relative parents and a
+// per-chunk count directory.
 package xmltree
 
 import (
 	"fmt"
-	"unsafe"
 
 	"repro/internal/pcol"
 )
@@ -83,17 +87,17 @@ type valueRef struct {
 // Doc is an XML document stored columnar in pre-order. The zero value is
 // not usable; construct documents with a Builder or the xmlparse package.
 type Doc struct {
-	kind   []Kind
-	size   []int32 // number of descendants (self excluded)
-	level  []int32
-	parent []NodeID
-	name   []NameID             // element tag / PI target; -1 otherwise
+	kind   pcol.Dense[Kind]
+	size   pcol.Dense[int32] // number of descendants (self excluded)
+	level  pcol.Dense[int32]
+	parent pcol.Dense[NodeID]
+	name   pcol.Dense[NameID]   // element tag / PI target; -1 otherwise
 	value  pcol.Dense[valueRef] // text/comment/PI content; zero otherwise
 
 	// Attribute table, sorted by owner. attrStart[pre] .. attrStart[pre+1]
 	// indexes the owner's attributes (attrStart has NumNodes()+1 entries).
-	attrStart []int32
-	attrName  []NameID
+	attrStart pcol.Dense[int32]
+	attrName  pcol.Dense[NameID]
 	attrValue pcol.Dense[valueRef]
 
 	names *nameDict
@@ -102,36 +106,36 @@ type Doc struct {
 
 // NumNodes reports the number of tree nodes (document, element, text,
 // comment, PI) in the document.
-func (d *Doc) NumNodes() int { return len(d.kind) }
+func (d *Doc) NumNodes() int { return d.kind.Len() }
 
 // NumAttrs reports the number of attribute nodes in the document.
-func (d *Doc) NumAttrs() int { return len(d.attrName) }
+func (d *Doc) NumAttrs() int { return d.attrName.Len() }
 
 // Root returns the document node.
 func (d *Doc) Root() NodeID { return 0 }
 
 // Kind reports the kind of node n.
-func (d *Doc) Kind(n NodeID) Kind { return d.kind[n] }
+func (d *Doc) Kind(n NodeID) Kind { return d.kind.At(int(n)) }
 
 // Size reports the number of descendants of n (excluding n itself). The
 // subtree of n occupies pre-order ranks n..n+Size(n).
-func (d *Doc) Size(n NodeID) int32 { return d.size[n] }
+func (d *Doc) Size(n NodeID) int32 { return d.size.At(int(n)) }
 
 // Level reports the depth of n; the document node has level 0.
-func (d *Doc) Level(n NodeID) int32 { return d.level[n] }
+func (d *Doc) Level(n NodeID) int32 { return d.level.At(int(n)) }
 
 // Parent returns the parent of n, or InvalidNode for the document node.
 func (d *Doc) Parent(n NodeID) NodeID {
 	if n == 0 {
 		return InvalidNode
 	}
-	return d.parent[n]
+	return d.parent.At(int(n))
 }
 
 // Name returns the tag name of an element or the target of a PI, and ""
 // for other kinds.
 func (d *Doc) Name(n NodeID) string {
-	id := d.name[n]
+	id := d.NameID(n)
 	if id < 0 {
 		return ""
 	}
@@ -139,12 +143,15 @@ func (d *Doc) Name(n NodeID) string {
 }
 
 // NameID returns the dictionary id of n's tag name, or -1 if n has none.
-func (d *Doc) NameID(n NodeID) NameID { return d.name[n] }
+func (d *Doc) NameID(n NodeID) NameID { return d.name.At(int(n)) }
 
-// Columns returns the kind and name columns, indexed by NodeID, for
-// passes that test every node of a range in place. The slices alias the
-// document and must not be modified.
-func (d *Doc) Columns() ([]Kind, []NameID) { return d.kind, d.name }
+// Chunk returns the kinds, name ids and sizes of the nodes from n to the
+// end of n's column chunk, for passes that test every node or child of a
+// range in place a chunk at a time. The slices alias the document and
+// must not be modified.
+func (d *Doc) Chunk(n NodeID) (kinds []Kind, names []NameID, sizes []int32) {
+	return d.kind.Chunk(int(n)), d.name.Chunk(int(n)), d.size.Chunk(int(n))
+}
 
 // NameIDOf returns the dictionary id for tag, or -1 if the tag does not
 // occur in the document.
@@ -161,13 +168,13 @@ func (d *Doc) ValueBytes(n NodeID) []byte { return d.heap.getBytes(d.value.At(in
 // IsAncestorOf reports whether a is a proper ancestor of n, using the
 // pre/size range containment test.
 func (d *Doc) IsAncestorOf(a, n NodeID) bool {
-	return a < n && n <= a+NodeID(d.size[a])
+	return a < n && n <= a+NodeID(d.Size(a))
 }
 
 // Contains reports whether n lies in the subtree rooted at a (including
 // a itself).
 func (d *Doc) Contains(a, n NodeID) bool {
-	return a <= n && n <= a+NodeID(d.size[a])
+	return a <= n && n <= a+NodeID(d.Size(a))
 }
 
 // Attr describes one attribute node.
@@ -180,7 +187,7 @@ type Attr struct {
 // AttrRange returns the half-open range [lo, hi) of AttrIDs owned by
 // element n.
 func (d *Doc) AttrRange(n NodeID) (lo, hi AttrID) {
-	return AttrID(d.attrStart[n]), AttrID(d.attrStart[n+1])
+	return AttrID(d.attrStart.At(int(n))), AttrID(d.attrStart.At(int(n) + 1))
 }
 
 // AttrOwner returns the element owning attribute a.
@@ -190,7 +197,7 @@ func (d *Doc) AttrOwner(a AttrID) NodeID {
 	lo, hi := 0, d.NumNodes()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if d.attrStart[mid+1] <= int32(a) {
+		if d.attrStart.At(mid+1) <= int32(a) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -200,10 +207,10 @@ func (d *Doc) AttrOwner(a AttrID) NodeID {
 }
 
 // AttrName returns the name of attribute a.
-func (d *Doc) AttrName(a AttrID) string { return d.names.lookup(d.attrName[a]) }
+func (d *Doc) AttrName(a AttrID) string { return d.names.lookup(d.AttrNameID(a)) }
 
 // AttrNameID returns the dictionary id of attribute a's name.
-func (d *Doc) AttrNameID(a AttrID) NameID { return d.attrName[a] }
+func (d *Doc) AttrNameID(a AttrID) NameID { return d.attrName.At(int(a)) }
 
 // AttrValue returns the value of attribute a.
 func (d *Doc) AttrValue(a AttrID) string { return d.heap.get(d.attrValue.At(int(a))) }
@@ -221,7 +228,7 @@ func (d *Doc) FindAttr(n NodeID, name string) AttrID {
 	}
 	lo, hi := d.AttrRange(n)
 	for a := lo; a < hi; a++ {
-		if d.attrName[a] == id {
+		if d.AttrNameID(a) == id {
 			return a
 		}
 	}
@@ -254,19 +261,13 @@ func (d *Doc) LiveHeapBytes() int {
 }
 
 // MemBytes reports the document's in-memory footprint: the columnar node
-// and attribute tables (flat columns at slice capacity, value columns
-// by their chunks), the text heap's backing array, and the name
-// dictionary. The intern table is excluded — it is
-// shared writer-side bookkeeping, not reader-hot state.
+// and attribute tables by their spines and chunks, the text heap's
+// backing array, and the name dictionary. The intern table is excluded —
+// it is shared writer-side bookkeeping, not reader-hot state.
 func (d *Doc) MemBytes() int {
-	b := cap(d.kind)*int(unsafe.Sizeof(Kind(0))) +
-		cap(d.size)*4 + cap(d.level)*4 +
-		cap(d.parent)*int(unsafe.Sizeof(NodeID(0))) +
-		cap(d.name)*int(unsafe.Sizeof(NameID(0))) +
-		d.value.MemBytes() +
-		cap(d.attrStart)*4 +
-		cap(d.attrName)*int(unsafe.Sizeof(NameID(0))) +
-		d.attrValue.MemBytes() +
+	b := d.kind.MemBytes() + d.size.MemBytes() + d.level.MemBytes() +
+		d.parent.MemBytes() + d.name.MemBytes() + d.value.MemBytes() +
+		d.attrStart.MemBytes() + d.attrName.MemBytes() + d.attrValue.MemBytes() +
 		cap(d.heap.data)
 	for _, s := range d.names.names {
 		b += len(s) + 16 // string header
@@ -294,8 +295,8 @@ func (d *Doc) CollectStats() Stats {
 	s.Tree = d.NumNodes()
 	s.Attrs = d.NumAttrs()
 	s.Nodes = s.Tree + s.Attrs
-	for i := range d.kind {
-		switch d.kind[i] {
+	for i := range s.Tree {
+		switch d.kind.At(i) {
 		case Element:
 			s.Elements++
 		case Text:
@@ -305,7 +306,7 @@ func (d *Doc) CollectStats() Stats {
 		case PI:
 			s.PIs++
 		}
-		if l := int(d.level[i]); l > s.MaxLevel {
+		if l := int(d.level.At(i)); l > s.MaxLevel {
 			s.MaxLevel = l
 		}
 	}

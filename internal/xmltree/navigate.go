@@ -3,7 +3,7 @@ package xmltree
 // FirstChild returns the first child of n, or InvalidNode if n is a leaf.
 // In pre-order the first child, if any, is n+1.
 func (d *Doc) FirstChild(n NodeID) NodeID {
-	if d.size[n] == 0 {
+	if d.Size(n) == 0 {
 		return InvalidNode
 	}
 	return n + 1
@@ -16,8 +16,8 @@ func (d *Doc) NextSibling(n NodeID) NodeID {
 	if n == 0 {
 		return InvalidNode
 	}
-	next := n + NodeID(d.size[n]) + 1
-	if next >= NodeID(len(d.kind)) || d.parent[next] != d.parent[n] {
+	next := n + NodeID(d.Size(n)) + 1
+	if int(next) >= d.NumNodes() || d.parent.At(int(next)) != d.parent.At(int(n)) {
 		return InvalidNode
 	}
 	return next
@@ -31,7 +31,7 @@ func (d *Doc) PrevSibling(n NodeID) NodeID {
 	if n == 0 {
 		return InvalidNode
 	}
-	c := d.FirstChild(d.parent[n])
+	c := d.FirstChild(d.Parent(n))
 	if c == n {
 		return InvalidNode
 	}
@@ -50,7 +50,7 @@ func (d *Doc) LeftmostSibling(n NodeID) NodeID {
 	if n == 0 {
 		return 0
 	}
-	return d.parent[n] + 1
+	return d.Parent(n) + 1
 }
 
 // LastChild returns the last child of n, or InvalidNode.
@@ -89,7 +89,7 @@ func (d *Doc) NumChildren(n NodeID) int {
 // Descendants calls f for every descendant of n (excluding n) in document
 // order; f returning false stops the walk early.
 func (d *Doc) Descendants(n NodeID, f func(NodeID) bool) {
-	end := n + NodeID(d.size[n])
+	end := n + NodeID(d.Size(n))
 	for i := n + 1; i <= end; i++ {
 		if !f(i) {
 			return
@@ -100,10 +100,14 @@ func (d *Doc) Descendants(n NodeID, f func(NodeID) bool) {
 // DescendantTexts calls f for every text node in the subtree of n
 // (including n if n is itself a text node) in document order.
 func (d *Doc) DescendantTexts(n NodeID, f func(NodeID) bool) {
-	end := n + NodeID(d.size[n])
-	for i := n; i <= end; i++ {
-		if d.kind[i] == Text && !f(i) {
-			return
+	end := n + NodeID(d.Size(n))
+	for i := n; i <= end; {
+		kinds := d.kind.Chunk(int(i))
+		for _, k := range kinds[:min(len(kinds), int(end-i)+1)] {
+			if k == Text && !f(i) {
+				return
+			}
+			i++
 		}
 	}
 }
@@ -143,7 +147,7 @@ func (c *Cursor) Root() NodeID {
 }
 
 // HasChild reports whether the current node has children.
-func (c *Cursor) HasChild() bool { return c.doc.size[c.cur] != 0 }
+func (c *Cursor) HasChild() bool { return c.doc.Size(c.cur) != 0 }
 
 // NextChild moves to the first child of the current node and returns it;
 // the cursor is unchanged and InvalidNode is returned if there is none.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/pcol"
 	"repro/internal/storage"
 )
 
@@ -56,22 +55,22 @@ func (d *Doc) Encode(e *storage.Encoder) {
 	e.Uv(uint64(n))
 	e.Uv(uint64(na))
 	for i := 0; i < n; i++ {
-		e.Uv(uint64(d.kind[i]))
+		e.Uv(uint64(d.kind.At(i)))
 	}
 	for i := 0; i < n; i++ {
-		e.Uv(uint64(d.size[i]))
+		e.Uv(uint64(d.size.At(i)))
 	}
 	for i := 0; i < n; i++ {
-		e.Uv(ref(d.name[i]))
+		e.Uv(ref(d.name.At(i)))
 	}
 	for i := 0; i < n; i++ {
 		e.Uv(uint64(d.value.At(i).len))
 	}
 	for i := 0; i < n; i++ {
-		e.Uv(uint64(d.attrStart[i+1] - d.attrStart[i]))
+		e.Uv(uint64(d.attrStart.At(i+1) - d.attrStart.At(i)))
 	}
 	for a := 0; a < na; a++ {
-		e.Uv(ref(d.attrName[a]))
+		e.Uv(ref(d.attrName.At(a)))
 	}
 	for a := 0; a < na; a++ {
 		e.Uv(uint64(d.attrValue.At(a).len))
@@ -100,24 +99,23 @@ func ReadDoc(dec *storage.Decoder) (*Doc, error) {
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	d := &Doc{
+	c := &columns{
 		kind:      make([]Kind, n),
 		size:      make([]int32, n),
 		level:     make([]int32, n),
 		parent:    make([]NodeID, n),
 		name:      make([]NameID, n),
-		value:     pcol.NewDense[valueRef](n),
+		value:     make([]valueRef, n),
 		attrStart: make([]int32, n+1),
 		attrName:  make([]NameID, na),
-		attrValue: pcol.NewDense[valueRef](na),
-		names:     newNameDict(),
-		heap:      newTextHeap(),
+		attrValue: make([]valueRef, na),
 	}
-	for i := range d.kind {
-		d.kind[i] = Kind(dec.UpTo(uint64(PI)))
+	names, heap := newNameDict(), newTextHeap()
+	for i := range c.kind {
+		c.kind[i] = Kind(dec.UpTo(uint64(PI)))
 	}
-	for i := range d.size {
-		d.size[i] = int32(dec.UpTo(uint64(n - 1)))
+	for i := range c.size {
+		c.size[i] = int32(dec.UpTo(uint64(n - 1)))
 	}
 	used := 0 // names referenced so far; the next new one is used+1
 	ref := func() NameID {
@@ -127,31 +125,29 @@ func ReadDoc(dec *storage.Decoder) (*Doc, error) {
 		}
 		return NameID(v) - 1
 	}
-	for i := range d.name {
-		d.name[i] = ref()
+	for i := range c.name {
+		c.name[i] = ref()
 	}
 	var heapNeed uint64
-	valueLens := make([]uint32, n)
-	for i := range valueLens {
-		valueLens[i] = uint32(dec.UpTo(math.MaxUint32))
-		heapNeed += uint64(valueLens[i])
+	for i := range c.value {
+		c.value[i].len = uint32(dec.UpTo(math.MaxUint32))
+		heapNeed += uint64(c.value[i].len)
 	}
 	for i := 0; i < n; i++ {
-		d.attrStart[i+1] = d.attrStart[i] + int32(dec.UpTo(uint64(na-int(d.attrStart[i]))))
+		c.attrStart[i+1] = c.attrStart[i] + int32(dec.UpTo(uint64(na-int(c.attrStart[i]))))
 	}
-	if dec.Err() == nil && int(d.attrStart[n]) != na {
-		return nil, fmt.Errorf("xmltree: nodes own %d attributes, want %d", d.attrStart[n], na)
+	if dec.Err() == nil && int(c.attrStart[n]) != na {
+		return nil, fmt.Errorf("xmltree: nodes own %d attributes, want %d", c.attrStart[n], na)
 	}
-	for a := range d.attrName {
-		d.attrName[a] = ref()
+	for a := range c.attrName {
+		c.attrName[a] = ref()
 	}
-	attrLens := make([]uint32, na)
-	for a := range attrLens {
-		attrLens[a] = uint32(dec.UpTo(math.MaxUint32))
-		heapNeed += uint64(attrLens[a])
+	for a := range c.attrValue {
+		c.attrValue[a].len = uint32(dec.UpTo(math.MaxUint32))
+		heapNeed += uint64(c.attrValue[a].len)
 	}
 	for i := 0; i < used && dec.Err() == nil; i++ {
-		if d.names.intern(dec.Str()) != NameID(i) {
+		if names.intern(dec.Str()) != NameID(i) {
 			return nil, fmt.Errorf("xmltree: name %d repeats an earlier one", i)
 		}
 	}
@@ -162,21 +158,18 @@ func ReadDoc(dec *storage.Decoder) (*Doc, error) {
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	for i, l := range valueLens {
-		if l > 0 {
-			d.value.Set(i, d.heap.put(blob[:l]))
-			blob = blob[l:]
+	for _, refs := range [][]valueRef{c.value, c.attrValue} {
+		for i, r := range refs {
+			if r.len > 0 {
+				refs[i] = heap.put(blob[:r.len])
+				blob = blob[r.len:]
+			}
 		}
 	}
-	for a, l := range attrLens {
-		if l > 0 {
-			d.attrValue.Set(a, d.heap.put(blob[:l]))
-			blob = blob[l:]
-		}
-	}
-	if err := d.deriveParents(); err != nil {
+	if err := c.deriveParents(); err != nil {
 		return nil, err
 	}
+	d := c.doc(names, heap)
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -186,13 +179,13 @@ func ReadDoc(dec *storage.Decoder) (*Doc, error) {
 // deriveParents fills parent and level from size in one pass over pre
 // order: a node's parent is the innermost open node whose range holds
 // it. A size that overruns its parent's range is an error.
-func (d *Doc) deriveParents() error {
-	n := d.NumNodes()
-	if int(d.size[0]) != n-1 {
-		return fmt.Errorf("xmltree: document size %d, want %d", d.size[0], n-1)
+func (c *columns) deriveParents() error {
+	n := len(c.kind)
+	if int(c.size[0]) != n-1 {
+		return fmt.Errorf("xmltree: document size %d, want %d", c.size[0], n-1)
 	}
-	d.parent[0] = InvalidNode
-	end := func(i NodeID) int { return int(i) + int(d.size[i]) }
+	c.parent[0] = InvalidNode
+	end := func(i NodeID) int { return int(i) + int(c.size[i]) }
 	open := []NodeID{0} // the root's range holds every node, so it stays
 	for i := NodeID(1); int(i) < n; i++ {
 		for end(open[len(open)-1]) < int(i) {
@@ -200,10 +193,10 @@ func (d *Doc) deriveParents() error {
 		}
 		p := open[len(open)-1]
 		if end(i) > end(p) {
-			return fmt.Errorf("xmltree: node %d (size %d) overruns parent %d", i, d.size[i], p)
+			return fmt.Errorf("xmltree: node %d (size %d) overruns parent %d", i, c.size[i], p)
 		}
-		d.parent[i] = p
-		d.level[i] = d.level[p] + 1
+		c.parent[i] = p
+		c.level[i] = c.level[p] + 1
 		open = append(open, i)
 	}
 	return nil

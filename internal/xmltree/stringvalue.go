@@ -1,6 +1,6 @@
 package xmltree
 
-import "strings"
+import "unsafe"
 
 // StringValue computes the XDM string value of n: for text, comment, and
 // PI nodes their own character data; for element and document nodes the
@@ -10,31 +10,26 @@ import "strings"
 // This is the operation the paper's indices exist to avoid during
 // maintenance: it touches every descendant text node.
 func (d *Doc) StringValue(n NodeID) string {
-	switch d.kind[n] {
-	case Text, Comment, PI:
-		return d.Value(n)
-	}
-	var sb strings.Builder
-	end := n + NodeID(d.size[n])
-	for i := n + 1; i <= end; i++ {
-		if d.kind[i] == Text {
-			sb.Write(d.heap.getBytes(d.value.At(int(i))))
-		}
-	}
-	return sb.String()
+	b := d.AppendStringValue(nil, n) // owned by nobody else: no copy needed
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // AppendStringValue appends the string value of n to dst and returns the
-// extended slice, avoiding intermediate allocations.
+// extended slice, avoiding intermediate allocations. It reads the kind
+// column a chunk at a time.
 func (d *Doc) AppendStringValue(dst []byte, n NodeID) []byte {
-	switch d.kind[n] {
+	switch d.Kind(n) {
 	case Text, Comment, PI:
-		return append(dst, d.heap.getBytes(d.value.At(int(n)))...)
+		return append(dst, d.ValueBytes(n)...)
 	}
-	end := n + NodeID(d.size[n])
-	for i := n + 1; i <= end; i++ {
-		if d.kind[i] == Text {
-			dst = append(dst, d.heap.getBytes(d.value.At(int(i)))...)
+	end := n + NodeID(d.Size(n))
+	for i := n + 1; i <= end; {
+		kinds := d.kind.Chunk(int(i))
+		for _, k := range kinds[:min(len(kinds), int(end-i)+1)] {
+			if k == Text {
+				dst = append(dst, d.ValueBytes(i)...)
+			}
+			i++
 		}
 	}
 	return dst

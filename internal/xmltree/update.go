@@ -3,7 +3,6 @@ package xmltree
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/pcol"
 )
@@ -16,12 +15,12 @@ var ErrNotText = errors.New("xmltree: node has no character data")
 // tree structure is unchanged; the new value is appended to the heap (the
 // old range becomes garbage reclaimable with Compact).
 func (d *Doc) SetText(n NodeID, data string) error {
-	switch d.kind[n] {
+	switch d.Kind(n) {
 	case Text, Comment, PI:
 		d.setValue(&d.value, int(n), data)
 		return nil
 	default:
-		return fmt.Errorf("%w: %v node %d", ErrNotText, d.kind[n], n)
+		return fmt.Errorf("%w: %v node %d", ErrNotText, d.Kind(n), n)
 	}
 }
 
@@ -46,11 +45,8 @@ func (d *Doc) DeleteSubtree(n NodeID) error {
 	if n == 0 {
 		return errors.New("xmltree: cannot delete the document node")
 	}
-	cnt := NodeID(d.size[n]) + 1
-	end := n + cnt // one past the removed pre range
-	alo, ahi := d.attrStart[n], d.attrStart[end]
-	removedAttrs := ahi - alo
-	parent := d.parent[n]
+	end := n + NodeID(d.Size(n)) + 1 // one past the removed pre range
+	alo, ahi := d.attrStart.At(int(n)), d.attrStart.At(int(end))
 
 	// The removed range's heap values become garbage (conservatively:
 	// interned ranges may still be shared with surviving refs).
@@ -60,34 +56,7 @@ func (d *Doc) DeleteSubtree(n NodeID) error {
 	for a := alo; a < ahi; a++ {
 		d.heap.dead += int(d.attrValue.At(int(a)).len)
 	}
-
-	// Every column is shared with the version d was cloned from (see
-	// cow.go), so each splice below writes a fresh one.
-	d.attrName = splice(d.attrName, int(alo), int(removedAttrs), nil)
-	d.attrValue.Splice(int(alo), int(removedAttrs), nil)
-	d.attrStart = splice(d.attrStart, int(n), int(cnt), nil)
-	for i := int(n); i < len(d.attrStart); i++ {
-		d.attrStart[i] -= removedAttrs
-	}
-	d.kind = splice(d.kind, int(n), int(cnt), nil)
-	d.size = splice(d.size, int(n), int(cnt), nil)
-	d.level = splice(d.level, int(n), int(cnt), nil)
-	d.name = splice(d.name, int(n), int(cnt), nil)
-	d.value.Splice(int(n), int(cnt), nil)
-	d.parent = splice(d.parent, int(n), int(cnt), nil)
-
-	// Re-point parents of shifted nodes. A shifted node's parent is either
-	// < n (unchanged) or >= end (shifts by cnt); parents inside the removed
-	// range are impossible because those children were removed with it.
-	for i := int(n); i < len(d.parent); i++ {
-		if d.parent[i] >= end {
-			d.parent[i] -= cnt
-		}
-	}
-	// Shrink ancestor sizes; ancestors precede n, so they did not move.
-	for p := parent; p != InvalidNode; p = d.Parent(p) {
-		d.size[p] -= int32(cnt)
-	}
+	d.replace(d.Parent(n), int(n), int(end-n), int(alo), int(ahi-alo), &columns{})
 	return nil
 }
 
@@ -98,10 +67,10 @@ func (d *Doc) DeleteSubtree(n NodeID) error {
 // the insertion point shift up; callers must treat held NodeIDs as
 // invalidated.
 func (d *Doc) InsertChildren(parent NodeID, pos int, frag *Doc) (NodeID, error) {
-	switch d.kind[parent] {
+	switch d.Kind(parent) {
 	case Element, Document:
 	default:
-		return InvalidNode, fmt.Errorf("xmltree: cannot insert under %v node", d.kind[parent])
+		return InvalidNode, fmt.Errorf("xmltree: cannot insert under %v node", d.Kind(parent))
 	}
 	cnt := NodeID(frag.NumNodes()) - 1 // exclude frag's document node
 	if cnt <= 0 {
@@ -112,7 +81,7 @@ func (d *Doc) InsertChildren(parent NodeID, pos int, frag *Doc) (NodeID, error) 
 	at := parent + 1
 	i := 0
 	for c := d.FirstChild(parent); c != InvalidNode && i < pos; c = d.NextSibling(c) {
-		at = c + NodeID(d.size[c]) + 1
+		at = c + NodeID(d.Size(c)) + 1
 		i++
 	}
 	if i < pos {
@@ -120,86 +89,91 @@ func (d *Doc) InsertChildren(parent NodeID, pos int, frag *Doc) (NodeID, error) 
 	}
 
 	// Map fragment name ids and heap values into this document. The name
-	// dictionary, like every column, is shared with the version d was
-	// cloned from (see cow.go), so new names go into a copy.
-	d.names = d.names.clone()
-	nameMap := make([]NameID, frag.names.count())
+	// dictionary is shared with the version d was cloned from (see
+	// cow.go), so a name it lacks goes into a copy. nameMap[id+1] is
+	// fragment name id's id here, and nameMap[0] maps -1 (no name).
+	nameMap, copied := make([]NameID, 1+frag.names.count()), false
+	nameMap[0] = -1
 	for id, s := range frag.names.names {
-		nameMap[id] = d.names.intern(s)
+		if nameMap[id+1] = d.names.find(s); nameMap[id+1] < 0 {
+			if !copied {
+				d.names, copied = d.names.clone(), true
+			}
+			nameMap[id+1] = d.names.intern(s)
+		}
 	}
 
-	// Prepare inserted columns (fragment nodes 1..cnt).
-	levelBase := d.level[parent] + 1
-	kinds := make([]Kind, cnt)
-	sizes := make([]int32, cnt)
-	levels := make([]int32, cnt)
-	names := make([]NameID, cnt)
-	values := make([]valueRef, cnt)
-	parents := make([]NodeID, cnt)
-	starts := make([]int32, cnt)
-	alo := d.attrStart[at]
+	// The inserted nodes (fragment nodes 1..cnt) and their attributes.
+	levelBase := d.Level(parent) + 1
+	alo := d.attrStart.At(int(at))
+	flo, fhi := frag.attrStart.At(1), frag.attrStart.At(frag.NumNodes())
+	ins := columns{
+		kind:      make([]Kind, cnt),
+		size:      make([]int32, cnt),
+		level:     make([]int32, cnt),
+		parent:    make([]NodeID, cnt),
+		name:      make([]NameID, cnt),
+		value:     make([]valueRef, cnt),
+		attrStart: make([]int32, cnt),
+		attrName:  make([]NameID, fhi-flo),
+		attrValue: make([]valueRef, fhi-flo),
+	}
 	for f := NodeID(1); f <= cnt; f++ {
 		j := f - 1
-		kinds[j] = frag.kind[f]
-		sizes[j] = frag.size[f]
-		levels[j] = frag.level[f] - 1 + levelBase
-		if id := frag.name[f]; id >= 0 {
-			names[j] = nameMap[id]
+		ins.kind[j] = frag.Kind(f)
+		ins.size[j] = frag.Size(f)
+		ins.level[j] = frag.Level(f) - 1 + levelBase
+		ins.name[j] = nameMap[frag.NameID(f)+1]
+		ins.value[j] = d.heap.put(frag.ValueBytes(f))
+		if fp := frag.Parent(f); fp == 0 {
+			ins.parent[j] = parent
 		} else {
-			names[j] = -1
+			ins.parent[j] = at + fp - 1
 		}
-		values[j] = d.heap.put(frag.heap.getBytes(frag.value.At(int(f))))
-		if fp := frag.parent[f]; fp == 0 {
-			parents[j] = parent
-		} else {
-			parents[j] = at + fp - 1
-		}
-		starts[j] = alo + frag.attrStart[f] - frag.attrStart[1]
+		ins.attrStart[j] = alo + frag.attrStart.At(int(f)) - flo
 	}
-	flo, fhi := frag.attrStart[1], frag.attrStart[frag.NumNodes()]
-	insAttrs := fhi - flo
-
-	// Splice attribute columns.
-	if insAttrs > 0 {
-		attrNames := make([]NameID, 0, insAttrs)
-		attrValues := make([]valueRef, 0, insAttrs)
-		for a := flo; a < fhi; a++ {
-			attrNames = append(attrNames, nameMap[frag.attrName[a]])
-			attrValues = append(attrValues, d.heap.put(frag.heap.getBytes(frag.attrValue.At(int(a)))))
-		}
-		d.attrName = splice(d.attrName, int(alo), 0, attrNames)
-		d.attrValue.Splice(int(alo), 0, attrValues)
+	for a := flo; a < fhi; a++ {
+		ins.attrName[a-flo] = nameMap[frag.AttrNameID(AttrID(a))+1]
+		ins.attrValue[a-flo] = d.heap.put(frag.AttrValueBytes(AttrID(a)))
 	}
-	d.attrStart = splice(d.attrStart, int(at), 0, starts)
-	for i := int(at) + len(starts); i < len(d.attrStart); i++ {
-		d.attrStart[i] += insAttrs
-	}
-
-	// Splice node columns.
-	d.kind = splice(d.kind, int(at), 0, kinds)
-	d.size = splice(d.size, int(at), 0, sizes)
-	d.level = splice(d.level, int(at), 0, levels)
-	d.name = splice(d.name, int(at), 0, names)
-	d.value.Splice(int(at), 0, values)
-	d.parent = splice(d.parent, int(at), 0, parents)
-
-	// Re-point parents of shifted tail nodes.
-	for i := int(at) + int(cnt); i < len(d.parent); i++ {
-		if d.parent[i] >= at {
-			d.parent[i] += cnt
-		}
-	}
-	// Grow ancestor sizes; ancestors precede at, so they did not move.
-	for p := parent; p != InvalidNode; p = d.Parent(p) {
-		d.size[p] += int32(cnt)
-	}
+	d.replace(parent, int(at), 0, int(alo), 0, &ins)
 	return at, nil
 }
 
-// splice returns a new slice holding s with del elements at at replaced
-// by ins; s itself is left untouched.
-func splice[T any](s []T, at, del int, ins []T) []T {
-	return slices.Concat(s[:at], ins, s[at+del:])
+// replace puts the nodes and attributes of ins, children of parent, in
+// place of the del nodes at at and the adel attributes at aat they own.
+// It then moves the later nodes' parents and attribute starts by the
+// change in count and applies it to the size of parent and each
+// ancestor, which precede at and so keep their ranks. Every column keeps
+// its chunks before the edit point. A whole document is one replace in
+// an empty one, its attribute starts sentinel included.
+func (d *Doc) replace(parent NodeID, at, del, aat, adel int, ins *columns) {
+	d.kind.Splice(at, del, ins.kind)
+	d.size.Splice(at, del, ins.size)
+	d.level.Splice(at, del, ins.level)
+	d.parent.Splice(at, del, ins.parent)
+	d.name.Splice(at, del, ins.name)
+	d.value.Splice(at, del, ins.value)
+	d.attrStart.Splice(at, del, ins.attrStart)
+	d.attrName.Splice(aat, adel, ins.attrName)
+	d.attrValue.Splice(aat, adel, ins.attrValue)
+
+	// A later node's parent is either before at (unchanged) or at or past
+	// the removed range: parents inside it went with their children.
+	shift, ashift := len(ins.kind)-del, int32(len(ins.attrName)-adel)
+	for i := at + len(ins.attrStart); i < d.attrStart.Len(); i++ {
+		if ashift != 0 {
+			d.attrStart.Set(i, d.attrStart.At(i)+ashift)
+		}
+		if i < d.NumNodes() {
+			if p := d.parent.At(i); p >= NodeID(at+del) {
+				d.parent.Set(i, p+NodeID(shift))
+			}
+		}
+	}
+	for p := parent; p != InvalidNode; p = d.Parent(p) {
+		d.size.Set(int(p), d.Size(p)+int32(shift))
+	}
 }
 
 // Validate checks the structural invariants of the node table: sizes
@@ -211,60 +185,59 @@ func (d *Doc) Validate() error {
 	if n == 0 {
 		return errors.New("xmltree: empty document")
 	}
-	if d.kind[0] != Document {
+	if d.Kind(0) != Document {
 		return errors.New("xmltree: node 0 is not the document node")
 	}
-	if int(d.size[0]) != n-1 {
-		return fmt.Errorf("xmltree: document size %d, want %d", d.size[0], n-1)
+	if int(d.Size(0)) != n-1 {
+		return fmt.Errorf("xmltree: document size %d, want %d", d.Size(0), n-1)
 	}
-	if len(d.attrStart) != n+1 {
-		return fmt.Errorf("xmltree: attrStart has %d entries, want %d", len(d.attrStart), n+1)
+	if d.attrStart.Len() != n+1 {
+		return fmt.Errorf("xmltree: attrStart has %d entries, want %d", d.attrStart.Len(), n+1)
 	}
 	for i := 1; i < n; i++ {
 		id := NodeID(i)
-		p := d.parent[i]
+		p := d.Parent(id)
 		if p < 0 || p >= id {
 			return fmt.Errorf("xmltree: node %d has bad parent %d", i, p)
 		}
 		if !d.Contains(p, id) {
 			return fmt.Errorf("xmltree: node %d outside parent %d range", i, p)
 		}
-		if d.level[i] != d.level[p]+1 {
-			return fmt.Errorf("xmltree: node %d level %d, parent level %d", i, d.level[i], d.level[p])
+		if d.Level(id) != d.Level(p)+1 {
+			return fmt.Errorf("xmltree: node %d level %d, parent level %d", i, d.Level(id), d.Level(p))
 		}
-		if end := int(id) + int(d.size[i]); end >= n || !d.Contains(p, id+NodeID(d.size[i])) {
+		if end := int(id) + int(d.Size(id)); end >= n || !d.Contains(p, id+NodeID(d.Size(id))) {
 			return fmt.Errorf("xmltree: node %d subtree exceeds parent", i)
 		}
-		switch d.kind[i] {
+		switch d.Kind(id) {
 		case Text, Comment:
-			if d.size[i] != 0 {
-				return fmt.Errorf("xmltree: %v node %d has descendants", d.kind[i], i)
+			if d.Size(id) != 0 {
+				return fmt.Errorf("xmltree: %v node %d has descendants", d.Kind(id), i)
 			}
 		case Document:
 			return fmt.Errorf("xmltree: nested document node %d", i)
 		}
-		if d.attrStart[i] > d.attrStart[i+1] {
+		if lo, hi := d.AttrRange(id); lo > hi {
 			return fmt.Errorf("xmltree: attrStart not monotone at %d", i)
-		}
-		if d.attrStart[i] != d.attrStart[i+1] && d.kind[i] != Element {
+		} else if lo != hi && d.Kind(id) != Element {
 			return fmt.Errorf("xmltree: non-element node %d owns attributes", i)
 		}
 	}
-	if int(d.attrStart[n]) != len(d.attrName) {
-		return fmt.Errorf("xmltree: attrStart sentinel %d, want %d", d.attrStart[n], len(d.attrName))
+	if int(d.attrStart.At(n)) != d.NumAttrs() {
+		return fmt.Errorf("xmltree: attrStart sentinel %d, want %d", d.attrStart.At(n), d.NumAttrs())
 	}
 	// Children must tile each parent's range.
 	for i := 0; i < n; i++ {
 		id := NodeID(i)
-		if d.size[i] == 0 {
+		if d.Size(id) == 0 {
 			continue
 		}
 		covered := NodeID(0)
 		for c := d.FirstChild(id); c != InvalidNode; c = d.NextSibling(c) {
-			covered += NodeID(d.size[c]) + 1
+			covered += NodeID(d.Size(c)) + 1
 		}
-		if covered != NodeID(d.size[i]) {
-			return fmt.Errorf("xmltree: children of %d cover %d of %d", i, covered, d.size[i])
+		if covered != NodeID(d.Size(id)) {
+			return fmt.Errorf("xmltree: children of %d cover %d of %d", i, covered, d.Size(id))
 		}
 	}
 	return nil

@@ -21,9 +21,7 @@ func Evaluate(doc *xmltree.Doc, path *Path) []core.Posting {
 // reused from step to step and query to query; it is not safe for
 // concurrent use.
 type evaluator struct {
-	doc  *xmltree.Doc
-	kind []xmltree.Kind // the document's kind and name columns, read in place
-	name []xmltree.NameID
+	doc *xmltree.Doc
 
 	// ctx holds run's context lists and rel those of a predicate's
 	// relative path, each a pair swapped from step to step. condHolds
@@ -43,10 +41,7 @@ type nameID struct {
 	id   xmltree.NameID
 }
 
-func newEvaluator(doc *xmltree.Doc) evaluator {
-	kind, name := doc.Columns()
-	return evaluator{doc: doc, kind: kind, name: name}
-}
+func newEvaluator(doc *xmltree.Doc) evaluator { return evaluator{doc: doc} }
 
 // test is a step's node test resolved against the document (the name
 // once per query): a kind and a dictionary name id. anyName matches
@@ -88,7 +83,7 @@ func (ev *evaluator) nameID(name string) xmltree.NameID {
 }
 
 func (ev *evaluator) matches(n xmltree.NodeID, t test) bool {
-	return ev.kind[n] == t.kind && (t.name == anyName || ev.name[n] == t.name)
+	return ev.doc.Kind(n) == t.kind && (t.name == anyName || ev.doc.NameID(n) == t.name)
 }
 
 func (ev *evaluator) attrMatches(a xmltree.AttrID, t test) bool {
@@ -131,7 +126,8 @@ func (ev *evaluator) run(path *Path) []core.Posting {
 
 // step appends to out[:0] the nodes one element or text step selects
 // from ctxs, predicates applied, testing the kind and name columns in
-// one pass over each context's children or subtree. It reports whether
+// one pass over each context's children or subtree, a column chunk at a
+// time. It reports whether
 // out is in document order. Given distinct contexts out is distinct: a
 // node has one parent, and a descendant step visits the contexts in
 // document order (sorting them unless sorted says they are) and skips
@@ -146,10 +142,14 @@ func (ev *evaluator) step(ctxs []xmltree.NodeID, sorted bool, st Step, out []xml
 		sorted = true
 		for _, n := range ctxs {
 			end := n + xmltree.NodeID(ev.doc.Size(n))
-			for c := n + 1; c <= end; c += xmltree.NodeID(ev.doc.Size(c)) + 1 {
-				if ev.matches(c, t) && ev.predsHold(c, st.Preds) {
-					sorted = sorted && (len(out) == 0 || out[len(out)-1] < c)
-					out = append(out, c)
+			for c := n + 1; c <= end; {
+				base := c
+				kind, name, size := ev.doc.Chunk(c)
+				for ; c <= end && int(c-base) < len(kind); c += xmltree.NodeID(size[c-base]) + 1 {
+					if k := kind[c-base]; k == t.kind && (t.name == anyName || name[c-base] == t.name) && ev.predsHold(c, st.Preds) {
+						sorted = sorted && (len(out) == 0 || out[len(out)-1] < c)
+						out = append(out, c)
+					}
 				}
 			}
 		}
@@ -164,14 +164,18 @@ func (ev *evaluator) step(ctxs []xmltree.NodeID, sorted bool, st Step, out []xml
 			continue
 		}
 		covered = n + xmltree.NodeID(ev.doc.Size(n))
-		kind, name := ev.kind[n+1:covered+1], ev.name[n+1:covered+1]
-		name = name[:len(kind)]
-		for i, k := range kind {
-			if k == t.kind && (t.name == anyName || name[i] == t.name) {
-				if m := n + 1 + xmltree.NodeID(i); ev.predsHold(m, st.Preds) {
-					out = append(out, m)
+		for c := n + 1; c <= covered; {
+			kind, name, _ := ev.doc.Chunk(c)
+			kind = kind[:min(len(kind), int(covered-c)+1)]
+			name = name[:len(kind)]
+			for i, k := range kind {
+				if k == t.kind && (t.name == anyName || name[i] == t.name) {
+					if m := c + xmltree.NodeID(i); ev.predsHold(m, st.Preds) {
+						out = append(out, m)
+					}
 				}
 			}
+			c += xmltree.NodeID(len(kind))
 		}
 	}
 	return out, true
@@ -283,10 +287,10 @@ func (ev *evaluator) condHolds(n xmltree.NodeID, c Cond) bool {
 // element's single text child, or else its descendant text concatenated
 // into ev.val, valid until the next call.
 func (ev *evaluator) value(n xmltree.NodeID) []byte {
-	switch {
-	case ev.kind[n] != xmltree.Element && ev.kind[n] != xmltree.Document:
+	switch k := ev.doc.Kind(n); {
+	case k != xmltree.Element && k != xmltree.Document:
 		return ev.doc.ValueBytes(n)
-	case ev.doc.Size(n) == 1 && ev.kind[n+1] == xmltree.Text:
+	case ev.doc.Size(n) == 1 && ev.doc.Kind(n+1) == xmltree.Text:
 		return ev.doc.ValueBytes(n + 1)
 	}
 	ev.val = ev.doc.AppendStringValue(ev.val[:0], n)
