@@ -342,19 +342,16 @@ func readTree(d *storage.Decoder, pt *postingTree) error {
 	var key uint64
 	var val uint32
 	for i := 0; i < n && d.Err() == nil; i++ {
-		// Entries ascend strictly by (key, val), which NewFromSorted
-		// requires: a zero val step repeats the entry before, and a key
-		// or val step that wraps goes back.
+		// Entries ascend strictly by (key, val), as NewFromSorted requires.
 		if delta := d.Uv(); delta != 0 {
 			if key+delta < key {
 				d.Fail(fmt.Errorf("core: tree entry %d: key delta %d wraps", i, delta))
 			}
-			key += delta
-			val = uint32(d.UpTo(math.MaxUint32))
-		} else if step := d.UpTo(math.MaxUint32 - uint64(val)); step == 0 && i > 0 {
-			d.Fail(fmt.Errorf("core: tree entry %d repeats the entry before", i))
-		} else {
+			key, val = key+delta, uint32(d.UpTo(math.MaxUint32))
+		} else if step := d.UpTo(math.MaxUint32 - uint64(val)); step > 0 || i == 0 {
 			val += uint32(step)
+		} else {
+			d.Fail(fmt.Errorf("core: tree entry %d repeats the entry before", i))
 		}
 		entries = append(entries, btree.Entry{Key: key, Val: val})
 	}

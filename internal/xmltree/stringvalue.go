@@ -16,7 +16,7 @@ func (d *Doc) StringValue(n NodeID) string {
 
 // AppendStringValue appends the string value of n to dst and returns the
 // extended slice, avoiding intermediate allocations. It reads the kind
-// column a chunk at a time.
+// and value columns a chunk at a time.
 func (d *Doc) AppendStringValue(dst []byte, n NodeID) []byte {
 	switch d.Kind(n) {
 	case Text, Comment, PI:
@@ -24,13 +24,14 @@ func (d *Doc) AppendStringValue(dst []byte, n NodeID) []byte {
 	}
 	end := n + NodeID(d.Size(n))
 	for i := n + 1; i <= end; {
-		kinds := d.kind.Chunk(int(i))
-		for _, k := range kinds[:min(len(kinds), int(end-i)+1)] {
+		kinds, vals := d.kind.Chunk(int(i)), d.value.Chunk(int(i))
+		kinds = kinds[:min(len(kinds), int(end-i)+1)]
+		for j, k := range kinds {
 			if k == Text {
-				dst = append(dst, d.ValueBytes(i)...)
+				dst = append(dst, d.heap.getBytes(vals[j])...)
 			}
-			i++
 		}
+		i += NodeID(len(kinds))
 	}
 	return dst
 }

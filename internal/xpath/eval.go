@@ -13,7 +13,7 @@ import (
 // Evaluate runs the path over the document by structural navigation and
 // value materialisation — the index-less baseline.
 func Evaluate(doc *xmltree.Doc, path *Path) []core.Posting {
-	ev := newEvaluator(doc)
+	ev := evaluator{doc: doc}
 	return ev.run(path)
 }
 
@@ -40,8 +40,6 @@ type nameID struct {
 	name string
 	id   xmltree.NameID
 }
-
-func newEvaluator(doc *xmltree.Doc) evaluator { return evaluator{doc: doc} }
 
 // test is a step's node test resolved against the document (the name
 // once per query): a kind and a dictionary name id. anyName matches
@@ -141,15 +139,16 @@ func (ev *evaluator) step(ctxs []xmltree.NodeID, sorted bool, st Step, out []xml
 	if st.Axis == Child {
 		sorted = true
 		for _, n := range ctxs {
-			end := n + xmltree.NodeID(ev.doc.Size(n))
-			for c := n + 1; c <= end; {
-				base := c
-				kind, name, size := ev.doc.Chunk(c)
-				for ; c <= end && int(c-base) < len(kind); c += xmltree.NodeID(size[c-base]) + 1 {
-					if k := kind[c-base]; k == t.kind && (t.name == anyName || name[c-base] == t.name) && ev.predsHold(c, st.Preds) {
-						sorted = sorted && (len(out) == 0 || out[len(out)-1] < c)
-						out = append(out, c)
-					}
+			base := n
+			kind, name, size := ev.doc.Chunk(n)
+			for c, end := n+1, n+xmltree.NodeID(size[0]); c <= end; c += xmltree.NodeID(size[c-base]) + 1 {
+				if int(c-base) >= len(kind) {
+					base = c
+					kind, name, size = ev.doc.Chunk(c)
+				}
+				if kind[c-base] == t.kind && (t.name == anyName || name[c-base] == t.name) && ev.predsHold(c, st.Preds) {
+					sorted = sorted && (len(out) == 0 || out[len(out)-1] < c)
+					out = append(out, c)
 				}
 			}
 		}
@@ -165,17 +164,19 @@ func (ev *evaluator) step(ctxs []xmltree.NodeID, sorted bool, st Step, out []xml
 		}
 		covered = n + xmltree.NodeID(ev.doc.Size(n))
 		for c := n + 1; c <= covered; {
+			// The name column first: a named test rarely matches it, and
+			// then the kind column is never read.
 			kind, name, _ := ev.doc.Chunk(c)
-			kind = kind[:min(len(kind), int(covered-c)+1)]
-			name = name[:len(kind)]
-			for i, k := range kind {
-				if k == t.kind && (t.name == anyName || name[i] == t.name) {
+			name = name[:min(len(name), int(covered-c)+1)]
+			kind = kind[:len(name)]
+			for i, nm := range name {
+				if (nm == t.name || t.name == anyName) && kind[i] == t.kind {
 					if m := c + xmltree.NodeID(i); ev.predsHold(m, st.Preds) {
 						out = append(out, m)
 					}
 				}
 			}
-			c += xmltree.NodeID(len(kind))
+			c += xmltree.NodeID(len(name))
 		}
 	}
 	return out, true

@@ -50,7 +50,7 @@ type Exec struct {
 // NewExec returns executor machinery over a document version (the
 // planner passes the document of the snapshot it pinned).
 func NewExec(doc *xmltree.Doc) *Exec {
-	return &Exec{ev: newEvaluator(doc)}
+	return &Exec{ev: evaluator{doc: doc}}
 }
 
 // Doc returns the underlying document.
