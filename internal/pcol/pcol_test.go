@@ -8,11 +8,11 @@ import (
 )
 
 // Model-based tests: a byte program drives a column and a plain slice or
-// map through the same writes and clones. After every step the newest
+// map through the same writes and clones. After every step each live
 // handle must read exactly its model, and every older handle exactly
 // what it read when it was cloned away — writes through a clone must
-// never show through a handle it was cloned from. The same interpreters
-// back the fuzz targets.
+// never show through a handle it was cloned from, nor through a sibling
+// clone. The same interpreters back the fuzz targets.
 
 // prog decodes a byte program; an exhausted program reads zeros.
 type prog struct{ b []byte }
